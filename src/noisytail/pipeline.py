@@ -77,7 +77,7 @@ class PipelineConfig:
 
 def default_config(seed: int = 0) -> PipelineConfig:
     """Desk-scale profile: K=20, d=16, n_1=600, IR=10, symmetric noise 0.4,
-    50 epochs per stage, batches 64/256, queue 1024.  A deliberate
+    50 epochs per stage, batches 64/256, queue 128.  A deliberate
     reduction of the reference regimen (200 epochs, batches 128/512) so a
     full run takes seconds; the manifest records the profile used.
 

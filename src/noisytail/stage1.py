@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
 
 from .datagen import Dataset
-from .errors import InvalidInputError, InvalidSpecError, ParseError
+from .errors import InvalidInputError, InvalidSpecError, NumericError, ParseError
 from .numerics import (
     Mlp,
     SgdMomentum,
@@ -69,6 +68,10 @@ class Stage1Config:
     init_scale: float = 1.0
 
     def __post_init__(self):
+        for name in ("tau", "alpha", "c", "lr", "momentum", "weight_decay",
+                     "aug_noise_stddev", "aug_dropout_prob", "init_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpecError(f"{name} must be finite")
         if self.tau <= 0:
             raise InvalidSpecError("tau must be positive")
         if not (0.0 <= self.alpha <= 1.0):
@@ -124,37 +127,64 @@ class Stage1Model:
 
 
 class FeatureQueue:
-    """FIFO ring buffer of unit-norm embeddings used as extra negatives."""
+    """FIFO queue of unit-norm embeddings used as extra negatives.
+
+    Storage is a preallocated (capacity, d) float64 ring buffer with a
+    write pointer, as in the MoCo queue; d is fixed by the first push.
+    Once full, each push overwrites the oldest rows.  Reads return the
+    rows oldest to newest, the order the contrastive kernel sees them in.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise InvalidSpecError("queue capacity must be >= 1")
         self._capacity = capacity
-        self._buf: deque[np.ndarray] = deque(maxlen=capacity)
+        self._buf: Optional[np.ndarray] = None
+        self._head = 0  # next row to write; the oldest row once full
+        self._len = 0
 
     @property
     def capacity(self) -> int:
         return self._capacity
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return self._len
 
     def push(self, z: np.ndarray) -> None:
-        z = as_vec(z, "embedding")
-        self._buf.append(l2_normalize(z))
+        self.push_batch(as_vec(z, "embedding")[None, :])
 
     def push_batch(self, Z: np.ndarray) -> None:
-        for row in np.asarray(Z, dtype=np.float64):
-            self.push(row)
+        """Enqueue the rows of Z, L2-normalised, evicting the oldest."""
+        Z = np.asarray(Z, dtype=np.float64)
+        if Z.ndim != 2:
+            raise InvalidInputError(f"embedding batch must be 2-D, got shape {Z.shape}")
+        if not np.all(np.isfinite(Z)):
+            raise InvalidInputError("embedding contains non-finite entries")
+        if self._buf is None:
+            self._buf = np.empty((self._capacity, Z.shape[1]))
+        elif Z.shape[1] != self._buf.shape[1]:
+            raise InvalidInputError(
+                f"embedding dim {Z.shape[1]} != queue dim {self._buf.shape[1]}")
+        rows = l2_normalize(Z[-self._capacity:])  # only the newest can survive
+        n = rows.shape[0]
+        first = min(n, self._capacity - self._head)
+        self._buf[self._head:self._head + first] = rows[:first]
+        self._buf[:n - first] = rows[first:]
+        self._head = (self._head + n) % self._capacity
+        self._len = min(self._len + n, self._capacity)
 
     def entries(self) -> list[np.ndarray]:
         """Oldest-to-newest snapshot."""
-        return [z.copy() for z in self._buf]
+        m = self.as_matrix()
+        return [] if m is None else list(m)
 
     def as_matrix(self) -> Optional[np.ndarray]:
-        if not self._buf:
+        """Oldest-to-newest copy of the queued rows, or None when empty."""
+        if self._len == 0:
             return None
-        return np.stack(list(self._buf))
+        if self._len < self._capacity:
+            return self._buf[:self._len].copy()
+        return np.concatenate((self._buf[self._head:], self._buf[:self._head]))
 
 
 # ---------------------------------------------------------------------------
@@ -352,30 +382,44 @@ def stage1_batch_gradients(model: Stage1Model, X: np.ndarray, Y: np.ndarray,
     used for its values only; swapping in a frozen copy must not change
     the result, which is the stop-gradient contract.  Returns
     (grads-by-component dict, metrics dict, detached unit-norm keys).
+
+    When the query branch runs on `model` itself (training), the query,
+    key and raw rows share one encoder forward and the query and key rows
+    one projection forward; backprop reads only the key rows' slices of
+    those caches.
     """
-    qm = query_model if query_model is not None else model
+    b = X.shape[0]
     X_q = augment(X, cfg, rng)
     X_k = augment(X, cfg, rng)
 
+    # row layout of the stacked forwards: [query rows,] key rows, raw rows
+    shared = query_model is None or query_model is model
+    o = b if shared else 0  # offset of the key rows
+    v, enc_cache = forward_batch(
+        model.encoder, np.concatenate((X_q, X_k, X) if shared else (X_k, X)))
+    z_raw, proj_cache = forward_batch(model.projection, v[:o + b])
+
     # query branch: values only
-    vq, _ = forward_batch(qm.encoder, X_q)
-    zq_raw, _ = forward_batch(qm.projection, vq)
-    Zq = l2_normalize(zq_raw)
+    if shared:
+        Zq = l2_normalize(z_raw[:b])
+    else:
+        vq, _ = forward_batch(query_model.encoder, X_q)
+        Zq = l2_normalize(forward_batch(query_model.projection, vq)[0])
 
     # key branch: receives the contrastive gradient
-    vk, enc_cache = forward_batch(model.encoder, X_k)
-    zk_raw, proj_cache = forward_batch(model.projection, vk)
+    zk_raw = z_raw[o:]
     Zk = l2_normalize(zk_raw)
 
     con_loss, g_Zk = _contrastive_batch(Zq, Zk, queue_mat, cfg.tau,
                                         cfg.include_positive)
     g_zk_raw = _normalize_backward(zk_raw, Zk, (1.0 - cfg.alpha) * g_Zk)
-    proj_grads, g_vk = backward_batch(model.projection, proj_cache, g_zk_raw)
-    enc_grads, _ = backward_batch(model.encoder, enc_cache, g_vk)
+    proj_grads, g_vk = backward_batch(
+        model.projection, [c[o:] for c in proj_cache], g_zk_raw)
+    enc_grads, _ = backward_batch(
+        model.encoder, [c[o:o + b] for c in enc_cache], g_vk)
 
     # classifier on detached features of the raw inputs
-    v_detached, _ = forward_batch(model.encoder, X)
-    logits, clf_cache = forward_batch(model.classifier, v_detached)
+    logits, clf_cache = forward_batch(model.classifier, v[o + b:])
     banc_mean, g_logits = _banc_batch(logits, Y, cfg.c)
     clf_grads, _ = backward_batch(model.classifier, clf_cache,
                                   cfg.alpha * g_logits)
@@ -458,10 +502,13 @@ def train_stage1(ds: Dataset, cfg: Stage1Config
         order = rng.permutation(n)
         epoch_metrics = {"con": 0.0, "banc": 0.0, "total": 0.0}
         n_batches = 0
-        for start in range(0, n, cfg.batch_size):
+        for step, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
             grads, metrics, keys = stage1_batch_gradients(
                 model, X[idx], Y[idx], queue.as_matrix(), cfg, rng)
+            if not math.isfinite(metrics["total"]):
+                raise NumericError(
+                    f"stage 1 diverged: non-finite loss at epoch {epoch}, step {step}")
             flat = (grads["encoder"].params() + grads["projection"].params()
                     + grads["classifier"].params())
             opt.step(flat)

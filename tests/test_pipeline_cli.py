@@ -217,6 +217,24 @@ class TestCliErrors:
         cfg_path = write_tiny_config(tmp_path)
         assert main(["simulate", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("field", ["lr", "tau", "aug_noise_stddev"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_stage1_float_exits_2(self, tmp_path, capsys, field, value):
+        cfg_path = write_tiny_config(
+            tmp_path, stage1={**TINY_CONFIG["stage1"], field: value})
+        assert main(["stage1", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_stage1_divergence_exits_4_naming_step(self, tmp_path, capsys):
+        cfg_path = write_tiny_config(
+            tmp_path, stage1={**TINY_CONFIG["stage1"], "lr": 1e300})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["stage1", "--config", str(cfg_path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "stage 1" in err and "epoch 0, step 1" in err
+
 
 class TestSweep:
     def test_single_value_matches_plain_run(self, tmp_path):

@@ -1,9 +1,12 @@
 import copy
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from noisytail import stage1
 from noisytail.datagen import LongTailSpec, MixtureSpec, synth_dataset, inject_symmetric
 from noisytail.errors import InvalidInputError, InvalidSpecError
 from noisytail.numerics import (
@@ -51,7 +54,72 @@ def onehot(k, n):
     return v
 
 
+class DequeQueue:
+    """Per-row reference for FeatureQueue: a deque(maxlen=capacity) that
+    appends each row L2-normalised on its own."""
+
+    def __init__(self, capacity):
+        self._buf = deque(maxlen=capacity)
+
+    def __len__(self):
+        return len(self._buf)
+
+    def push_batch(self, Z):
+        for row in np.asarray(Z, dtype=np.float64):
+            self._buf.append(l2_normalize(row))
+
+    def entries(self):
+        return [z.copy() for z in self._buf]
+
+    def as_matrix(self):
+        return np.stack(list(self._buf)) if self._buf else None
+
+
 class TestFeatureQueue:
+    @given(capacity=st.integers(1, 40),
+           sizes=st.lists(st.integers(0, 90), max_size=12),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_deque_reference(self, capacity, sizes, seed):
+        rng = make_rng(seed)
+        q, ref = FeatureQueue(capacity), DequeQueue(capacity)
+        assert q.as_matrix() is None and q.entries() == [] and len(q) == 0
+        for size in sizes:
+            Z = rng.normal(size=(size, 3)) * rng.uniform(0.1, 10.0)
+            q.push_batch(Z)
+            ref.push_batch(Z)
+            assert len(q) == len(ref)
+            got, want = q.as_matrix(), ref.as_matrix()
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
+            got_entries, want_entries = q.entries(), ref.entries()
+            assert len(got_entries) == len(want_entries)
+            for a, b in zip(got_entries, want_entries):
+                np.testing.assert_array_equal(a, b)
+
+    def test_reads_are_copies(self):
+        q = FeatureQueue(3)
+        q.push_batch(np.eye(3))
+        q.as_matrix()[:] = 0.0
+        q.entries()[0][:] = 0.0
+        np.testing.assert_array_equal(q.as_matrix(), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[1.0, np.nan]]),
+        np.array([[np.inf, 0.0]]),
+        np.array([1.0, 0.0]),
+        np.ones((1, 1, 2)),
+        np.ones((2, 3)),
+    ], ids=["nan", "inf", "1-D", "3-D", "width"])
+    def test_bad_batch_rejected(self, bad):
+        q = FeatureQueue(4)
+        q.push_batch(np.ones((1, 2)))
+        with pytest.raises(InvalidInputError):
+            q.push_batch(bad)
+        np.testing.assert_array_equal(q.as_matrix(), l2_normalize(np.ones((1, 2))))
+
     def test_fifo_discipline(self):
         rng = make_rng(0)
         for capacity, batch, pushes in [(8, 3, 1), (8, 3, 2), (8, 3, 5), (4, 4, 3)]:
@@ -310,6 +378,20 @@ class TestTrainStage1:
         for a, b in zip(p1, p2):
             np.testing.assert_array_equal(a.logits, b.logits)
 
+    def test_matches_deque_queue_bitwise(self, monkeypatch):
+        # the ring buffer must train exactly as the per-row deque queue did
+        ds = tiny_dataset()
+        cfg = Stage1Config(seed=5, **TINY)
+        m1, p1, l1 = train_stage1(ds, cfg)
+        monkeypatch.setattr(stage1, "FeatureQueue", DequeQueue)
+        m2, p2, l2 = train_stage1(ds, cfg)
+        assert l1 == l2
+        for part in ("encoder", "projection", "classifier"):
+            for a, b in zip(getattr(m1, part).params(), getattr(m2, part).params()):
+                np.testing.assert_array_equal(a, b)
+        for a, b in zip(p1, p2):
+            np.testing.assert_array_equal(a.logits, b.logits)
+
     def test_batch_size_exceeds_dataset(self):
         ds = tiny_dataset()
         cfg = Stage1Config(**{**TINY, "batch_size": len(ds) + 1})
@@ -352,6 +434,32 @@ class TestStopGradientAndIsolation:
         for part in ("encoder", "projection", "classifier"):
             for a, b in zip(g1[part].params(), g2[part].params()):
                 np.testing.assert_array_equal(a, b)
+
+    def test_batch_gradients_match_finite_differences(self):
+        # the gradients that train the model, checked against the oracle:
+        # (1-alpha)*con for encoder and projection, alpha*banc for the
+        # classifier, with the query branch frozen and a fixed augmentation
+        model, X, Y, queue, cfg = self._setup()
+        frozen = copy.deepcopy(model)
+        grads, _, _ = stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(6),
+                                             query_model=frozen)
+        weights = {"encoder": 1.0 - cfg.alpha, "projection": 1.0 - cfg.alpha,
+                   "classifier": cfg.alpha}
+        terms = {"encoder": "con", "projection": "con", "classifier": "banc"}
+        worst = 0.0
+        for part in ("encoder", "projection", "classifier"):
+            for p, g in zip(getattr(model, part).params(), grads[part].params()):
+                def f(flat, p=p, part=part):
+                    saved = p.copy()
+                    p[...] = flat.reshape(p.shape)
+                    _, metrics, _ = stage1_batch_gradients(
+                        model, X, Y, queue, cfg, make_rng(6), query_model=frozen)
+                    p[...] = saved
+                    return weights[part] * metrics[terms[part]]
+                num = finite_diff_grad(f, p.ravel().copy())
+                for a, b in zip(g.ravel(), num):
+                    worst = max(worst, relative_error(a, b))
+        assert worst < 1e-4, f"max relative error {worst}"
 
     def test_classifier_isolated_from_encoder(self):
         # labels must not influence encoder/projection gradients
