@@ -11,7 +11,6 @@ from .datagen import (
     LongTailSpec,
     MixtureSpec,
     NoiseSpec,
-    Sample,
     import_embeddings,
     inject_asymmetric,
     inject_symmetric,
@@ -66,6 +65,7 @@ from .refurbish import (
     ClassStats,
     RefurbishConfig,
     RefurbishRecord,
+    RefurbishRecords,
     SoftLabel,
     class_proportions,
     rarity,
@@ -75,6 +75,7 @@ from .refurbish import (
 from .stage1 import (
     FeatureQueue,
     Prediction,
+    Predictions,
     Stage1Config,
     Stage1Model,
     augment,

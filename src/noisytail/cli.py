@@ -90,7 +90,8 @@ def _out_dir(args, cfg: PipelineConfig) -> Path:
 
 
 def _print_metrics(command: str, metrics: dict) -> None:
-    print(f"[{command}] " + json.dumps(metrics, sort_keys=True, default=str))
+    print(f"[{command}] " + json.dumps(metrics, sort_keys=True, default=str,
+                                               allow_nan=False))
 
 
 def run(args) -> int:

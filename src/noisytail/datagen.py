@@ -9,71 +9,86 @@ handling in this package.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import jsonl
 from .errors import InvalidInputError, InvalidSpecError, ParseError
-from .numerics import as_vec
-
-
-@dataclass
-class Sample:
-    id: int
-    features: np.ndarray
-    observed_label: int
-    true_label: Optional[int] = None
 
 
 @dataclass
 class Dataset:
-    """Ordered sample collection; ids unique, every label < num_classes."""
+    """Column arrays over N samples: unique integer `ids`, an (N, d)
+    feature matrix `X`, `observed` labels and, for simulated data, `true`
+    labels (None in real-data mode).  Every label is < num_classes."""
 
-    samples: list[Sample]
+    ids: np.ndarray
+    X: np.ndarray
+    observed: np.ndarray
+    true: Optional[np.ndarray]
     num_classes: int
-    feature_dim: int
 
     def __post_init__(self):
         if self.num_classes < 1:
             raise InvalidSpecError("num_classes must be >= 1")
-        if not self.samples:
+        self.ids = np.asarray(self.ids, dtype=np.int64)
+        self.X = np.asarray(self.X, dtype=np.float64)
+        self.observed = np.asarray(self.observed, dtype=np.int64)
+        if self.true is not None:
+            self.true = np.asarray(self.true, dtype=np.int64)
+        n = self.ids.size
+        if n == 0:
             raise InvalidInputError("dataset must contain at least one sample")
-        seen = set()
-        for s in self.samples:
-            if s.id in seen:
-                raise InvalidInputError(f"duplicate sample id {s.id}")
-            seen.add(s.id)
-            if s.features.shape != (self.feature_dim,):
-                raise InvalidInputError(
-                    f"sample {s.id}: feature dim {s.features.shape} != {self.feature_dim}"
-                )
-            if not np.all(np.isfinite(s.features)):
-                raise InvalidInputError(f"sample {s.id}: non-finite features")
-            if not (0 <= s.observed_label < self.num_classes):
-                raise InvalidInputError(
-                    f"sample {s.id}: observed_label {s.observed_label} out of range"
-                )
-            if s.true_label is not None and not (0 <= s.true_label < self.num_classes):
-                raise InvalidInputError(
-                    f"sample {s.id}: true_label {s.true_label} out of range"
-                )
+        labels = [y for y in (self.observed, self.true) if y is not None]
+        if self.X.ndim != 2 or len(self.X) != n or \
+                any(c.shape != (n,) for c in [self.ids] + labels):
+            raise InvalidInputError(
+                f"ids, labels and the rows of X {self.X.shape} must number {n}")
+        sorted_ids = np.sort(self.ids)
+        dup = sorted_ids[1:] == sorted_ids[:-1]
+        if dup.any():
+            raise InvalidInputError(f"duplicate sample id {sorted_ids[1:][dup][0]}")
+        self._reject(~np.isfinite(self.X).all(axis=1), lambda i: "non-finite features")
+        for name, y in (("observed_label", self.observed), ("true_label", self.true)):
+            if y is not None:
+                self._reject((y < 0) | (y >= self.num_classes),
+                             lambda i: f"{name} {y[i]} out of range")
+
+    def _reject(self, bad: np.ndarray, message) -> None:
+        """InvalidInputError naming the first sample flagged in `bad`."""
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvalidInputError(f"sample {self.ids[i]}: {message(i)}")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.ids.size
 
-    def feature_matrix(self) -> np.ndarray:
-        return np.stack([s.features for s in self.samples])
+    @property
+    def feature_dim(self) -> int:
+        return self.X.shape[1]
 
-    def observed_labels(self) -> np.ndarray:
-        return np.array([s.observed_label for s in self.samples], dtype=np.int64)
 
-    def true_labels(self) -> Optional[np.ndarray]:
-        if any(s.true_label is None for s in self.samples):
-            return None
-        return np.array([s.true_label for s in self.samples], dtype=np.int64)
+def align_ids(ids: np.ndarray, target: np.ndarray, what: str) -> np.ndarray:
+    """The permutation `perm` with ids[perm] == target, for rows keyed by
+    `ids` that must correspond 1:1 with the unique ids in `target`."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size != target.size:
+        raise InvalidInputError(
+            f"{what} count {ids.size} != dataset size {target.size}")
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    dup = sorted_ids[1:] == sorted_ids[:-1]
+    if dup.any():
+        raise InvalidInputError(f"duplicate {what} id {sorted_ids[1:][dup][0]}")
+    pos = np.minimum(np.searchsorted(sorted_ids, target), ids.size - 1)
+    missing = sorted_ids[pos] != target
+    if missing.any():
+        raise InvalidInputError(f"no {what} for sample id {target[missing][0]}")
+    return order[pos]
 
 
 @dataclass
@@ -112,6 +127,8 @@ class NoiseSpec:
             sources = [a for a, _ in self.flip_map]
             if len(sources) != len(set(sources)):
                 raise InvalidSpecError("flip_map has duplicate source classes")
+        elif self.flip_map is not None:
+            raise InvalidSpecError("flip_map applies only to asymmetric noise")
 
 
 @dataclass
@@ -154,24 +171,18 @@ def class_centers(num_classes: int, mix: MixtureSpec,
 
 def _draw_class_samples(centers: np.ndarray, counts: list[int], mix: MixtureSpec,
                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    feats, labels = [], []
-    for k, n in enumerate(counts):
-        x = centers[k] + rng.normal(0.0, mix.within_class_stddev,
-                                    size=(n, mix.feature_dim))
-        feats.append(x)
-        labels.append(np.full(n, k, dtype=np.int64))
-    return np.concatenate(feats), np.concatenate(labels)
+    feats = [centers[k] + rng.normal(0.0, mix.within_class_stddev,
+                                     size=(n, mix.feature_dim))
+             for k, n in enumerate(counts)]
+    return np.concatenate(feats), np.repeat(np.arange(len(counts)), counts)
 
 
 def _assemble(features: np.ndarray, labels: np.ndarray, num_classes: int,
               rng: np.random.Generator) -> Dataset:
     order = rng.permutation(len(labels))
-    samples = [
-        Sample(id=i, features=features[j].copy(), observed_label=int(labels[j]),
-               true_label=int(labels[j]))
-        for i, j in enumerate(order)
-    ]
-    return Dataset(samples, num_classes, features.shape[1])
+    shuffled = labels[order]
+    return Dataset(np.arange(len(labels)), features[order], shuffled,
+                   shuffled.copy(), num_classes)
 
 
 def synth_dataset(lt: LongTailSpec, mix: MixtureSpec, rng: np.random.Generator,
@@ -203,35 +214,33 @@ def synth_split(lt: LongTailSpec, mix: MixtureSpec, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def inject_symmetric(ds: Dataset, rate: float, rng: np.random.Generator
-                     ) -> tuple[Dataset, list[bool]]:
+                     ) -> tuple[Dataset, np.ndarray]:
     """Relabel exactly round(rate*N) samples, chosen uniformly without
     replacement, each to a uniformly random *different* label.
 
-    Returns the corrupted dataset and a per-sample mask of altered labels.
-    True labels are untouched, so the measured corruption rate equals the
-    requested one up to rounding of a single sample.
+    Returns the corrupted dataset and a per-sample boolean mask of altered
+    labels.  True labels are untouched, so the measured corruption rate
+    equals the requested one up to rounding of a single sample.
     """
     if not (0.0 <= rate < 1.0):
         raise InvalidSpecError("symmetric noise rate must be in [0, 1)")
     n = len(ds)
     n_noisy = _round_half_up(rate * n)
-    chosen = set(rng.choice(n, size=n_noisy, replace=False).tolist()) if n_noisy else set()
-    mask = [False] * n
-    samples = []
-    for i, s in enumerate(ds.samples):
-        label = s.observed_label
-        if i in chosen:
-            # draw from the K-1 labels other than the current ground truth
-            base = s.true_label if s.true_label is not None else s.observed_label
-            offset = int(rng.integers(1, ds.num_classes))
-            label = (base + offset) % ds.num_classes
-            mask[i] = True
-        samples.append(Sample(s.id, s.features, label, s.true_label))
-    return Dataset(samples, ds.num_classes, ds.feature_dim), mask
+    mask = np.zeros(n, dtype=bool)
+    labels = ds.observed.copy()
+    if n_noisy:
+        chosen = np.sort(rng.choice(n, size=n_noisy, replace=False))
+        # draw from the K-1 labels other than the current ground truth,
+        # one offset per chosen sample in dataset order
+        base = (ds.true if ds.true is not None else ds.observed)[chosen]
+        offsets = rng.integers(1, ds.num_classes, size=n_noisy)
+        labels[chosen] = (base + offsets) % ds.num_classes
+        mask[chosen] = True
+    return dataclasses.replace(ds, observed=labels), mask
 
 
 def inject_asymmetric(ds: Dataset, rate: float, flip_map: list[tuple[int, int]],
-                      rng: np.random.Generator) -> tuple[Dataset, list[bool]]:
+                      rng: np.random.Generator) -> tuple[Dataset, np.ndarray]:
     """Directed label flipping: within each source class of the map, a
     `rate` fraction (rounded) of its samples is relabeled to the mapped
     target.  Classes outside the map are untouched."""
@@ -247,26 +256,21 @@ def inject_asymmetric(ds: Dataset, rate: float, flip_map: list[tuple[int, int]],
             raise InvalidSpecError(f"flip pair {src}->{dst} maps a class to itself")
         flips[int(src)] = int(dst)
 
-    mask = [False] * len(ds)
-    new_labels = [s.observed_label for s in ds.samples]
+    mask = np.zeros(len(ds), dtype=bool)
+    labels = ds.observed.copy()
     for src, dst in flips.items():
-        idx = [i for i, s in enumerate(ds.samples) if s.observed_label == src]
+        idx = np.flatnonzero(ds.observed == src)
         n_flip = _round_half_up(rate * len(idx))
         if n_flip == 0:
             continue
-        chosen = rng.choice(len(idx), size=n_flip, replace=False)
-        for c in chosen:
-            new_labels[idx[c]] = dst
-            mask[idx[c]] = True
-    samples = [
-        Sample(s.id, s.features, new_labels[i], s.true_label)
-        for i, s in enumerate(ds.samples)
-    ]
-    return Dataset(samples, ds.num_classes, ds.feature_dim), mask
+        chosen = idx[rng.choice(len(idx), size=n_flip, replace=False)]
+        labels[chosen] = dst
+        mask[chosen] = True
+    return dataclasses.replace(ds, observed=labels), mask
 
 
 def apply_noise(ds: Dataset, noise: NoiseSpec, rng: np.random.Generator
-                ) -> tuple[Dataset, list[bool]]:
+                ) -> tuple[Dataset, np.ndarray]:
     if noise.kind == "symmetric":
         return inject_symmetric(ds, noise.rate, rng)
     return inject_asymmetric(ds, noise.rate, noise.flip_map, rng)
@@ -276,85 +280,54 @@ def apply_noise(ds: Dataset, noise: NoiseSpec, rng: np.random.Generator
 # Persistence
 # ---------------------------------------------------------------------------
 
+_MISSING = np.iinfo(np.int64).min  # true_label absent from a record
+
+
 def save_dataset(ds: Dataset, path) -> None:
     """One JSON object per line; floats keep full double precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in ds.samples:
-            rec = {"id": s.id, "features": s.features.tolist(),
-                   "observed_label": s.observed_label}
-            if s.true_label is not None:
-                rec["true_label"] = s.true_label
-            fh.write(json.dumps(rec) + "\n")
+    keys = ("id", "features", "observed_label")
+    columns = [ds.ids, ds.X, ds.observed]
+    if ds.true is not None:
+        keys += ("true_label",)
+        columns.append(ds.true)
+    jsonl.write_rows(path, keys, columns)
 
 
 def load_dataset(path, num_classes: Optional[int] = None) -> Dataset:
     """Parse a JSONL dataset file.
 
     When `num_classes` is given, labels are bound-checked against it;
-    otherwise K is inferred as max(label)+1.  Missing true_label loads as
-    None (real-data mode).  Errors name the offending line.
+    otherwise K is inferred as max(label)+1.  A file in which any record
+    lacks true_label loads with `true` None (real-data mode).  Errors name
+    the offending line.
     """
-    samples = []
-    dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"malformed JSON ({e.msg})", lineno) from e
-            try:
-                feats = as_vec(rec["features"], "features")
-                sid = int(rec["id"])
-                obs = int(rec["observed_label"])
-            except (KeyError, TypeError, InvalidInputError) as e:
-                raise ParseError(f"bad sample record: {e}", lineno) from e
-            true = rec.get("true_label")
-            true = int(true) if true is not None else None
-            if dim is None:
-                dim = feats.size
-            elif feats.size != dim:
-                raise ParseError(
-                    f"feature dim {feats.size} inconsistent with {dim}", lineno)
-            if num_classes is not None:
-                if obs >= num_classes or obs < 0:
-                    raise ParseError(f"observed_label {obs} out of range [0, {num_classes})",
-                                     lineno)
-                if true is not None and (true >= num_classes or true < 0):
-                    raise ParseError(f"true_label {true} out of range [0, {num_classes})",
-                                     lineno)
-            samples.append(Sample(sid, feats, obs, true))
-    if not samples:
-        raise ParseError("dataset file contains no samples", None)
+    cols, linenos = jsonl.read_columns(
+        path, "sample",
+        {"id": int, "observed_label": int,
+         "true_label": lambda t: _MISSING if t is None else int(t)},
+        ("features",), optional=("true_label",))
+    observed, true = cols["observed_label"], cols["true_label"]
+    has_true = true != _MISSING
     k = num_classes
     if k is None:
-        k = 1 + max(max(s.observed_label for s in samples),
-                    max((s.true_label for s in samples if s.true_label is not None),
-                        default=0))
-    return Dataset(samples, k, dim)
+        k = 1 + max(int(observed.max()), int(true.max()), 0)
+    else:
+        for name, labels, known in (("observed_label", observed, True),
+                                    ("true_label", true, has_true)):
+            jsonl.check_rows(known & ((labels < 0) | (labels >= k)), linenos,
+                             lambda i: f"{name} {labels[i]} out of range [0, {k})")
+    return Dataset(cols["id"], cols["features"], observed,
+                   true if has_true.all() else None, k)
 
 
-def save_noise_mask(mask: list[bool], ids: list[int], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sid, noisy in zip(ids, mask):
-            fh.write(json.dumps({"id": sid, "noisy": bool(noisy)}) + "\n")
+def save_noise_mask(mask: np.ndarray, ids: np.ndarray, path) -> None:
+    jsonl.write_rows(path, ("id", "noisy"),
+                     [np.asarray(ids), np.asarray(mask, dtype=bool)])
 
 
 def load_noise_mask(path) -> dict[int, bool]:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                out[int(rec["id"])] = bool(rec["noisy"])
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise ParseError(f"bad mask record: {e}", lineno) from e
-    return out
+    cols, _ = jsonl.read_columns(path, "mask", {"id": int, "noisy": bool})
+    return dict(zip(cols["id"].tolist(), cols["noisy"].tolist()))
 
 
 def import_embeddings(features_path, labels_path,
@@ -362,25 +335,16 @@ def import_embeddings(features_path, labels_path,
     """Build a Dataset from externally computed embeddings.
 
     `features_path` holds one JSON array per line; `labels_path` one integer
-    per line.  Row counts must match.  true_label is absent (real-data mode).
+    per line.  Row counts must match.  `true` is None (real-data mode).
     """
-    rows = []
-    dim = None
-    with open(features_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                feats = as_vec(json.loads(line), "features")
-            except (json.JSONDecodeError, InvalidInputError) as e:
-                raise ParseError(f"bad feature row: {e}", lineno) from e
-            if dim is None:
-                dim = feats.size
-            elif feats.size != dim:
-                raise ParseError(f"feature dim {feats.size} inconsistent with {dim}",
-                                 lineno)
-            rows.append(feats)
+    features = jsonl.VectorColumn("features", features_path)
+    linenos = []
+    for lineno, row in jsonl.read_rows(features_path, "feature row"):
+        try:
+            features.append(row)
+        except (TypeError, ValueError) as e:  # InvalidInputError is a ValueError
+            raise ParseError(f"bad feature row: {e}", lineno) from e
+        linenos.append(lineno)
     labels = []
     with open(labels_path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -391,11 +355,13 @@ def import_embeddings(features_path, labels_path,
                 labels.append(int(line))
             except ValueError as e:
                 raise ParseError(f"bad label {line!r}", lineno) from e
-    if len(rows) != len(labels):
+    if features.n != len(labels):
         raise ParseError(
-            f"feature rows ({len(rows)}) and label rows ({len(labels)}) differ", None)
-    if not rows:
+            f"feature rows ({features.n}) and label rows ({len(labels)}) differ", None)
+    if not labels:
         raise ParseError("embedding file contains no rows", None)
+    X = features.buf[:features.n]
+    jsonl.check_rows(~np.isfinite(X).all(axis=1), linenos,
+                     "bad feature row: features contains non-finite entries")
     k = num_classes if num_classes is not None else 1 + max(labels)
-    samples = [Sample(i, rows[i], labels[i], None) for i in range(len(rows))]
-    return Dataset(samples, k, dim)
+    return Dataset(np.arange(len(labels)), X, labels, None, k)

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import jsonl
 from .datagen import Dataset
 from .errors import (
     DegenerateCountError,
@@ -34,7 +35,7 @@ from .numerics import (
     make_rng,
     mlp_from_state,
     mlp_state,
-    softmax,
+    sgd_epochs,
     softmax_rows,
 )
 from .refurbish import ClassStats, SoftLabel
@@ -59,17 +60,14 @@ class SoftClassStats:
         return self.counts.size
 
 
-def soft_class_counts(soft_labels: list[SoftLabel]) -> SoftClassStats:
-    """Sum per-class probability mass; one-hot corpora give hard counts."""
-    if not soft_labels:
-        raise InvalidInputError("soft_labels must be non-empty")
-    k = soft_labels[0].weights.size
-    counts = np.zeros(k)
-    for sl in soft_labels:
-        if sl.weights.size != k:
-            raise InvalidInputError("inconsistent soft-label lengths")
-        counts += sl.weights
-    return SoftClassStats(counts)
+def soft_class_counts(soft_labels: np.ndarray) -> SoftClassStats:
+    """Sum per-class probability mass over the rows of an (N, K) soft-label
+    matrix; one-hot rows give hard counts."""
+    Y = np.asarray(soft_labels, dtype=np.float64)
+    if Y.ndim != 2 or Y.shape[0] == 0:
+        raise InvalidInputError(
+            f"soft labels must be a non-empty (N, K) matrix, got shape {Y.shape}")
+    return SoftClassStats(Y.sum(axis=0))
 
 
 @dataclass
@@ -118,61 +116,10 @@ class EnsembleModel:
             if e.in_dim != self.backbone.out_dim:
                 raise InvalidInputError("expert input dim must match backbone output")
 
-    @property
-    def num_classes(self) -> int:
-        return self.experts[0].out_dim
-
 
 # ---------------------------------------------------------------------------
 # Expert losses
 # ---------------------------------------------------------------------------
-
-def _soft_ce_shifted(logits: np.ndarray, soft: np.ndarray,
-                     shift: np.ndarray) -> tuple[float, np.ndarray]:
-    z = logits + shift
-    q = softmax(z)
-    with np.errstate(divide="ignore"):
-        loss = -float(np.sum(soft * np.log(np.maximum(q, 1e-300))))
-    return loss, q - soft
-
-
-def _validate_pair(logits, soft_label: SoftLabel) -> tuple[np.ndarray, np.ndarray]:
-    z = as_vec(logits, "logits")
-    y = soft_label.weights
-    if y.size != z.size:
-        raise InvalidInputError("logits and soft label lengths differ")
-    return z, y
-
-
-def _validate_counts(counts: SoftClassStats, k: int) -> np.ndarray:
-    if counts.num_classes != k:
-        raise InvalidInputError("count vector length does not match logits")
-    if np.any(counts.counts <= 0):
-        raise DegenerateCountError("class counts must be strictly positive")
-    return counts.counts
-
-
-def e1_loss(logits, soft_label: SoftLabel) -> tuple[float, np.ndarray]:
-    """Plain soft cross-entropy; gradient wrt logits is softmax(z) - y."""
-    z, y = _validate_pair(logits, soft_label)
-    return _soft_ce_shifted(z, y, np.zeros_like(z))
-
-
-def e2_loss(logits, soft_label: SoftLabel,
-            counts: SoftClassStats) -> tuple[float, np.ndarray]:
-    """Balanced-softmax style: logits shifted by +ln(n_k) during the loss."""
-    z, y = _validate_pair(logits, soft_label)
-    n = _validate_counts(counts, z.size)
-    return _soft_ce_shifted(z, y, np.log(n))
-
-
-def e3_loss(logits, soft_label: SoftLabel,
-            counts: SoftClassStats) -> tuple[float, np.ndarray]:
-    """Tail-focused variant: shift +ln(n_k^2), twice the balanced shift."""
-    z, y = _validate_pair(logits, soft_label)
-    n = _validate_counts(counts, z.size)
-    return _soft_ce_shifted(z, y, 2.0 * np.log(n))
-
 
 def _expert_batch(logits: np.ndarray, Y: np.ndarray,
                   shift: np.ndarray) -> tuple[float, np.ndarray]:
@@ -183,69 +130,85 @@ def _expert_batch(logits: np.ndarray, Y: np.ndarray,
     return float(losses.mean()), (q - Y) / logits.shape[0]
 
 
+def _expert_one(logits, soft_label: SoftLabel, counts: Optional[SoftClassStats] = None,
+                power: float = 0.0) -> tuple[float, np.ndarray]:
+    """`_expert_batch` on one row, with shift power * ln(counts)."""
+    z = as_vec(logits, "logits")
+    if soft_label.weights.size != z.size:
+        raise InvalidInputError("logits and soft label lengths differ")
+    shift = np.zeros_like(z)
+    if counts is not None:
+        if counts.num_classes != z.size:
+            raise InvalidInputError("count vector length does not match logits")
+        if np.any(counts.counts <= 0):
+            raise DegenerateCountError("class counts must be strictly positive")
+        shift = power * np.log(counts.counts)
+    loss, grad = _expert_batch(z[None, :], soft_label.weights[None, :], shift)
+    return loss, grad[0]
+
+
+def e1_loss(logits, soft_label: SoftLabel) -> tuple[float, np.ndarray]:
+    """Plain soft cross-entropy; gradient wrt logits is softmax(z) - y."""
+    return _expert_one(logits, soft_label)
+
+
+def e2_loss(logits, soft_label: SoftLabel,
+            counts: SoftClassStats) -> tuple[float, np.ndarray]:
+    """Balanced-softmax style: logits shifted by +ln(n_k) during the loss."""
+    return _expert_one(logits, soft_label, counts, 1.0)
+
+
+def e3_loss(logits, soft_label: SoftLabel,
+            counts: SoftClassStats) -> tuple[float, np.ndarray]:
+    """Tail-focused variant: shift +ln(n_k^2), twice the balanced shift."""
+    return _expert_one(logits, soft_label, counts, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
 
-def train_stage2(ds: Dataset, soft_labels: list[SoftLabel],
+def train_stage2(ds: Dataset, soft_labels: np.ndarray,
                  stage1_model: Stage1Model, cfg: Stage2Config
                  ) -> tuple[EnsembleModel, list[dict]]:
     """Train the three heads jointly over the frozen stage-1 encoder.
 
-    Soft class counts are computed once before training (floored at
+    `soft_labels` is the (N, K) soft-label matrix in dataset order.  Soft
+    class counts are computed once before training (floored at
     COUNT_FLOOR so ln(n) stays finite); each head receives only its own
     loss gradient, summed per batch.  The backbone is copied from the
-    stage-1 model and never updated.
+    stage-1 model and never updated.  A non-finite loss raises
+    NumericError naming the epoch and step.
     """
     n = len(ds)
-    if len(soft_labels) != n:
-        raise InvalidInputError(
-            f"soft label count {len(soft_labels)} != dataset size {n}")
-    if cfg.batch_size > n:
-        raise InvalidSpecError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
-
     k = ds.num_classes
-    for sl in soft_labels:
-        if sl.weights.size != k:
-            raise InvalidInputError("soft label length does not match num_classes")
-
+    Y = np.asarray(soft_labels, dtype=np.float64)
+    if Y.shape != (n, k):
+        raise InvalidInputError(f"soft labels {Y.shape} != (dataset size, K) = ({n}, {k})")
     rng = make_rng(cfg.seed)
     backbone = stage1_model.encoder.copy()
     experts = [init_mlp([backbone.out_dim, k], rng) for _ in range(3)]
     model = EnsembleModel(backbone, experts)
 
-    counts = soft_class_counts(soft_labels)
+    counts = soft_class_counts(Y)
     n_floor = np.maximum(counts.counts, COUNT_FLOOR)
     shifts = [np.zeros(k), np.log(n_floor), 2.0 * np.log(n_floor)]
 
     # frozen backbone: features can be precomputed once
-    V, _ = forward_batch(backbone, ds.feature_matrix())
-    Y = np.stack([sl.weights for sl in soft_labels])
+    V, _ = forward_batch(backbone, ds.X)
 
     opt = SgdMomentum([p for e in experts for p in e.params()], lr=cfg.lr,
                       momentum=cfg.momentum, weight_decay=cfg.weight_decay)
 
-    log = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        sums = np.zeros(3)
-        n_batches = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            grads = []
-            for e_i, (expert, shift) in enumerate(zip(experts, shifts)):
-                logits, cache = forward_batch(expert, V[idx])
-                loss, g_logits = _expert_batch(logits, Y[idx], shift)
-                g, _ = backward_batch(expert, cache, g_logits)
-                grads.extend(g.params())
-                sums[e_i] += loss
-            opt.step(grads)
-            n_batches += 1
-        log.append({"epoch": epoch,
-                    "e1": sums[0] / n_batches,
-                    "e2": sums[1] / n_batches,
-                    "e3": sums[2] / n_batches})
-    return model, log
+    def step(idx):
+        grads, losses = [], {}
+        for name, expert, shift in zip(("e1", "e2", "e3"), experts, shifts):
+            logits, cache = forward_batch(expert, V[idx])
+            losses[name], g_logits = _expert_batch(logits, Y[idx], shift)
+            grads.extend(backward_batch(expert, cache, g_logits)[0].params())
+        return grads, losses
+
+    return model, sgd_epochs("stage 2", opt, n, cfg.batch_size, cfg.epochs, rng, step)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +235,14 @@ def ensemble_predict(model: EnsembleModel, features,
                      fusion: str = "prob_mean") -> Prediction:
     """Fuse the three experts; raw logits only, the count shifts are
     training-time reweightings."""
-    x = as_vec(features, "features")
-    if x.size != model.backbone.in_dim:
-        raise InvalidInputError(
-            f"feature dim {x.size} != backbone input dim {model.backbone.in_dim}")
+    x = as_vec(features, "features")  # forward_batch checks the width
     probs = ensemble_predict_batch(model, x[None, :], fusion)[0]
     # log-probabilities act as the logits so argmax and softmax stay consistent
     logits = np.log(np.maximum(probs, 1e-300))
     return Prediction(logits, probs, int(np.argmax(probs)))
+
+
+SUBGROUPS = ("many", "medium", "few")
 
 
 def subgroup_of(count: float, thresholds: SubgroupThresholds) -> str:
@@ -303,25 +266,17 @@ class EvalReport:
     fusion: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "overall_accuracy": self.overall_accuracy,
-            "subgroup_accuracy": self.subgroup_accuracy,
-            "expert_overall": self.expert_overall,
-            "expert_subgroup": self.expert_subgroup,
-            "subgroup_classes": self.subgroup_classes,
-            "subgroup_counts": self.subgroup_counts,
-            "confusion": self.confusion.tolist(),
-            "thresholds": asdict(self.thresholds),
-            "fusion": self.fusion,
-        }
+        return {**asdict(self), "confusion": self.confusion.tolist()}
 
 
-def _subgroup_accuracy(correct: np.ndarray, labels: np.ndarray,
-                       classes: set[int]) -> Optional[float]:
-    mask = np.isin(labels, sorted(classes))
-    if not mask.any():
-        return None
-    return float(correct[mask].mean())
+def class_subgroups(counts: np.ndarray, thresholds: SubgroupThresholds) -> np.ndarray:
+    """The shot subgroup name of each class, from its training-set size."""
+    return np.array([subgroup_of(float(c), thresholds) for c in counts])
+
+
+def masked_mean(values: np.ndarray, mask: np.ndarray) -> Optional[float]:
+    """Mean of `values` where `mask` holds; None when it holds nowhere."""
+    return float(values[mask].mean()) if mask.any() else None
 
 
 def evaluate(model: EnsembleModel, test_ds: Dataset, train_counts: ClassStats,
@@ -336,46 +291,29 @@ def evaluate(model: EnsembleModel, test_ds: Dataset, train_counts: ClassStats,
     k = test_ds.num_classes
     if train_counts.num_classes != k:
         raise InvalidInputError("training counts do not match test num_classes")
-    labels = test_ds.observed_labels()
+    labels = test_ds.observed
     present = np.unique(labels)
     absent = [int(c) for c in present if train_counts.counts[c] == 0]
     if absent:
         raise InvalidInputError(f"classes {absent} absent from training counts")
 
-    groups: dict[str, set[int]] = {"many": set(), "medium": set(), "few": set()}
-    for c in range(k):
-        groups[subgroup_of(float(train_counts.counts[c]), thresholds)].add(c)
-
-    X = test_ds.feature_matrix()
-    expert_logits = _expert_logits(model, X)
-    fused = ensemble_predict_batch(model, X, fusion)
-    fused_pred = np.argmax(fused, axis=1)
+    class_group = class_subgroups(train_counts.counts, thresholds)
+    masks = {g: class_group[labels] == g for g in SUBGROUPS}
+    X = test_ds.X
+    fused_pred = np.argmax(ensemble_predict_batch(model, X, fusion), axis=1)
     fused_correct = (fused_pred == labels).astype(float)
-
-    expert_overall, expert_subgroup = [], []
-    for z in expert_logits:
-        pred = np.argmax(z, axis=1)
-        correct = (pred == labels).astype(float)
-        expert_overall.append(float(correct.mean()))
-        expert_subgroup.append({
-            g: _subgroup_accuracy(correct, labels, cls)
-            for g, cls in groups.items()
-        })
-
-    confusion = np.zeros((k, k), dtype=np.int64)
-    for t, p in zip(labels, fused_pred):
-        confusion[t, p] += 1
-
+    expert_correct = [(np.argmax(z, axis=1) == labels).astype(float)
+                      for z in _expert_logits(model, X)]
     return EvalReport(
         overall_accuracy=float(fused_correct.mean()),
-        subgroup_accuracy={g: _subgroup_accuracy(fused_correct, labels, cls)
-                           for g, cls in groups.items()},
-        expert_overall=expert_overall,
-        expert_subgroup=expert_subgroup,
-        subgroup_classes={g: sorted(cls) for g, cls in groups.items()},
-        subgroup_counts={g: int(np.isin(labels, sorted(cls)).sum())
-                         for g, cls in groups.items()},
-        confusion=confusion,
+        subgroup_accuracy={g: masked_mean(fused_correct, m) for g, m in masks.items()},
+        expert_overall=[float(c.mean()) for c in expert_correct],
+        expert_subgroup=[{g: masked_mean(c, m) for g, m in masks.items()}
+                         for c in expert_correct],
+        subgroup_classes={g: np.flatnonzero(class_group == g).tolist()
+                          for g in SUBGROUPS},
+        subgroup_counts={g: int(m.sum()) for g, m in masks.items()},
+        confusion=np.bincount(labels * k + fused_pred, minlength=k * k).reshape(k, k),
         thresholds=thresholds,
         fusion=fusion,
     )
@@ -404,27 +342,19 @@ def report_csv(report: EvalReport, model_names: Optional[list[str]] = None) -> s
 # ---------------------------------------------------------------------------
 
 def backbone_hash(net: Mlp) -> str:
-    payload = json.dumps(mlp_state(net), sort_keys=True).encode()
+    payload = json.dumps(mlp_state(net), sort_keys=True, allow_nan=False).encode()
     return hashlib.sha256(payload).hexdigest()
 
 
-def stage2_checkpoint_dict(model: EnsembleModel, cfg: Stage2Config,
-                           stage1_checkpoint_name: str) -> dict:
-    return {
+def save_stage2_checkpoint(model: EnsembleModel, cfg: Stage2Config,
+                           stage1_checkpoint_name: str, path) -> None:
+    jsonl.write_json(path, {
         "kind": "stage2",
         "config": asdict(cfg),
         "backbone_hash": backbone_hash(model.backbone),
         "stage1_checkpoint": stage1_checkpoint_name,
         "experts": [mlp_state(e) for e in model.experts],
-    }
-
-
-def save_stage2_checkpoint(model: EnsembleModel, cfg: Stage2Config,
-                           stage1_checkpoint_name: str, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(stage2_checkpoint_dict(model, cfg, stage1_checkpoint_name),
-                  fh, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_stage2_checkpoint(path, backbone: Mlp
@@ -433,11 +363,7 @@ def load_stage2_checkpoint(path, backbone: Mlp
 
     The stored hash must match the supplied backbone's weights.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            state = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"malformed checkpoint JSON ({e.msg})", e.lineno) from e
+    state = jsonl.read_json(path, "checkpoint")
     if state.get("kind") != "stage2":
         raise ParseError("not a stage-2 checkpoint", None)
     if backbone_hash(backbone) != state["backbone_hash"]:

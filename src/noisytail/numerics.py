@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericError
+from .errors import InvalidInputError, InvalidSpecError, NumericError
 
 Vec = np.ndarray
 
@@ -40,8 +40,7 @@ def softmax(logits: Vec) -> Vec:
     z = as_vec(logits, "logits")
     if z.size == 0:
         raise InvalidInputError("softmax of empty vector")
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    return softmax_rows(z[None, :])[0]
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -211,11 +210,7 @@ def mlp_forward(net: Mlp, x: Vec) -> Vec:
 def mlp_backward(net: Mlp, x: Vec, upstream_grad: Vec) -> tuple[MlpGrads, Vec]:
     """Gradients of (output . upstream_grad) wrt all parameters and the input."""
     x = as_vec(x, "input")
-    g = as_vec(upstream_grad, "upstream_grad")
-    if g.size != net.out_dim:
-        raise InvalidInputError(
-            f"upstream_grad length {g.size} != output dim {net.out_dim}"
-        )
+    g = as_vec(upstream_grad, "upstream_grad")  # backward_batch checks the width
     _, cache = forward_batch(net, x[None, :])
     grads, gx = backward_batch(net, cache, g[None, :])
     return grads, gx[0]
@@ -290,6 +285,33 @@ class SgdMomentum:
             np.multiply(v, self.momentum, out=v)
             v += g + self.weight_decay * p
             p -= self.lr * v
+
+
+def sgd_epochs(stage: str, opt: SgdMomentum, n: int, batch_size: int, epochs: int,
+               rng: np.random.Generator, step, after_update=None) -> list[dict]:
+    """The permute/batch/update loop of every trainer; returns each epoch's
+    mean losses.  `step(idx)` gives a batch's gradients, in `opt.params`
+    order, and its named losses.  A non-finite loss raises NumericError
+    naming the stage, epoch and step, before the update."""
+    if batch_size > n:
+        raise InvalidSpecError(f"batch_size {batch_size} exceeds dataset size {n}")
+    log = []
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        starts = range(0, n, batch_size)
+        sums: dict[str, float] = {}
+        for i, start in enumerate(starts):
+            grads, losses = step(order[start:start + batch_size])
+            if not all(map(math.isfinite, losses.values())):
+                raise NumericError(
+                    f"{stage} diverged: non-finite loss at epoch {epoch}, step {i}")
+            opt.step(grads)
+            if after_update is not None:
+                after_update()
+            for name, value in losses.items():
+                sums[name] = sums.get(name, 0.0) + value
+        log.append({"epoch": epoch, **{k: v / len(starts) for k, v in sums.items()}})
+    return log
 
 
 # ---------------------------------------------------------------------------

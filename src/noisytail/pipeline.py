@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -19,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import datagen, ensemble, refurbish, stage1
+from . import datagen, ensemble, jsonl, refurbish, stage1
 from .datagen import Dataset, LongTailSpec, MixtureSpec, NoiseSpec
 from .ensemble import Stage2Config, SubgroupThresholds
 from .errors import InvalidInputError, InvalidSpecError
@@ -29,6 +30,7 @@ from .numerics import (
     forward_batch,
     init_mlp,
     make_rng,
+    sgd_epochs,
     softmax_rows,
 )
 from .refurbish import ClassStats, RefurbishConfig, class_stats_from_counts
@@ -128,20 +130,42 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
     return d
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# field annotation -> (what a config value must be, check)
+_FIELD_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number",
+              lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v))),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "Optional[str]": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "Optional[list[tuple[int, int]]]": (
+        "a list of [source, target] class pairs",
+        lambda v: v is None or isinstance(v, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in v)),
+}
+
+
+def _check_fields(prefix: str, cls, data: dict) -> None:
+    """Reject a value that does not fit its dataclass field's annotation."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    for name, value in data.items():
+        want, ok = _FIELD_TYPES[types[name]]
+        if not ok(value):
+            raise InvalidSpecError(f"{prefix}{name} must be {want}, got {value!r}")
+
+
 def _build_section(name: str, cls, data: dict):
     if not isinstance(data, dict):
         raise InvalidSpecError(f"config section {name!r} must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise InvalidSpecError(f"unknown keys in {name!r}: {sorted(unknown)}")
-    if name == "noise" and data.get("flip_map") is not None:
-        data = dict(data)
-        data["flip_map"] = [tuple(p) for p in data["flip_map"]]
-    try:
-        return cls(**data)
-    except TypeError as e:
-        raise InvalidSpecError(f"bad config section {name!r}: {e}") from e
+    _check_fields(f"{name}.", cls, data)
+    return cls(**data)  # NoiseSpec turns flip_map pairs into tuples
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
@@ -157,20 +181,16 @@ def config_from_dict(data: dict) -> PipelineConfig:
         kwargs[name] = _build_section(name, cls, section)
     for name in _SCALAR_FIELDS:
         kwargs[name] = data.get(name, base[name])
+    _check_fields("", PipelineConfig, {n: kwargs[n] for n in _SCALAR_FIELDS})
     return PipelineConfig(**kwargs)
 
 
 def load_config(path) -> PipelineConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InvalidSpecError(f"config is not valid JSON: {e}") from e
-    return config_from_dict(data)
+    return config_from_dict(jsonl.read_json(path, "config"))
 
 
 def config_hash(cfg: PipelineConfig) -> str:
-    payload = json.dumps(config_to_dict(cfg), sort_keys=True).encode()
+    payload = json.dumps(config_to_dict(cfg), sort_keys=True, allow_nan=False).encode()
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -207,9 +227,7 @@ def write_manifest(out_dir: Path, command: str, cfg: PipelineConfig,
         "artifacts": {name: file_sha256(out_dir / name) for name in artifact_names},
     }
     path = out_dir / f"manifest_{command}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    jsonl.write_json(path, manifest, indent=2)
     return path
 
 
@@ -234,19 +252,25 @@ def run_simulate(cfg: PipelineConfig, out_dir: Path) -> dict:
     train, mask = datagen.apply_noise(train, cfg.noise, rng)
     datagen.save_dataset(train, out_dir / TRAIN_FILE)
     datagen.save_dataset(test, out_dir / TEST_FILE)
-    datagen.save_noise_mask(mask, [s.id for s in train.samples],
-                            out_dir / MASK_FILE)
-    counts = np.bincount(train.true_labels(),
-                         minlength=cfg.longtail.num_classes).tolist()
+    datagen.save_noise_mask(mask, train.ids, out_dir / MASK_FILE)
+    counts = np.bincount(train.true, minlength=cfg.longtail.num_classes).tolist()
     metrics = {
         "train_size": len(train),
         "test_size": len(test),
         "class_counts": counts,
-        "measured_noise_rate": sum(mask) / len(train),
+        "measured_noise_rate": int(mask.sum()) / len(train),
     }
     write_manifest(out_dir, "simulate", cfg, time.perf_counter() - t0, metrics,
                    [TRAIN_FILE, TEST_FILE, MASK_FILE])
     return metrics
+
+
+def _accuracy(prefix: str, predicted: np.ndarray, train: Dataset) -> dict:
+    """Agreement of predicted classes with the observed and true labels."""
+    out = {f"{prefix}_vs_observed": float((predicted == train.observed).mean())}
+    if train.true is not None:
+        out[f"{prefix}_vs_true"] = float((predicted == train.true).mean())
+    return out
 
 
 def run_stage1(cfg: PipelineConfig, out_dir: Path) -> dict:
@@ -256,20 +280,10 @@ def run_stage1(cfg: PipelineConfig, out_dir: Path) -> dict:
     s1_cfg = dataclasses.replace(cfg.stage1, seed=stage_seed(cfg.seed, "stage1"))
     model, preds, log = stage1.train_stage1(train, s1_cfg)
     stage1.save_stage1_checkpoint(model, s1_cfg, out_dir / STAGE1_CKPT)
-    stage1.save_predictions([s.id for s in train.samples], preds,
-                            out_dir / PREDICTIONS_FILE)
-    with open(out_dir / STAGE1_LOG, "w", encoding="utf-8") as fh:
-        json.dump(log, fh, sort_keys=True)
-        fh.write("\n")
-    pred_cls = np.array([p.predicted_class for p in preds])
-    metrics = {
-        "final_losses": log[-1] if log else None,
-        "train_accuracy_vs_observed":
-            float((pred_cls == train.observed_labels()).mean()),
-    }
-    true = train.true_labels()
-    if true is not None:
-        metrics["train_accuracy_vs_true"] = float((pred_cls == true).mean())
+    stage1.save_predictions(train.ids, preds, out_dir / PREDICTIONS_FILE)
+    jsonl.write_json(out_dir / STAGE1_LOG, log)
+    metrics = {"final_losses": log[-1] if log else None,
+               **_accuracy("train_accuracy", preds.predicted, train)}
     write_manifest(out_dir, "stage1", cfg, time.perf_counter() - t0, metrics,
                    [STAGE1_CKPT, PREDICTIONS_FILE, STAGE1_LOG])
     return metrics
@@ -279,25 +293,44 @@ def run_refurbish(cfg: PipelineConfig, out_dir: Path) -> dict:
     t0 = time.perf_counter()
     train = datagen.load_dataset(_require(out_dir, TRAIN_FILE, "simulate"),
                                  cfg.longtail.num_classes)
-    preds_by_id = stage1.load_predictions(
+    ids, preds = stage1.load_predictions(
         _require(out_dir, PREDICTIONS_FILE, "stage1"))
-    preds = stage1.align_predictions(train, preds_by_id)
-    _, records = refurbish.refurbish_dataset(train, preds, cfg.refurbish)
+    preds = stage1.align_predictions(train, ids, preds)
+    soft, records = refurbish.refurbish_dataset(train, preds, cfg.refurbish)
     refurbish.save_records(records, out_dir / REFURB_FILE)
     metrics = refurbish.summarize_records(records)
+    if train.true is not None:
+        metrics.update(refurbish_quality(train, soft, records.changed,
+                                         cfg.thresholds))
     write_manifest(out_dir, "refurbish", cfg, time.perf_counter() - t0, metrics,
                    [REFURB_FILE])
     return metrics
 
 
+def refurbish_quality(train: Dataset, soft: np.ndarray, changed: np.ndarray,
+                      thresholds: SubgroupThresholds) -> dict:
+    """Refurbishment against the true labels, overall and per shot group of
+    each sample's true class: noise-detection precision and recall
+    ("changed" against "actually corrupted") and the share of soft labels
+    whose argmax is the true label.  None where a group is empty."""
+    group = ensemble.class_subgroups(train_counts_for_eval(train).counts,
+                                     thresholds)[train.true]
+    masks = {"overall": np.ones(len(train), dtype=bool),
+             **{g: group == g for g in ensemble.SUBGROUPS}}
+    corrupted = train.observed != train.true
+    soft_right = np.argmax(soft, axis=1) == train.true
+    metrics = {"noise_precision": (corrupted, changed), "noise_recall": (changed, corrupted),
+               "soft_label_accuracy": (soft_right, True)}
+    return {name: {g: ensemble.masked_mean(values, among & m) for g, m in masks.items()}
+            for name, (values, among) in metrics.items()}
+
+
 def _soft_labels_for_stage2(train: Dataset, out_dir: Path,
-                            no_relabel: bool) -> list[refurbish.SoftLabel]:
+                            no_relabel: bool) -> np.ndarray:
     if no_relabel:
-        return [refurbish.onehot_soft_label(s.observed_label, train.num_classes)
-                for s in train.samples]
+        return np.eye(train.num_classes)[train.observed]
     records = refurbish.load_records(_require(out_dir, REFURB_FILE, "refurbish"))
-    aligned = refurbish.align_records(train, records)
-    return [r.soft_label for r in aligned]
+    return refurbish.align_records(train, records).soft
 
 
 def run_stage2(cfg: PipelineConfig, out_dir: Path, no_relabel: bool = False) -> dict:
@@ -313,9 +346,7 @@ def run_stage2(cfg: PipelineConfig, out_dir: Path, no_relabel: bool = False) -> 
     log_name = _variant_name(STAGE2_LOG, no_relabel)
     ensemble.save_stage2_checkpoint(model, s2_cfg, STAGE1_CKPT,
                                     out_dir / ckpt_name)
-    with open(out_dir / log_name, "w", encoding="utf-8") as fh:
-        json.dump(log, fh, sort_keys=True)
-        fh.write("\n")
+    jsonl.write_json(out_dir / log_name, log)
     metrics = {"variant": "w/o re-label" if no_relabel else "refurbished",
                "final_losses": log[-1] if log else None}
     command = "stage2_norelabel" if no_relabel else "stage2"
@@ -327,8 +358,7 @@ def run_stage2(cfg: PipelineConfig, out_dir: Path, no_relabel: bool = False) -> 
 def train_counts_for_eval(train: Dataset) -> ClassStats:
     """Class sizes that define the shot subgroups: the clean per-class
     sizes when true labels are available, observed counts otherwise."""
-    true = train.true_labels()
-    labels = true if true is not None else train.observed_labels()
+    labels = train.true if train.true is not None else train.observed
     counts = np.bincount(labels, minlength=train.num_classes).astype(float)
     return class_stats_from_counts(counts)
 
@@ -352,9 +382,7 @@ def run_evaluate(cfg: PipelineConfig, out_dir: Path,
     doc = {"variant": label, **report.to_json_dict()}
     json_name = _variant_name(EVAL_JSON, no_relabel)
     csv_name = _variant_name(EVAL_CSV, no_relabel)
-    with open(out_dir / json_name, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    jsonl.write_json(out_dir / json_name, doc, indent=2)
     with open(out_dir / csv_name, "w", encoding="utf-8") as fh:
         fh.write(f"# variant: {label}; thresholds: many>"
                  f"{cfg.thresholds.many_min}, few<{cfg.thresholds.few_max}\n")
@@ -385,11 +413,11 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
 class PipelineResult:
     train: Dataset
     test: Dataset
-    noise_mask: list[bool]
+    noise_mask: np.ndarray
     stage1_model: stage1.Stage1Model
-    predictions: list[stage1.Prediction]
+    predictions: stage1.Predictions
     stage1_log: list[dict]
-    records: list[refurbish.RefurbishRecord]
+    records: refurbish.RefurbishRecords
     stage2_model: ensemble.EnsembleModel
     report: ensemble.EvalReport
     metrics: dict = field(default_factory=dict)
@@ -406,27 +434,17 @@ def run_in_memory(cfg: PipelineConfig, no_relabel: bool = False) -> PipelineResu
     s1_cfg = dataclasses.replace(cfg.stage1, seed=stage_seed(cfg.seed, "stage1"))
     s1_model, preds, s1_log = stage1.train_stage1(train, s1_cfg)
 
-    _, records = refurbish.refurbish_dataset(train, preds, cfg.refurbish)
+    soft, records = refurbish.refurbish_dataset(train, preds, cfg.refurbish)
     if no_relabel:
-        softs = [refurbish.onehot_soft_label(s.observed_label, train.num_classes)
-                 for s in train.samples]
-    else:
-        softs = [r.soft_label for r in records]
+        soft = np.eye(train.num_classes)[train.observed]
 
     s2_cfg = dataclasses.replace(cfg.stage2, seed=stage_seed(cfg.seed, "stage2"))
-    s2_model, _ = ensemble.train_stage2(train, softs, s1_model, s2_cfg)
+    s2_model, _ = ensemble.train_stage2(train, soft, s1_model, s2_cfg)
     report = ensemble.evaluate(s2_model, test, train_counts_for_eval(train),
                                cfg.thresholds, fusion=s2_cfg.fusion)
 
-    pred_cls = np.array([p.predicted_class for p in preds])
-    metrics = {
-        "stage1_accuracy_vs_observed":
-            float((pred_cls == train.observed_labels()).mean()),
-        "overall_accuracy": report.overall_accuracy,
-    }
-    true = train.true_labels()
-    if true is not None:
-        metrics["stage1_accuracy_vs_true"] = float((pred_cls == true).mean())
+    metrics = {"overall_accuracy": report.overall_accuracy,
+               **_accuracy("stage1_accuracy", preds.predicted, train)}
     return PipelineResult(train, test, mask, s1_model, preds, s1_log, records,
                           s2_model, report, metrics)
 
@@ -438,40 +456,33 @@ def run_in_memory(cfg: PipelineConfig, no_relabel: bool = False) -> PipelineResu
 def train_ce_baseline(train: Dataset, cfg: Stage1Config, seed: int):
     """Supervised end-to-end baseline: the same encoder architecture plus a
     linear head, trained with plain cross-entropy on observed labels."""
-    n = len(train)
-    if cfg.batch_size > n:
-        raise InvalidSpecError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
     rng = make_rng(seed)
     k = train.num_classes
     encoder = init_mlp([train.feature_dim, cfg.encoder_hidden, cfg.repr_dim],
                        rng, cfg.activation)
     head = init_mlp([cfg.repr_dim, k], rng, cfg.activation)
-    X = train.feature_matrix()
-    labels = train.observed_labels()
-    Y = np.zeros((n, k))
-    Y[np.arange(n), labels] = 1.0
+    Y = np.eye(k)[train.observed]
     opt = SgdMomentum(encoder.params() + head.params(), lr=cfg.lr,
                       momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            v, enc_cache = forward_batch(encoder, X[idx])
-            logits, head_cache = forward_batch(head, v)
-            g_logits = (softmax_rows(logits) - Y[idx]) / len(idx)
-            g_head, g_v = backward_batch(head, head_cache, g_logits)
-            g_enc, _ = backward_batch(encoder, enc_cache, g_v)
-            opt.step(g_enc.params() + g_head.params())
+
+    def step(idx):
+        v, enc_cache = forward_batch(encoder, train.X[idx])
+        logits, head_cache = forward_batch(head, v)
+        g_logits = (softmax_rows(logits) - Y[idx]) / len(idx)
+        g_head, g_v = backward_batch(head, head_cache, g_logits)
+        return backward_batch(encoder, enc_cache, g_v)[0].params() + g_head.params(), {}
+
+    sgd_epochs("CE baseline", opt, len(train), cfg.batch_size, cfg.epochs, rng, step)
     return encoder, head
 
 
 def ce_baseline_accuracy(train: Dataset, test: Dataset, cfg: Stage1Config,
                          seed: int) -> float:
     encoder, head = train_ce_baseline(train, cfg, seed)
-    v, _ = forward_batch(encoder, test.feature_matrix())
+    v, _ = forward_batch(encoder, test.X)
     logits, _ = forward_batch(head, v)
     pred = np.argmax(logits, axis=1)
-    return float((pred == test.observed_labels()).mean())
+    return float((pred == test.observed).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,16 @@ exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Dataset
-from .errors import InvalidInputError, InvalidSpecError, ParseError
+from . import jsonl
+from .datagen import Dataset, align_ids
+from .errors import InvalidInputError, InvalidSpecError
 from .numerics import as_vec
-from .stage1 import Prediction
+from .stage1 import Prediction, Predictions
 
 
 @dataclass
@@ -71,25 +71,48 @@ class SoftLabel:
             raise InvalidInputError("soft label must be a probability vector")
 
 
-def onehot_soft_label(label: int, num_classes: int) -> SoftLabel:
-    w = np.zeros(num_classes)
-    w[label] = 1.0
-    return SoftLabel(w)
-
-
 @dataclass
 class RefurbishRecord:
     id: int
     rho: float       # predicted probability of the observed label
     gamma: float     # rarity of the observed class
     weight: float    # rho * gamma
-    soft_label: SoftLabel
+    soft: np.ndarray  # the refurbished label
     changed: bool    # prediction disagreed with the observed label
+
+    @property
+    def soft_label(self) -> SoftLabel:
+        return SoftLabel(self.soft)
+
+
+@dataclass
+class RefurbishRecords:
+    """RefurbishRecord fields as columns over N samples; `soft` is the
+    (N, K) soft-label matrix."""
+
+    ids: np.ndarray
+    rho: np.ndarray
+    gamma: np.ndarray
+    weight: np.ndarray
+    soft: np.ndarray
+    changed: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        columns = (self.ids.tolist(), self.rho.tolist(), self.gamma.tolist(),
+                   self.weight.tolist(), self.soft, self.changed.tolist())
+        return (RefurbishRecord(*row) for row in zip(*columns))
+
+    def take(self, idx) -> "RefurbishRecords":
+        return RefurbishRecords(self.ids[idx], self.rho[idx], self.gamma[idx],
+                                self.weight[idx], self.soft[idx], self.changed[idx])
 
 
 def class_proportions(ds: Dataset) -> ClassStats:
     """Hard occurrence counts of observed labels and their proportions."""
-    counts = np.bincount(ds.observed_labels(), minlength=ds.num_classes).astype(float)
+    counts = np.bincount(ds.observed, minlength=ds.num_classes).astype(float)
     return class_stats_from_counts(counts)
 
 
@@ -105,61 +128,71 @@ def rarity(h: float, sigma: float) -> float:
     return math.exp(-(h * h) / (sigma * sigma))
 
 
-def refurbish_one(pred: Prediction, observed: int, stats: ClassStats,
-                  cfg: RefurbishConfig, sample_id: int = 0) -> RefurbishRecord:
-    """Refurbish a single sample's label.
+def refurbish_batch(ids, probs: np.ndarray, predicted: np.ndarray,
+                    observed: np.ndarray, stats: ClassStats,
+                    cfg: RefurbishConfig) -> RefurbishRecords:
+    """Refurbish N labels at once from (N, K) predicted probabilities.
 
     Agreement (predicted class == observed) keeps the exact one-hot label.
     Otherwise the new label is (probs + w * onehot) / (1 + w) with
     w = rho * gamma: the prediction's confidence in the observed label
     times the observed class's rarity.
     """
-    probs = as_vec(pred.probs, "probs")
-    k = probs.size
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-6:
-        raise InvalidInputError("prediction probs is not a probability vector")
-    if not (0 <= observed < k):
-        raise InvalidInputError(f"observed label {observed} out of range [0, {k})")
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2 or not np.all(np.isfinite(probs)):
+        raise InvalidInputError("prediction probs must be a finite (N, K) matrix")
+    n, k = probs.shape
+    bad = np.any(probs < 0, axis=1) | (np.abs(probs.sum(axis=1) - 1.0) > 1e-6)
+    if bad.any():
+        raise InvalidInputError(
+            f"prediction probs row {int(np.argmax(bad))} is not a probability vector")
+    if np.any((observed < 0) | (observed >= k)):
+        raise InvalidInputError(f"observed label out of range [0, {k})")
     if stats.num_classes != k:
         raise InvalidInputError("class stats length does not match probs")
 
-    rho = float(probs[observed])
-    gamma = rarity(float(stats.proportions[observed]), cfg.sigma)
-    w = rho * gamma
-    if pred.predicted_class == observed:
-        soft = onehot_soft_label(observed, k)
-        changed = False
-    else:
-        s = probs.copy()
-        s[observed] += w
-        soft = SoftLabel(s / s.sum())
-        changed = True
-    return RefurbishRecord(sample_id, rho, gamma, w, soft, changed)
+    rows = np.arange(n)
+    rho = probs[rows, observed]
+    # one scalar rarity per class, so gamma carries rarity()'s exact bits
+    gamma = np.array([rarity(float(h), cfg.sigma) for h in stats.proportions])[observed]
+    weight = rho * gamma
+    changed = predicted != observed
+    soft = probs.copy()
+    soft[rows, observed] += weight
+    soft /= soft.sum(axis=1, keepdims=True)
+    soft[~changed] = 0.0
+    soft[rows[~changed], observed[~changed]] = 1.0
+    return RefurbishRecords(np.asarray(ids), rho, gamma, weight, soft, changed)
 
 
-def refurbish_dataset(ds: Dataset, preds: list[Prediction], cfg: RefurbishConfig
-                      ) -> tuple[list[SoftLabel], list[RefurbishRecord]]:
+def refurbish_one(pred: Prediction, observed: int, stats: ClassStats,
+                  cfg: RefurbishConfig, sample_id: int = 0) -> RefurbishRecord:
+    """Refurbish a single sample's label: `refurbish_batch` on one row."""
+    return next(iter(refurbish_batch(
+        [sample_id], as_vec(pred.probs, "probs")[None, :],
+        np.array([pred.predicted_class]), np.array([observed]), stats, cfg)))
+
+
+def refurbish_dataset(ds: Dataset, preds: Predictions, cfg: RefurbishConfig
+                      ) -> tuple[np.ndarray, RefurbishRecords]:
     """Refurbish the whole corpus; one record per sample, none dropped.
 
-    `preds` must align positionally with `ds.samples` (use
-    `stage1.align_predictions` when loading from a file).
+    `preds` must align positionally with the dataset (use
+    `stage1.align_predictions` when loading from a file).  Returns the
+    (N, K) soft-label matrix and the records.
     """
     if len(preds) != len(ds):
         raise InvalidInputError(
             f"prediction count {len(preds)} != dataset size {len(ds)}")
-    stats = class_proportions(ds)
-    softs, records = [], []
-    for s, p in zip(ds.samples, preds):
-        rec = refurbish_one(p, s.observed_label, stats, cfg, sample_id=s.id)
-        softs.append(rec.soft_label)
-        records.append(rec)
-    return softs, records
+    records = refurbish_batch(ds.ids, preds.probs, preds.predicted, ds.observed,
+                              class_proportions(ds), cfg)
+    return records.soft, records
 
 
-def summarize_records(records: list[RefurbishRecord]) -> dict:
-    changed = [r for r in records if r.changed]
-    frac = len(changed) / len(records) if records else 0.0
-    mean_w = float(np.mean([r.weight for r in changed])) if changed else 0.0
+def summarize_records(records: RefurbishRecords) -> dict:
+    n_changed = int(np.count_nonzero(records.changed))
+    frac = n_changed / len(records) if len(records) else 0.0
+    mean_w = float(records.weight[records.changed].mean()) if n_changed else 0.0
     return {"fraction_changed": frac, "mean_weight_changed": mean_w}
 
 
@@ -167,53 +200,25 @@ def summarize_records(records: list[RefurbishRecord]) -> dict:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def save_records(records: list[RefurbishRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps({
-                "id": r.id,
-                "soft_label": r.soft_label.weights.tolist(),
-                "changed": r.changed,
-                "rho": r.rho,
-                "gamma": r.gamma,
-                "weight": r.weight,
-            }) + "\n")
+def save_records(records: RefurbishRecords, path) -> None:
+    jsonl.write_rows(path, ("id", "soft_label", "changed", "rho", "gamma", "weight"),
+                     [records.ids, records.soft, records.changed, records.rho,
+                      records.gamma, records.weight])
 
 
-def load_records(path) -> list[RefurbishRecord]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(RefurbishRecord(
-                    id=int(rec["id"]),
-                    rho=float(rec["rho"]),
-                    gamma=float(rec["gamma"]),
-                    weight=float(rec["weight"]),
-                    soft_label=SoftLabel(as_vec(rec["soft_label"], "soft_label")),
-                    changed=bool(rec["changed"]),
-                ))
-            except (json.JSONDecodeError, KeyError, TypeError, InvalidInputError) as e:
-                raise ParseError(f"bad refurbishment record: {e}", lineno) from e
-    return out
+def load_records(path) -> RefurbishRecords:
+    """Records in file order; every soft label must be a probability vector."""
+    cols, linenos = jsonl.read_columns(
+        path, "refurbishment",
+        {"id": int, "rho": float, "gamma": float, "weight": float, "changed": bool},
+        ("soft_label",))
+    S = cols["soft_label"]
+    jsonl.check_rows(np.any(S < 0, axis=1) | (np.abs(S.sum(axis=1) - 1.0) > 1e-9),
+                     linenos, "soft label must be a probability vector")
+    return RefurbishRecords(cols["id"], cols["rho"], cols["gamma"], cols["weight"],
+                            S, cols["changed"])
 
 
-def align_records(ds: Dataset, records: list[RefurbishRecord]
-                  ) -> list[RefurbishRecord]:
+def align_records(ds: Dataset, records: RefurbishRecords) -> RefurbishRecords:
     """Order records to match the dataset; ids must correspond 1:1."""
-    by_id = {r.id: r for r in records}
-    if len(by_id) != len(records):
-        raise InvalidInputError("duplicate record ids")
-    if len(by_id) != len(ds):
-        raise InvalidInputError(
-            f"record count {len(by_id)} != dataset size {len(ds)}")
-    out = []
-    for s in ds.samples:
-        if s.id not in by_id:
-            raise InvalidInputError(f"no refurbishment record for sample id {s.id}")
-        out.append(by_id[s.id])
-    return out
+    return records.take(align_ids(records.ids, ds.ids, "refurbishment record"))

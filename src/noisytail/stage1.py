@@ -11,15 +11,15 @@ cross-entropy (`banc_loss`), so labels never influence the representation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
 
-from .datagen import Dataset
-from .errors import InvalidInputError, InvalidSpecError, NumericError, ParseError
+from . import jsonl
+from .datagen import Dataset, align_ids
+from .errors import InvalidInputError, InvalidSpecError, ParseError
 from .numerics import (
     Mlp,
     SgdMomentum,
@@ -31,7 +31,7 @@ from .numerics import (
     make_rng,
     mlp_from_state,
     mlp_state,
-    softmax,
+    sgd_epochs,
     softmax_rows,
 )
 
@@ -68,10 +68,6 @@ class Stage1Config:
     init_scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("tau", "alpha", "c", "lr", "momentum", "weight_decay",
-                     "aug_noise_stddev", "aug_dropout_prob", "init_scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidSpecError(f"{name} must be finite")
         if self.tau <= 0:
             raise InvalidSpecError("tau must be positive")
         if not (0.0 <= self.alpha <= 1.0):
@@ -104,9 +100,32 @@ class Prediction:
     predicted_class: int
 
 
+@dataclass
+class Predictions:
+    """Classifier outputs for N samples: (N, K) `logits`, their row-wise
+    softmax `probs`, and `predicted`, the row argmax (lowest index on ties)."""
+
+    logits: np.ndarray
+    probs: np.ndarray
+    predicted: np.ndarray
+
+    @classmethod
+    def from_logits(cls, logits: np.ndarray) -> "Predictions":
+        logits = np.asarray(logits, dtype=np.float64)
+        return cls(logits, softmax_rows(logits), np.argmax(logits, axis=1))
+
+    def __len__(self) -> int:
+        return len(self.predicted)
+
+    def __getitem__(self, i: int) -> Prediction:
+        return Prediction(self.logits[i], self.probs[i], int(self.predicted[i]))
+
+    def take(self, idx) -> "Predictions":
+        return Predictions(self.logits[idx], self.probs[idx], self.predicted[idx])
+
+
 def prediction_from_logits(logits: np.ndarray) -> Prediction:
-    logits = as_vec(logits, "logits")
-    return Prediction(logits, softmax(logits), int(np.argmax(logits)))
+    return Predictions.from_logits(as_vec(logits, "logits")[None, :])[0]
 
 
 @dataclass
@@ -120,10 +139,6 @@ class Stage1Model:
             raise InvalidInputError("classifier input dim must match encoder output dim")
         if self.projection.in_dim != self.encoder.out_dim:
             raise InvalidInputError("projection input dim must match encoder output dim")
-
-    @property
-    def num_classes(self) -> int:
-        return self.classifier.out_dim
 
 
 class FeatureQueue:
@@ -300,10 +315,7 @@ def banc_loss(probs: np.ndarray, onehot: np.ndarray,
 
 
 def cross_entropy(probs: np.ndarray, onehot: np.ndarray) -> float:
-    p = _check_prob_vector(probs)
-    y = _check_onehot(onehot, p.size)
-    p_y = float(p @ y)
-    return -math.log(p_y) if p_y > 0 else math.inf
+    return banc_loss(probs, onehot, 0.0)[0]
 
 
 def stage1_loss(con: float, banc: float, alpha: float) -> float:
@@ -456,69 +468,48 @@ def predict_batch(model: Stage1Model, X: np.ndarray) -> np.ndarray:
 
 def predict(model: Stage1Model, features: np.ndarray) -> Prediction:
     """Classifier logits/probabilities for one feature vector."""
-    x = as_vec(features, "features")
-    if x.size != model.encoder.in_dim:
-        raise InvalidInputError(
-            f"feature dim {x.size} != encoder input dim {model.encoder.in_dim}")
+    x = as_vec(features, "features")  # forward_batch checks the width
     return prediction_from_logits(predict_batch(model, x[None, :])[0])
 
 
-def predict_all(model: Stage1Model, ds: Dataset) -> list[Prediction]:
-    logits = predict_batch(model, ds.feature_matrix())
-    return [prediction_from_logits(row) for row in logits]
+def predict_all(model: Stage1Model, ds: Dataset) -> Predictions:
+    return Predictions.from_logits(predict_batch(model, ds.X))
 
 
 def train_stage1(ds: Dataset, cfg: Stage1Config
-                 ) -> tuple[Stage1Model, list[Prediction], list[dict]]:
+                 ) -> tuple[Stage1Model, Predictions, list[dict]]:
     """Joint contrastive + classifier training over the noisy dataset.
 
     Per batch: two augmented views are formed; the query side is evaluated
     under stop-gradient; key embeddings receive the contrastive gradient
     and are enqueued after the step.  The classifier head sees detached
-    features only.  Returns the model, a Prediction per training sample in
-    dataset order, and a per-epoch loss log.
+    features only.  Returns the model, the predictions for the training
+    samples in dataset order, and a per-epoch loss log.
     """
     n = len(ds)
     if n < 2:
         raise InvalidSpecError("training requires at least 2 samples")
-    if cfg.batch_size > n:
-        raise InvalidSpecError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
-
     rng = make_rng(cfg.seed)
     model = build_stage1_model(ds.feature_dim, ds.num_classes, cfg, rng)
-    X = ds.feature_matrix()
-    labels = ds.observed_labels()
-    Y = np.zeros((n, ds.num_classes))
-    Y[np.arange(n), labels] = 1.0
+    X = ds.X
+    Y = np.eye(ds.num_classes)[ds.observed]
 
     params = (model.encoder.params() + model.projection.params()
               + model.classifier.params())
     opt = SgdMomentum(params, lr=cfg.lr, momentum=cfg.momentum,
                       weight_decay=cfg.weight_decay)
     queue = FeatureQueue(cfg.queue_capacity)
+    keys = None  # the last step's key embeddings, enqueued after its update
 
-    log = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_metrics = {"con": 0.0, "banc": 0.0, "total": 0.0}
-        n_batches = 0
-        for step, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start:start + cfg.batch_size]
-            grads, metrics, keys = stage1_batch_gradients(
-                model, X[idx], Y[idx], queue.as_matrix(), cfg, rng)
-            if not math.isfinite(metrics["total"]):
-                raise NumericError(
-                    f"stage 1 diverged: non-finite loss at epoch {epoch}, step {step}")
-            flat = (grads["encoder"].params() + grads["projection"].params()
-                    + grads["classifier"].params())
-            opt.step(flat)
-            queue.push_batch(keys)
-            for k in epoch_metrics:
-                epoch_metrics[k] += metrics[k]
-            n_batches += 1
-        log.append({"epoch": epoch,
-                    **{k: v / n_batches for k, v in epoch_metrics.items()}})
+    def step(idx):
+        nonlocal keys
+        grads, metrics, keys = stage1_batch_gradients(
+            model, X[idx], Y[idx], queue.as_matrix(), cfg, rng)
+        return [p for part in ("encoder", "projection", "classifier")
+                for p in grads[part].params()], metrics
 
+    log = sgd_epochs("stage 1", opt, n, cfg.batch_size, cfg.epochs, rng, step,
+                     after_update=lambda: queue.push_batch(keys))
     return model, predict_all(model, ds), log
 
 
@@ -526,28 +517,18 @@ def train_stage1(ds: Dataset, cfg: Stage1Config
 # Persistence
 # ---------------------------------------------------------------------------
 
-def stage1_checkpoint_dict(model: Stage1Model, cfg: Stage1Config) -> dict:
-    return {
+def save_stage1_checkpoint(model: Stage1Model, cfg: Stage1Config, path) -> None:
+    jsonl.write_json(path, {
         "kind": "stage1",
         "config": asdict(cfg),
         "encoder": mlp_state(model.encoder),
         "projection": mlp_state(model.projection),
         "classifier": mlp_state(model.classifier),
-    }
-
-
-def save_stage1_checkpoint(model: Stage1Model, cfg: Stage1Config, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(stage1_checkpoint_dict(model, cfg), fh, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_stage1_checkpoint(path) -> tuple[Stage1Model, Stage1Config]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            state = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"malformed checkpoint JSON ({e.msg})", e.lineno) from e
+    state = jsonl.read_json(path, "checkpoint")
     if state.get("kind") != "stage1":
         raise ParseError("not a stage-1 checkpoint", None)
     model = Stage1Model(
@@ -558,46 +539,21 @@ def load_stage1_checkpoint(path) -> tuple[Stage1Model, Stage1Config]:
     return model, Stage1Config(**state["config"])
 
 
-def save_predictions(ids: list[int], preds: list[Prediction], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sid, p in zip(ids, preds):
-            fh.write(json.dumps({
-                "id": sid,
-                "logits": p.logits.tolist(),
-                "probs": p.probs.tolist(),
-                "predicted_class": p.predicted_class,
-            }) + "\n")
+def save_predictions(ids: np.ndarray, preds: Predictions, path) -> None:
+    jsonl.write_rows(path, ("id", "logits", "probs", "predicted_class"),
+                     [np.asarray(ids), preds.logits, preds.probs, preds.predicted])
 
 
-def load_predictions(path) -> dict[int, Prediction]:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                pred = Prediction(
-                    logits=as_vec(rec["logits"], "logits"),
-                    probs=as_vec(rec["probs"], "probs"),
-                    predicted_class=int(rec["predicted_class"]),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, InvalidInputError) as e:
-                raise ParseError(f"bad prediction record: {e}", lineno) from e
-            out[int(rec["id"])] = pred
-    return out
+def load_predictions(path) -> tuple[np.ndarray, Predictions]:
+    """Sample ids and predictions in file order."""
+    cols, _ = jsonl.read_columns(
+        path, "prediction", {"id": int, "predicted_class": int}, ("logits", "probs"))
+    return cols["id"], Predictions(cols["logits"], cols["probs"],
+                                   cols["predicted_class"])
 
 
-def align_predictions(ds: Dataset, preds_by_id: dict[int, Prediction]
-                      ) -> list[Prediction]:
-    """Order a prediction map to match the dataset; ids must correspond 1:1."""
-    if len(preds_by_id) != len(ds):
-        raise InvalidInputError(
-            f"prediction count {len(preds_by_id)} != dataset size {len(ds)}")
-    out = []
-    for s in ds.samples:
-        if s.id not in preds_by_id:
-            raise InvalidInputError(f"no prediction for sample id {s.id}")
-        out.append(preds_by_id[s.id])
-    return out
+def align_predictions(ds: Dataset, ids: np.ndarray, preds: Predictions
+                      ) -> Predictions:
+    """Reorder predictions keyed by `ids` to match the dataset; ids must
+    correspond 1:1."""
+    return preds.take(align_ids(ids, ds.ids, "prediction"))

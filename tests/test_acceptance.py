@@ -211,11 +211,11 @@ def test_criterion_5_soft_counts():
         rng = make_rng(105)
         for n, k in [(10, 3), (500, 7), (123, 11)]:
             labels = [SoftLabel(softmax(rng.normal(size=k) * 2)) for _ in range(n)]
-            counts = soft_class_counts(labels).counts
+            counts = soft_class_counts(np.stack([sl.weights for sl in labels])).counts
             assert abs(counts.sum() - n) < 1e-6
 
         hard = [onehot(int(rng.integers(0, 5)), 5) for _ in range(200)]
-        counts = soft_class_counts([SoftLabel(h) for h in hard]).counts
+        counts = soft_class_counts(np.stack([SoftLabel(h).weights for h in hard])).counts
         expected = np.sum(hard, axis=0)
         np.testing.assert_array_equal(counts, expected)
         assert all(c == int(c) for c in counts)
@@ -235,20 +235,20 @@ def test_criterion_6_simulator_statistics():
         assert len(ds) == 10_000
         noisy, mask = datagen.inject_symmetric(ds, 0.4, make_rng(107))
         assert sum(mask) == 4000
-        corrupted = [s for s, m in zip(noisy.samples, mask) if m]
-        assert len(corrupted) == 4000
-        assert all(s.observed_label != s.true_label for s in corrupted)
-        untouched = [s for s, m in zip(noisy.samples, mask) if not m]
-        assert all(s.observed_label == s.true_label for s in untouched)
+        corrupted = mask
+        assert np.count_nonzero(corrupted) == 4000
+        assert np.all(noisy.observed[corrupted] != noisy.true[corrupted])
+        untouched = ~mask
+        assert np.all(noisy.observed[untouched] == noisy.true[untouched])
 
         fmap = [(0, 1), (3, 2)]
         asym, amask = datagen.inject_asymmetric(ds, 0.4, fmap, make_rng(108))
-        for s, src, m in zip(asym.samples, ds.samples, amask):
+        for obs, src, m in zip(asym.observed.tolist(), ds.observed.tolist(), amask):
             if m:
-                assert src.observed_label in (0, 3)
-                assert s.observed_label == dict(fmap)[src.observed_label]
+                assert src in (0, 3)
+                assert obs == dict(fmap)[src]
             else:
-                assert s.observed_label == src.observed_label
+                assert obs == src
 
 
 # ---------------------------------------------------------------------------

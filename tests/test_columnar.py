@@ -1,0 +1,396 @@
+"""The columnar data path against per-row references.
+
+Batched refurbishment and vectorised noise injection are compared bit for
+bit with the per-sample rules, the JSONL writers byte for byte with a
+per-record `json.dumps` writer, and
+every loader is fed malformed input that must be rejected with an error
+naming the line or the sample id.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from noisytail.datagen import (
+    Dataset,
+    import_embeddings,
+    inject_asymmetric,
+    inject_symmetric,
+    load_dataset,
+    save_dataset,
+    save_noise_mask,
+)
+from noisytail.errors import InvalidInputError, ParseError
+from noisytail.numerics import make_rng
+from noisytail.refurbish import (
+    RefurbishConfig,
+    align_records,
+    class_proportions,
+    load_records,
+    refurbish_dataset,
+    save_records,
+)
+from noisytail.stage1 import (
+    Predictions,
+    align_predictions,
+    load_predictions,
+    save_predictions,
+)
+
+
+def reference_refurbish(probs, predicted, observed, h, sigma):
+    """The per-sample rule: rho = probs[obs], gamma = exp(-h^2/sigma^2),
+    w = rho * gamma; agreement keeps the one-hot, else (p + w e)/(1 + w)."""
+    rho = float(probs[observed])
+    gamma = math.exp(-(h * h) / (sigma * sigma))
+    w = rho * gamma
+    if predicted == observed:
+        soft = np.zeros(probs.size)
+        soft[observed] = 1.0
+        return rho, gamma, w, False, soft
+    s = probs.copy()
+    s[observed] += w
+    return rho, gamma, w, True, s / s.sum()
+
+
+def random_dataset(rng, n, k, d=3, with_true=True):
+    observed = rng.integers(0, k, size=n)
+    true = rng.integers(0, k, size=n) if with_true else None
+    ids = rng.permutation(10 * n)[:n]
+    return Dataset(ids, rng.normal(size=(n, d)) * 1e3, observed, true, k)
+
+
+class TestBatchedRefurbishment:
+    @given(n=st.integers(1, 40), k=st.integers(2, 7), seed=st.integers(0, 10_000),
+           sigma=st.floats(0.05, 2.0), scale=st.floats(0.1, 8.0))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_row_formula_bitwise(self, n, k, seed, sigma, scale):
+        rng = make_rng(seed)
+        ds = random_dataset(rng, n, k)
+        preds = Predictions.from_logits(rng.normal(size=(n, k)) * scale)
+        soft, records = refurbish_dataset(ds, preds, RefurbishConfig(sigma))
+        h = class_proportions(ds).proportions
+        for i in range(n):
+            rho, gamma, w, changed, ref = reference_refurbish(
+                preds.probs[i], int(preds.predicted[i]), int(ds.observed[i]),
+                float(h[ds.observed[i]]), sigma)
+            assert records.rho[i] == rho
+            assert records.gamma[i] == gamma
+            assert records.weight[i] == w
+            assert bool(records.changed[i]) == changed
+            assert soft[i].tobytes() == ref.tobytes()
+            assert records.ids[i] == ds.ids[i]
+
+    def test_probs_must_be_probability_rows(self):
+        rng = make_rng(1)
+        ds = random_dataset(rng, 4, 3)
+        preds = Predictions.from_logits(rng.normal(size=(4, 3)))
+        preds.probs[2] *= 2.0
+        with pytest.raises(InvalidInputError, match="row 2"):
+            refurbish_dataset(ds, preds, RefurbishConfig())
+
+
+def reference_symmetric(observed, true, k, rate, rng):
+    """The per-sample rule: visit samples in order and draw one offset in
+    [1, k) for each chosen sample, away from its true label."""
+    n = len(observed)
+    n_noisy = int(math.floor(rate * n + 0.5))
+    chosen = set(rng.choice(n, size=n_noisy, replace=False).tolist()) if n_noisy else set()
+    labels = [(true[i] + int(rng.integers(1, k))) % k if i in chosen else observed[i]
+              for i in range(n)]
+    return labels, [i in chosen for i in range(n)]
+
+
+def reference_asymmetric(observed, flips, rate, rng):
+    labels, mask = list(observed), [False] * len(observed)
+    for src, dst in flips:
+        idx = [i for i, y in enumerate(observed) if y == src]
+        n_flip = int(math.floor(rate * len(idx) + 0.5))
+        if n_flip:
+            for c in rng.choice(len(idx), size=n_flip, replace=False):
+                labels[idx[c]], mask[idx[c]] = dst, True
+    return labels, mask
+
+
+class TestVectorisedNoise:
+    @given(n=st.integers(1, 300), k=st.integers(2, 9), rate=st.floats(0.0, 0.95),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_symmetric_equals_per_sample_draws(self, n, k, rate, seed):
+        ds = random_dataset(make_rng(seed + 1), n, k)
+        out, mask = inject_symmetric(ds, rate, make_rng(seed))
+        labels, ref_mask = reference_symmetric(ds.observed.tolist(), ds.true.tolist(),
+                                               k, rate, make_rng(seed))
+        assert out.observed.tolist() == labels
+        assert mask.tolist() == ref_mask
+
+    @given(n=st.integers(1, 300), rate=st.floats(0.0, 0.95), seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_asymmetric_equals_per_sample_draws(self, n, rate, seed):
+        ds = random_dataset(make_rng(seed + 1), n, 5)
+        flips = [(0, 1), (3, 2), (4, 0)]
+        out, mask = inject_asymmetric(ds, rate, flips, make_rng(seed))
+        labels, ref_mask = reference_asymmetric(ds.observed.tolist(), flips, rate,
+                                                make_rng(seed))
+        assert out.observed.tolist() == labels
+        assert mask.tolist() == ref_mask
+
+
+# ---------------------------------------------------------------------------
+# Writers: byte-identical to one json.dumps per record
+# ---------------------------------------------------------------------------
+
+def reference_write(path, records):
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
+
+
+class TestWriters:
+    @pytest.mark.parametrize("with_true", [True, False])
+    def test_dataset_bytes(self, tmp_path, with_true):
+        ds = random_dataset(make_rng(2), 5000, 4, d=6, with_true=with_true)
+        save_dataset(ds, tmp_path / "new.jsonl")
+        refs = []
+        for i in range(len(ds)):
+            rec = {"id": int(ds.ids[i]), "features": ds.X[i].tolist(),
+                   "observed_label": int(ds.observed[i])}
+            if with_true:
+                rec["true_label"] = int(ds.true[i])
+            refs.append(rec)
+        reference_write(tmp_path / "ref.jsonl", refs)
+        assert (tmp_path / "new.jsonl").read_bytes() == \
+               (tmp_path / "ref.jsonl").read_bytes()
+
+    def test_predictions_bytes(self, tmp_path):
+        rng = make_rng(3)
+        ids = rng.permutation(5000)
+        preds = Predictions.from_logits(rng.normal(size=(5000, 5)) * 4)
+        save_predictions(ids, preds, tmp_path / "new.jsonl")
+        reference_write(tmp_path / "ref.jsonl", [
+            {"id": int(ids[i]), "logits": preds.logits[i].tolist(),
+             "probs": preds.probs[i].tolist(),
+             "predicted_class": int(preds.predicted[i])} for i in range(5000)])
+        assert (tmp_path / "new.jsonl").read_bytes() == \
+               (tmp_path / "ref.jsonl").read_bytes()
+
+    def test_records_bytes(self, tmp_path):
+        rng = make_rng(4)
+        ds = random_dataset(rng, 5000, 6)
+        preds = Predictions.from_logits(rng.normal(size=(5000, 6)))
+        _, records = refurbish_dataset(ds, preds, RefurbishConfig())
+        save_records(records, tmp_path / "new.jsonl")
+        reference_write(tmp_path / "ref.jsonl", [
+            {"id": r.id, "soft_label": r.soft_label.weights.tolist(),
+             "changed": r.changed, "rho": r.rho, "gamma": r.gamma,
+             "weight": r.weight} for r in records])
+        assert (tmp_path / "new.jsonl").read_bytes() == \
+               (tmp_path / "ref.jsonl").read_bytes()
+
+    def test_mask_bytes(self, tmp_path):
+        mask = make_rng(5).random(300) < 0.4
+        ids = np.arange(300) * 3
+        save_noise_mask(mask, ids, tmp_path / "new.jsonl")
+        reference_write(tmp_path / "ref.jsonl", [
+            {"id": int(i), "noisy": bool(m)} for i, m in zip(ids, mask)])
+        assert (tmp_path / "new.jsonl").read_bytes() == \
+               (tmp_path / "ref.jsonl").read_bytes()
+
+    def test_non_finite_values_are_refused(self, tmp_path):
+        preds = Predictions.from_logits(np.zeros((2, 3)))
+        preds.logits[1, 0] = np.nan
+        with pytest.raises(ValueError):
+            save_predictions(np.arange(2), preds, tmp_path / "p.jsonl")
+
+
+# ---------------------------------------------------------------------------
+# Loaders: bad input is rejected, naming the line or the sample id
+# ---------------------------------------------------------------------------
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+
+
+def sample(i, feats=(0.5, 1.5), obs=0, true=0):
+    return json.dumps({"id": i, "features": list(feats), "observed_label": obs,
+                       "true_label": true})
+
+
+def prediction(i, logits=(0.0, 1.0), probs=None, cls=1):
+    probs = probs if probs is not None else list(
+        np.exp(logits) / np.exp(logits).sum())
+    return json.dumps({"id": i, "logits": list(logits), "probs": list(probs),
+                       "predicted_class": cls})
+
+
+def record(i, soft=(0.25, 0.75), changed=True):
+    return json.dumps({"id": i, "soft_label": list(soft), "changed": changed,
+                       "rho": 0.5, "gamma": 0.9, "weight": 0.45})
+
+
+class TestDatasetLoader:
+    def test_nan_feature_names_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [sample(0), sample(1),
+                           '{"id": 2, "features": [NaN, 1.0], "observed_label": 0}'])
+        with pytest.raises(ParseError, match="line 3.*non-finite"):
+            load_dataset(path, num_classes=2)
+
+    def test_duplicate_id_names_sample(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [sample(0), sample(7), sample(7)])
+        with pytest.raises(InvalidInputError, match="duplicate sample id 7"):
+            load_dataset(path, num_classes=2)
+
+    @pytest.mark.parametrize("row", [sample(1, obs=-1), sample(1, true=2)])
+    def test_out_of_range_label_names_line(self, tmp_path, row):
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [sample(0), row])
+        with pytest.raises(ParseError, match="line 2.*out of range"):
+            load_dataset(path, num_classes=2)
+
+    def test_out_of_range_label_without_k_names_sample(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [sample(0), sample(4, obs=-1)])
+        with pytest.raises(InvalidInputError, match="sample 4"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("feats", [(1.0,), (1.0, 2.0, 3.0), ([1.0], [2.0]),
+                                       ("a", 1.0), (None, 1.0)])
+    def test_ragged_or_malformed_row_names_line(self, tmp_path, feats):
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [sample(0), sample(1), sample(2, feats=feats)])
+        with pytest.raises(ParseError, match="line 3"):
+            load_dataset(path, num_classes=2)
+
+    @pytest.mark.parametrize("key", ["id", "features", "observed_label"])
+    def test_missing_key_names_line(self, tmp_path, key):
+        rec = json.loads(sample(1))
+        del rec[key]
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [sample(0), json.dumps(rec)])
+        with pytest.raises(ParseError, match="line 2"):
+            load_dataset(path, num_classes=2)
+
+    def test_blank_lines_skipped_and_mixed_true_is_real_data(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        no_true = json.dumps({"id": 5, "features": [1.0, 2.0], "observed_label": 1})
+        write_lines(path, ["", sample(3), "", no_true, ""])
+        ds = load_dataset(path, num_classes=2)
+        assert ds.ids.tolist() == [3, 5] and ds.true is None
+        np.testing.assert_array_equal(ds.X, [[0.5, 1.5], [1.0, 2.0]])
+
+
+class TestEmbeddingImport:
+    @pytest.mark.parametrize("bad_row", ["[NaN, 1.0]", "[1.0]", "[1.0, 2.0, 3.0]",
+                                         '{"features": [1.0, 2.0]}', "[oops"])
+    def test_bad_feature_row_names_line(self, tmp_path, bad_row):
+        feats, labels = tmp_path / "emb.jsonl", tmp_path / "labels.txt"
+        write_lines(feats, ["[0.5, 1.5]", bad_row])
+        write_lines(labels, ["0", "1"])
+        with pytest.raises(ParseError, match="line 2"):
+            import_embeddings(feats, labels)
+
+
+class TestPredictionLoader:
+    def test_roundtrip_exact(self, tmp_path):
+        rng = make_rng(6)
+        preds = Predictions.from_logits(rng.normal(size=(50, 4)) * 3)
+        ids = rng.permutation(50)
+        save_predictions(ids, preds, tmp_path / "p.jsonl")
+        got_ids, got = load_predictions(tmp_path / "p.jsonl")
+        assert got_ids.tolist() == ids.tolist()
+        for a, b in ((preds.logits, got.logits), (preds.probs, got.probs),
+                     (preds.predicted, got.predicted)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_alignment_follows_ids_not_file_order(self, tmp_path):
+        rng = make_rng(7)
+        ds = random_dataset(rng, 60, 4)
+        preds = Predictions.from_logits(rng.normal(size=(60, 4)))
+        order = rng.permutation(60)
+        save_predictions(ds.ids[order], preds.take(order), tmp_path / "p.jsonl")
+        ids, loaded = load_predictions(tmp_path / "p.jsonl")
+        aligned = align_predictions(ds, ids, loaded)
+        assert aligned.logits.tobytes() == preds.logits.tobytes()
+        assert aligned.predicted.tolist() == preds.predicted.tolist()
+        _, records = refurbish_dataset(ds, preds, RefurbishConfig())
+        save_records(records.take(order), tmp_path / "r.jsonl")
+        back = align_records(ds, load_records(tmp_path / "r.jsonl"))
+        assert back.ids.tolist() == ds.ids.tolist()
+        assert back.soft.tobytes() == records.soft.tobytes()
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda ids: np.concatenate([ids[:1], ids[:-1]]), "duplicate prediction id"),
+        (lambda ids: np.where(ids == ids[3], -5, ids), "no prediction for sample id"),
+        (lambda ids: ids[:-1], "prediction count"),
+    ])
+    def test_alignment_rejects_bad_ids(self, edit, match):
+        rng = make_rng(8)
+        ds = random_dataset(rng, 10, 3)
+        ids = edit(ds.ids.copy())
+        preds = Predictions.from_logits(rng.normal(size=(len(ids), 3)))
+        with pytest.raises(InvalidInputError, match=match):
+            align_predictions(ds, ids, preds)
+
+    def test_nan_logit_names_line(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        write_lines(path, [prediction(0),
+                           '{"id": 1, "logits": [NaN, 0.0], "probs": [0.5, 0.5], '
+                           '"predicted_class": 0}'])
+        with pytest.raises(ParseError, match="line 2.*logits"):
+            load_predictions(path)
+
+    def test_ragged_row_names_line(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        write_lines(path, [prediction(0), prediction(1, logits=(0.0, 1.0, 2.0))])
+        with pytest.raises(ParseError, match="line 2"):
+            load_predictions(path)
+
+    @pytest.mark.parametrize("key", ["id", "logits", "probs", "predicted_class"])
+    def test_missing_key_names_line(self, tmp_path, key):
+        rec = json.loads(prediction(1))
+        del rec[key]
+        path = tmp_path / "p.jsonl"
+        write_lines(path, [prediction(0), json.dumps(rec)])
+        with pytest.raises(ParseError, match="line 2"):
+            load_predictions(path)
+
+    def test_malformed_json_names_line(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        write_lines(path, [prediction(0), "{oops"])
+        with pytest.raises(ParseError, match="line 2"):
+            load_predictions(path)
+
+
+class TestRecordLoader:
+    def test_not_a_probability_vector_names_line(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_lines(path, [record(0), record(1, soft=(0.5, 0.6))])
+        with pytest.raises(ParseError, match="line 2.*probability"):
+            load_records(path)
+
+    def test_nan_soft_label_names_line(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_lines(path, [record(0), record(1).replace("0.25", "NaN")])
+        with pytest.raises(ParseError, match="line 2.*non-finite"):
+            load_records(path)
+
+    def test_ragged_row_names_line(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_lines(path, [record(0), record(1, soft=(0.2, 0.3, 0.5))])
+        with pytest.raises(ParseError, match="line 2"):
+            load_records(path)
+
+    @pytest.mark.parametrize("key", ["id", "soft_label", "changed", "rho",
+                                     "gamma", "weight"])
+    def test_missing_key_names_line(self, tmp_path, key):
+        rec = json.loads(record(1))
+        del rec[key]
+        path = tmp_path / "r.jsonl"
+        write_lines(path, [record(0), json.dumps(rec)])
+        with pytest.raises(ParseError, match="line 2"):
+            load_records(path)

@@ -10,7 +10,6 @@ from noisytail.datagen import (
     LongTailSpec,
     MixtureSpec,
     NoiseSpec,
-    Sample,
     import_embeddings,
     inject_asymmetric,
     inject_symmetric,
@@ -68,15 +67,15 @@ class TestSynthDataset:
         mix = MixtureSpec(feature_dim=6)
         a = synth_dataset(lt, mix, make_rng(9))
         b = synth_dataset(lt, mix, make_rng(9))
-        assert [s.id for s in a.samples] == [s.id for s in b.samples]
-        assert [s.observed_label for s in a.samples] == [s.observed_label for s in b.samples]
-        np.testing.assert_array_equal(a.feature_matrix(), b.feature_matrix())
+        assert a.ids.tolist() == b.ids.tolist()
+        assert a.observed.tolist() == b.observed.tolist()
+        np.testing.assert_array_equal(a.X, b.X)
 
     def test_degenerate_stddev_separates_exactly(self):
         lt = LongTailSpec(4, 30, 3.0)
         mix = MixtureSpec(feature_dim=5, within_class_stddev=1e-9)
         ds = synth_dataset(lt, mix, make_rng(3))
-        X, y = ds.feature_matrix(), ds.true_labels()
+        X, y = ds.X, ds.true
         centers = np.stack([X[y == k].mean(axis=0) for k in range(4)])
         pred = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(-1).argmin(1)
         assert (pred == y).mean() == 1.0
@@ -87,8 +86,8 @@ class TestSynthDataset:
         mix = MixtureSpec(feature_dim=16, class_center_scale=1.0,
                           within_class_stddev=0.3)
         train, test = synth_split(lt, mix, make_rng(4), test_per_class=30)
-        Xtr, ytr = train.feature_matrix(), train.true_labels()
-        Xte, yte = test.feature_matrix(), test.observed_labels()
+        Xtr, ytr = train.X, train.true
+        Xte, yte = test.X, test.observed
         centers = np.stack([Xtr[ytr == k].mean(axis=0) for k in range(10)])
         pred = ((Xte[:, None, :] - centers[None, :, :]) ** 2).sum(-1).argmin(1)
         assert (pred == yte).mean() > 0.9
@@ -96,15 +95,15 @@ class TestSynthDataset:
     def test_counts_match_spec(self):
         lt = LongTailSpec(6, 100, 10.0)
         ds = synth_dataset(lt, MixtureSpec(feature_dim=4), make_rng(0))
-        got = np.bincount(ds.true_labels(), minlength=6).tolist()
+        got = np.bincount(ds.true, minlength=6).tolist()
         assert got == longtail_counts(lt)
 
     def test_split_shares_centers(self):
         lt = LongTailSpec(4, 50, 5.0)
         mix = MixtureSpec(feature_dim=6, within_class_stddev=1e-6)
         train, test = synth_split(lt, mix, make_rng(1), test_per_class=10)
-        Xtr, ytr = train.feature_matrix(), train.true_labels()
-        Xte, yte = test.feature_matrix(), test.observed_labels()
+        Xtr, ytr = train.X, train.true
+        Xte, yte = test.X, test.observed
         for k in range(4):
             np.testing.assert_allclose(Xtr[ytr == k].mean(axis=0),
                                        Xte[yte == k].mean(axis=0), atol=1e-4)
@@ -119,32 +118,31 @@ class TestSymmetricNoise:
         ds = self._dataset()
         out, mask = inject_symmetric(ds, 0.0, make_rng(1))
         assert not any(mask)
-        assert [s.observed_label for s in out.samples] == \
-               [s.observed_label for s in ds.samples]
+        assert out.observed.tolist() == ds.observed.tolist()
 
     def test_exact_count_and_disagreement(self):
         ds = self._dataset(n_per_class=250, k=4)  # N = 1000
         out, mask = inject_symmetric(ds, 0.4, make_rng(2))
         assert sum(mask) == 400
-        for s, noisy in zip(out.samples, mask):
+        for obs, true, noisy in zip(out.observed, out.true, mask):
             if noisy:
-                assert s.observed_label != s.true_label
+                assert obs != true
             else:
-                assert s.observed_label == s.true_label
+                assert obs == true
 
     def test_binary_forced_flip(self):
         lt = LongTailSpec(2, 100, 1.0)
         ds = synth_dataset(lt, MixtureSpec(feature_dim=2), make_rng(5))
         out, mask = inject_symmetric(ds, 0.5, make_rng(6))
         assert sum(mask) == 100
-        for s, noisy in zip(out.samples, mask):
+        for obs, true, noisy in zip(out.observed, out.true, mask):
             if noisy:
-                assert s.observed_label == 1 - s.true_label
+                assert obs == 1 - true
 
     def test_true_labels_untouched(self):
         ds = self._dataset()
         out, _ = inject_symmetric(ds, 0.3, make_rng(7))
-        assert [s.true_label for s in out.samples] == [s.true_label for s in ds.samples]
+        assert out.true.tolist() == ds.true.tolist()
 
     def test_rate_one_rejected(self):
         with pytest.raises(InvalidSpecError):
@@ -155,7 +153,7 @@ class TestSymmetricNoise:
     def test_measured_rate_matches(self, rate, seed):
         ds = self._dataset(n_per_class=50, k=4, seed=1)
         out, mask = inject_symmetric(ds, rate, make_rng(seed))
-        measured = sum(1 for s in out.samples if s.observed_label != s.true_label)
+        measured = int(np.count_nonzero(out.observed != out.true))
         assert measured == sum(mask)
         assert abs(measured - rate * len(ds)) <= 0.5
 
@@ -163,13 +161,9 @@ class TestSymmetricNoise:
 class TestAsymmetricNoise:
     def _dataset(self, counts=(100, 80, 60, 40), seed=0):
         rng = make_rng(seed)
-        samples = []
-        i = 0
-        for k, n in enumerate(counts):
-            for _ in range(n):
-                samples.append(Sample(i, rng.normal(size=3), k, k))
-                i += 1
-        return Dataset(samples, len(counts), 3)
+        labels = np.repeat(np.arange(len(counts)), counts)
+        return Dataset(np.arange(labels.size), rng.normal(size=(labels.size, 3)),
+                       labels, labels, len(counts))
 
     def test_rate_zero(self):
         ds = self._dataset()
@@ -179,19 +173,19 @@ class TestAsymmetricNoise:
     def test_single_pair_exact_count(self):
         ds = self._dataset(counts=(100, 50))
         out, mask = inject_asymmetric(ds, 0.5, [(0, 1)], make_rng(2))
-        flipped = [s for s, m in zip(out.samples, mask) if m]
+        flipped = [(obs, true) for obs, true, m in zip(out.observed, out.true, mask) if m]
         assert len(flipped) == 50
-        assert all(s.observed_label == 1 and s.true_label == 0 for s in flipped)
+        assert all(obs == 1 and true == 0 for obs, true in flipped)
 
     def test_flip_map_per_source_class(self):
         ds = self._dataset()
         fmap = [(0, 1), (2, 3)]
         out, mask = inject_asymmetric(ds, 0.4, fmap, make_rng(3))
         by_class = {k: 0 for k in range(4)}
-        for s, src in zip(out.samples, ds.samples):
-            if s.observed_label != src.observed_label:
-                by_class[src.observed_label] += 1
-                assert s.observed_label == dict(fmap)[src.observed_label]
+        for obs, src in zip(out.observed.tolist(), ds.observed.tolist()):
+            if obs != src:
+                by_class[src] += 1
+                assert obs == dict(fmap)[src]
         assert by_class == {0: 40, 1: 0, 2: 24, 3: 0}
 
     def test_out_of_range_class(self):
@@ -221,9 +215,10 @@ class TestNoiseSpecValidation:
 class TestPersistence:
     def _dataset(self):
         rng = make_rng(12)
-        samples = [Sample(i, rng.normal(size=4) * 1e3, int(rng.integers(0, 3)),
-                          int(rng.integers(0, 3))) for i in range(20)]
-        return Dataset(samples, 3, 4)
+        rows = [(rng.normal(size=4) * 1e3, int(rng.integers(0, 3)),
+                 int(rng.integers(0, 3))) for _ in range(20)]
+        X, observed, true = zip(*rows)
+        return Dataset(np.arange(20), np.stack(X), observed, true, 3)
 
     def test_roundtrip_bit_exact(self, tmp_path):
         ds = self._dataset()
@@ -231,11 +226,10 @@ class TestPersistence:
         save_dataset(ds, path)
         back = load_dataset(path, num_classes=3)
         assert back.num_classes == 3 and back.feature_dim == 4
-        for a, b in zip(ds.samples, back.samples):
-            assert a.id == b.id
-            assert a.observed_label == b.observed_label
-            assert a.true_label == b.true_label
-            np.testing.assert_array_equal(a.features, b.features)
+        assert ds.ids.tolist() == back.ids.tolist()
+        assert ds.observed.tolist() == back.observed.tolist()
+        assert ds.true.tolist() == back.true.tolist()
+        np.testing.assert_array_equal(ds.X, back.X)
 
     def test_label_out_of_range_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -250,8 +244,7 @@ class TestPersistence:
         path.write_text(json.dumps({"id": 0, "features": [1.0, 2.0],
                                     "observed_label": 1}) + "\n")
         ds = load_dataset(path, num_classes=2)
-        assert ds.samples[0].true_label is None
-        assert ds.true_labels() is None
+        assert ds.true is None
 
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "garbled.jsonl"
@@ -283,8 +276,8 @@ class TestImportEmbeddings:
         labels.write_text("0\n2\n1\n")
         ds = import_embeddings(feats, labels)
         assert len(ds) == 3 and ds.feature_dim == 4 and ds.num_classes == 3
-        assert ds.true_labels() is None
-        assert [s.observed_label for s in ds.samples] == [0, 2, 1]
+        assert ds.true is None
+        assert ds.observed.tolist() == [0, 2, 1]
 
     def test_row_count_mismatch(self, tmp_path):
         feats = tmp_path / "emb.jsonl"
@@ -304,22 +297,21 @@ class TestImportEmbeddings:
         path = tmp_path / "ds.jsonl"
         save_dataset(ds, path)
         back = load_dataset(path, num_classes=ds.num_classes)
-        for a, b in zip(ds.samples, back.samples):
-            assert (a.id, a.observed_label, a.true_label) == \
-                   (b.id, b.observed_label, b.true_label)
-            np.testing.assert_array_equal(a.features, b.features)
+        assert back.true is None
+        assert (ds.ids.tolist(), ds.observed.tolist()) == \
+               (back.ids.tolist(), back.observed.tolist())
+        np.testing.assert_array_equal(ds.X, back.X)
 
 
 class TestDatasetValidation:
     def test_duplicate_ids(self):
-        s = [Sample(0, np.zeros(2), 0, 0), Sample(0, np.zeros(2), 1, 1)]
         with pytest.raises(InvalidInputError):
-            Dataset(s, 2, 2)
+            Dataset([0, 0], np.zeros((2, 2)), [0, 1], [0, 1], 2)
 
     def test_label_out_of_range(self):
         with pytest.raises(InvalidInputError):
-            Dataset([Sample(0, np.zeros(2), 5, None)], 2, 2)
+            Dataset([0], np.zeros((1, 2)), [5], None, 2)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
-            Dataset([], 2, 2)
+            Dataset([], np.zeros((0, 2)), [], None, 2)

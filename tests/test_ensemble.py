@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from noisytail.datagen import Dataset, LongTailSpec, MixtureSpec, Sample, synth_dataset
+from noisytail.datagen import Dataset, LongTailSpec, MixtureSpec, synth_dataset
 from noisytail.ensemble import (
     EnsembleModel,
+    _expert_batch,
     SoftClassStats,
     Stage2Config,
     SubgroupThresholds,
@@ -25,12 +26,15 @@ from noisytail.ensemble import (
 from noisytail.errors import DegenerateCountError, InvalidInputError, InvalidSpecError
 from noisytail.numerics import (
     Mlp,
+    backward_batch,
     finite_diff_grad,
+    forward_batch,
+    init_mlp,
     make_rng,
     relative_error,
     softmax,
 )
-from noisytail.refurbish import SoftLabel, class_stats_from_counts, onehot_soft_label
+from noisytail.refurbish import SoftLabel, class_stats_from_counts
 from noisytail.stage1 import Stage1Config, build_stage1_model
 
 
@@ -39,21 +43,24 @@ def soft(v):
 
 
 def random_softlabels(rng, n, k):
-    out = []
-    for _ in range(n):
-        out.append(SoftLabel(softmax(rng.normal(size=k) * 2)))
-    return out
+    """An (N, K) soft-label matrix, each row built and checked as a SoftLabel."""
+    return np.stack([SoftLabel(softmax(rng.normal(size=k) * 2)).weights
+                     for _ in range(n)])
+
+
+def rows(*labels):
+    return np.stack([sl.weights for sl in labels])
 
 
 class TestSoftClassCounts:
     def test_onehot_recovers_hard_counts(self):
-        labels = [onehot_soft_label(i % 3, 3) for i in range(10)]
+        labels = rows(*[SoftLabel(np.eye(3)[i % 3]) for i in range(10)])
         counts = soft_class_counts(labels).counts
         np.testing.assert_array_equal(counts, [4.0, 3.0, 3.0])
         assert all(c == int(c) for c in counts)
 
     def test_small_example(self):
-        counts = soft_class_counts([soft([0.7, 0.3]), soft([0.2, 0.8])]).counts
+        counts = soft_class_counts(rows(soft([0.7, 0.3]), soft([0.2, 0.8]))).counts
         np.testing.assert_allclose(counts, [0.9, 1.1], atol=1e-12)
 
     def test_conservation(self):
@@ -63,12 +70,15 @@ class TestSoftClassCounts:
             assert abs(counts.sum() - n) < 1e-6
 
     def test_inconsistent_k_rejected(self):
+        # a matrix cannot hold rows of different K; the flat concatenation
+        # of a K=2 and a K=3 label is not an (N, K) matrix
         with pytest.raises(InvalidInputError):
-            soft_class_counts([soft([1.0, 0.0]), soft([1.0, 0.0, 0.0])])
+            soft_class_counts(np.concatenate([soft([1.0, 0.0]).weights,
+                                              soft([1.0, 0.0, 0.0]).weights]))
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
-            soft_class_counts([])
+            soft_class_counts(np.zeros((0, 3)))
 
 
 class TestExpertLosses:
@@ -157,6 +167,38 @@ class TestExpertLosses:
             e2_loss(np.zeros(2), soft([1.0, 0.0]), counts)
         with pytest.raises(DegenerateCountError):
             e3_loss(np.zeros(2), soft([1.0, 0.0]), counts)
+
+
+class TestExpertBatchGradient:
+    """Finite-difference check of the batched loss that trains stage 2,
+    for each expert's shift: zero, ln n and 2 ln n."""
+
+    @pytest.mark.parametrize("power", [0, 1, 2])
+    def test_logit_and_head_gradients(self, power):
+        rng = make_rng(20 + power)
+        b, d, k = 6, 4, 5
+        V = rng.normal(size=(b, d))
+        Y = random_softlabels(rng, b, k)
+        shift = power * np.log(rng.uniform(0.5, 50, size=k))
+        head = init_mlp([d, k], rng)
+        logits, cache = forward_batch(head, V)
+        _, g_logits = _expert_batch(logits, Y, shift)
+        num = finite_diff_grad(
+            lambda flat: _expert_batch(flat.reshape(b, k), Y, shift)[0],
+            logits.ravel())
+        worst = max(relative_error(a, c) for a, c in zip(g_logits.ravel(), num))
+        # through the head, as train_stage2 applies it
+        grads, _ = backward_batch(head, cache, g_logits)
+        for p, g in zip(head.params(), grads.params()):
+            def f(flat, p=p):
+                saved = p.copy()
+                p[...] = flat.reshape(p.shape)
+                loss = _expert_batch(forward_batch(head, V)[0], Y, shift)[0]
+                p[...] = saved
+                return loss
+            num = finite_diff_grad(f, p.ravel().copy())
+            worst = max([worst] + [relative_error(a, c) for a, c in zip(g.ravel(), num)])
+        assert worst < 1e-4, f"max relative error {worst}"
 
 
 def tiny_stage1_model(feature_dim=5, k=4, seed=0):
@@ -294,15 +336,10 @@ class TestSubgroups:
 
 
 def balanced_test_ds(k, per_class, d, scale=10.0):
-    samples = []
-    i = 0
-    for c in range(k):
-        for _ in range(per_class):
-            x = np.zeros(d)
-            x[c] = scale
-            samples.append(Sample(i, x, c, c))
-            i += 1
-    return Dataset(samples, k, d)
+    labels = np.repeat(np.arange(k), per_class)
+    X = np.zeros((labels.size, d))
+    X[np.arange(labels.size), labels] = scale
+    return Dataset(np.arange(labels.size), X, labels, labels, k)
 
 
 class TestEvaluate:

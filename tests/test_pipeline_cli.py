@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from noisytail import pipeline
@@ -234,6 +235,92 @@ class TestCliErrors:
         assert main(["stage1", "--config", str(cfg_path), "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert "stage 1" in err and "epoch 0, step 1" in err
+
+
+    def test_stage2_divergence_exits_4_without_nan_artifacts(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"stage1": {"epochs": 1},
+                                        "stage2": {"lr": 1e8}}))
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "stage 2" in err and "epoch" in err and "step" in err
+        assert not (out / "stage2_log.json").exists()
+        for path in out.iterdir():
+            text = path.read_text()
+            assert "NaN" not in text and "Infinity" not in text, path.name
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"stage1": {"epochs": 2.5}}, "stage1.epochs"),
+        ({"stage1": {"batch_size": 16.0}}, "stage1.batch_size"),
+        ({"stage1": {"epochs": True}}, "stage1.epochs"),
+        ({"seed": "abc"}, "seed"),
+        ({"test_per_class": 10.0}, "test_per_class"),
+        ({"stage1": {"tau": True}}, "stage1.tau"),
+        ({"refurbish": {"sigma": "0.2"}}, "refurbish.sigma"),
+        ({"stage2": {"lr": math.inf}}, "stage2.lr"),
+        ({"mixture": {"within_class_stddev": math.nan}}, "mixture.within_class_stddev"),
+        ({"stage1": {"include_positive": 1}}, "stage1.include_positive"),
+        ({"stage2": {"fusion": 3}}, "stage2.fusion"),
+        ({"noise": {"kind": "symmetric", "rate": 0.4, "flip_map": [[0, 1]]}},
+         "flip_map"),
+        ({"noise": {"kind": "asymmetric", "rate": 0.4, "flip_map": [[0, 1.5]]}},
+         "noise.flip_map"),
+    ])
+    def test_mistyped_config_exits_2_naming_field(self, tmp_path, capsys,
+                                                  overrides, field):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(overrides))
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_int_accepted_for_float_field(self):
+        cfg = config_from_dict({"stage1": {"lr": 1}, "refurbish": {"sigma": 1}})
+        assert cfg.stage1.lr == 1 and cfg.refurbish.sigma == 1
+
+
+class TestRefurbishMetrics:
+    GROUPS = {"overall", "many", "medium", "few"}
+
+    def test_noise_detection_and_soft_label_accuracy(self, tmp_path):
+        cfg_path = write_tiny_config(tmp_path)
+        out = tmp_path / "ws"
+        for cmd in ("simulate", "stage1", "refurbish"):
+            assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
+        metrics = json.loads((out / "manifest_refurbish.json").read_text())["metrics"]
+        train = [json.loads(l) for l in (out / "train.jsonl").read_text().splitlines()]
+        recs = {r["id"]: r for r in (json.loads(l) for l in
+                                     (out / "refurbished.jsonl").read_text().splitlines())}
+        corrupted = [t["observed_label"] != t["true_label"] for t in train]
+        changed = [recs[t["id"]]["changed"] for t in train]
+        hits = sum(c and m for c, m in zip(changed, corrupted))
+        overall = {"noise_precision": hits / sum(changed),
+                   "noise_recall": hits / sum(corrupted),
+                   "soft_label_accuracy": sum(
+                       int(np.argmax(recs[t["id"]]["soft_label"])) == t["true_label"]
+                       for t in train) / len(train)}
+        for name, value in overall.items():
+            assert set(metrics[name]) == self.GROUPS
+            assert abs(metrics[name]["overall"] - value) < 1e-12, name
+            for g in ("many", "medium", "few"):
+                v = metrics[name][g]
+                assert v is None or 0.0 <= v <= 1.0
+
+    def test_real_data_mode_omits_them(self, tmp_path):
+        cfg_path = write_tiny_config(tmp_path)
+        out = tmp_path / "ws"
+        for cmd in ("simulate", "stage1"):
+            assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = [json.loads(l) for l in (out / "train.jsonl").read_text().splitlines()]
+        (out / "train.jsonl").write_text("".join(
+            json.dumps({k: v for k, v in r.items() if k != "true_label"}) + "\n"
+            for r in rows))
+        assert main(["refurbish", "--config", str(cfg_path), "--out", str(out)]) == 0
+        metrics = json.loads((out / "manifest_refurbish.json").read_text())["metrics"]
+        assert "fraction_changed" in metrics
+        assert not {"noise_precision", "noise_recall",
+                    "soft_label_accuracy"} & set(metrics)
 
 
 class TestSweep:

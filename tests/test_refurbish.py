@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisytail.datagen import Dataset, Sample
+from noisytail.datagen import Dataset
 from noisytail.errors import InvalidInputError, InvalidSpecError
 from noisytail.numerics import make_rng, softmax
 from noisytail.refurbish import (
@@ -14,24 +14,31 @@ from noisytail.refurbish import (
     class_proportions,
     class_stats_from_counts,
     load_records,
-    onehot_soft_label,
     rarity,
     refurbish_dataset,
     refurbish_one,
     save_records,
     summarize_records,
 )
-from noisytail.stage1 import Prediction, prediction_from_logits
+from noisytail.stage1 import Prediction, Predictions, prediction_from_logits
 
 
 def make_ds(labels, k, dim=2):
-    samples = [Sample(i, np.zeros(dim), int(l), int(l)) for i, l in enumerate(labels)]
-    return Dataset(samples, k, dim)
+    labels = np.asarray(labels, dtype=np.int64)
+    return Dataset(np.arange(labels.size), np.zeros((labels.size, dim)), labels,
+                   labels, k)
 
 
 def pred_from_probs(probs):
     probs = np.asarray(probs, dtype=np.float64)
     return Prediction(np.log(probs + 1e-300), probs, int(np.argmax(probs)))
+
+
+def stack(preds):
+    """Per-row Predictions as one columnar Predictions."""
+    return Predictions(np.stack([p.logits for p in preds]),
+                       np.stack([p.probs for p in preds]),
+                       np.array([p.predicted_class for p in preds]))
 
 
 class TestClassProportions:
@@ -176,32 +183,31 @@ class TestRefurbishDataset:
     def _setup(self, n=30, k=4, seed=1):
         rng = make_rng(seed)
         ds = make_ds(rng.integers(0, k, size=n), k)
-        preds = [prediction_from_logits(rng.normal(size=k) * 2) for _ in range(n)]
+        preds = Predictions.from_logits(rng.normal(size=(n, k)) * 2)
         return ds, preds
 
     def test_all_agreeing_gives_onehots(self):
         ds, _ = self._setup()
-        preds = [pred_from_probs(np.roll([0.7, 0.1, 0.1, 0.1], s.observed_label))
-                 for s in ds.samples]
+        preds = stack([pred_from_probs(np.roll([0.7, 0.1, 0.1, 0.1], obs))
+                       for obs in ds.observed])
         softs, records = refurbish_dataset(ds, preds, RefurbishConfig())
         assert all(not r.changed for r in records)
-        for s, sl in zip(ds.samples, softs):
-            np.testing.assert_array_equal(sl.weights,
-                                          onehot_soft_label(s.observed_label, 4).weights)
+        for obs, sl in zip(ds.observed, softs):
+            np.testing.assert_array_equal(sl, np.eye(4)[obs])
 
     def test_uniform_probs_formula(self):
         k = 4
         ds = make_ds([0, 1, 2, 3, 0, 0], k)
         uniform = np.full(k, 0.25)
-        preds = [Prediction(np.zeros(k), uniform.copy(), 0) for _ in ds.samples]
+        preds = stack([Prediction(np.zeros(k), uniform.copy(), 0) for _ in ds.ids])
         softs, records = refurbish_dataset(ds, preds, RefurbishConfig(0.2))
         stats = class_proportions(ds)
-        for s, sl, rec in zip(ds.samples, softs, records):
-            if s.observed_label == 0:
+        for obs, sl, rec in zip(ds.observed, softs, records):
+            if obs == 0:
                 continue  # agreement case
-            w = 0.25 * rarity(float(stats.proportions[s.observed_label]), 0.2)
-            expected = (uniform + w * onehot_soft_label(s.observed_label, k).weights) / (1 + w)
-            np.testing.assert_allclose(sl.weights, expected, atol=1e-12)
+            w = 0.25 * rarity(float(stats.proportions[obs]), 0.2)
+            expected = (uniform + w * np.eye(k)[obs]) / (1 + w)
+            np.testing.assert_allclose(sl, expected, atol=1e-12)
             assert rec.changed
 
     def test_no_discards(self):
@@ -212,7 +218,7 @@ class TestRefurbishDataset:
     def test_length_mismatch(self):
         ds, preds = self._setup()
         with pytest.raises(InvalidInputError):
-            refurbish_dataset(ds, preds[:-1], RefurbishConfig())
+            refurbish_dataset(ds, preds.take(slice(0, -1)), RefurbishConfig())
 
     def test_summary(self):
         ds, preds = self._setup()
@@ -229,7 +235,7 @@ class TestRecordPersistence:
     def test_roundtrip_and_alignment(self, tmp_path):
         rng = make_rng(2)
         ds = make_ds(rng.integers(0, 3, size=10), 3)
-        preds = [prediction_from_logits(rng.normal(size=3)) for _ in range(10)]
+        preds = stack([prediction_from_logits(rng.normal(size=3)) for _ in range(10)])
         _, records = refurbish_dataset(ds, preds, RefurbishConfig())
         path = tmp_path / "refurb.jsonl"
         save_records(records, path)
@@ -244,10 +250,10 @@ class TestRecordPersistence:
     def test_alignment_rejects_wrong_count(self, tmp_path):
         rng = make_rng(3)
         ds = make_ds(rng.integers(0, 2, size=5), 2)
-        preds = [prediction_from_logits(rng.normal(size=2)) for _ in range(5)]
+        preds = stack([prediction_from_logits(rng.normal(size=2)) for _ in range(5)])
         _, records = refurbish_dataset(ds, preds, RefurbishConfig())
         with pytest.raises(InvalidInputError):
-            align_records(ds, records[:-1])
+            align_records(ds, records.take(slice(0, -1)))
 
 
 class TestSoftLabelValidation:

@@ -405,9 +405,9 @@ class TestTrainStage1:
         cfg = Stage1Config(seed=1, encoder_hidden=32, repr_dim=16, proj_hidden=32,
                            embed_dim=16, queue_capacity=64, batch_size=32, epochs=25)
         _, preds, _ = train_stage1(ds, cfg)
-        pred_cls = np.array([p.predicted_class for p in preds])
-        true = ds.true_labels()
-        observed_acc = (ds.observed_labels() == true).mean()
+        pred_cls = preds.predicted
+        true = ds.true
+        observed_acc = (ds.observed == true).mean()
         assert (pred_cls == true).mean() > observed_acc
 
 
@@ -416,8 +416,8 @@ class TestStopGradientAndIsolation:
         ds = tiny_dataset()
         cfg = Stage1Config(seed=4, **TINY)
         model = build_stage1_model(ds.feature_dim, ds.num_classes, cfg, make_rng(4))
-        X = ds.feature_matrix()[:8]
-        labels = ds.observed_labels()[:8]
+        X = ds.X[:8]
+        labels = ds.observed[:8]
         Y = np.zeros((8, ds.num_classes))
         Y[np.arange(8), labels] = 1.0
         queue = l2_normalize(make_rng(5).normal(size=(10, cfg.embed_dim)))
@@ -509,9 +509,9 @@ class TestPersistence:
         cfg = Stage1Config(seed=7, **TINY)
         _, preds, _ = train_stage1(ds, cfg)
         path = tmp_path / "preds.jsonl"
-        save_predictions([s.id for s in ds.samples], preds, path)
-        by_id = load_predictions(path)
-        aligned = align_predictions(ds, by_id)
+        save_predictions(ds.ids, preds, path)
+        ids, loaded = load_predictions(path)
+        aligned = align_predictions(ds, ids, loaded)
         for orig, got in zip(preds, aligned):
             np.testing.assert_array_equal(orig.logits, got.logits)
             assert orig.predicted_class == got.predicted_class
@@ -520,7 +520,8 @@ class TestPersistence:
         ds = tiny_dataset()
         cfg = Stage1Config(seed=8, **{**TINY, "epochs": 0})
         _, preds, _ = train_stage1(ds, cfg)
-        by_id = {s.id: p for s, p in zip(ds.samples, preds)}
-        by_id.pop(ds.samples[0].id)
-        with pytest.raises(InvalidInputError):
-            align_predictions(ds, by_id)
+        # the first sample's prediction is missing and another id stands in
+        ids = ds.ids.copy()
+        ids[0] = ds.ids.max() + 1
+        with pytest.raises(InvalidInputError, match=f"sample id {ds.ids[0]}"):
+            align_predictions(ds, ids, preds)
