@@ -1,9 +1,9 @@
 """Command-line pipeline driver.
 
-Commands operate on a workspace directory (--out): each reads its inputs
-from there and writes its artifacts plus a JSON manifest back.  Exit
-codes: 0 success, 2 config/validation error, 3 I/O error, 4 numeric
-failure.
+Commands write their artifacts plus a JSON manifest to a workspace
+directory (--out).  A single-stage command reads its inputs from there;
+`pipeline` hands each stage's outputs to the next in memory.  Exit codes:
+0 success, 2 config/validation error, 3 I/O error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -103,18 +103,19 @@ def run(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     out.mkdir(parents=True, exist_ok=True)
+    ws = pipeline.Workspace(out)  # nothing in memory yet: inputs come from --out
 
     if args.command == "simulate":
-        metrics = pipeline.run_simulate(cfg, out)
+        metrics = pipeline.run_simulate(cfg, ws)
         print("class sizes (head to tail):", metrics["class_counts"])
     elif args.command == "stage1":
-        metrics = pipeline.run_stage1(cfg, out)
+        metrics = pipeline.run_stage1(cfg, ws)
     elif args.command == "refurbish":
-        metrics = pipeline.run_refurbish(cfg, out)
+        metrics = pipeline.run_refurbish(cfg, ws)
     elif args.command == "stage2":
-        metrics = pipeline.run_stage2(cfg, out, no_relabel=args.no_relabel)
+        metrics = pipeline.run_stage2(cfg, ws, no_relabel=args.no_relabel)
     elif args.command == "evaluate":
-        metrics = pipeline.run_evaluate(cfg, out, no_relabel=args.no_relabel)
+        metrics = pipeline.run_evaluate(cfg, ws, no_relabel=args.no_relabel)
     elif args.command == "pipeline":
         metrics = pipeline.run_pipeline(cfg, out)
     elif args.command == "sweep":

@@ -156,11 +156,8 @@ def longtail_counts(spec: LongTailSpec) -> list[int]:
     The head count is preserved exactly and the sequence is non-increasing.
     """
     k = spec.num_classes
-    counts = []
-    for i in range(k):
-        raw = spec.head_count * spec.imbalance_ratio ** (-i / (k - 1))
-        counts.append(max(1, _round_half_up(raw)))
-    return counts
+    return [max(1, _round_half_up(spec.head_count * spec.imbalance_ratio ** (-i / (k - 1))))
+            for i in range(k)]
 
 
 def class_centers(num_classes: int, mix: MixtureSpec,

@@ -319,21 +319,15 @@ def evaluate(model: EnsembleModel, test_ds: Dataset, train_counts: ClassStats,
     )
 
 
-def report_csv(report: EvalReport, model_names: Optional[list[str]] = None) -> str:
+def report_csv(report: EvalReport) -> str:
     """Four-row accuracy table: model, many, medium, few, all."""
-    names = model_names or ["expert1", "expert2", "expert3", "ensemble"]
-
-    def fmt(v):
-        return "" if v is None else f"{v:.4f}"
-
+    rows = list(zip(("expert1", "expert2", "expert3"), report.expert_subgroup,
+                    report.expert_overall))
+    rows.append(("ensemble", report.subgroup_accuracy, report.overall_accuracy))
     lines = ["model,many,medium,few,all"]
-    for i in range(3):
-        sub = report.expert_subgroup[i]
-        lines.append(",".join([names[i], fmt(sub["many"]), fmt(sub["medium"]),
-                               fmt(sub["few"]), fmt(report.expert_overall[i])]))
-    sub = report.subgroup_accuracy
-    lines.append(",".join([names[3], fmt(sub["many"]), fmt(sub["medium"]),
-                           fmt(sub["few"]), fmt(report.overall_accuracy)]))
+    for name, sub, acc in rows:
+        values = [sub[g] for g in SUBGROUPS] + [acc]
+        lines.append(",".join([name] + ["" if v is None else f"{v:.4f}" for v in values]))
     return "\n".join(lines) + "\n"
 
 

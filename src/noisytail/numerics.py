@@ -109,18 +109,11 @@ class Mlp:
 
     def params(self) -> list[np.ndarray]:
         """All parameter arrays in a fixed order (weights then bias per layer)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        return [p for layer in zip(self.weights, self.biases) for p in layer]
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            layer_dims=list(self.layer_dims),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            activation=self.activation,
-        )
+        return Mlp(list(self.layer_dims), [w.copy() for w in self.weights],
+                   [b.copy() for b in self.biases], self.activation)
 
 
 @dataclass
@@ -131,10 +124,7 @@ class MlpGrads:
     d_biases: list[np.ndarray]
 
     def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.d_weights, self.d_biases):
-            out.extend((w, b))
-        return out
+        return [g for layer in zip(self.d_weights, self.d_biases) for g in layer]
 
 
 def init_mlp(layer_dims: list[int], rng: np.random.Generator,
@@ -330,8 +320,7 @@ def mlp_state(net: Mlp) -> dict:
 
 def mlp_from_state(state: dict) -> Mlp:
     dims = [int(d) for d in state["layer_dims"]]
-    weights = []
-    for l, flat in enumerate(state["weights"]):
-        weights.append(np.asarray(flat, dtype=np.float64).reshape(dims[l + 1], dims[l]))
+    weights = [np.asarray(flat, dtype=np.float64).reshape(dims[l + 1], dims[l])
+               for l, flat in enumerate(state["weights"])]
     biases = [np.asarray(b, dtype=np.float64) for b in state["biases"]]
     return Mlp(dims, weights, biases, state.get("activation", "tanh"))

@@ -201,7 +201,7 @@ def stage_seed(global_seed: int, stage: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Manifests
+# Manifests and the workspace
 # ---------------------------------------------------------------------------
 
 def file_sha256(path) -> str:
@@ -214,7 +214,7 @@ def file_sha256(path) -> str:
 
 def write_manifest(out_dir: Path, command: str, cfg: PipelineConfig,
                    wall_time_s: float, metrics: dict,
-                   artifact_names: list[str]) -> Path:
+                   artifact_names: list[str]) -> None:
     manifest = {
         "command": command,
         "config": config_to_dict(cfg),
@@ -226,33 +226,51 @@ def write_manifest(out_dir: Path, command: str, cfg: PipelineConfig,
         "metrics": metrics,
         "artifacts": {name: file_sha256(out_dir / name) for name in artifact_names},
     }
-    path = out_dir / f"manifest_{command}.json"
-    jsonl.write_json(path, manifest, indent=2)
-    return path
+    jsonl.write_json(out_dir / f"manifest_{command}.json", manifest, indent=2)
 
 
-def _require(out_dir: Path, name: str, producer: str) -> Path:
-    path = out_dir / name
-    if not path.exists():
-        raise InvalidInputError(
-            f"missing {name} in {out_dir}; run the `{producer}` command first")
-    return path
+class Workspace:
+    """A run's directory plus, in `memo`, the artifacts the run wrote there.
+    A later stage takes a kept value, else loads the file: floats are
+    written with `repr` and rows in id order, so the two are equal.  A
+    single-stage command starts with an empty memo; `run_pipeline` hands
+    one workspace down the chain."""
+
+    def __init__(self, out_dir):
+        self.out_dir = Path(out_dir)
+        self.memo: dict[str, object] = {}
+
+    def get(self, name: str, producer: str, load):
+        """The kept value of `name`, else `load(path)` of the file the
+        `producer` command writes."""
+        if name in self.memo:
+            return self.memo[name]
+        path = self.out_dir / name
+        if not path.exists():
+            raise InvalidInputError(
+                f"missing {name} in {self.out_dir}; run the `{producer}` command first")
+        return load(path)
+
+    def dataset(self, name: str, cfg: PipelineConfig) -> Dataset:
+        return self.get(name, "simulate",
+                        lambda p: datagen.load_dataset(p, cfg.longtail.num_classes))
 
 
 # ---------------------------------------------------------------------------
-# Stage runners (file-based)
+# Stage runners
 # ---------------------------------------------------------------------------
 
-def run_simulate(cfg: PipelineConfig, out_dir: Path) -> dict:
+def run_simulate(cfg: PipelineConfig, ws: Workspace) -> dict:
     t0 = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    ws.out_dir.mkdir(parents=True, exist_ok=True)
     rng = make_rng(stage_seed(cfg.seed, "simulate"))
     train, test = datagen.synth_split(cfg.longtail, cfg.mixture, rng,
                                       cfg.test_per_class)
     train, mask = datagen.apply_noise(train, cfg.noise, rng)
-    datagen.save_dataset(train, out_dir / TRAIN_FILE)
-    datagen.save_dataset(test, out_dir / TEST_FILE)
-    datagen.save_noise_mask(mask, train.ids, out_dir / MASK_FILE)
+    datagen.save_dataset(train, ws.out_dir / TRAIN_FILE)
+    datagen.save_dataset(test, ws.out_dir / TEST_FILE)
+    datagen.save_noise_mask(mask, train.ids, ws.out_dir / MASK_FILE)
+    ws.memo.update({TRAIN_FILE: train, TEST_FILE: test})
     counts = np.bincount(train.true, minlength=cfg.longtail.num_classes).tolist()
     metrics = {
         "train_size": len(train),
@@ -260,7 +278,7 @@ def run_simulate(cfg: PipelineConfig, out_dir: Path) -> dict:
         "class_counts": counts,
         "measured_noise_rate": int(mask.sum()) / len(train),
     }
-    write_manifest(out_dir, "simulate", cfg, time.perf_counter() - t0, metrics,
+    write_manifest(ws.out_dir, "simulate", cfg, time.perf_counter() - t0, metrics,
                    [TRAIN_FILE, TEST_FILE, MASK_FILE])
     return metrics
 
@@ -273,36 +291,37 @@ def _accuracy(prefix: str, predicted: np.ndarray, train: Dataset) -> dict:
     return out
 
 
-def run_stage1(cfg: PipelineConfig, out_dir: Path) -> dict:
+def run_stage1(cfg: PipelineConfig, ws: Workspace) -> dict:
     t0 = time.perf_counter()
-    train = datagen.load_dataset(_require(out_dir, TRAIN_FILE, "simulate"),
-                                 cfg.longtail.num_classes)
+    train = ws.dataset(TRAIN_FILE, cfg)
     s1_cfg = dataclasses.replace(cfg.stage1, seed=stage_seed(cfg.seed, "stage1"))
     model, preds, log = stage1.train_stage1(train, s1_cfg)
-    stage1.save_stage1_checkpoint(model, s1_cfg, out_dir / STAGE1_CKPT)
-    stage1.save_predictions(train.ids, preds, out_dir / PREDICTIONS_FILE)
-    jsonl.write_json(out_dir / STAGE1_LOG, log)
+    stage1.save_stage1_checkpoint(model, s1_cfg, ws.out_dir / STAGE1_CKPT)
+    stage1.save_predictions(train.ids, preds, ws.out_dir / PREDICTIONS_FILE)
+    jsonl.write_json(ws.out_dir / STAGE1_LOG, log)
+    ws.memo[STAGE1_CKPT] = model
+    ws.memo[PREDICTIONS_FILE] = preds
     metrics = {"final_losses": log[-1] if log else None,
                **_accuracy("train_accuracy", preds.predicted, train)}
-    write_manifest(out_dir, "stage1", cfg, time.perf_counter() - t0, metrics,
+    write_manifest(ws.out_dir, "stage1", cfg, time.perf_counter() - t0, metrics,
                    [STAGE1_CKPT, PREDICTIONS_FILE, STAGE1_LOG])
     return metrics
 
 
-def run_refurbish(cfg: PipelineConfig, out_dir: Path) -> dict:
+def run_refurbish(cfg: PipelineConfig, ws: Workspace) -> dict:
     t0 = time.perf_counter()
-    train = datagen.load_dataset(_require(out_dir, TRAIN_FILE, "simulate"),
-                                 cfg.longtail.num_classes)
-    ids, preds = stage1.load_predictions(
-        _require(out_dir, PREDICTIONS_FILE, "stage1"))
-    preds = stage1.align_predictions(train, ids, preds)
+    train = ws.dataset(TRAIN_FILE, cfg)
+    preds = ws.get(PREDICTIONS_FILE, "stage1", lambda p: stage1.align_predictions(
+        train, *stage1.load_predictions(p)))
     soft, records = refurbish.refurbish_dataset(train, preds, cfg.refurbish)
-    refurbish.save_records(records, out_dir / REFURB_FILE)
+    ws.memo.pop(PREDICTIONS_FILE, None)  # no later stage reads them: free the memory
+    refurbish.save_records(records, ws.out_dir / REFURB_FILE)
+    ws.memo[REFURB_FILE] = soft
     metrics = refurbish.summarize_records(records)
     if train.true is not None:
         metrics.update(refurbish_quality(train, soft, records.changed,
                                          cfg.thresholds))
-    write_manifest(out_dir, "refurbish", cfg, time.perf_counter() - t0, metrics,
+    write_manifest(ws.out_dir, "refurbish", cfg, time.perf_counter() - t0, metrics,
                    [REFURB_FILE])
     return metrics
 
@@ -311,8 +330,10 @@ def refurbish_quality(train: Dataset, soft: np.ndarray, changed: np.ndarray,
                       thresholds: SubgroupThresholds) -> dict:
     """Refurbishment against the true labels, overall and per shot group of
     each sample's true class: noise-detection precision and recall
-    ("changed" against "actually corrupted") and the share of soft labels
-    whose argmax is the true label.  None where a group is empty."""
+    ("changed" against "actually corrupted"), the share of soft labels
+    whose argmax is the true label, and the label mass on the true class
+    before (the one-hot observed label) and after refurbishment.  None
+    where a group is empty."""
     group = ensemble.class_subgroups(train_counts_for_eval(train).counts,
                                      thresholds)[train.true]
     masks = {"overall": np.ones(len(train), dtype=bool),
@@ -320,37 +341,35 @@ def refurbish_quality(train: Dataset, soft: np.ndarray, changed: np.ndarray,
     corrupted = train.observed != train.true
     soft_right = np.argmax(soft, axis=1) == train.true
     metrics = {"noise_precision": (corrupted, changed), "noise_recall": (changed, corrupted),
-               "soft_label_accuracy": (soft_right, True)}
+               "soft_label_accuracy": (soft_right, True),
+               "true_class_mass_before": (~corrupted, True),
+               "true_class_mass_after": (soft[np.arange(len(train)), train.true], True)}
     return {name: {g: ensemble.masked_mean(values, among & m) for g, m in masks.items()}
             for name, (values, among) in metrics.items()}
 
 
-def _soft_labels_for_stage2(train: Dataset, out_dir: Path,
-                            no_relabel: bool) -> np.ndarray:
-    if no_relabel:
-        return np.eye(train.num_classes)[train.observed]
-    records = refurbish.load_records(_require(out_dir, REFURB_FILE, "refurbish"))
-    return refurbish.align_records(train, records).soft
-
-
-def run_stage2(cfg: PipelineConfig, out_dir: Path, no_relabel: bool = False) -> dict:
+def run_stage2(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -> dict:
     t0 = time.perf_counter()
-    train = datagen.load_dataset(_require(out_dir, TRAIN_FILE, "simulate"),
-                                 cfg.longtail.num_classes)
-    s1_model, _ = stage1.load_stage1_checkpoint(
-        _require(out_dir, STAGE1_CKPT, "stage1"))
-    softs = _soft_labels_for_stage2(train, out_dir, no_relabel)
+    train = ws.dataset(TRAIN_FILE, cfg)
+    s1_model = ws.get(STAGE1_CKPT, "stage1",
+                      lambda p: stage1.load_stage1_checkpoint(p)[0])
+    if no_relabel:
+        softs = np.eye(train.num_classes)[train.observed]
+    else:
+        softs = ws.get(REFURB_FILE, "refurbish", lambda p: refurbish.align_records(
+            train, refurbish.load_records(p)).soft)
     s2_cfg = dataclasses.replace(cfg.stage2, seed=stage_seed(cfg.seed, "stage2"))
     model, log = ensemble.train_stage2(train, softs, s1_model, s2_cfg)
     ckpt_name = _variant_name(STAGE2_CKPT, no_relabel)
     log_name = _variant_name(STAGE2_LOG, no_relabel)
     ensemble.save_stage2_checkpoint(model, s2_cfg, STAGE1_CKPT,
-                                    out_dir / ckpt_name)
-    jsonl.write_json(out_dir / log_name, log)
+                                    ws.out_dir / ckpt_name)
+    jsonl.write_json(ws.out_dir / log_name, log)
+    ws.memo[ckpt_name] = (model, s2_cfg)
     metrics = {"variant": "w/o re-label" if no_relabel else "refurbished",
                "final_losses": log[-1] if log else None}
     command = "stage2_norelabel" if no_relabel else "stage2"
-    write_manifest(out_dir, command, cfg, time.perf_counter() - t0, metrics,
+    write_manifest(ws.out_dir, command, cfg, time.perf_counter() - t0, metrics,
                    [ckpt_name, log_name])
     return metrics
 
@@ -363,27 +382,24 @@ def train_counts_for_eval(train: Dataset) -> ClassStats:
     return class_stats_from_counts(counts)
 
 
-def run_evaluate(cfg: PipelineConfig, out_dir: Path,
-                 no_relabel: bool = False) -> dict:
+def run_evaluate(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -> dict:
     t0 = time.perf_counter()
-    train = datagen.load_dataset(_require(out_dir, TRAIN_FILE, "simulate"),
-                                 cfg.longtail.num_classes)
-    test = datagen.load_dataset(_require(out_dir, TEST_FILE, "simulate"),
-                                cfg.longtail.num_classes)
-    s1_model, _ = stage1.load_stage1_checkpoint(
-        _require(out_dir, STAGE1_CKPT, "stage1"))
+    train = ws.dataset(TRAIN_FILE, cfg)
+    test = ws.dataset(TEST_FILE, cfg)
+    s1_model = ws.get(STAGE1_CKPT, "stage1",
+                      lambda p: stage1.load_stage1_checkpoint(p)[0])
     ckpt_name = _variant_name(STAGE2_CKPT, no_relabel)
     producer = "stage2 --no-relabel" if no_relabel else "stage2"
-    model, s2_cfg = ensemble.load_stage2_checkpoint(
-        _require(out_dir, ckpt_name, producer), s1_model.encoder)
+    model, s2_cfg = ws.get(ckpt_name, producer, lambda p: ensemble.load_stage2_checkpoint(
+        p, s1_model.encoder))
     report = ensemble.evaluate(model, test, train_counts_for_eval(train),
                                cfg.thresholds, fusion=s2_cfg.fusion)
     label = "w/o re-label" if no_relabel else "refurbished"
     doc = {"variant": label, **report.to_json_dict()}
     json_name = _variant_name(EVAL_JSON, no_relabel)
     csv_name = _variant_name(EVAL_CSV, no_relabel)
-    jsonl.write_json(out_dir / json_name, doc, indent=2)
-    with open(out_dir / csv_name, "w", encoding="utf-8") as fh:
+    jsonl.write_json(ws.out_dir / json_name, doc, indent=2)
+    with open(ws.out_dir / csv_name, "w", encoding="utf-8") as fh:
         fh.write(f"# variant: {label}; thresholds: many>"
                  f"{cfg.thresholds.many_min}, few<{cfg.thresholds.few_max}\n")
         fh.write(ensemble.report_csv(report))
@@ -391,18 +407,20 @@ def run_evaluate(cfg: PipelineConfig, out_dir: Path,
                "overall_accuracy": report.overall_accuracy,
                "subgroup_accuracy": report.subgroup_accuracy}
     command = "evaluate_norelabel" if no_relabel else "evaluate"
-    write_manifest(out_dir, command, cfg, time.perf_counter() - t0, metrics,
+    write_manifest(ws.out_dir, command, cfg, time.perf_counter() - t0, metrics,
                    [json_name, csv_name])
     return metrics
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
-    """simulate -> stage1 -> refurbish -> stage2 -> evaluate, one workspace."""
-    run_simulate(cfg, out_dir)
-    run_stage1(cfg, out_dir)
-    run_refurbish(cfg, out_dir)
-    run_stage2(cfg, out_dir)
-    return run_evaluate(cfg, out_dir)
+    """simulate -> stage1 -> refurbish -> stage2 -> evaluate over one
+    workspace, each stage taking its inputs from memory."""
+    ws = Workspace(out_dir)
+    run_simulate(cfg, ws)
+    run_stage1(cfg, ws)
+    run_refurbish(cfg, ws)
+    run_stage2(cfg, ws)
+    return run_evaluate(cfg, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +521,9 @@ class SweepSpec:
                 f"sweep parameter must be one of {SWEEP_PARAMS}")
         if not self.grid:
             raise InvalidSpecError("sweep grid must be non-empty")
+        bad = [v for v in self.grid if not math.isfinite(v)]
+        if bad:
+            raise InvalidSpecError(f"sweep grid value {bad[0]!r} is not finite")
 
 
 def _with_sweep_value(cfg: PipelineConfig, param: str, value: float
@@ -546,14 +567,12 @@ def run_sweep(cfg: PipelineConfig, sweep: SweepSpec, out_dir: Path) -> list[dict
 
 def rarity_curve_rows(sigma: float) -> list[tuple[float, float]]:
     """(h, gamma) on the grid h = 0.00, 0.01, ..., 1.00."""
-    if sigma <= 0:
-        raise InvalidSpecError("sigma must be positive")
     return [(i / 100.0, refurbish.rarity(i / 100.0, sigma)) for i in range(101)]
 
 
 def write_rarity_curve(sigma: float, out_dir: Path, svg: bool = False) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = rarity_curve_rows(sigma)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "rarity_curve.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("h,gamma\n")

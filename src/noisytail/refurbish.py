@@ -55,8 +55,8 @@ class RefurbishConfig:
     sigma: float = 0.2
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise InvalidSpecError("sigma must be positive")
+        if not math.isfinite(self.sigma) or self.sigma <= 0:
+            raise InvalidSpecError(f"sigma must be positive and finite, got {self.sigma!r}")
 
 
 @dataclass
@@ -123,8 +123,8 @@ def rarity(h: float, sigma: float) -> float:
     """
     if not (0.0 <= h <= 1.0):
         raise InvalidInputError(f"proportion h={h} outside [0, 1]")
-    if sigma <= 0:
-        raise InvalidSpecError("sigma must be positive")
+    if not math.isfinite(sigma) or sigma <= 0:
+        raise InvalidSpecError(f"sigma must be positive and finite, got {sigma!r}")
     return math.exp(-(h * h) / (sigma * sigma))
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from noisytail import pipeline
+from noisytail import datagen, ensemble, pipeline, refurbish, stage1
 from noisytail.cli import main
 from noisytail.errors import InvalidSpecError
 from noisytail.pipeline import (
@@ -159,8 +159,36 @@ class TestCliPipeline:
         main(["pipeline", "--config", str(cfg_path), "--out", str(out1)])
         for cmd in ("simulate", "stage1", "refurbish", "stage2", "evaluate"):
             assert main([cmd, "--config", str(cfg_path), "--out", str(out2)]) == 0
-        assert file_sha256(out1 / "eval_report.json") == \
-               file_sha256(out2 / "eval_report.json")
+        # the pipeline hands stage outputs over in memory and the single
+        # commands reload them: every artifact must come out the same
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        assert len(names) == 16
+        for name in names:
+            if name.startswith("manifest_"):
+                m1, m2 = (json.loads((d / name).read_text()) for d in (out1, out2))
+                del m1["wall_time_s"], m2["wall_time_s"]
+                assert m1 == m2, name
+            else:
+                assert file_sha256(out1 / name) == file_sha256(out2 / name), name
+
+    def test_pipeline_reads_back_nothing(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pipeline read back an artifact it wrote")
+
+        for module, name in ((datagen, "load_dataset"), (stage1, "load_predictions"),
+                             (stage1, "load_stage1_checkpoint"),
+                             (refurbish, "load_records"),
+                             (ensemble, "load_stage2_checkpoint")):
+            monkeypatch.setattr(module, name, refuse)
+        cfg = config_from_dict(TINY_CONFIG)
+        out = tmp_path / "ws"
+        metrics = pipeline.run_pipeline(cfg, out)
+        assert 0.0 <= metrics["overall_accuracy"] <= 1.0
+        for command in ("simulate", "stage1", "refurbish", "stage2", "evaluate"):
+            manifest = json.loads((out / f"manifest_{command}.json").read_text())
+            for name, digest in manifest["artifacts"].items():
+                assert file_sha256(out / name) == digest, name
 
     def test_no_relabel_variant(self, tmp_path):
         cfg_path = write_tiny_config(tmp_path)
@@ -299,6 +327,10 @@ class TestRefurbishMetrics:
                    "noise_recall": hits / sum(corrupted),
                    "soft_label_accuracy": sum(
                        int(np.argmax(recs[t["id"]]["soft_label"])) == t["true_label"]
+                       for t in train) / len(train),
+                   "true_class_mass_before": 1 - sum(corrupted) / len(train),
+                   "true_class_mass_after": sum(
+                       recs[t["id"]]["soft_label"][t["true_label"]]
                        for t in train) / len(train)}
         for name, value in overall.items():
             assert set(metrics[name]) == self.GROUPS
@@ -319,8 +351,8 @@ class TestRefurbishMetrics:
         assert main(["refurbish", "--config", str(cfg_path), "--out", str(out)]) == 0
         metrics = json.loads((out / "manifest_refurbish.json").read_text())["metrics"]
         assert "fraction_changed" in metrics
-        assert not {"noise_precision", "noise_recall",
-                    "soft_label_accuracy"} & set(metrics)
+        assert not {"noise_precision", "noise_recall", "soft_label_accuracy",
+                    "true_class_mass_before", "true_class_mass_after"} & set(metrics)
 
 
 class TestSweep:
@@ -362,6 +394,17 @@ class TestSweep:
         with pytest.raises(InvalidSpecError):
             SweepSpec("c", [])
 
+    @pytest.mark.parametrize("param,grid,named", [
+        ("sigma", "nan", "nan"), ("sigma", "inf", "inf"),
+        ("sigma", "0.1,-inf", "-inf"), ("c", "2,nan", "nan")])
+    def test_non_finite_grid_exits_2_naming_value(self, tmp_path, capsys,
+                                                  param, grid, named):
+        cfg_path = write_tiny_config(tmp_path)
+        code = main(["sweep", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "sweep"), "--param", param, f"--grid={grid}"])
+        assert code == 2
+        assert f"value {named} is not finite" in capsys.readouterr().err
+
 
 class TestRarityCurve:
     def test_rows_and_closed_forms(self):
@@ -383,6 +426,13 @@ class TestRarityCurve:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0 and float(first[1]) == 1.0
         assert (out / "rarity_curve.svg").read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "0", "-0.5"])
+    def test_bad_sigma_exits_2_naming_value(self, tmp_path, capsys, sigma):
+        out = tmp_path / "curve"
+        assert main(["rarity-curve", f"--sigma={sigma}", "--out", str(out)]) == 2
+        assert f"got {float(sigma)!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBaseline:

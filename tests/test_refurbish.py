@@ -266,3 +266,10 @@ class TestSoftLabelValidation:
     def test_sigma_positive(self):
         with pytest.raises(InvalidSpecError):
             RefurbishConfig(sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_sigma_finite(self, sigma):
+        with pytest.raises(InvalidSpecError, match=repr(sigma)):
+            RefurbishConfig(sigma=sigma)
+        with pytest.raises(InvalidSpecError, match=repr(sigma)):
+            rarity(0.1, sigma)
