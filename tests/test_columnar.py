@@ -2,18 +2,25 @@
 
 Batched refurbishment and vectorised noise injection are compared bit for
 bit with the per-sample rules, the JSONL writers byte for byte with a
-per-record `json.dumps` writer, and
+per-record `json.dumps` writer at every shard count, and
 every loader is fed malformed input that must be rejected with an error
 naming the line or the sample id.
 """
 
+import errno
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noisytail import jsonl
 from noisytail.datagen import (
     Dataset,
     import_embeddings,
@@ -149,61 +156,182 @@ def reference_write(path, records):
             fh.write(json.dumps(rec) + "\n")
 
 
+def dataset_case(n, seed, with_true=True):
+    ds = random_dataset(make_rng(seed), n, 4, d=6, with_true=with_true)
+    refs = []
+    for i in range(len(ds)):
+        rec = {"id": int(ds.ids[i]), "features": ds.X[i].tolist(),
+               "observed_label": int(ds.observed[i])}
+        if with_true:
+            rec["true_label"] = int(ds.true[i])
+        refs.append(rec)
+    return (lambda path: save_dataset(ds, path)), refs
+
+
+def predictions_case(n, seed):
+    rng = make_rng(seed)
+    ids = rng.permutation(n)
+    preds = Predictions.from_logits(rng.normal(size=(n, 5)) * 4)
+    refs = [{"id": int(ids[i]), "logits": preds.logits[i].tolist(),
+             "probs": preds.probs[i].tolist(),
+             "predicted_class": int(preds.predicted[i])} for i in range(n)]
+    return (lambda path: save_predictions(ids, preds, path)), refs
+
+
+def records_case(n, seed):
+    rng = make_rng(seed)
+    ds = random_dataset(rng, n, 6)
+    preds = Predictions.from_logits(rng.normal(size=(n, 6)))
+    _, records = refurbish_dataset(ds, preds, RefurbishConfig())
+    refs = [{"id": r.id, "soft_label": r.soft_label.weights.tolist(),
+             "changed": r.changed, "rho": r.rho, "gamma": r.gamma,
+             "weight": r.weight} for r in records]
+    return (lambda path: save_records(records, path)), refs
+
+
+def mask_case(n, seed):
+    mask = make_rng(seed).random(n) < 0.4
+    ids = np.arange(n) * 3
+    refs = [{"id": int(i), "noisy": bool(m)} for i, m in zip(ids, mask)]
+    return (lambda path: save_noise_mask(mask, ids, path)), refs
+
+
+WRITER_CASES = {
+    "dataset": dataset_case,
+    "dataset_no_true": lambda n, seed: dataset_case(n, seed, with_true=False),
+    "predictions": predictions_case,
+    "records": records_case,
+    "mask": mask_case,
+}
+
+
+def assert_writer_bytes(tmp_path, case, n, seed):
+    write, refs = WRITER_CASES[case](n, seed)
+    write(tmp_path / "new.jsonl")
+    reference_write(tmp_path / "ref.jsonl", refs)
+    assert (tmp_path / "new.jsonl").read_bytes() == \
+           (tmp_path / "ref.jsonl").read_bytes()
+
+
+B = jsonl.BLOCK_ROWS
+# 0, 1 and either side of a block edge write serially; 4 * cpus * B +- 1
+# straddles the edge where forking gives every usable CPU a shard.  A
+# Dataset (and so a record set) holds at least one sample.
+SHARD_CASES = [(case, cpus, n) for case in sorted(WRITER_CASES) for cpus in (1, 2, 3, 4)
+               for n in (0, 1, B - 1, B + 1, 4 * cpus * B - 1, 4 * cpus * B + 1)
+               if n or case in ("predictions", "mask")]
+
+
 class TestWriters:
     @pytest.mark.parametrize("with_true", [True, False])
     def test_dataset_bytes(self, tmp_path, with_true):
-        ds = random_dataset(make_rng(2), 5000, 4, d=6, with_true=with_true)
-        save_dataset(ds, tmp_path / "new.jsonl")
-        refs = []
-        for i in range(len(ds)):
-            rec = {"id": int(ds.ids[i]), "features": ds.X[i].tolist(),
-                   "observed_label": int(ds.observed[i])}
-            if with_true:
-                rec["true_label"] = int(ds.true[i])
-            refs.append(rec)
-        reference_write(tmp_path / "ref.jsonl", refs)
-        assert (tmp_path / "new.jsonl").read_bytes() == \
-               (tmp_path / "ref.jsonl").read_bytes()
+        assert_writer_bytes(tmp_path, "dataset" if with_true else "dataset_no_true",
+                            5000, 2)
 
     def test_predictions_bytes(self, tmp_path):
-        rng = make_rng(3)
-        ids = rng.permutation(5000)
-        preds = Predictions.from_logits(rng.normal(size=(5000, 5)) * 4)
-        save_predictions(ids, preds, tmp_path / "new.jsonl")
-        reference_write(tmp_path / "ref.jsonl", [
-            {"id": int(ids[i]), "logits": preds.logits[i].tolist(),
-             "probs": preds.probs[i].tolist(),
-             "predicted_class": int(preds.predicted[i])} for i in range(5000)])
-        assert (tmp_path / "new.jsonl").read_bytes() == \
-               (tmp_path / "ref.jsonl").read_bytes()
+        assert_writer_bytes(tmp_path, "predictions", 5000, 3)
 
     def test_records_bytes(self, tmp_path):
-        rng = make_rng(4)
-        ds = random_dataset(rng, 5000, 6)
-        preds = Predictions.from_logits(rng.normal(size=(5000, 6)))
-        _, records = refurbish_dataset(ds, preds, RefurbishConfig())
-        save_records(records, tmp_path / "new.jsonl")
-        reference_write(tmp_path / "ref.jsonl", [
-            {"id": r.id, "soft_label": r.soft_label.weights.tolist(),
-             "changed": r.changed, "rho": r.rho, "gamma": r.gamma,
-             "weight": r.weight} for r in records])
-        assert (tmp_path / "new.jsonl").read_bytes() == \
-               (tmp_path / "ref.jsonl").read_bytes()
+        assert_writer_bytes(tmp_path, "records", 5000, 4)
 
     def test_mask_bytes(self, tmp_path):
-        mask = make_rng(5).random(300) < 0.4
-        ids = np.arange(300) * 3
-        save_noise_mask(mask, ids, tmp_path / "new.jsonl")
-        reference_write(tmp_path / "ref.jsonl", [
-            {"id": int(i), "noisy": bool(m)} for i, m in zip(ids, mask)])
-        assert (tmp_path / "new.jsonl").read_bytes() == \
-               (tmp_path / "ref.jsonl").read_bytes()
+        assert_writer_bytes(tmp_path, "mask", 300, 5)
 
-    def test_non_finite_values_are_refused(self, tmp_path):
-        preds = Predictions.from_logits(np.zeros((2, 3)))
-        preds.logits[1, 0] = np.nan
-        with pytest.raises(ValueError):
-            save_predictions(np.arange(2), preds, tmp_path / "p.jsonl")
+    @pytest.mark.parametrize("case,cpus,n", SHARD_CASES)
+    def test_bytes_at_every_shard_count(self, tmp_path, monkeypatch, case, cpus, n):
+        monkeypatch.setattr(jsonl, "usable_cpus", lambda: cpus)
+        assert_writer_bytes(tmp_path, case, n, n + cpus)
+
+    @given(n=st.integers(0, 5 * jsonl.MIN_SHARD_ROWS), cpus=st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_mask_bytes_any_row_count(self, tmp_path_factory, n, cpus):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jsonl, "usable_cpus", lambda: cpus)
+            assert_writer_bytes(tmp_path_factory.mktemp("mask"), "mask", n, n)
+
+    def test_non_finite_values_are_refused(self, tmp_path, monkeypatch):
+        """Refused before the file is opened, naming key and row, also when
+        the value lies past the first shard."""
+        monkeypatch.setattr(jsonl, "usable_cpus", lambda: 2)
+        n = 4 * jsonl.MIN_SHARD_ROWS
+        for value in (np.nan, np.inf, -np.inf):
+            preds = Predictions.from_logits(np.zeros((n, 3)))
+            preds.logits[n - 10, 2] = value
+            path = tmp_path / "p.jsonl"
+            with pytest.raises(ValueError, match=f"logits at row {n - 10} is not finite"):
+                save_predictions(np.arange(n), preds, path)
+            assert not path.exists()
+
+    @pytest.mark.parametrize("where", ["child", "parent", "serial"])
+    def test_failed_shard_leaves_nothing_behind(self, tmp_path, monkeypatch, capfd,
+                                                where):
+        """A shard encoder that fails, in a child, in the parent or in the
+        serial loop, leaves no file in the directory and no child unreaped."""
+        encode_shard = jsonl.encode_shard
+
+        def failing(fh, keys, columns, start, stop):
+            if (start > 0) == (where == "child"):
+                raise RuntimeError(f"boom at row {start}")
+            encode_shard(fh, keys, columns, start, stop)
+
+        monkeypatch.setattr(jsonl, "usable_cpus", lambda: 1 if where == "serial" else 3)
+        monkeypatch.setattr(jsonl, "encode_shard", failing)
+        write, _ = mask_case(3 * jsonl.MIN_SHARD_ROWS, 0)
+        path = tmp_path / "mask.jsonl"
+        expected = ((OSError, f"cannot write {re.escape(str(path))}") if where == "child"
+                    else (RuntimeError, "boom"))
+        with pytest.raises(expected[0], match=expected[1]):
+            write(path)
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if where == "child":
+            assert "boom at row" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("encoder_fails", [True, False])
+    def test_failed_close_leaves_nothing_behind(self, tmp_path, monkeypatch, cpus,
+                                                encoder_fails):
+        """A target whose closing flush fails (a full disk) is deleted, and an
+        encoder failure before it stays the error reported."""
+        def open_failing_close(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            close = fh.close
+
+            def failing_close():
+                close()
+                raise OSError(errno.ENOSPC, "disk full on close")
+            fh.close = failing_close
+            return fh
+
+        def failing(fh, keys, columns, start, stop):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(jsonl, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(jsonl, "open", open_failing_close, raising=False)
+        if encoder_fails:
+            monkeypatch.setattr(jsonl, "encode_shard", failing)
+        write, _ = mask_case(2 * jsonl.MIN_SHARD_ROWS, 0)
+        with pytest.raises(RuntimeError if encoder_fails else OSError,
+                           match="boom" if encoder_fails else "disk full"):
+            write(tmp_path / "mask.jsonl")
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_import_starts_no_process_pool():
+    """`import noisytail` loads neither process-pool module, so the CLI's
+    start-up time cannot silently grow by them."""
+    code = ("import noisytail, sys; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules])")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
