@@ -23,7 +23,6 @@ from .errors import (
     DegenerateCountError,
     InvalidInputError,
     InvalidSpecError,
-    ParseError,
 )
 from .numerics import (
     Mlp,
@@ -106,15 +105,16 @@ class SubgroupThresholds:
 
 @dataclass
 class EnsembleModel:
+    """Frozen backbone and a (3K x repr) linear head: rows [eK, (e+1)K) are expert e."""
+
     backbone: Mlp
-    experts: list[Mlp]
+    head: Mlp
 
     def __post_init__(self):
-        if len(self.experts) != 3:
-            raise InvalidInputError("exactly three expert heads are required")
-        for e in self.experts:
-            if e.in_dim != self.backbone.out_dim:
-                raise InvalidInputError("expert input dim must match backbone output")
+        if len(self.head.layer_dims) != 2 or self.head.out_dim % 3:
+            raise InvalidInputError("the head must be one linear layer of 3K outputs")
+        if self.head.in_dim != self.backbone.out_dim:
+            raise InvalidInputError("head input dim must match backbone output")
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +122,14 @@ class EnsembleModel:
 # ---------------------------------------------------------------------------
 
 def _expert_batch(logits: np.ndarray, Y: np.ndarray,
-                  shift: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean shifted soft-CE over a batch, gradient of the mean wrt logits."""
-    q = softmax_rows(logits + shift)
+                  shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-expert mean shifted soft-CE of (m, E, K) logits against (m, K) soft
+    labels under an (E, K) shift table, and the gradient of their sum."""
+    q = softmax_rows(logits + shifts)
     with np.errstate(divide="ignore"):
-        losses = -np.sum(Y * np.log(np.maximum(q, 1e-300)), axis=1)
-    return float(losses.mean()), (q - Y) / logits.shape[0]
+        losses = -np.sum(Y[:, None] * np.log(np.maximum(q, 1e-300)), axis=-1)
+    # each expert's mean over its own contiguous column rounds as a 1-D mean
+    return np.ascontiguousarray(losses.T).mean(axis=1), (q - Y[:, None]) / logits.shape[0]
 
 
 def _expert_one(logits, soft_label: SoftLabel, counts: Optional[SoftClassStats] = None,
@@ -143,8 +145,8 @@ def _expert_one(logits, soft_label: SoftLabel, counts: Optional[SoftClassStats] 
         if np.any(counts.counts <= 0):
             raise DegenerateCountError("class counts must be strictly positive")
         shift = power * np.log(counts.counts)
-    loss, grad = _expert_batch(z[None, :], soft_label.weights[None, :], shift)
-    return loss, grad[0]
+    loss, grad = _expert_batch(z[None, None], soft_label.weights[None], shift[None])
+    return float(loss[0]), grad[0, 0]
 
 
 def e1_loss(logits, soft_label: SoftLabel) -> tuple[float, np.ndarray]:
@@ -171,14 +173,14 @@ def e3_loss(logits, soft_label: SoftLabel,
 def train_stage2(ds: Dataset, soft_labels: np.ndarray,
                  stage1_model: Stage1Model, cfg: Stage2Config
                  ) -> tuple[EnsembleModel, list[dict]]:
-    """Train the three heads jointly over the frozen stage-1 encoder.
+    """Train the three experts jointly over the frozen stage-1 encoder.
 
     `soft_labels` is the (N, K) soft-label matrix in dataset order.  Soft
     class counts are computed once before training (floored at
-    COUNT_FLOOR so ln(n) stays finite); each head receives only its own
-    loss gradient, summed per batch.  The backbone is copied from the
-    stage-1 model and never updated.  A non-finite loss raises
-    NumericError naming the epoch and step.
+    COUNT_FLOOR so ln(n) stays finite).  One (3K x repr) head holds the
+    experts; each expert's rows get only its own loss gradient.  The
+    backbone is copied from the stage-1 model and never updated.  A
+    non-finite loss raises NumericError naming the epoch and step.
     """
     n = len(ds)
     k = ds.num_classes
@@ -187,26 +189,22 @@ def train_stage2(ds: Dataset, soft_labels: np.ndarray,
         raise InvalidInputError(f"soft labels {Y.shape} != (dataset size, K) = ({n}, {k})")
     rng = make_rng(cfg.seed)
     backbone = stage1_model.encoder.copy()
-    experts = [init_mlp([backbone.out_dim, k], rng) for _ in range(3)]
-    model = EnsembleModel(backbone, experts)
+    model = EnsembleModel(backbone, init_mlp([backbone.out_dim, 3 * k], rng))
 
     counts = soft_class_counts(Y)
-    n_floor = np.maximum(counts.counts, COUNT_FLOOR)
-    shifts = [np.zeros(k), np.log(n_floor), 2.0 * np.log(n_floor)]
+    shifts = np.log(np.maximum(counts.counts, COUNT_FLOOR)) * [[0.0], [1.0], [2.0]]
 
     # frozen backbone: features can be precomputed once
     V, _ = forward_batch(backbone, ds.X)
 
-    opt = SgdMomentum([p for e in experts for p in e.params()], lr=cfg.lr,
-                      momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+    opt = SgdMomentum(model.head.params(), lr=cfg.lr, momentum=cfg.momentum,
+                      weight_decay=cfg.weight_decay)
 
     def step(idx):
-        grads, losses = [], {}
-        for name, expert, shift in zip(("e1", "e2", "e3"), experts, shifts):
-            logits, cache = forward_batch(expert, V[idx])
-            losses[name], g_logits = _expert_batch(logits, Y[idx], shift)
-            grads.extend(backward_batch(expert, cache, g_logits)[0].params())
-        return grads, losses
+        logits, cache = forward_batch(model.head, V[idx])
+        losses, g_logits = _expert_batch(logits.reshape(idx.size, 3, k), Y[idx], shifts)
+        grads, _ = backward_batch(model.head, cache, g_logits.reshape(logits.shape))
+        return grads.params(), dict(zip(("e1", "e2", "e3"), losses.tolist()))
 
     return model, sgd_epochs("stage 2", opt, n, cfg.batch_size, cfg.epochs, rng, step)
 
@@ -215,20 +213,21 @@ def train_stage2(ds: Dataset, soft_labels: np.ndarray,
 # Prediction and evaluation
 # ---------------------------------------------------------------------------
 
-def _expert_logits(model: EnsembleModel, X: np.ndarray) -> list[np.ndarray]:
+def _expert_logits(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
+    """(m, 3, K) raw logits of every expert."""
     v, _ = forward_batch(model.backbone, X)
-    return [forward_batch(e, v)[0] for e in model.experts]
+    return forward_batch(model.head, v)[0].reshape(len(v), 3, -1)
 
 
-def ensemble_predict_batch(model: EnsembleModel, X: np.ndarray,
-                           fusion: str = "prob_mean") -> np.ndarray:
-    """Fused class probabilities for a feature matrix."""
+def ensemble_predict_batch(model: EnsembleModel, X: np.ndarray, fusion: str = "prob_mean"
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Fused class probabilities for a feature matrix, and the expert logits."""
     logits = _expert_logits(model, X)
     if fusion == "logit_mean":
-        return softmax_rows(np.mean(logits, axis=0))
+        return softmax_rows(logits.mean(axis=1)), logits
     if fusion != "prob_mean":
         raise InvalidSpecError(f"unknown fusion rule {fusion!r}")
-    return np.mean([softmax_rows(z) for z in logits], axis=0)
+    return softmax_rows(logits).mean(axis=1), logits
 
 
 def ensemble_predict(model: EnsembleModel, features,
@@ -236,7 +235,7 @@ def ensemble_predict(model: EnsembleModel, features,
     """Fuse the three experts; raw logits only, the count shifts are
     training-time reweightings."""
     x = as_vec(features, "features")  # forward_batch checks the width
-    probs = ensemble_predict_batch(model, x[None, :], fusion)[0]
+    probs = ensemble_predict_batch(model, x[None, :], fusion)[0][0]
     # log-probabilities act as the logits so argmax and softmax stay consistent
     logits = np.log(np.maximum(probs, 1e-300))
     return Prediction(logits, probs, int(np.argmax(probs)))
@@ -285,7 +284,7 @@ def evaluate(model: EnsembleModel, test_ds: Dataset, train_counts: ClassStats,
     """Accuracy report over a clean test split.
 
     Subgroup membership (many/medium/few) is decided by *training-set*
-    class sizes, not test counts.  Per-expert accuracies use each head's
+    class sizes, not test counts.  Per-expert accuracies use each expert's
     raw logits alone.
     """
     k = test_ds.num_classes
@@ -299,17 +298,16 @@ def evaluate(model: EnsembleModel, test_ds: Dataset, train_counts: ClassStats,
 
     class_group = class_subgroups(train_counts.counts, thresholds)
     masks = {g: class_group[labels] == g for g in SUBGROUPS}
-    X = test_ds.X
-    fused_pred = np.argmax(ensemble_predict_batch(model, X, fusion), axis=1)
-    fused_correct = (fused_pred == labels).astype(float)
-    expert_correct = [(np.argmax(z, axis=1) == labels).astype(float)
-                      for z in _expert_logits(model, X)]
+    probs, logits = ensemble_predict_batch(model, test_ds.X, fusion)
+    fused_pred = np.argmax(probs, axis=1)
+    # rows: ensemble, e1, e2, e3
+    correct = (np.vstack([fused_pred, logits.argmax(axis=2).T]) == labels).astype(float)
+    by_group = [{g: masked_mean(c, m) for g, m in masks.items()} for c in correct]
     return EvalReport(
-        overall_accuracy=float(fused_correct.mean()),
-        subgroup_accuracy={g: masked_mean(fused_correct, m) for g, m in masks.items()},
-        expert_overall=[float(c.mean()) for c in expert_correct],
-        expert_subgroup=[{g: masked_mean(c, m) for g, m in masks.items()}
-                         for c in expert_correct],
+        overall_accuracy=float(correct[0].mean()),
+        subgroup_accuracy=by_group[0],
+        expert_overall=correct[1:].mean(axis=1).tolist(),
+        expert_subgroup=by_group[1:],
         subgroup_classes={g: np.flatnonzero(class_group == g).tolist()
                           for g in SUBGROUPS},
         subgroup_counts={g: int(m.sum()) for g, m in masks.items()},
@@ -342,12 +340,16 @@ def backbone_hash(net: Mlp) -> str:
 
 def save_stage2_checkpoint(model: EnsembleModel, cfg: Stage2Config,
                            stage1_checkpoint_name: str, path) -> None:
+    """The head goes to disk as three per-expert (K x repr) layers."""
+    head = model.head
+    experts = [Mlp([head.in_dim, w.shape[0]], [w], [b], head.activation)
+               for w, b in zip(np.split(head.weights[0], 3), np.split(head.biases[0], 3))]
     jsonl.write_json(path, {
         "kind": "stage2",
         "config": asdict(cfg),
         "backbone_hash": backbone_hash(model.backbone),
         "stage1_checkpoint": stage1_checkpoint_name,
-        "experts": [mlp_state(e) for e in model.experts],
+        "experts": [mlp_state(e) for e in experts],
     })
 
 
@@ -355,14 +357,27 @@ def load_stage2_checkpoint(path, backbone: Mlp
                            ) -> tuple[EnsembleModel, Stage2Config]:
     """Rebuild the ensemble from its checkpoint plus the referenced backbone.
 
-    The stored hash must match the supplied backbone's weights.
+    The three stored experts, one-layer heads of one shape, are stacked
+    into the 3K head.  The stored hash must match the supplied backbone's
+    weights.
     """
-    state = jsonl.read_json(path, "checkpoint")
-    if state.get("kind") != "stage2":
-        raise ParseError("not a stage-2 checkpoint", None)
-    if backbone_hash(backbone) != state["backbone_hash"]:
+    with jsonl.read_checkpoint(path, "stage2") as state:
+        stored_hash = state["backbone_hash"]
+        experts = [mlp_from_state(s) for s in state["experts"]]
+        if (len(experts) != 3 or len(experts[0].layer_dims) != 2
+                or any(e.layer_dims != experts[0].layer_dims for e in experts)):
+            raise InvalidInputError(
+                "experts must be three one-layer heads of one shape, got layer dims "
+                f"{[e.layer_dims for e in experts]}")
+        in_dim, k = experts[0].layer_dims
+        head = Mlp([in_dim, 3 * k],
+                   [np.concatenate([e.weights[0] for e in experts])],
+                   [np.concatenate([e.biases[0] for e in experts])],
+                   experts[0].activation)
+        model = EnsembleModel(backbone.copy(), head)
+        cfg = Stage2Config(**state["config"])
+    if backbone_hash(backbone) != stored_hash:
         raise InvalidInputError(
             "backbone weights do not match the checkpoint's backbone_hash; "
             f"expected the encoder from {state.get('stage1_checkpoint')!r}")
-    experts = [mlp_from_state(s) for s in state["experts"]]
-    return EnsembleModel(backbone.copy(), experts), Stage2Config(**state["config"])
+    return model, cfg

@@ -13,6 +13,7 @@ and infinity are refused both ways, a writer before opening the file.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -213,6 +214,20 @@ def read_json(path, what: str):
             return json.load(fh)
         except json.JSONDecodeError as e:
             raise ParseError(f"malformed {what} JSON ({e.msg})", e.lineno) from e
+
+
+@contextmanager
+def read_checkpoint(path, kind: str):
+    """The JSON object of a `kind` checkpoint.  A missing key, a wrong type
+    or a bad array met while rebuilding from it is a ParseError naming
+    the file."""
+    state = read_json(path, "checkpoint")
+    if not isinstance(state, dict) or state.get("kind") != kind:
+        raise ParseError(f"{path} is not a {kind} checkpoint")
+    try:
+        yield state
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise ParseError(f"malformed {kind} checkpoint {path}: {e!r}") from e
 
 
 def check_rows(bad: np.ndarray, linenos, message) -> None:

@@ -44,10 +44,10 @@ def softmax(logits: Vec) -> Vec:
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise max-shifted softmax for a 2-D batch of logits."""
+    """Max-shifted softmax over the last axis of a batch of logits."""
     z = np.asarray(logits, dtype=np.float64)
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def l2_normalize(v: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import jsonl
 from .datagen import Dataset, align_ids
-from .errors import InvalidInputError, InvalidSpecError, ParseError
+from .errors import InvalidInputError, InvalidSpecError
 from .numerics import (
     Mlp,
     SgdMomentum,
@@ -528,15 +528,13 @@ def save_stage1_checkpoint(model: Stage1Model, cfg: Stage1Config, path) -> None:
 
 
 def load_stage1_checkpoint(path) -> tuple[Stage1Model, Stage1Config]:
-    state = jsonl.read_json(path, "checkpoint")
-    if state.get("kind") != "stage1":
-        raise ParseError("not a stage-1 checkpoint", None)
-    model = Stage1Model(
-        encoder=mlp_from_state(state["encoder"]),
-        projection=mlp_from_state(state["projection"]),
-        classifier=mlp_from_state(state["classifier"]),
-    )
-    return model, Stage1Config(**state["config"])
+    with jsonl.read_checkpoint(path, "stage1") as state:
+        model = Stage1Model(
+            encoder=mlp_from_state(state["encoder"]),
+            projection=mlp_from_state(state["projection"]),
+            classifier=mlp_from_state(state["classifier"]),
+        )
+        return model, Stage1Config(**state["config"])
 
 
 def save_predictions(ids: np.ndarray, preds: Predictions, path) -> None:

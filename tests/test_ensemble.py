@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from noisytail.datagen import Dataset, LongTailSpec, MixtureSpec, synth_dataset
 from noisytail.ensemble import (
+    COUNT_FLOOR,
     EnsembleModel,
     _expert_batch,
     SoftClassStats,
@@ -23,16 +25,24 @@ from noisytail.ensemble import (
     subgroup_of,
     train_stage2,
 )
-from noisytail.errors import DegenerateCountError, InvalidInputError, InvalidSpecError
+from noisytail.errors import (
+    DegenerateCountError,
+    InvalidInputError,
+    InvalidSpecError,
+    ParseError,
+)
 from noisytail.numerics import (
     Mlp,
+    SgdMomentum,
     backward_batch,
     finite_diff_grad,
     forward_batch,
     init_mlp,
     make_rng,
     relative_error,
+    sgd_epochs,
     softmax,
+    softmax_rows,
 )
 from noisytail.refurbish import SoftLabel, class_stats_from_counts
 from noisytail.stage1 import Stage1Config, build_stage1_model
@@ -170,8 +180,10 @@ class TestExpertLosses:
 
 
 class TestExpertBatchGradient:
-    """Finite-difference check of the batched loss that trains stage 2,
-    for each expert's shift: zero, ln n and 2 ln n."""
+    """Finite-difference check of the fused kernel that trains stage 2:
+    (m, 3, K) logits with a (3, K) shift table of zero, ln n and 2 ln n,
+    and through the 3K head into its weights and biases, for each expert's
+    loss in turn."""
 
     @pytest.mark.parametrize("power", [0, 1, 2])
     def test_logit_and_head_gradients(self, power):
@@ -179,26 +191,43 @@ class TestExpertBatchGradient:
         b, d, k = 6, 4, 5
         V = rng.normal(size=(b, d))
         Y = random_softlabels(rng, b, k)
-        shift = power * np.log(rng.uniform(0.5, 50, size=k))
-        head = init_mlp([d, k], rng)
+        shifts = np.array([0.0, 1.0, 2.0])[:, None] * np.log(rng.uniform(0.5, 50, size=k))
+        head = init_mlp([d, 3 * k], rng)
+
+        def loss(flat_logits):
+            return _expert_batch(flat_logits.reshape(b, 3, k), Y, shifts)[0][power]
+
         logits, cache = forward_batch(head, V)
-        _, g_logits = _expert_batch(logits, Y, shift)
-        num = finite_diff_grad(
-            lambda flat: _expert_batch(flat.reshape(b, k), Y, shift)[0],
-            logits.ravel())
+        _, g_sum = _expert_batch(logits.reshape(b, 3, k), Y, shifts)
+        # the kernel's gradient of the sum is each expert's gradient on its own slice
+        g_logits = np.zeros_like(g_sum)
+        g_logits[:, power] = g_sum[:, power]
+        num = finite_diff_grad(loss, logits.ravel())
         worst = max(relative_error(a, c) for a, c in zip(g_logits.ravel(), num))
-        # through the head, as train_stage2 applies it
-        grads, _ = backward_batch(head, cache, g_logits)
+        grads, _ = backward_batch(head, cache, g_logits.reshape(b, 3 * k))
         for p, g in zip(head.params(), grads.params()):
             def f(flat, p=p):
                 saved = p.copy()
                 p[...] = flat.reshape(p.shape)
-                loss = _expert_batch(forward_batch(head, V)[0], Y, shift)[0]
+                value = loss(forward_batch(head, V)[0].ravel())
                 p[...] = saved
-                return loss
+                return value
             num = finite_diff_grad(f, p.ravel().copy())
             worst = max([worst] + [relative_error(a, c) for a, c in zip(g.ravel(), num)])
         assert worst < 1e-4, f"max relative error {worst}"
+
+    def test_each_expert_matches_its_one_row_loss(self):
+        rng = make_rng(21)
+        k = 4
+        z = rng.normal(size=(1, 3, k))
+        y = SoftLabel(softmax(rng.normal(size=k)))
+        counts = SoftClassStats(rng.uniform(0.5, 50, size=k))
+        shifts = np.array([0.0, 1.0, 2.0])[:, None] * np.log(counts.counts)
+        losses, grad = _expert_batch(z, y.weights[None, :], shifts)
+        for e, (l1, g1) in enumerate((e1_loss(z[0, 0], y), e2_loss(z[0, 1], y, counts),
+                                      e3_loss(z[0, 2], y, counts))):
+            assert losses[e] == l1
+            np.testing.assert_array_equal(grad[0, e], g1)
 
 
 def tiny_stage1_model(feature_dim=5, k=4, seed=0):
@@ -220,12 +249,12 @@ class TestTrainStage2:
         s1 = tiny_stage1_model()
         cfg = Stage2Config(epochs=0, batch_size=16, seed=5)
         model, log = train_stage2(ds, softs, s1, cfg)
+        # one 3K draw is the same RNG stream as three K draws, one per expert
         ref_rng = make_rng(5)
-        from noisytail.numerics import init_mlp
-        for e in model.experts:
-            ref = init_mlp([s1.encoder.out_dim, ds.num_classes], ref_rng)
-            for a, b in zip(e.params(), ref.params()):
-                np.testing.assert_array_equal(a, b)
+        refs = [init_mlp([s1.encoder.out_dim, ds.num_classes], ref_rng) for _ in range(3)]
+        np.testing.assert_array_equal(model.head.weights[0],
+                                      np.concatenate([r.weights[0] for r in refs]))
+        np.testing.assert_array_equal(model.head.biases[0], np.zeros(3 * ds.num_classes))
         assert log == []
 
     def test_backbone_frozen_exactly(self):
@@ -247,7 +276,7 @@ class TestTrainStage2:
         m1, l1 = train_stage2(ds, softs, s1, cfg)
         m2, l2 = train_stage2(ds, softs, s1, cfg)
         assert l1 == l2
-        for a, b in zip(m1.experts[2].params(), m2.experts[2].params()):
+        for a, b in zip(m1.head.params(), m2.head.params()):
             np.testing.assert_array_equal(a, b)
 
     def test_misalignment_rejected(self):
@@ -256,6 +285,25 @@ class TestTrainStage2:
         with pytest.raises(InvalidInputError):
             train_stage2(ds, softs[:-1], s1, Stage2Config(epochs=1, batch_size=16))
 
+    def test_fused_head_trains_the_per_expert_weights(self):
+        ds, softs = tiny_train_setup()
+        s1 = tiny_stage1_model()
+        cfg = Stage2Config(epochs=5, batch_size=16, seed=8)
+        assert len(ds) % cfg.batch_size, "the final batch must be ragged"
+        model, log = train_stage2(ds, softs, s1, cfg)
+        experts, ref_log = reference_train_stage2(ds, softs, s1, cfg)
+        np.testing.assert_allclose(model.head.weights[0],
+                                   np.concatenate([e.weights[0] for e in experts]),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(model.head.biases[0],
+                                   np.concatenate([e.biases[0] for e in experts]),
+                                   rtol=1e-12)
+        assert len(log) == len(ref_log) == cfg.epochs
+        for row, ref in zip(log, ref_log):
+            assert row.keys() == ref.keys() == {"epoch", "e1", "e2", "e3"}
+            for name in ("e1", "e2", "e3"):
+                assert row[name] == pytest.approx(ref[name], rel=1e-12)
+
     def test_batch_size_exceeds_dataset(self):
         ds, softs = tiny_train_setup()
         s1 = tiny_stage1_model()
@@ -263,14 +311,35 @@ class TestTrainStage2:
             train_stage2(ds, softs, s1, Stage2Config(epochs=1, batch_size=10_000))
 
 
-def heads_with_fixed_probs(prob_rows, repr_dim):
-    # zero-weight heads whose biases are log-probabilities: softmax(bias) = p
-    experts = []
-    for p in prob_rows:
-        k = len(p)
-        experts.append(Mlp([repr_dim, k], [np.zeros((k, repr_dim))],
-                           [np.log(np.asarray(p))]))
-    return experts
+def reference_train_stage2(ds, softs, s1, cfg):
+    """Stage 2 as three separate heads: per step, three forward passes, three
+    shifted soft-CE losses and three backward passes."""
+    rng = make_rng(cfg.seed)
+    experts = [init_mlp([s1.encoder.out_dim, ds.num_classes], rng) for _ in range(3)]
+    log_n = np.log(np.maximum(soft_class_counts(softs).counts, COUNT_FLOOR))
+    V, _ = forward_batch(s1.encoder, ds.X)
+    opt = SgdMomentum([p for e in experts for p in e.params()], lr=cfg.lr,
+                      momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+
+    def step(idx):
+        grads, losses = [], {}
+        for name, expert, power in zip(("e1", "e2", "e3"), experts, (0.0, 1.0, 2.0)):
+            logits, cache = forward_batch(expert, V[idx])
+            q = softmax_rows(logits + power * log_n)
+            losses[name] = float(np.mean(-np.sum(softs[idx] * np.log(q), axis=1)))
+            g_logits = (q - softs[idx]) / idx.size
+            grads.extend(backward_batch(expert, cache, g_logits)[0].params())
+        return grads, losses
+
+    log = sgd_epochs("reference", opt, len(ds), cfg.batch_size, cfg.epochs, rng, step)
+    return experts, log
+
+
+def head_with_fixed_probs(prob_rows, repr_dim):
+    # a zero-weight 3K head whose biases are log-probabilities: expert e's
+    # softmax(bias) = prob_rows[e]
+    p = np.concatenate([np.asarray(r, dtype=float) for r in prob_rows])
+    return Mlp([repr_dim, p.size], [np.zeros((p.size, repr_dim))], [np.log(p)])
 
 
 class TestEnsemblePredict:
@@ -280,15 +349,14 @@ class TestEnsemblePredict:
     def test_identical_heads_equal_member(self):
         d = 3
         backbone = self._identity_backbone(d)
-        experts = heads_with_fixed_probs([[0.6, 0.3, 0.1]] * 3, d)
-        model = EnsembleModel(backbone, experts)
+        model = EnsembleModel(backbone, head_with_fixed_probs([[0.6, 0.3, 0.1]] * 3, d))
         pred = ensemble_predict(model, np.zeros(d))
         np.testing.assert_allclose(pred.probs, [0.6, 0.3, 0.1], atol=1e-12)
 
     def test_probs_sum_to_one(self):
+        weights = np.concatenate([make_rng(i).normal(size=(3, 4)) for i in range(3)])
         model = EnsembleModel(self._identity_backbone(4),
-                              [Mlp([4, 3], [make_rng(i).normal(size=(3, 4))],
-                                   [np.zeros(3)]) for i in range(3)])
+                              Mlp([4, 9], [weights], [np.zeros(9)]))
         pred = ensemble_predict(model, np.array([0.5, -1.0, 2.0, 0.0]))
         assert abs(pred.probs.sum() - 1.0) < 1e-12
 
@@ -296,7 +364,7 @@ class TestEnsemblePredict:
         # two heads at [0.6, 0.4] vs one at [0.2, 0.8]: mean decides class 1
         d = 2
         model = EnsembleModel(self._identity_backbone(d),
-                              heads_with_fixed_probs(
+                              head_with_fixed_probs(
                                   [[0.6, 0.4], [0.6, 0.4], [0.2, 0.8]], d))
         pred = ensemble_predict(model, np.zeros(d))
         np.testing.assert_allclose(pred.probs, [0.4666666666666667, 0.5333333333333333],
@@ -306,7 +374,7 @@ class TestEnsemblePredict:
     def test_logit_mean_fusion(self):
         d = 2
         model = EnsembleModel(self._identity_backbone(d),
-                              heads_with_fixed_probs(
+                              head_with_fixed_probs(
                                   [[0.6, 0.4], [0.6, 0.4], [0.2, 0.8]], d))
         pred = ensemble_predict(model, np.zeros(d), fusion="logit_mean")
         mean_logits = np.mean([np.log([0.6, 0.4]), np.log([0.6, 0.4]),
@@ -315,9 +383,18 @@ class TestEnsemblePredict:
 
     def test_dim_mismatch(self):
         model = EnsembleModel(self._identity_backbone(3),
-                              heads_with_fixed_probs([[0.5, 0.5]] * 3, 3))
+                              head_with_fixed_probs([[0.5, 0.5]] * 3, 3))
         with pytest.raises(InvalidInputError):
             ensemble_predict(model, np.zeros(5))
+
+    def test_head_shape_rejected(self):
+        backbone = self._identity_backbone(3)
+        with pytest.raises(InvalidInputError, match="3K"):
+            EnsembleModel(backbone, Mlp([3, 4], [np.zeros((4, 3))], [np.zeros(4)]))
+        with pytest.raises(InvalidInputError, match="3K"):
+            EnsembleModel(backbone, init_mlp([3, 4, 6], make_rng(0)))
+        with pytest.raises(InvalidInputError, match="backbone"):
+            EnsembleModel(backbone, Mlp([2, 6], [np.zeros((6, 2))], [np.zeros(6)]))
 
 
 class TestSubgroups:
@@ -345,8 +422,8 @@ def balanced_test_ds(k, per_class, d, scale=10.0):
 class TestEvaluate:
     def _perfect_model(self, k):
         backbone = Mlp([k, k], [np.eye(k)], [np.zeros(k)])
-        experts = [Mlp([k, k], [np.eye(k)], [np.zeros(k)]) for _ in range(3)]
-        return EnsembleModel(backbone, experts)
+        head = Mlp([k, 3 * k], [np.tile(np.eye(k), (3, 1))], [np.zeros(3 * k)])
+        return EnsembleModel(backbone, head)
 
     def test_perfect_predictor_all_ones(self):
         k = 3
@@ -373,12 +450,30 @@ class TestEvaluate:
         backbone = Mlp([k, k], [np.eye(k)], [np.zeros(k)])
         bias = np.zeros(k)
         bias[0] = 10.0
-        experts = [Mlp([k, k], [np.zeros((k, k))], [bias.copy()]) for _ in range(3)]
-        model = EnsembleModel(backbone, experts)
+        head = Mlp([k, 3 * k], [np.zeros((3 * k, k))], [np.tile(bias, 3)])
+        model = EnsembleModel(backbone, head)
         test = balanced_test_ds(k, 10, k)
         counts = class_stats_from_counts(np.full(k, 100.0))
         report = evaluate(model, test, counts, SubgroupThresholds(100, 20))
         assert abs(report.overall_accuracy - 1 / k) < 1e-12
+
+    def test_experts_scored_separately(self):
+        # E1 is perfect, E2 always says class 0, E3 never picks the true class
+        k = 3
+        backbone = Mlp([k, k], [np.eye(k)], [np.zeros(k)])
+        head = Mlp([k, 3 * k], [np.vstack([np.eye(k), np.zeros((k, k)), -np.eye(k)])],
+                   [np.concatenate([np.zeros(k), [10.0, 0.0, 0.0], np.zeros(k)])])
+        test = balanced_test_ds(k, 4, k)
+        counts = class_stats_from_counts(np.array([5000.0, 60.0, 5.0]))
+        report = evaluate(EnsembleModel(backbone, head), test, counts,
+                          SubgroupThresholds(100, 20))
+        assert report.expert_overall == [1.0, 1 / 3, 0.0]
+        assert report.expert_subgroup == [{"many": 1.0, "medium": 1.0, "few": 1.0},
+                                          {"many": 1.0, "medium": 0.0, "few": 0.0},
+                                          {"many": 0.0, "medium": 0.0, "few": 0.0}]
+        # the mean of the three softmaxes favours class 0 unless E1 alone says otherwise
+        assert report.overall_accuracy == 1 / 3
+        assert report.subgroup_accuracy == {"many": 1.0, "medium": 0.0, "few": 0.0}
 
     def test_absent_training_class_rejected(self):
         k = 3
@@ -411,8 +506,42 @@ class TestCheckpoint:
         save_stage2_checkpoint(model, cfg, "stage1_checkpoint.json", path)
         back, back_cfg = load_stage2_checkpoint(path, model.backbone)
         assert back_cfg == cfg
-        for a, b in zip(model.experts[1].params(), back.experts[1].params()):
+        for a, b in zip(model.head.params(), back.head.params()):
             np.testing.assert_array_equal(a, b)
+
+    def test_file_stores_three_expert_heads(self, tmp_path):
+        ds, softs = tiny_train_setup()
+        s1 = tiny_stage1_model()
+        cfg = Stage2Config(epochs=1, batch_size=16, seed=9)
+        model, _ = train_stage2(ds, softs, s1, cfg)
+        path = tmp_path / "stage2.json"
+        save_stage2_checkpoint(model, cfg, "stage1_checkpoint.json", path)
+        state = json.loads(path.read_text())
+        k, repr_dim = ds.num_classes, s1.encoder.out_dim
+        assert [e["layer_dims"] for e in state["experts"]] == [[repr_dim, k]] * 3
+        for e, expert in enumerate(state["experts"]):
+            rows = slice(e * k, (e + 1) * k)
+            assert expert["weights"] == [model.head.weights[0][rows].ravel().tolist()]
+            assert expert["biases"] == [model.head.biases[0][rows].tolist()]
+
+    @pytest.mark.parametrize("experts", [
+        lambda ex: ex[:2],
+        lambda ex: [ex[0], ex[1], {**ex[2], "layer_dims": [ex[2]["layer_dims"][0], 2],
+                                   "weights": [ex[2]["weights"][0][:12]],
+                                   "biases": [ex[2]["biases"][0][:2]]}],
+    ], ids=["two_experts", "mixed_shapes"])
+    def test_expert_layout_rejected(self, tmp_path, experts):
+        ds, softs = tiny_train_setup()
+        s1 = tiny_stage1_model()
+        cfg = Stage2Config(epochs=1, batch_size=16, seed=9)
+        model, _ = train_stage2(ds, softs, s1, cfg)
+        path = tmp_path / "stage2.json"
+        save_stage2_checkpoint(model, cfg, "stage1_checkpoint.json", path)
+        state = json.loads(path.read_text())
+        state["experts"] = experts(state["experts"])
+        path.write_text(json.dumps(state))
+        with pytest.raises(ParseError, match="three one-layer heads of one shape"):
+            load_stage2_checkpoint(path, model.backbone)
 
     def test_backbone_hash_mismatch(self, tmp_path):
         ds, softs = tiny_train_setup()

@@ -308,6 +308,66 @@ class TestCliErrors:
         assert cfg.stage1.lr == 1 and cfg.refurbish.sigma == 1
 
 
+def _drop_experts(state):
+    del state["experts"]
+
+
+def _unknown_config_key(state):
+    state["config"]["momentun"] = 0.9
+
+
+def _truncated_weights(state):
+    state["experts"][1]["weights"][0] = state["experts"][1]["weights"][0][:-1]
+
+
+def _two_experts(state):
+    state["experts"] = state["experts"][:2]
+
+
+def _mixed_shapes(state):
+    expert = state["experts"][2]
+    expert["layer_dims"][1] -= 1
+    expert["weights"][0] = expert["weights"][0][:-expert["layer_dims"][0]]
+    expert["biases"][0] = expert["biases"][0][:-1]
+
+
+def _drop_stage1_config(state):
+    del state["config"]
+
+
+@pytest.fixture(scope="module")
+def pipeline_out(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ckpt")
+    cfg_path = write_tiny_config(root)
+    out = root / "out"
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return cfg_path, out
+
+
+class TestMalformedCheckpoints:
+    @pytest.mark.parametrize("command, name, corrupt", [
+        ("evaluate", "stage2_checkpoint.json", _drop_experts),
+        ("evaluate", "stage2_checkpoint.json", _unknown_config_key),
+        ("evaluate", "stage2_checkpoint.json", _truncated_weights),
+        ("evaluate", "stage2_checkpoint.json", _two_experts),
+        ("evaluate", "stage2_checkpoint.json", _mixed_shapes),
+        ("stage2", "stage1_checkpoint.json", _drop_stage1_config),
+    ], ids=lambda v: v.__name__.strip("_") if callable(v) else None)
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, pipeline_out,
+                                     command, name, corrupt):
+        cfg_path, src = pipeline_out
+        out = tmp_path / "ws"
+        out.mkdir()
+        for path in src.iterdir():
+            (out / path.name).write_bytes(path.read_bytes())
+        state = json.loads((out / name).read_text())
+        corrupt(state)
+        (out / name).write_text(json.dumps(state))
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
+
 class TestRefurbishMetrics:
     GROUPS = {"overall", "many", "medium", "few"}
 
