@@ -23,7 +23,6 @@ from .datagen import (
 from .ensemble import (
     EnsembleModel,
     EvalReport,
-    SoftClassStats,
     Stage2Config,
     SubgroupThresholds,
     e1_loss,

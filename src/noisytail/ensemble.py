@@ -43,30 +43,14 @@ from .stage1 import Prediction, Stage1Model
 COUNT_FLOOR = 1e-3  # applied to soft counts before ln(n)
 
 
-@dataclass
-class SoftClassStats:
-    """Class sizes accumulated from soft labels: n_k = sum_i y_i[k]."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = as_vec(self.counts, "counts")
-        if np.any(self.counts < 0):
-            raise InvalidInputError("soft counts must be nonnegative")
-
-    @property
-    def num_classes(self) -> int:
-        return self.counts.size
-
-
-def soft_class_counts(soft_labels: np.ndarray) -> SoftClassStats:
-    """Sum per-class probability mass over the rows of an (N, K) soft-label
+def soft_class_counts(soft_labels: np.ndarray) -> ClassStats:
+    """Class sizes n_k = sum_i y_i[k] over the rows of an (N, K) soft-label
     matrix; one-hot rows give hard counts."""
     Y = np.asarray(soft_labels, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[0] == 0:
         raise InvalidInputError(
             f"soft labels must be a non-empty (N, K) matrix, got shape {Y.shape}")
-    return SoftClassStats(Y.sum(axis=0))
+    return ClassStats(Y.sum(axis=0))
 
 
 @dataclass
@@ -132,7 +116,7 @@ def _expert_batch(logits: np.ndarray, Y: np.ndarray,
     return np.ascontiguousarray(losses.T).mean(axis=1), (q - Y[:, None]) / logits.shape[0]
 
 
-def _expert_one(logits, soft_label: SoftLabel, counts: Optional[SoftClassStats] = None,
+def _expert_one(logits, soft_label: SoftLabel, counts: Optional[ClassStats] = None,
                 power: float = 0.0) -> tuple[float, np.ndarray]:
     """`_expert_batch` on one row, with shift power * ln(counts)."""
     z = as_vec(logits, "logits")
@@ -155,13 +139,13 @@ def e1_loss(logits, soft_label: SoftLabel) -> tuple[float, np.ndarray]:
 
 
 def e2_loss(logits, soft_label: SoftLabel,
-            counts: SoftClassStats) -> tuple[float, np.ndarray]:
+            counts: ClassStats) -> tuple[float, np.ndarray]:
     """Balanced-softmax style: logits shifted by +ln(n_k) during the loss."""
     return _expert_one(logits, soft_label, counts, 1.0)
 
 
 def e3_loss(logits, soft_label: SoftLabel,
-            counts: SoftClassStats) -> tuple[float, np.ndarray]:
+            counts: ClassStats) -> tuple[float, np.ndarray]:
     """Tail-focused variant: shift +ln(n_k^2), twice the balanced shift."""
     return _expert_one(logits, soft_label, counts, 2.0)
 

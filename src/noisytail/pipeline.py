@@ -31,9 +31,8 @@ from .numerics import (
     init_mlp,
     make_rng,
     sgd_epochs,
-    softmax_rows,
 )
-from .refurbish import ClassStats, RefurbishConfig, class_stats_from_counts
+from .refurbish import ClassStats, RefurbishConfig
 from .stage1 import Stage1Config
 
 # artifact names within a workspace directory
@@ -200,6 +199,20 @@ def stage_seed(global_seed: int, stage: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _seeded(cfg: PipelineConfig, stage: str):
+    """The config section of `stage` ("stage1" or "stage2") under its derived seed."""
+    return dataclasses.replace(getattr(cfg, stage), seed=stage_seed(cfg.seed, stage))
+
+
+def _simulated_data(cfg: PipelineConfig) -> tuple[Dataset, Dataset, np.ndarray]:
+    """Train and test splits and the noise mask, drawn under the simulate seed."""
+    rng = make_rng(stage_seed(cfg.seed, "simulate"))
+    train, test = datagen.synth_split(cfg.longtail, cfg.mixture, rng,
+                                      cfg.test_per_class)
+    train, mask = datagen.apply_noise(train, cfg.noise, rng)
+    return train, test, mask
+
+
 # ---------------------------------------------------------------------------
 # Manifests and the workspace
 # ---------------------------------------------------------------------------
@@ -263,10 +276,7 @@ class Workspace:
 def run_simulate(cfg: PipelineConfig, ws: Workspace) -> dict:
     t0 = time.perf_counter()
     ws.out_dir.mkdir(parents=True, exist_ok=True)
-    rng = make_rng(stage_seed(cfg.seed, "simulate"))
-    train, test = datagen.synth_split(cfg.longtail, cfg.mixture, rng,
-                                      cfg.test_per_class)
-    train, mask = datagen.apply_noise(train, cfg.noise, rng)
+    train, test, mask = _simulated_data(cfg)
     datagen.save_dataset(train, ws.out_dir / TRAIN_FILE)
     datagen.save_dataset(test, ws.out_dir / TEST_FILE)
     datagen.save_noise_mask(mask, train.ids, ws.out_dir / MASK_FILE)
@@ -294,7 +304,7 @@ def _accuracy(prefix: str, predicted: np.ndarray, train: Dataset) -> dict:
 def run_stage1(cfg: PipelineConfig, ws: Workspace) -> dict:
     t0 = time.perf_counter()
     train = ws.dataset(TRAIN_FILE, cfg)
-    s1_cfg = dataclasses.replace(cfg.stage1, seed=stage_seed(cfg.seed, "stage1"))
+    s1_cfg = _seeded(cfg, "stage1")
     model, preds, log = stage1.train_stage1(train, s1_cfg)
     stage1.save_stage1_checkpoint(model, s1_cfg, ws.out_dir / STAGE1_CKPT)
     stage1.save_predictions(train.ids, preds, ws.out_dir / PREDICTIONS_FILE)
@@ -358,7 +368,7 @@ def run_stage2(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -> 
     else:
         softs = ws.get(REFURB_FILE, "refurbish", lambda p: refurbish.align_records(
             train, refurbish.load_records(p)).soft)
-    s2_cfg = dataclasses.replace(cfg.stage2, seed=stage_seed(cfg.seed, "stage2"))
+    s2_cfg = _seeded(cfg, "stage2")
     model, log = ensemble.train_stage2(train, softs, s1_model, s2_cfg)
     ckpt_name = _variant_name(STAGE2_CKPT, no_relabel)
     log_name = _variant_name(STAGE2_LOG, no_relabel)
@@ -378,8 +388,7 @@ def train_counts_for_eval(train: Dataset) -> ClassStats:
     """Class sizes that define the shot subgroups: the clean per-class
     sizes when true labels are available, observed counts otherwise."""
     labels = train.true if train.true is not None else train.observed
-    counts = np.bincount(labels, minlength=train.num_classes).astype(float)
-    return class_stats_from_counts(counts)
+    return ClassStats(np.bincount(labels, minlength=train.num_classes).astype(float))
 
 
 def run_evaluate(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -> dict:
@@ -444,19 +453,14 @@ class PipelineResult:
 def run_in_memory(cfg: PipelineConfig, no_relabel: bool = False) -> PipelineResult:
     """The full chain without touching disk; identical seeding to the
     file-based commands."""
-    rng = make_rng(stage_seed(cfg.seed, "simulate"))
-    train, test = datagen.synth_split(cfg.longtail, cfg.mixture, rng,
-                                      cfg.test_per_class)
-    train, mask = datagen.apply_noise(train, cfg.noise, rng)
-
-    s1_cfg = dataclasses.replace(cfg.stage1, seed=stage_seed(cfg.seed, "stage1"))
-    s1_model, preds, s1_log = stage1.train_stage1(train, s1_cfg)
+    train, test, mask = _simulated_data(cfg)
+    s1_model, preds, s1_log = stage1.train_stage1(train, _seeded(cfg, "stage1"))
 
     soft, records = refurbish.refurbish_dataset(train, preds, cfg.refurbish)
     if no_relabel:
         soft = np.eye(train.num_classes)[train.observed]
 
-    s2_cfg = dataclasses.replace(cfg.stage2, seed=stage_seed(cfg.seed, "stage2"))
+    s2_cfg = _seeded(cfg, "stage2")
     s2_model, _ = ensemble.train_stage2(train, soft, s1_model, s2_cfg)
     report = ensemble.evaluate(s2_model, test, train_counts_for_eval(train),
                                cfg.thresholds, fusion=s2_cfg.fusion)
@@ -473,7 +477,8 @@ def run_in_memory(cfg: PipelineConfig, no_relabel: bool = False) -> PipelineResu
 
 def train_ce_baseline(train: Dataset, cfg: Stage1Config, seed: int):
     """Supervised end-to-end baseline: the same encoder architecture plus a
-    linear head, trained with plain cross-entropy on observed labels."""
+    linear head, trained with plain cross-entropy on observed labels.  A
+    non-finite loss raises NumericError naming the epoch and step."""
     rng = make_rng(seed)
     k = train.num_classes
     encoder = init_mlp([train.feature_dim, cfg.encoder_hidden, cfg.repr_dim],
@@ -486,9 +491,10 @@ def train_ce_baseline(train: Dataset, cfg: Stage1Config, seed: int):
     def step(idx):
         v, enc_cache = forward_batch(encoder, train.X[idx])
         logits, head_cache = forward_batch(head, v)
-        g_logits = (softmax_rows(logits) - Y[idx]) / len(idx)
+        loss, g_logits = stage1._banc_batch(logits, Y[idx], 0.0)  # c = 0: plain CE
         g_head, g_v = backward_batch(head, head_cache, g_logits)
-        return backward_batch(encoder, enc_cache, g_v)[0].params() + g_head.params(), {}
+        g_encoder = backward_batch(encoder, enc_cache, g_v)[0]
+        return g_encoder.params() + g_head.params(), {"ce": loss}
 
     sgd_epochs("CE baseline", opt, len(train), cfg.batch_size, cfg.epochs, rng, step)
     return encoder, head

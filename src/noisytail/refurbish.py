@@ -23,31 +23,24 @@ from .stage1 import Prediction, Predictions
 
 @dataclass
 class ClassStats:
-    """Per-class sample counts with their proportions of the corpus."""
+    """Per-class sample counts: hard (a bincount of labels) or soft (the
+    summed mass of soft labels).  The counts are checked once, nonnegative
+    with a positive total; `proportions` and `num_classes` derive from them."""
 
     counts: np.ndarray
-    total: float
-    proportions: np.ndarray
 
     def __post_init__(self):
         self.counts = as_vec(self.counts, "counts")
-        self.proportions = as_vec(self.proportions, "proportions")
-        if np.any(self.counts < 0):
-            raise InvalidInputError("counts must be nonnegative")
-        if abs(self.counts.sum() - self.total) > 1e-6:
-            raise InvalidInputError("counts must sum to the total")
+        if np.any(self.counts < 0) or not self.counts.sum() > 0:
+            raise InvalidInputError("counts must be nonnegative with a positive total")
+
+    @property
+    def proportions(self) -> np.ndarray:
+        return self.counts / self.counts.sum()
 
     @property
     def num_classes(self) -> int:
         return self.counts.size
-
-
-def class_stats_from_counts(counts) -> ClassStats:
-    counts = as_vec(counts, "counts")
-    total = float(counts.sum())
-    if total <= 0:
-        raise InvalidInputError("counts must have positive total")
-    return ClassStats(counts, total, counts / total)
 
 
 @dataclass
@@ -112,8 +105,7 @@ class RefurbishRecords:
 
 def class_proportions(ds: Dataset) -> ClassStats:
     """Hard occurrence counts of observed labels and their proportions."""
-    counts = np.bincount(ds.observed, minlength=ds.num_classes).astype(float)
-    return class_stats_from_counts(counts)
+    return ClassStats(np.bincount(ds.observed, minlength=ds.num_classes).astype(float))
 
 
 def rarity(h: float, sigma: float) -> float:

@@ -12,7 +12,7 @@ cross-entropy (`banc_loss`), so labels never influence the representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from typing import Optional
 
 import numpy as np
@@ -102,30 +102,31 @@ class Prediction:
 
 @dataclass
 class Predictions:
-    """Classifier outputs for N samples: (N, K) `logits`, their row-wise
-    softmax `probs`, and `predicted`, the row argmax (lowest index on ties)."""
+    """Classifier outputs for N samples, built from the (N, K) `logits`
+    alone: their row-wise softmax `probs` and `predicted`, the row argmax
+    (lowest index on ties), are computed once, at construction."""
 
     logits: np.ndarray
-    probs: np.ndarray
-    predicted: np.ndarray
+    probs: np.ndarray = field(init=False)
+    predicted: np.ndarray = field(init=False)
 
-    @classmethod
-    def from_logits(cls, logits: np.ndarray) -> "Predictions":
-        logits = np.asarray(logits, dtype=np.float64)
-        return cls(logits, softmax_rows(logits), np.argmax(logits, axis=1))
+    def __post_init__(self):
+        self.logits = np.asarray(self.logits, dtype=np.float64)
+        self.probs = softmax_rows(self.logits)
+        self.predicted = np.argmax(self.logits, axis=1)
 
     def __len__(self) -> int:
-        return len(self.predicted)
+        return len(self.logits)
 
     def __getitem__(self, i: int) -> Prediction:
         return Prediction(self.logits[i], self.probs[i], int(self.predicted[i]))
 
     def take(self, idx) -> "Predictions":
-        return Predictions(self.logits[idx], self.probs[idx], self.predicted[idx])
+        return Predictions(self.logits[idx])
 
 
 def prediction_from_logits(logits: np.ndarray) -> Prediction:
-    return Predictions.from_logits(as_vec(logits, "logits")[None, :])[0]
+    return Predictions(as_vec(logits, "logits")[None, :])[0]
 
 
 @dataclass
@@ -473,7 +474,7 @@ def predict(model: Stage1Model, features: np.ndarray) -> Prediction:
 
 
 def predict_all(model: Stage1Model, ds: Dataset) -> Predictions:
-    return Predictions.from_logits(predict_batch(model, ds.X))
+    return Predictions(predict_batch(model, ds.X))
 
 
 def train_stage1(ds: Dataset, cfg: Stage1Config
@@ -538,16 +539,16 @@ def load_stage1_checkpoint(path) -> tuple[Stage1Model, Stage1Config]:
 
 
 def save_predictions(ids: np.ndarray, preds: Predictions, path) -> None:
-    jsonl.write_rows(path, ("id", "logits", "probs", "predicted_class"),
-                     [np.asarray(ids), preds.logits, preds.probs, preds.predicted])
+    """One `{"id", "logits"}` row per sample; the rest derives from the logits."""
+    jsonl.write_rows(path, ("id", "logits"), [np.asarray(ids), preds.logits])
 
 
 def load_predictions(path) -> tuple[np.ndarray, Predictions]:
-    """Sample ids and predictions in file order."""
-    cols, _ = jsonl.read_columns(
-        path, "prediction", {"id": int, "predicted_class": int}, ("logits", "probs"))
-    return cols["id"], Predictions(cols["logits"], cols["probs"],
-                                   cols["predicted_class"])
+    """Sample ids and predictions in file order.  Only `id` and `logits`
+    are read: the `probs` and `predicted_class` of older files are
+    ignored, so no file can contradict its own logits."""
+    cols, _ = jsonl.read_columns(path, "prediction", {"id": int}, ("logits",))
+    return cols["id"], Predictions(cols["logits"])
 
 
 def align_predictions(ds: Dataset, ids: np.ndarray, preds: Predictions

@@ -2,13 +2,17 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the lines as they
 complete.  Criteria 7 and 8 share a 3-seed benchmark battery (the default
-desk-scale profile) computed once per session.
+desk-scale profile) computed once per test run.  A last test checks the
+README's file-format table against the JSONL artifacts of criterion 9's
+configuration.
 """
 
 import json
 import math
+import re
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,6 @@ import pytest
 from noisytail import datagen, pipeline
 from noisytail.datagen import LongTailSpec, MixtureSpec, longtail_counts, synth_dataset
 from noisytail.ensemble import (
-    SoftClassStats,
     e1_loss,
     e2_loss,
     e3_loss,
@@ -30,9 +33,9 @@ from noisytail.numerics import (
 )
 from noisytail.pipeline import default_config, file_sha256, run_in_memory, stage_seed
 from noisytail.refurbish import (
+    ClassStats,
     RefurbishConfig,
     SoftLabel,
-    class_stats_from_counts,
     rarity,
     refurbish_one,
 )
@@ -108,7 +111,7 @@ def test_criterion_1_gradient_suite():
             k = int(rng.integers(2, 6))
             z = rng.normal(size=k) * 2
             y = SoftLabel(softmax(rng.normal(size=k)))
-            counts = SoftClassStats(rng.uniform(0.5, 50, size=k))
+            counts = ClassStats(rng.uniform(0.5, 50, size=k))
             for name, fn in (("e1", lambda v: e1_loss(v, y)),
                              ("e2", lambda v: e2_loss(v, y, counts)),
                              ("e3", lambda v: e3_loss(v, y, counts))):
@@ -138,7 +141,7 @@ def test_criterion_2_reductions():
 
             z = rng.normal(size=k) * 2
             sl = SoftLabel(softmax(rng.normal(size=k)))
-            uniform = SoftClassStats(np.full(k, float(rng.uniform(0.5, 20))))
+            uniform = ClassStats(np.full(k, float(rng.uniform(0.5, 20))))
             l1, _ = e1_loss(z, sl)
             l2, _ = e2_loss(z, sl, uniform)
             l3, _ = e3_loss(z, sl, uniform)
@@ -162,7 +165,7 @@ def test_criterion_3_refurbishment_exactness():
         oracle = s / s.sum()
 
         counts = np.array([h, (1 - h) / 2, (1 - h) / 2]) * 10000
-        stats = class_stats_from_counts(np.array([counts[1], counts[0], counts[2]]))
+        stats = ClassStats(np.array([counts[1], counts[0], counts[2]]))
         pred = Prediction(np.log(probs), probs, 0)
         rec = refurbish_one(pred, 1, stats, RefurbishConfig(sigma))
         assert np.max(np.abs(rec.soft_label.weights - oracle)) < 1e-5
@@ -181,7 +184,7 @@ def test_criterion_3_refurbishment_exactness():
         for _ in range(300):
             k = int(rng.integers(2, 7))
             pv = softmax(rng.normal(size=k) * 3)
-            st = class_stats_from_counts(rng.uniform(0.5, 50, size=k))
+            st = ClassStats(rng.uniform(0.5, 50, size=k))
             r = refurbish_one(Prediction(np.log(pv + 1e-300), pv,
                                          int(np.argmax(pv))),
                               int(rng.integers(0, k)), st, RefurbishConfig(0.2))
@@ -321,20 +324,22 @@ def test_criterion_8_expert_specialization(benchmark_rows):
 # Criterion 9: determinism of command re-runs
 # ---------------------------------------------------------------------------
 
+CRITERION_9_CONFIG = {
+    "seed": 17,
+    "longtail": {"num_classes": 4, "head_count": 40, "imbalance_ratio": 4.0},
+    "mixture": {"feature_dim": 5},
+    "stage1": {"epochs": 3, "batch_size": 16, "queue_capacity": 32,
+               "encoder_hidden": 8, "repr_dim": 6, "proj_hidden": 8,
+               "embed_dim": 6},
+    "stage2": {"epochs": 3, "batch_size": 32},
+    "thresholds": {"many_min": 30, "few_max": 15},
+    "test_per_class": 5,
+}
+
+
 def test_criterion_9_determinism(tmp_path):
     with criterion(9, "determinism"):
-        cfg = pipeline.config_from_dict({
-            "seed": 17,
-            "longtail": {"num_classes": 4, "head_count": 40,
-                         "imbalance_ratio": 4.0},
-            "mixture": {"feature_dim": 5},
-            "stage1": {"epochs": 3, "batch_size": 16, "queue_capacity": 32,
-                       "encoder_hidden": 8, "repr_dim": 6, "proj_hidden": 8,
-                       "embed_dim": 6},
-            "stage2": {"epochs": 3, "batch_size": 32},
-            "thresholds": {"many_min": 30, "few_max": 15},
-            "test_per_class": 5,
-        })
+        cfg = pipeline.config_from_dict(CRITERION_9_CONFIG)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         pipeline.run_pipeline(cfg, out1)
         pipeline.run_pipeline(cfg, out2)
@@ -351,3 +356,32 @@ def test_criterion_9_determinism(tmp_path):
             m2 = json.loads((out2 / f"manifest_{cmd}.json").read_text())
             m1.pop("wall_time_s"), m2.pop("wall_time_s")
             assert m1 == m2, cmd
+
+
+# ---------------------------------------------------------------------------
+# The README's file formats against the artifacts
+# ---------------------------------------------------------------------------
+
+def readme_file_formats() -> dict:
+    """JSONL file name -> (required keys, optional keys), read from the
+    README's "File formats" table, where `?` marks an optional key."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for files, record in re.findall(r"^\| (.+?) \| `\{(.*)\}` \|$", section, re.M):
+        keys = re.findall(r'"(\w+)"(\??)', record)
+        for name in re.findall(r"`([\w.]+\.jsonl)`", files):
+            table[name] = ({k for k, opt in keys if not opt}, {k for k, opt in keys if opt})
+    return table
+
+
+def test_file_formats_table_matches_artifacts(tmp_path):
+    table = readme_file_formats()
+    pipeline.run_pipeline(pipeline.config_from_dict(CRITERION_9_CONFIG), tmp_path)
+    written = sorted(p.name for p in tmp_path.glob("*.jsonl"))
+    assert written == sorted(table)
+    for name in written:
+        with open(tmp_path / name, encoding="utf-8") as fh:
+            keys = set(json.loads(fh.readline()))
+        required, optional = table[name]
+        assert required <= keys <= required | optional, (name, sorted(keys))

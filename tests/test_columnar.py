@@ -77,7 +77,7 @@ class TestBatchedRefurbishment:
     def test_equals_per_row_formula_bitwise(self, n, k, seed, sigma, scale):
         rng = make_rng(seed)
         ds = random_dataset(rng, n, k)
-        preds = Predictions.from_logits(rng.normal(size=(n, k)) * scale)
+        preds = Predictions(rng.normal(size=(n, k)) * scale)
         soft, records = refurbish_dataset(ds, preds, RefurbishConfig(sigma))
         h = class_proportions(ds).proportions
         for i in range(n):
@@ -94,7 +94,7 @@ class TestBatchedRefurbishment:
     def test_probs_must_be_probability_rows(self):
         rng = make_rng(1)
         ds = random_dataset(rng, 4, 3)
-        preds = Predictions.from_logits(rng.normal(size=(4, 3)))
+        preds = Predictions(rng.normal(size=(4, 3)))
         preds.probs[2] *= 2.0
         with pytest.raises(InvalidInputError, match="row 2"):
             refurbish_dataset(ds, preds, RefurbishConfig())
@@ -171,17 +171,15 @@ def dataset_case(n, seed, with_true=True):
 def predictions_case(n, seed):
     rng = make_rng(seed)
     ids = rng.permutation(n)
-    preds = Predictions.from_logits(rng.normal(size=(n, 5)) * 4)
-    refs = [{"id": int(ids[i]), "logits": preds.logits[i].tolist(),
-             "probs": preds.probs[i].tolist(),
-             "predicted_class": int(preds.predicted[i])} for i in range(n)]
+    preds = Predictions(rng.normal(size=(n, 5)) * 4)
+    refs = [{"id": int(ids[i]), "logits": preds.logits[i].tolist()} for i in range(n)]
     return (lambda path: save_predictions(ids, preds, path)), refs
 
 
 def records_case(n, seed):
     rng = make_rng(seed)
     ds = random_dataset(rng, n, 6)
-    preds = Predictions.from_logits(rng.normal(size=(n, 6)))
+    preds = Predictions(rng.normal(size=(n, 6)))
     _, records = refurbish_dataset(ds, preds, RefurbishConfig())
     refs = [{"id": r.id, "soft_label": r.soft_label.weights.tolist(),
              "changed": r.changed, "rho": r.rho, "gamma": r.gamma,
@@ -255,7 +253,7 @@ class TestWriters:
         monkeypatch.setattr(jsonl, "usable_cpus", lambda: 2)
         n = 4 * jsonl.MIN_SHARD_ROWS
         for value in (np.nan, np.inf, -np.inf):
-            preds = Predictions.from_logits(np.zeros((n, 3)))
+            preds = Predictions(np.zeros((n, 3)))
             preds.logits[n - 10, 2] = value
             path = tmp_path / "p.jsonl"
             with pytest.raises(ValueError, match=f"logits at row {n - 10} is not finite"):
@@ -348,6 +346,8 @@ def sample(i, feats=(0.5, 1.5), obs=0, true=0):
 
 
 def prediction(i, logits=(0.0, 1.0), probs=None, cls=1):
+    """A prediction line as earlier versions wrote it, with `probs` and
+    `predicted_class` beside the logits."""
     probs = probs if probs is not None else list(
         np.exp(logits) / np.exp(logits).sum())
     return json.dumps({"id": i, "logits": list(logits), "probs": list(probs),
@@ -426,7 +426,7 @@ class TestEmbeddingImport:
 class TestPredictionLoader:
     def test_roundtrip_exact(self, tmp_path):
         rng = make_rng(6)
-        preds = Predictions.from_logits(rng.normal(size=(50, 4)) * 3)
+        preds = Predictions(rng.normal(size=(50, 4)) * 3)
         ids = rng.permutation(50)
         save_predictions(ids, preds, tmp_path / "p.jsonl")
         got_ids, got = load_predictions(tmp_path / "p.jsonl")
@@ -438,7 +438,7 @@ class TestPredictionLoader:
     def test_alignment_follows_ids_not_file_order(self, tmp_path):
         rng = make_rng(7)
         ds = random_dataset(rng, 60, 4)
-        preds = Predictions.from_logits(rng.normal(size=(60, 4)))
+        preds = Predictions(rng.normal(size=(60, 4)))
         order = rng.permutation(60)
         save_predictions(ds.ids[order], preds.take(order), tmp_path / "p.jsonl")
         ids, loaded = load_predictions(tmp_path / "p.jsonl")
@@ -460,7 +460,7 @@ class TestPredictionLoader:
         rng = make_rng(8)
         ds = random_dataset(rng, 10, 3)
         ids = edit(ds.ids.copy())
-        preds = Predictions.from_logits(rng.normal(size=(len(ids), 3)))
+        preds = Predictions(rng.normal(size=(len(ids), 3)))
         with pytest.raises(InvalidInputError, match=match):
             align_predictions(ds, ids, preds)
 
@@ -478,7 +478,7 @@ class TestPredictionLoader:
         with pytest.raises(ParseError, match="line 2"):
             load_predictions(path)
 
-    @pytest.mark.parametrize("key", ["id", "logits", "probs", "predicted_class"])
+    @pytest.mark.parametrize("key", ["id", "logits"])
     def test_missing_key_names_line(self, tmp_path, key):
         rec = json.loads(prediction(1))
         del rec[key]
@@ -486,6 +486,42 @@ class TestPredictionLoader:
         write_lines(path, [prediction(0), json.dumps(rec)])
         with pytest.raises(ParseError, match="line 2"):
             load_predictions(path)
+
+    @pytest.mark.parametrize("key", ["probs", "predicted_class"])
+    def test_loads_without_key(self, tmp_path, key):
+        rec = json.loads(prediction(1, logits=(2.0, -1.0)))
+        del rec[key]
+        path = tmp_path / "p.jsonl"
+        write_lines(path, [prediction(0), json.dumps(rec)])
+        ids, got = load_predictions(path)
+        assert ids.tolist() == [0, 1]
+        assert got.predicted.tolist() == [1, 0]
+
+    def test_older_rows_load_from_their_logits_alone(self, tmp_path):
+        """`probs` and `predicted_class` in a file are ignored, also where
+        they disagree with the logits."""
+        rng = make_rng(9)
+        logits = rng.normal(size=(6, 4)) * 3
+        preds = Predictions(logits)
+        lines = [prediction(i, logits[i].tolist(), preds.probs[i].tolist(),
+                            int(preds.predicted[i])) for i in range(5)]
+        lines.append(prediction(5, logits[5].tolist(), [1.0, 0.0, 0.0, 0.0],
+                                (int(preds.predicted[5]) + 1) % 4))
+        path = tmp_path / "p.jsonl"
+        write_lines(path, lines)
+        _, got = load_predictions(path)
+        for a, b in ((preds.logits, got.logits), (preds.probs, got.probs),
+                     (preds.predicted, got.predicted)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_take_equals_row_slicing(self):
+        rng = make_rng(10)
+        preds = Predictions(rng.normal(size=(80, 7)) * 5)
+        for idx in (rng.permutation(80), rng.permutation(80)[:33], slice(5, 40)):
+            got = preds.take(idx)
+            assert got.logits.tobytes() == preds.logits[idx].tobytes()
+            assert got.probs.tobytes() == preds.probs[idx].tobytes()
+            assert got.predicted.tobytes() == preds.predicted[idx].tobytes()
 
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "p.jsonl"

@@ -9,7 +9,6 @@ from noisytail.ensemble import (
     COUNT_FLOOR,
     EnsembleModel,
     _expert_batch,
-    SoftClassStats,
     Stage2Config,
     SubgroupThresholds,
     backbone_hash,
@@ -44,7 +43,7 @@ from noisytail.numerics import (
     softmax,
     softmax_rows,
 )
-from noisytail.refurbish import SoftLabel, class_stats_from_counts
+from noisytail.refurbish import ClassStats, SoftLabel
 from noisytail.stage1 import Stage1Config, build_stage1_model
 
 
@@ -108,14 +107,14 @@ class TestExpertLosses:
             np.testing.assert_allclose(grad, np.zeros(4), atol=1e-12)
 
     def test_e2_closed_forms(self):
-        counts = SoftClassStats(np.array([3.0, 1.0]))
+        counts = ClassStats(np.array([3.0, 1.0]))
         loss_a, _ = e2_loss(np.zeros(2), soft([1.0, 0.0]), counts)
         assert abs(loss_a - (-math.log(3 / 4))) < 1e-12
         loss_b, _ = e2_loss(np.zeros(2), soft([0.0, 1.0]), counts)
         assert abs(loss_b - (-math.log(1 / 4))) < 1e-12
 
     def test_e3_closed_forms(self):
-        counts = SoftClassStats(np.array([3.0, 1.0]))
+        counts = ClassStats(np.array([3.0, 1.0]))
         loss_a, _ = e3_loss(np.zeros(2), soft([1.0, 0.0]), counts)
         assert abs(loss_a - (-math.log(9 / 10))) < 1e-12
         loss_b, _ = e3_loss(np.zeros(2), soft([0.0, 1.0]), counts)
@@ -129,7 +128,7 @@ class TestExpertLosses:
             k = int(rng.integers(2, 6))
             z = rng.normal(size=k) * 2
             y = SoftLabel(softmax(rng.normal(size=k)))
-            counts = SoftClassStats(np.full(k, float(rng.uniform(0.5, 20))))
+            counts = ClassStats(np.full(k, float(rng.uniform(0.5, 20))))
             l1, g1 = e1_loss(z, y)
             l2, g2 = e2_loss(z, y, counts)
             l3, g3 = e3_loss(z, y, counts)
@@ -147,7 +146,7 @@ class TestExpertLosses:
             y = np.full(k, 0.02 / (k - 1))
             y[rare] = 0.98
             z = rng.normal(size=k)
-            stats = SoftClassStats(counts)
+            stats = ClassStats(counts)
             l1, _ = e1_loss(z, SoftLabel(y))
             l2, _ = e2_loss(z, SoftLabel(y), stats)
             l3, _ = e3_loss(z, SoftLabel(y), stats)
@@ -161,7 +160,7 @@ class TestExpertLosses:
             k = int(rng.integers(2, 6))
             z = rng.normal(size=k) * 2
             y = SoftLabel(softmax(rng.normal(size=k)))
-            counts = SoftClassStats(rng.uniform(0.5, 50, size=k))
+            counts = ClassStats(rng.uniform(0.5, 50, size=k))
             for fn in (lambda v: e1_loss(v, y),
                        lambda v: e2_loss(v, y, counts),
                        lambda v: e3_loss(v, y, counts)):
@@ -172,7 +171,7 @@ class TestExpertLosses:
         assert worst < 1e-4, f"max relative error {worst}"
 
     def test_zero_count_degenerate(self):
-        counts = SoftClassStats(np.array([1.0, 0.0]))
+        counts = ClassStats(np.array([1.0, 0.0]))
         with pytest.raises(DegenerateCountError):
             e2_loss(np.zeros(2), soft([1.0, 0.0]), counts)
         with pytest.raises(DegenerateCountError):
@@ -221,7 +220,7 @@ class TestExpertBatchGradient:
         k = 4
         z = rng.normal(size=(1, 3, k))
         y = SoftLabel(softmax(rng.normal(size=k)))
-        counts = SoftClassStats(rng.uniform(0.5, 50, size=k))
+        counts = ClassStats(rng.uniform(0.5, 50, size=k))
         shifts = np.array([0.0, 1.0, 2.0])[:, None] * np.log(counts.counts)
         losses, grad = _expert_batch(z, y.weights[None, :], shifts)
         for e, (l1, g1) in enumerate((e1_loss(z[0, 0], y), e2_loss(z[0, 1], y, counts),
@@ -429,7 +428,7 @@ class TestEvaluate:
         k = 3
         model = self._perfect_model(k)
         test = balanced_test_ds(k, 5, k)
-        counts = class_stats_from_counts(np.array([5000.0, 60.0, 5.0]))
+        counts = ClassStats(np.array([5000.0, 60.0, 5.0]))
         report = evaluate(model, test, counts, SubgroupThresholds(100, 20))
         assert report.overall_accuracy == 1.0
         assert report.subgroup_accuracy == {"many": 1.0, "medium": 1.0, "few": 1.0}
@@ -441,7 +440,7 @@ class TestEvaluate:
         k = 3
         model = self._perfect_model(k)
         test = balanced_test_ds(k, 7, k)
-        counts = class_stats_from_counts(np.array([5000.0, 60.0, 5.0]))
+        counts = ClassStats(np.array([5000.0, 60.0, 5.0]))
         report = evaluate(model, test, counts, SubgroupThresholds(100, 20))
         assert sum(report.subgroup_counts.values()) == len(test)
 
@@ -453,7 +452,7 @@ class TestEvaluate:
         head = Mlp([k, 3 * k], [np.zeros((3 * k, k))], [np.tile(bias, 3)])
         model = EnsembleModel(backbone, head)
         test = balanced_test_ds(k, 10, k)
-        counts = class_stats_from_counts(np.full(k, 100.0))
+        counts = ClassStats(np.full(k, 100.0))
         report = evaluate(model, test, counts, SubgroupThresholds(100, 20))
         assert abs(report.overall_accuracy - 1 / k) < 1e-12
 
@@ -464,7 +463,7 @@ class TestEvaluate:
         head = Mlp([k, 3 * k], [np.vstack([np.eye(k), np.zeros((k, k)), -np.eye(k)])],
                    [np.concatenate([np.zeros(k), [10.0, 0.0, 0.0], np.zeros(k)])])
         test = balanced_test_ds(k, 4, k)
-        counts = class_stats_from_counts(np.array([5000.0, 60.0, 5.0]))
+        counts = ClassStats(np.array([5000.0, 60.0, 5.0]))
         report = evaluate(EnsembleModel(backbone, head), test, counts,
                           SubgroupThresholds(100, 20))
         assert report.expert_overall == [1.0, 1 / 3, 0.0]
@@ -479,7 +478,7 @@ class TestEvaluate:
         k = 3
         model = self._perfect_model(k)
         test = balanced_test_ds(k, 2, k)
-        counts = class_stats_from_counts(np.array([10.0, 10.0, 0.0]))
+        counts = ClassStats(np.array([10.0, 10.0, 0.0]))
         with pytest.raises(InvalidInputError):
             evaluate(model, test, counts, SubgroupThresholds(100, 20))
 
@@ -487,7 +486,7 @@ class TestEvaluate:
         k = 3
         model = self._perfect_model(k)
         test = balanced_test_ds(k, 4, k)
-        counts = class_stats_from_counts(np.array([5000.0, 60.0, 5.0]))
+        counts = ClassStats(np.array([5000.0, 60.0, 5.0]))
         report = evaluate(model, test, counts, SubgroupThresholds(100, 20))
         csv = report_csv(report)
         lines = csv.strip().split("\n")

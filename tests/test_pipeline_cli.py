@@ -7,7 +7,8 @@ import pytest
 
 from noisytail import datagen, ensemble, pipeline, refurbish, stage1
 from noisytail.cli import main
-from noisytail.errors import InvalidSpecError
+from noisytail.errors import InvalidSpecError, NumericError
+from noisytail.numerics import make_rng
 from noisytail.pipeline import (
     SweepSpec,
     config_from_dict,
@@ -501,11 +502,19 @@ class TestBaseline:
                                 "noise": {"kind": "symmetric", "rate": 0.0},
                                 "mixture": {"feature_dim": 6,
                                             "within_class_stddev": 0.2}})
-        from noisytail import datagen
-        from noisytail.numerics import make_rng
         rng = make_rng(stage_seed(cfg.seed, "simulate"))
         train, test = datagen.synth_split(cfg.longtail, cfg.mixture, rng,
                                           cfg.test_per_class)
         s1 = dataclasses.replace(cfg.stage1, epochs=30)
         acc = pipeline.ce_baseline_accuracy(train, test, s1, seed=5)
         assert acc > 0.9
+
+    def test_ce_baseline_divergence_raises_naming_step(self):
+        cfg = config_from_dict(TINY_CONFIG)
+        rng = make_rng(stage_seed(cfg.seed, "simulate"))
+        train, _ = datagen.synth_split(cfg.longtail, cfg.mixture, rng,
+                                       cfg.test_per_class)
+        s1 = dataclasses.replace(cfg.stage1, lr=1e6, epochs=3)
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericError, match=r"CE baseline diverged: .* at epoch \d+, step \d+"):
+            pipeline.train_ce_baseline(train, s1, seed=5)

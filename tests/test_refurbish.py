@@ -8,11 +8,11 @@ from noisytail.datagen import Dataset
 from noisytail.errors import InvalidInputError, InvalidSpecError
 from noisytail.numerics import make_rng, softmax
 from noisytail.refurbish import (
+    ClassStats,
     RefurbishConfig,
     SoftLabel,
     align_records,
     class_proportions,
-    class_stats_from_counts,
     load_records,
     rarity,
     refurbish_dataset,
@@ -36,9 +36,7 @@ def pred_from_probs(probs):
 
 def stack(preds):
     """Per-row Predictions as one columnar Predictions."""
-    return Predictions(np.stack([p.logits for p in preds]),
-                       np.stack([p.probs for p in preds]),
-                       np.array([p.predicted_class for p in preds]))
+    return Predictions(np.stack([p.logits for p in preds]))
 
 
 class TestClassProportions:
@@ -54,6 +52,11 @@ class TestClassProportions:
     def test_balanced(self):
         stats = class_proportions(make_ds([0, 1, 2, 3] * 100, k=4))
         np.testing.assert_allclose(stats.proportions, [0.25] * 4, atol=1e-15)
+
+    @pytest.mark.parametrize("counts", [[2.0, -1.0], [0.0, 0.0], [1.0, np.nan]])
+    def test_bad_counts_rejected(self, counts):
+        with pytest.raises(InvalidInputError):
+            ClassStats(counts)
 
 
 class TestRarity:
@@ -105,7 +108,7 @@ class TestRefurbishOne:
         rest = (10000 - n1) / (k - 1)
         counts = np.full(k, rest)
         counts[1] = n1
-        return class_stats_from_counts(counts)
+        return ClassStats(counts)
 
     def test_worked_example_exact(self):
         probs, gamma, rho, w, expected = self.worked_example()
@@ -143,7 +146,7 @@ class TestRefurbishOne:
             k = int(rng.integers(2, 7))
             probs = softmax(rng.normal(size=k) * 2)
             observed = int(rng.integers(0, k))
-            stats = class_stats_from_counts(rng.uniform(1, 100, size=k))
+            stats = ClassStats(rng.uniform(1, 100, size=k))
             rec = refurbish_one(pred_from_probs(probs), observed, stats,
                                 RefurbishConfig(0.2))
             s = probs.copy()
@@ -171,7 +174,7 @@ class TestRefurbishOne:
         observed = observed % k
         rng = make_rng(seed)
         probs = softmax(rng.normal(size=k) * 3)
-        stats = class_stats_from_counts(rng.uniform(0.5, 50, size=k))
+        stats = ClassStats(rng.uniform(0.5, 50, size=k))
         rec = refurbish_one(pred_from_probs(probs), observed, stats,
                             RefurbishConfig(0.2))
         w = rec.soft_label.weights
@@ -183,7 +186,7 @@ class TestRefurbishDataset:
     def _setup(self, n=30, k=4, seed=1):
         rng = make_rng(seed)
         ds = make_ds(rng.integers(0, k, size=n), k)
-        preds = Predictions.from_logits(rng.normal(size=(n, k)) * 2)
+        preds = Predictions(rng.normal(size=(n, k)) * 2)
         return ds, preds
 
     def test_all_agreeing_gives_onehots(self):
