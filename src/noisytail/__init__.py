@@ -25,16 +25,11 @@ from .ensemble import (
     EvalReport,
     Stage2Config,
     SubgroupThresholds,
-    e1_loss,
-    e2_loss,
-    e3_loss,
-    ensemble_predict,
     evaluate,
     soft_class_counts,
     train_stage2,
 )
 from .errors import (
-    DegenerateCountError,
     InvalidInputError,
     InvalidSpecError,
     NoisytailError,
@@ -48,9 +43,6 @@ from .numerics import (
     gradient_check,
     init_mlp,
     make_rng,
-    mlp_backward,
-    mlp_forward,
-    softmax,
 )
 from .pipeline import (
     PipelineConfig,
@@ -65,25 +57,19 @@ from .refurbish import (
     RefurbishConfig,
     RefurbishRecord,
     RefurbishRecords,
-    SoftLabel,
     class_proportions,
     rarity,
     refurbish_dataset,
-    refurbish_one,
 )
 from .stage1 import (
     FeatureQueue,
-    Prediction,
     Predictions,
     Stage1Config,
     Stage1Model,
     augment,
     banc_loss,
     contrastive_loss,
-    cross_entropy,
-    predict,
     sce_loss,
-    stage1_loss,
     train_stage1,
 )
 

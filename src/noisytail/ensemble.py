@@ -19,15 +19,10 @@ import numpy as np
 
 from . import jsonl
 from .datagen import Dataset
-from .errors import (
-    DegenerateCountError,
-    InvalidInputError,
-    InvalidSpecError,
-)
+from .errors import InvalidInputError, InvalidSpecError
 from .numerics import (
     Mlp,
     SgdMomentum,
-    as_vec,
     backward_batch,
     forward_batch,
     init_mlp,
@@ -37,8 +32,8 @@ from .numerics import (
     sgd_epochs,
     softmax_rows,
 )
-from .refurbish import ClassStats, SoftLabel
-from .stage1 import Prediction, Stage1Model
+from .refurbish import ClassStats
+from .stage1 import Stage1Model
 
 COUNT_FLOOR = 1e-3  # applied to soft counts before ln(n)
 
@@ -116,38 +111,11 @@ def _expert_batch(logits: np.ndarray, Y: np.ndarray,
     return np.ascontiguousarray(losses.T).mean(axis=1), (q - Y[:, None]) / logits.shape[0]
 
 
-def _expert_one(logits, soft_label: SoftLabel, counts: Optional[ClassStats] = None,
-                power: float = 0.0) -> tuple[float, np.ndarray]:
-    """`_expert_batch` on one row, with shift power * ln(counts)."""
-    z = as_vec(logits, "logits")
-    if soft_label.weights.size != z.size:
-        raise InvalidInputError("logits and soft label lengths differ")
-    shift = np.zeros_like(z)
-    if counts is not None:
-        if counts.num_classes != z.size:
-            raise InvalidInputError("count vector length does not match logits")
-        if np.any(counts.counts <= 0):
-            raise DegenerateCountError("class counts must be strictly positive")
-        shift = power * np.log(counts.counts)
-    loss, grad = _expert_batch(z[None, None], soft_label.weights[None], shift[None])
-    return float(loss[0]), grad[0, 0]
-
-
-def e1_loss(logits, soft_label: SoftLabel) -> tuple[float, np.ndarray]:
-    """Plain soft cross-entropy; gradient wrt logits is softmax(z) - y."""
-    return _expert_one(logits, soft_label)
-
-
-def e2_loss(logits, soft_label: SoftLabel,
-            counts: ClassStats) -> tuple[float, np.ndarray]:
-    """Balanced-softmax style: logits shifted by +ln(n_k) during the loss."""
-    return _expert_one(logits, soft_label, counts, 1.0)
-
-
-def e3_loss(logits, soft_label: SoftLabel,
-            counts: ClassStats) -> tuple[float, np.ndarray]:
-    """Tail-focused variant: shift +ln(n_k^2), twice the balanced shift."""
-    return _expert_one(logits, soft_label, counts, 2.0)
+def expert_shifts(counts: ClassStats) -> np.ndarray:
+    """The (3, K) shift table: 0 for E1 (plain soft CE), ln n_k for E2
+    (balanced-softmax style) and 2 ln n_k for E3 (tail-focused), with the
+    counts floored at COUNT_FLOOR so ln n stays finite."""
+    return np.log(np.maximum(counts.counts, COUNT_FLOOR)) * [[0.0], [1.0], [2.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +143,7 @@ def train_stage2(ds: Dataset, soft_labels: np.ndarray,
     backbone = stage1_model.encoder.copy()
     model = EnsembleModel(backbone, init_mlp([backbone.out_dim, 3 * k], rng))
 
-    counts = soft_class_counts(Y)
-    shifts = np.log(np.maximum(counts.counts, COUNT_FLOOR)) * [[0.0], [1.0], [2.0]]
+    shifts = expert_shifts(soft_class_counts(Y))
 
     # frozen backbone: features can be precomputed once
     V, _ = forward_batch(backbone, ds.X)
@@ -194,7 +161,7 @@ def train_stage2(ds: Dataset, soft_labels: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Prediction and evaluation
+# Inference and evaluation
 # ---------------------------------------------------------------------------
 
 def _expert_logits(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
@@ -205,24 +172,15 @@ def _expert_logits(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
 
 def ensemble_predict_batch(model: EnsembleModel, X: np.ndarray, fusion: str = "prob_mean"
                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Fused class probabilities for a feature matrix, and the expert logits."""
+    """Fused class probabilities for a feature matrix, and the (m, 3, K)
+    expert logits.  Raw logits only: the count shifts are training-time
+    reweightings."""
     logits = _expert_logits(model, X)
     if fusion == "logit_mean":
         return softmax_rows(logits.mean(axis=1)), logits
     if fusion != "prob_mean":
         raise InvalidSpecError(f"unknown fusion rule {fusion!r}")
     return softmax_rows(logits).mean(axis=1), logits
-
-
-def ensemble_predict(model: EnsembleModel, features,
-                     fusion: str = "prob_mean") -> Prediction:
-    """Fuse the three experts; raw logits only, the count shifts are
-    training-time reweightings."""
-    x = as_vec(features, "features")  # forward_batch checks the width
-    probs = ensemble_predict_batch(model, x[None, :], fusion)[0][0]
-    # log-probabilities act as the logits so argmax and softmax stay consistent
-    logits = np.log(np.maximum(probs, 1e-300))
-    return Prediction(logits, probs, int(np.argmax(probs)))
 
 
 SUBGROUPS = ("many", "medium", "few")

@@ -29,7 +29,3 @@ class ParseError(NoisytailError, ValueError):
 
 class NumericError(NoisytailError, ArithmeticError):
     """A numeric routine produced or encountered a non-finite value."""
-
-
-class DegenerateCountError(InvalidInputError):
-    """A class-count vector contains a non-positive entry where ln(n) is needed."""

@@ -35,14 +35,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
 
 
-def softmax(logits: Vec) -> Vec:
-    """Max-shifted softmax, stable for logit magnitudes up to ~1e4."""
-    z = as_vec(logits, "logits")
-    if z.size == 0:
-        raise InvalidInputError("softmax of empty vector")
-    return softmax_rows(z[None, :])[0]
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Max-shifted softmax over the last axis of a batch of logits."""
     z = np.asarray(logits, dtype=np.float64)
@@ -188,22 +180,6 @@ def backward_batch(net: Mlp, cache: list[np.ndarray],
         if l > 0:
             delta = delta * dact(cache[l])
     return MlpGrads(d_weights, d_biases), delta
-
-
-def mlp_forward(net: Mlp, x: Vec) -> Vec:
-    """Single-vector forward pass."""
-    x = as_vec(x, "input")
-    y, _ = forward_batch(net, x[None, :])
-    return y[0]
-
-
-def mlp_backward(net: Mlp, x: Vec, upstream_grad: Vec) -> tuple[MlpGrads, Vec]:
-    """Gradients of (output . upstream_grad) wrt all parameters and the input."""
-    x = as_vec(x, "input")
-    g = as_vec(upstream_grad, "upstream_grad")  # backward_batch checks the width
-    _, cache = forward_batch(net, x[None, :])
-    grads, gx = backward_batch(net, cache, g[None, :])
-    return grads, gx[0]
 
 
 # ---------------------------------------------------------------------------

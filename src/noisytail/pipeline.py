@@ -158,8 +158,6 @@ def _check_fields(prefix: str, cls, data: dict) -> None:
 
 
 def _build_section(name: str, cls, data: dict):
-    if not isinstance(data, dict):
-        raise InvalidSpecError(f"config section {name!r} must be an object")
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise InvalidSpecError(f"unknown keys in {name!r}: {sorted(unknown)}")
@@ -176,8 +174,10 @@ def config_from_dict(data: dict) -> PipelineConfig:
     kwargs = {}
     base = config_to_dict(default_config())
     for name, cls in _SECTION_TYPES.items():
-        section = {**base[name], **data.get(name, {})} if name in data else base[name]
-        kwargs[name] = _build_section(name, cls, section)
+        section = data.get(name, {})
+        if not isinstance(section, dict):
+            raise InvalidSpecError(f"config section {name!r} must be an object")
+        kwargs[name] = _build_section(name, cls, {**base[name], **section})
     for name in _SCALAR_FIELDS:
         kwargs[name] = data.get(name, base[name])
     _check_fields("", PipelineConfig, {n: kwargs[n] for n in _SCALAR_FIELDS})

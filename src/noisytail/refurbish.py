@@ -18,7 +18,7 @@ from . import jsonl
 from .datagen import Dataset, align_ids
 from .errors import InvalidInputError, InvalidSpecError
 from .numerics import as_vec
-from .stage1 import Prediction, Predictions
+from .stage1 import Predictions
 
 
 @dataclass
@@ -53,18 +53,6 @@ class RefurbishConfig:
 
 
 @dataclass
-class SoftLabel:
-    """A full probability vector over classes used as a training target."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = as_vec(self.weights, "soft label")
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-9:
-            raise InvalidInputError("soft label must be a probability vector")
-
-
-@dataclass
 class RefurbishRecord:
     id: int
     rho: float       # predicted probability of the observed label
@@ -72,10 +60,6 @@ class RefurbishRecord:
     weight: float    # rho * gamma
     soft: np.ndarray  # the refurbished label
     changed: bool    # prediction disagreed with the observed label
-
-    @property
-    def soft_label(self) -> SoftLabel:
-        return SoftLabel(self.soft)
 
 
 @dataclass
@@ -120,49 +104,34 @@ def rarity(h: float, sigma: float) -> float:
     return math.exp(-(h * h) / (sigma * sigma))
 
 
-def refurbish_batch(ids, probs: np.ndarray, predicted: np.ndarray,
-                    observed: np.ndarray, stats: ClassStats,
-                    cfg: RefurbishConfig) -> RefurbishRecords:
-    """Refurbish N labels at once from (N, K) predicted probabilities.
+def refurbish_batch(ids, preds: Predictions, observed: np.ndarray,
+                    stats: ClassStats, cfg: RefurbishConfig) -> RefurbishRecords:
+    """Refurbish N labels at once from N predictions.
 
     Agreement (predicted class == observed) keeps the exact one-hot label.
     Otherwise the new label is (probs + w * onehot) / (1 + w) with
     w = rho * gamma: the prediction's confidence in the observed label
     times the observed class's rarity.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2 or not np.all(np.isfinite(probs)):
-        raise InvalidInputError("prediction probs must be a finite (N, K) matrix")
+    probs = preds.probs
     n, k = probs.shape
-    bad = np.any(probs < 0, axis=1) | (np.abs(probs.sum(axis=1) - 1.0) > 1e-6)
-    if bad.any():
-        raise InvalidInputError(
-            f"prediction probs row {int(np.argmax(bad))} is not a probability vector")
     if np.any((observed < 0) | (observed >= k)):
         raise InvalidInputError(f"observed label out of range [0, {k})")
     if stats.num_classes != k:
-        raise InvalidInputError("class stats length does not match probs")
+        raise InvalidInputError("class stats length does not match the predictions")
 
     rows = np.arange(n)
     rho = probs[rows, observed]
     # one scalar rarity per class, so gamma carries rarity()'s exact bits
     gamma = np.array([rarity(float(h), cfg.sigma) for h in stats.proportions])[observed]
     weight = rho * gamma
-    changed = predicted != observed
+    changed = preds.predicted != observed
     soft = probs.copy()
     soft[rows, observed] += weight
     soft /= soft.sum(axis=1, keepdims=True)
     soft[~changed] = 0.0
     soft[rows[~changed], observed[~changed]] = 1.0
     return RefurbishRecords(np.asarray(ids), rho, gamma, weight, soft, changed)
-
-
-def refurbish_one(pred: Prediction, observed: int, stats: ClassStats,
-                  cfg: RefurbishConfig, sample_id: int = 0) -> RefurbishRecord:
-    """Refurbish a single sample's label: `refurbish_batch` on one row."""
-    return next(iter(refurbish_batch(
-        [sample_id], as_vec(pred.probs, "probs")[None, :],
-        np.array([pred.predicted_class]), np.array([observed]), stats, cfg)))
 
 
 def refurbish_dataset(ds: Dataset, preds: Predictions, cfg: RefurbishConfig
@@ -176,8 +145,7 @@ def refurbish_dataset(ds: Dataset, preds: Predictions, cfg: RefurbishConfig
     if len(preds) != len(ds):
         raise InvalidInputError(
             f"prediction count {len(preds)} != dataset size {len(ds)}")
-    records = refurbish_batch(ds.ids, preds.probs, preds.predicted, ds.observed,
-                              class_proportions(ds), cfg)
+    records = refurbish_batch(ds.ids, preds, ds.observed, class_proportions(ds), cfg)
     return records.soft, records
 
 

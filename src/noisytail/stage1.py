@@ -6,7 +6,9 @@ query branch is evaluated under stop-gradient (values only, no parameter
 updates flow through it) while the key branch receives the contrastive
 gradients.  A FIFO feature queue supplies extra negatives.  The classifier
 head is trained on detached encoder features with a noise-tolerant
-cross-entropy (`banc_loss`), so labels never influence the representation.
+cross-entropy (`_banc_batch`), so labels never influence the representation.
+`banc_loss`, `sce_loss` and `contrastive_loss` are the per-sample reference
+formulas the batched kernels are tested against.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from . import jsonl
 from .datagen import Dataset, align_ids
 from .errors import InvalidInputError, InvalidSpecError
 from .numerics import (
+    _ACTIVATIONS,
     Mlp,
     SgdMomentum,
     as_vec,
@@ -88,23 +91,17 @@ class Stage1Config:
             raise InvalidSpecError("bad augmentation settings")
         if self.init_scale <= 0:
             raise InvalidSpecError("init_scale must be positive")
-
-
-@dataclass
-class Prediction:
-    """Classifier output for one sample; probs = softmax(logits) and
-    predicted_class = argmax with ties broken toward the lowest index."""
-
-    logits: np.ndarray
-    probs: np.ndarray
-    predicted_class: int
+        if self.activation not in _ACTIVATIONS:
+            raise InvalidSpecError(f"activation must be one of {sorted(_ACTIVATIONS)}, "
+                                   f"got {self.activation!r}")
 
 
 @dataclass
 class Predictions:
     """Classifier outputs for N samples, built from the (N, K) `logits`
     alone: their row-wise softmax `probs` and `predicted`, the row argmax
-    (lowest index on ties), are computed once, at construction."""
+    (lowest index on ties), are computed once, at construction, after the
+    logits are checked to be a finite matrix of at least one column."""
 
     logits: np.ndarray
     probs: np.ndarray = field(init=False)
@@ -112,21 +109,18 @@ class Predictions:
 
     def __post_init__(self):
         self.logits = np.asarray(self.logits, dtype=np.float64)
+        if (self.logits.ndim != 2 or self.logits.shape[1] == 0
+                or not np.all(np.isfinite(self.logits))):
+            raise InvalidInputError("logits must be a finite (N, K) matrix with "
+                                    f"K >= 1, got shape {self.logits.shape}")
         self.probs = softmax_rows(self.logits)
         self.predicted = np.argmax(self.logits, axis=1)
 
     def __len__(self) -> int:
         return len(self.logits)
 
-    def __getitem__(self, i: int) -> Prediction:
-        return Prediction(self.logits[i], self.probs[i], int(self.predicted[i]))
-
     def take(self, idx) -> "Predictions":
         return Predictions(self.logits[idx])
-
-
-def prediction_from_logits(logits: np.ndarray) -> Prediction:
-    return Predictions(as_vec(logits, "logits")[None, :])[0]
 
 
 @dataclass
@@ -166,9 +160,6 @@ class FeatureQueue:
     def __len__(self) -> int:
         return self._len
 
-    def push(self, z: np.ndarray) -> None:
-        self.push_batch(as_vec(z, "embedding")[None, :])
-
     def push_batch(self, Z: np.ndarray) -> None:
         """Enqueue the rows of Z, L2-normalised, evicting the oldest."""
         Z = np.asarray(Z, dtype=np.float64)
@@ -188,11 +179,6 @@ class FeatureQueue:
         self._buf[:n - first] = rows[first:]
         self._head = (self._head + n) % self._capacity
         self._len = min(self._len + n, self._capacity)
-
-    def entries(self) -> list[np.ndarray]:
-        """Oldest-to-newest snapshot."""
-        m = self.as_matrix()
-        return [] if m is None else list(m)
 
     def as_matrix(self) -> Optional[np.ndarray]:
         """Oldest-to-newest copy of the queued rows, or None when empty."""
@@ -315,17 +301,6 @@ def banc_loss(probs: np.ndarray, onehot: np.ndarray,
     return loss, grad
 
 
-def cross_entropy(probs: np.ndarray, onehot: np.ndarray) -> float:
-    return banc_loss(probs, onehot, 0.0)[0]
-
-
-def stage1_loss(con: float, banc: float, alpha: float) -> float:
-    """Blend of the contrastive and classifier terms: (1-alpha)*con + alpha*banc."""
-    if not (0.0 <= alpha <= 1.0):
-        raise InvalidSpecError("alpha must be in [0, 1]")
-    return (1.0 - alpha) * con + alpha * banc
-
-
 # ---------------------------------------------------------------------------
 # Batched internals
 # ---------------------------------------------------------------------------
@@ -441,7 +416,7 @@ def stage1_batch_gradients(model: Stage1Model, X: np.ndarray, Y: np.ndarray,
     metrics = {
         "con": con_loss,
         "banc": banc_mean,
-        "total": stage1_loss(con_loss, banc_mean, cfg.alpha),
+        "total": (1.0 - cfg.alpha) * con_loss + cfg.alpha * banc_mean,
     }
     return grads, metrics, Zk
 
@@ -465,12 +440,6 @@ def predict_batch(model: Stage1Model, X: np.ndarray) -> np.ndarray:
     v, _ = forward_batch(model.encoder, X)
     logits, _ = forward_batch(model.classifier, v)
     return logits
-
-
-def predict(model: Stage1Model, features: np.ndarray) -> Prediction:
-    """Classifier logits/probabilities for one feature vector."""
-    x = as_vec(features, "features")  # forward_batch checks the width
-    return prediction_from_logits(predict_batch(model, x[None, :])[0])
 
 
 def predict_all(model: Stage1Model, ds: Dataset) -> Predictions:

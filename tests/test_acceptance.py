@@ -19,27 +19,21 @@ import pytest
 
 from noisytail import datagen, pipeline
 from noisytail.datagen import LongTailSpec, MixtureSpec, longtail_counts, synth_dataset
-from noisytail.ensemble import (
-    e1_loss,
-    e2_loss,
-    e3_loss,
-    soft_class_counts,
-)
+from noisytail.ensemble import _expert_batch, expert_shifts, soft_class_counts
 from noisytail.numerics import (
     finite_diff_grad,
     make_rng,
     relative_error,
-    softmax,
+    softmax_rows,
 )
 from noisytail.pipeline import default_config, file_sha256, run_in_memory, stage_seed
 from noisytail.refurbish import (
     ClassStats,
     RefurbishConfig,
-    SoftLabel,
     rarity,
-    refurbish_one,
+    refurbish_batch,
 )
-from noisytail.stage1 import Prediction, banc_loss, contrastive_loss, cross_entropy, sce_loss
+from noisytail.stage1 import Predictions, banc_loss, contrastive_loss, sce_loss
 
 
 @contextmanager
@@ -56,6 +50,19 @@ def onehot(i, k):
     v = np.zeros(k)
     v[i] = 1.0
     return v
+
+
+def expert_losses(z, y, shifts):
+    """Each expert's loss and logit gradient from the training kernel
+    `_expert_batch`, on one sample whose three logit rows all equal z."""
+    losses, grad = _expert_batch(np.tile(z, (1, 3, 1)), y[None], shifts)
+    return losses, grad[0]
+
+
+def refurbish_row(logits, observed, stats, sigma):
+    """`refurbish_batch` on one row of logits; returns the records."""
+    return refurbish_batch([0], Predictions(np.asarray(logits)[None]),
+                           np.array([observed]), stats, RefurbishConfig(sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -100,24 +107,24 @@ def test_criterion_1_gradient_suite():
             z = rng.normal(size=k) * 2
             y = onehot(int(rng.integers(0, k)), k)
             c = float(rng.uniform(0, 8))
-            _, g_sce = sce_loss(softmax(z), y)
+            _, g_sce = sce_loss(softmax_rows(z), y)
             worst["sce"] = max(worst["sce"], _max_rel_err(
-                g_sce, finite_diff_grad(lambda v: sce_loss(softmax(v), y)[0], z)))
-            _, g_banc = banc_loss(softmax(z), y, c)
+                g_sce, finite_diff_grad(lambda v: sce_loss(softmax_rows(v), y)[0], z)))
+            _, g_banc = banc_loss(softmax_rows(z), y, c)
             worst["banc"] = max(worst["banc"], _max_rel_err(
-                g_banc, finite_diff_grad(lambda v: banc_loss(softmax(v), y, c)[0], z)))
+                g_banc, finite_diff_grad(lambda v: banc_loss(softmax_rows(v), y, c)[0], z)))
 
+        # the experts on the kernel that trains them, one (1, 1, K) row each
         for _ in range(100):
             k = int(rng.integers(2, 6))
             z = rng.normal(size=k) * 2
-            y = SoftLabel(softmax(rng.normal(size=k)))
-            counts = ClassStats(rng.uniform(0.5, 50, size=k))
-            for name, fn in (("e1", lambda v: e1_loss(v, y)),
-                             ("e2", lambda v: e2_loss(v, y, counts)),
-                             ("e3", lambda v: e3_loss(v, y, counts))):
-                _, grad = fn(z)
-                num = finite_diff_grad(lambda v: fn(v)[0], z)
-                worst[name] = max(worst[name], _max_rel_err(grad, num))
+            y = softmax_rows(rng.normal(size=k))[None]
+            shifts = expert_shifts(ClassStats(rng.uniform(0.5, 50, size=k)))
+            for e, name in enumerate(("e1", "e2", "e3")):
+                def fn(v, e=e):
+                    return _expert_batch(v[None, None], y, shifts[e:e + 1])
+                num = finite_diff_grad(lambda v: fn(v)[0][0], z)
+                worst[name] = max(worst[name], _max_rel_err(fn(z)[1][0, 0], num))
 
         elapsed = time.perf_counter() - t0
         for name, err in worst.items():
@@ -134,17 +141,15 @@ def test_criterion_2_reductions():
         rng = make_rng(102)
         for _ in range(200):
             k = int(rng.integers(2, 6))
-            p = softmax(rng.normal(size=k) * 3)
-            y = onehot(int(rng.integers(0, k)), k)
-            loss, _ = banc_loss(p, y, c=0.0)
-            assert abs(loss - cross_entropy(p, y)) < 1e-12
+            p = softmax_rows(rng.normal(size=k) * 3)
+            label = int(rng.integers(0, k))
+            loss, _ = banc_loss(p, onehot(label, k), c=0.0)
+            assert abs(loss - (-math.log(p[label]))) < 1e-12
 
             z = rng.normal(size=k) * 2
-            sl = SoftLabel(softmax(rng.normal(size=k)))
+            sl = softmax_rows(rng.normal(size=k))
             uniform = ClassStats(np.full(k, float(rng.uniform(0.5, 20))))
-            l1, _ = e1_loss(z, sl)
-            l2, _ = e2_loss(z, sl, uniform)
-            l3, _ = e3_loss(z, sl, uniform)
+            (l1, l2, l3), _ = expert_losses(z, sl, expert_shifts(uniform))
             assert abs(l2 - l1) < 1e-9
             assert abs(l3 - l1) < 1e-9
 
@@ -166,30 +171,25 @@ def test_criterion_3_refurbishment_exactness():
 
         counts = np.array([h, (1 - h) / 2, (1 - h) / 2]) * 10000
         stats = ClassStats(np.array([counts[1], counts[0], counts[2]]))
-        pred = Prediction(np.log(probs), probs, 0)
-        rec = refurbish_one(pred, 1, stats, RefurbishConfig(sigma))
-        assert np.max(np.abs(rec.soft_label.weights - oracle)) < 1e-5
+        rec = refurbish_row(np.log(probs), 1, stats, sigma)
+        assert np.max(np.abs(rec.soft[0] - oracle)) < 1e-5
         # the same numbers printed to six figures
-        assert np.max(np.abs(rec.soft_label.weights
-                             - np.array([0.420919, 0.326542, 0.252539]))) < 2e-5
+        assert np.max(np.abs(rec.soft[0] - np.array([0.420919, 0.326542, 0.252539]))) < 2e-5
 
         # agreement returns the exact one-hot
-        agree = Prediction(np.log(probs), probs, 0)
-        rec2 = refurbish_one(agree, 0, stats, RefurbishConfig(sigma))
-        assert not rec2.changed
-        np.testing.assert_array_equal(rec2.soft_label.weights, [1.0, 0.0, 0.0])
+        rec2 = refurbish_row(np.log(probs), 0, stats, sigma)
+        assert not rec2.changed[0]
+        np.testing.assert_array_equal(rec2.soft[0], [1.0, 0.0, 0.0])
 
         # every emitted soft label is normalized
         rng = make_rng(103)
         for _ in range(300):
             k = int(rng.integers(2, 7))
-            pv = softmax(rng.normal(size=k) * 3)
+            z = rng.normal(size=k) * 3
             st = ClassStats(rng.uniform(0.5, 50, size=k))
-            r = refurbish_one(Prediction(np.log(pv + 1e-300), pv,
-                                         int(np.argmax(pv))),
-                              int(rng.integers(0, k)), st, RefurbishConfig(0.2))
-            assert abs(r.soft_label.weights.sum() - 1.0) < 1e-9
-            assert np.all(r.soft_label.weights >= 0)
+            soft = refurbish_row(z, int(rng.integers(0, k)), st, 0.2).soft[0]
+            assert abs(soft.sum() - 1.0) < 1e-9
+            assert np.all(soft >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +213,12 @@ def test_criterion_5_soft_counts():
     with criterion(5, "soft class counts"):
         rng = make_rng(105)
         for n, k in [(10, 3), (500, 7), (123, 11)]:
-            labels = [SoftLabel(softmax(rng.normal(size=k) * 2)) for _ in range(n)]
-            counts = soft_class_counts(np.stack([sl.weights for sl in labels])).counts
+            labels = softmax_rows(rng.normal(size=(n, k)) * 2)
+            counts = soft_class_counts(labels).counts
             assert abs(counts.sum() - n) < 1e-6
 
         hard = [onehot(int(rng.integers(0, 5)), 5) for _ in range(200)]
-        counts = soft_class_counts(np.stack([SoftLabel(h).weights for h in hard])).counts
+        counts = soft_class_counts(np.stack(hard)).counts
         expected = np.sum(hard, axis=0)
         np.testing.assert_array_equal(counts, expected)
         assert all(c == int(c) for c in counts)

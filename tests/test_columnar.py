@@ -91,13 +91,21 @@ class TestBatchedRefurbishment:
             assert soft[i].tobytes() == ref.tobytes()
             assert records.ids[i] == ds.ids[i]
 
-    def test_probs_must_be_probability_rows(self):
+    def test_changed_follows_the_probabilities(self):
+        """The predicted class is the argmax of the probabilities the blend
+        uses, since both come from one `Predictions`: a tie goes to the
+        lowest class, and logits of 1e4 scale still give probability rows."""
         rng = make_rng(1)
-        ds = random_dataset(rng, 4, 3)
-        preds = Predictions(rng.normal(size=(4, 3)))
-        preds.probs[2] *= 2.0
-        with pytest.raises(InvalidInputError, match="row 2"):
-            refurbish_dataset(ds, preds, RefurbishConfig())
+        ds = random_dataset(rng, 200, 3)
+        logits = rng.normal(size=(200, 3)) * 1e4
+        logits[:20] = 0.0  # exact ties
+        preds = Predictions(logits)
+        soft, records = refurbish_dataset(ds, preds, RefurbishConfig())
+        assert np.all(preds.probs >= 0)
+        assert np.all(np.abs(preds.probs.sum(axis=1) - 1.0) < 1e-12)
+        np.testing.assert_array_equal(
+            records.changed, np.argmax(preds.probs, axis=1) != ds.observed)
+        assert np.all(np.abs(soft.sum(axis=1) - 1.0) < 1e-12)
 
 
 def reference_symmetric(observed, true, k, rate, rng):
@@ -181,7 +189,7 @@ def records_case(n, seed):
     ds = random_dataset(rng, n, 6)
     preds = Predictions(rng.normal(size=(n, 6)))
     _, records = refurbish_dataset(ds, preds, RefurbishConfig())
-    refs = [{"id": r.id, "soft_label": r.soft_label.weights.tolist(),
+    refs = [{"id": r.id, "soft_label": r.soft.tolist(),
              "changed": r.changed, "rho": r.rho, "gamma": r.gamma,
              "weight": r.weight} for r in records]
     return (lambda path: save_records(records, path)), refs

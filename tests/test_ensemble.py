@@ -12,11 +12,9 @@ from noisytail.ensemble import (
     Stage2Config,
     SubgroupThresholds,
     backbone_hash,
-    e1_loss,
-    e2_loss,
-    e3_loss,
-    ensemble_predict,
+    ensemble_predict_batch,
     evaluate,
+    expert_shifts,
     load_stage2_checkpoint,
     report_csv,
     save_stage2_checkpoint,
@@ -24,12 +22,7 @@ from noisytail.ensemble import (
     subgroup_of,
     train_stage2,
 )
-from noisytail.errors import (
-    DegenerateCountError,
-    InvalidInputError,
-    InvalidSpecError,
-    ParseError,
-)
+from noisytail.errors import InvalidInputError, InvalidSpecError, ParseError
 from noisytail.numerics import (
     Mlp,
     SgdMomentum,
@@ -40,36 +33,36 @@ from noisytail.numerics import (
     make_rng,
     relative_error,
     sgd_epochs,
-    softmax,
     softmax_rows,
 )
-from noisytail.refurbish import ClassStats, SoftLabel
+from noisytail.refurbish import ClassStats
 from noisytail.stage1 import Stage1Config, build_stage1_model
 
 
-def soft(v):
-    return SoftLabel(np.asarray(v, dtype=np.float64))
-
-
 def random_softlabels(rng, n, k):
-    """An (N, K) soft-label matrix, each row built and checked as a SoftLabel."""
-    return np.stack([SoftLabel(softmax(rng.normal(size=k) * 2)).weights
-                     for _ in range(n)])
+    """An (N, K) soft-label matrix: the softmax of random rows."""
+    return softmax_rows(rng.normal(size=(n, k)) * 2)
 
 
-def rows(*labels):
-    return np.stack([sl.weights for sl in labels])
+def experts_on_row(z, y, counts):
+    """`_expert_batch` on one sample whose three expert logit rows all equal
+    z, under the shift table of `counts`: the (3,) losses and (3, K) logit
+    gradients of E1, E2 and E3."""
+    z = np.asarray(z, dtype=np.float64)
+    losses, grad = _expert_batch(np.tile(z, (1, 3, 1)), np.asarray(y, dtype=np.float64)[None],
+                                 expert_shifts(counts))
+    return losses, grad[0]
 
 
 class TestSoftClassCounts:
     def test_onehot_recovers_hard_counts(self):
-        labels = rows(*[SoftLabel(np.eye(3)[i % 3]) for i in range(10)])
+        labels = np.eye(3)[np.arange(10) % 3]
         counts = soft_class_counts(labels).counts
         np.testing.assert_array_equal(counts, [4.0, 3.0, 3.0])
         assert all(c == int(c) for c in counts)
 
     def test_small_example(self):
-        counts = soft_class_counts(rows(soft([0.7, 0.3]), soft([0.2, 0.8]))).counts
+        counts = soft_class_counts(np.array([[0.7, 0.3], [0.2, 0.8]])).counts
         np.testing.assert_allclose(counts, [0.9, 1.1], atol=1e-12)
 
     def test_conservation(self):
@@ -82,8 +75,7 @@ class TestSoftClassCounts:
         # a matrix cannot hold rows of different K; the flat concatenation
         # of a K=2 and a K=3 label is not an (N, K) matrix
         with pytest.raises(InvalidInputError):
-            soft_class_counts(np.concatenate([soft([1.0, 0.0]).weights,
-                                              soft([1.0, 0.0, 0.0]).weights]))
+            soft_class_counts(np.concatenate([[1.0, 0.0], [1.0, 0.0, 0.0]]))
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -91,47 +83,48 @@ class TestSoftClassCounts:
 
 
 class TestExpertLosses:
+    """Each expert's loss and gradient from `_expert_batch` on one row, under
+    the shift table `expert_shifts` builds for training."""
+
     def test_e1_uniform_logits(self):
-        loss, _ = e1_loss(np.zeros(2), soft([1.0, 0.0]))
-        assert abs(loss - math.log(2)) < 1e-12
+        losses, _ = experts_on_row(np.zeros(2), [1.0, 0.0], ClassStats(np.ones(2)))
+        assert abs(losses[0] - math.log(2)) < 1e-12
 
     def test_e1_entropy_minimum(self):
-        # when the target equals softmax(logits), the loss is the entropy
+        # when the target is the softmax of the logits, the loss is the entropy
         rng = make_rng(1)
         for _ in range(20):
             z = rng.normal(size=4) * 2
-            p = softmax(z)
-            loss, grad = e1_loss(z, SoftLabel(p))
+            p = softmax_rows(z)
+            losses, grad = experts_on_row(z, p, ClassStats(np.ones(4)))
             entropy = -float(np.sum(p * np.log(p)))
-            assert abs(loss - entropy) < 1e-12
-            np.testing.assert_allclose(grad, np.zeros(4), atol=1e-12)
+            assert abs(losses[0] - entropy) < 1e-12
+            np.testing.assert_allclose(grad[0], np.zeros(4), atol=1e-12)
 
     def test_e2_closed_forms(self):
         counts = ClassStats(np.array([3.0, 1.0]))
-        loss_a, _ = e2_loss(np.zeros(2), soft([1.0, 0.0]), counts)
-        assert abs(loss_a - (-math.log(3 / 4))) < 1e-12
-        loss_b, _ = e2_loss(np.zeros(2), soft([0.0, 1.0]), counts)
-        assert abs(loss_b - (-math.log(1 / 4))) < 1e-12
+        losses, _ = experts_on_row(np.zeros(2), [1.0, 0.0], counts)
+        assert abs(losses[1] - (-math.log(3 / 4))) < 1e-12
+        losses, _ = experts_on_row(np.zeros(2), [0.0, 1.0], counts)
+        assert abs(losses[1] - (-math.log(1 / 4))) < 1e-12
 
     def test_e3_closed_forms(self):
         counts = ClassStats(np.array([3.0, 1.0]))
-        loss_a, _ = e3_loss(np.zeros(2), soft([1.0, 0.0]), counts)
-        assert abs(loss_a - (-math.log(9 / 10))) < 1e-12
-        loss_b, _ = e3_loss(np.zeros(2), soft([0.0, 1.0]), counts)
-        assert abs(loss_b - (-math.log(1 / 10))) < 1e-12
+        losses, _ = experts_on_row(np.zeros(2), [1.0, 0.0], counts)
+        assert abs(losses[2] - (-math.log(9 / 10))) < 1e-12
+        losses, _ = experts_on_row(np.zeros(2), [0.0, 1.0], counts)
+        assert abs(losses[2] - (-math.log(1 / 10))) < 1e-12
         # heavier rare-class push than e2's -log(1/4)
-        assert loss_b > -math.log(1 / 4)
+        assert losses[2] > -math.log(1 / 4)
 
     def test_uniform_counts_reduce_to_e1(self):
         rng = make_rng(2)
         for _ in range(50):
             k = int(rng.integers(2, 6))
             z = rng.normal(size=k) * 2
-            y = SoftLabel(softmax(rng.normal(size=k)))
+            y = softmax_rows(rng.normal(size=k))
             counts = ClassStats(np.full(k, float(rng.uniform(0.5, 20))))
-            l1, g1 = e1_loss(z, y)
-            l2, g2 = e2_loss(z, y, counts)
-            l3, g3 = e3_loss(z, y, counts)
+            (l1, l2, l3), (g1, g2, g3) = experts_on_row(z, y, counts)
             assert abs(l2 - l1) < 1e-9 and abs(l3 - l1) < 1e-9
             np.testing.assert_allclose(g2, g1, atol=1e-9)
             np.testing.assert_allclose(g3, g1, atol=1e-9)
@@ -146,10 +139,7 @@ class TestExpertLosses:
             y = np.full(k, 0.02 / (k - 1))
             y[rare] = 0.98
             z = rng.normal(size=k)
-            stats = ClassStats(counts)
-            l1, _ = e1_loss(z, SoftLabel(y))
-            l2, _ = e2_loss(z, SoftLabel(y), stats)
-            l3, _ = e3_loss(z, SoftLabel(y), stats)
+            (l1, l2, l3), _ = experts_on_row(z, y, ClassStats(counts))
             assert l3 >= l2 - 1e-9
             assert l2 >= l1 - 1e-9
 
@@ -159,23 +149,25 @@ class TestExpertLosses:
         for _ in range(100):
             k = int(rng.integers(2, 6))
             z = rng.normal(size=k) * 2
-            y = SoftLabel(softmax(rng.normal(size=k)))
-            counts = ClassStats(rng.uniform(0.5, 50, size=k))
-            for fn in (lambda v: e1_loss(v, y),
-                       lambda v: e2_loss(v, y, counts),
-                       lambda v: e3_loss(v, y, counts)):
-                loss, grad = fn(z)
-                num = finite_diff_grad(lambda v: fn(v)[0], z)
+            y = softmax_rows(rng.normal(size=k))[None]
+            shifts = expert_shifts(ClassStats(rng.uniform(0.5, 50, size=k)))
+            for e in range(3):
+                def loss(v, e=e):
+                    return _expert_batch(v[None, None], y, shifts[e:e + 1])[0][0]
+                grad = _expert_batch(z[None, None], y, shifts[e:e + 1])[1][0, 0]
+                num = finite_diff_grad(loss, z)
                 for a, b in zip(grad, num):
                     worst = max(worst, relative_error(a, b))
         assert worst < 1e-4, f"max relative error {worst}"
 
     def test_zero_count_degenerate(self):
-        counts = ClassStats(np.array([1.0, 0.0]))
-        with pytest.raises(DegenerateCountError):
-            e2_loss(np.zeros(2), soft([1.0, 0.0]), counts)
-        with pytest.raises(DegenerateCountError):
-            e3_loss(np.zeros(2), soft([1.0, 0.0]), counts)
+        # training floors a zero count at COUNT_FLOOR, so ln n stays finite
+        shifts = expert_shifts(ClassStats(np.array([1.0, 0.0])))
+        np.testing.assert_array_equal(
+            shifts, [[0.0, 0.0], [0.0, math.log(COUNT_FLOOR)],
+                     [0.0, 2 * math.log(COUNT_FLOOR)]])
+        losses, grad = experts_on_row(np.zeros(2), [1.0, 0.0], ClassStats([1.0, 0.0]))
+        assert np.all(np.isfinite(losses)) and np.all(np.isfinite(grad))
 
 
 class TestExpertBatchGradient:
@@ -190,7 +182,7 @@ class TestExpertBatchGradient:
         b, d, k = 6, 4, 5
         V = rng.normal(size=(b, d))
         Y = random_softlabels(rng, b, k)
-        shifts = np.array([0.0, 1.0, 2.0])[:, None] * np.log(rng.uniform(0.5, 50, size=k))
+        shifts = expert_shifts(ClassStats(rng.uniform(0.5, 50, size=k)))
         head = init_mlp([d, 3 * k], rng)
 
         def loss(flat_logits):
@@ -216,17 +208,18 @@ class TestExpertBatchGradient:
         assert worst < 1e-4, f"max relative error {worst}"
 
     def test_each_expert_matches_its_one_row_loss(self):
+        # against the soft CE of the softmax of z_e + e ln n, written out by hand
         rng = make_rng(21)
         k = 4
         z = rng.normal(size=(1, 3, k))
-        y = SoftLabel(softmax(rng.normal(size=k)))
-        counts = ClassStats(rng.uniform(0.5, 50, size=k))
-        shifts = np.array([0.0, 1.0, 2.0])[:, None] * np.log(counts.counts)
-        losses, grad = _expert_batch(z, y.weights[None, :], shifts)
-        for e, (l1, g1) in enumerate((e1_loss(z[0, 0], y), e2_loss(z[0, 1], y, counts),
-                                      e3_loss(z[0, 2], y, counts))):
-            assert losses[e] == l1
-            np.testing.assert_array_equal(grad[0, e], g1)
+        y = softmax_rows(rng.normal(size=k))
+        n = rng.uniform(0.5, 50, size=k)
+        losses, grad = _expert_batch(z, y[None, :], expert_shifts(ClassStats(n)))
+        for e in range(3):
+            shifted = np.exp(z[0, e] + e * np.log(n))
+            q = shifted / shifted.sum()
+            assert abs(losses[e] - (-np.sum(y * np.log(q)))) < 1e-12
+            np.testing.assert_allclose(grad[0, e], q - y, rtol=0, atol=1e-12)
 
 
 def tiny_stage1_model(feature_dim=5, k=4, seed=0):
@@ -336,7 +329,7 @@ def reference_train_stage2(ds, softs, s1, cfg):
 
 def head_with_fixed_probs(prob_rows, repr_dim):
     # a zero-weight 3K head whose biases are log-probabilities: expert e's
-    # softmax(bias) = prob_rows[e]
+    # the softmax of its bias = prob_rows[e]
     p = np.concatenate([np.asarray(r, dtype=float) for r in prob_rows])
     return Mlp([repr_dim, p.size], [np.zeros((p.size, repr_dim))], [np.log(p)])
 
@@ -349,15 +342,15 @@ class TestEnsemblePredict:
         d = 3
         backbone = self._identity_backbone(d)
         model = EnsembleModel(backbone, head_with_fixed_probs([[0.6, 0.3, 0.1]] * 3, d))
-        pred = ensemble_predict(model, np.zeros(d))
-        np.testing.assert_allclose(pred.probs, [0.6, 0.3, 0.1], atol=1e-12)
+        probs, _ = ensemble_predict_batch(model, np.zeros((1, d)))
+        np.testing.assert_allclose(probs, [[0.6, 0.3, 0.1]], atol=1e-12)
 
     def test_probs_sum_to_one(self):
         weights = np.concatenate([make_rng(i).normal(size=(3, 4)) for i in range(3)])
         model = EnsembleModel(self._identity_backbone(4),
                               Mlp([4, 9], [weights], [np.zeros(9)]))
-        pred = ensemble_predict(model, np.array([0.5, -1.0, 2.0, 0.0]))
-        assert abs(pred.probs.sum() - 1.0) < 1e-12
+        probs, _ = ensemble_predict_batch(model, np.array([[0.5, -1.0, 2.0, 0.0]]))
+        assert abs(probs[0].sum() - 1.0) < 1e-12
 
     def test_vote_arithmetic(self):
         # two heads at [0.6, 0.4] vs one at [0.2, 0.8]: mean decides class 1
@@ -365,26 +358,26 @@ class TestEnsemblePredict:
         model = EnsembleModel(self._identity_backbone(d),
                               head_with_fixed_probs(
                                   [[0.6, 0.4], [0.6, 0.4], [0.2, 0.8]], d))
-        pred = ensemble_predict(model, np.zeros(d))
-        np.testing.assert_allclose(pred.probs, [0.4666666666666667, 0.5333333333333333],
+        probs, _ = ensemble_predict_batch(model, np.zeros((1, d)))
+        np.testing.assert_allclose(probs, [[0.4666666666666667, 0.5333333333333333]],
                                    atol=1e-12)
-        assert pred.predicted_class == 1
+        assert np.argmax(probs[0]) == 1
 
     def test_logit_mean_fusion(self):
         d = 2
         model = EnsembleModel(self._identity_backbone(d),
                               head_with_fixed_probs(
                                   [[0.6, 0.4], [0.6, 0.4], [0.2, 0.8]], d))
-        pred = ensemble_predict(model, np.zeros(d), fusion="logit_mean")
+        probs, _ = ensemble_predict_batch(model, np.zeros((1, d)), fusion="logit_mean")
         mean_logits = np.mean([np.log([0.6, 0.4]), np.log([0.6, 0.4]),
                                np.log([0.2, 0.8])], axis=0)
-        np.testing.assert_allclose(pred.probs, softmax(mean_logits), atol=1e-12)
+        np.testing.assert_allclose(probs[0], softmax_rows(mean_logits), atol=1e-12)
 
     def test_dim_mismatch(self):
         model = EnsembleModel(self._identity_backbone(3),
                               head_with_fixed_probs([[0.5, 0.5]] * 3, 3))
         with pytest.raises(InvalidInputError):
-            ensemble_predict(model, np.zeros(5))
+            ensemble_predict_batch(model, np.zeros((1, 5)))
 
     def test_head_shape_rejected(self):
         backbone = self._identity_backbone(3)

@@ -8,60 +8,63 @@ from noisytail.errors import InvalidInputError, NumericError
 from noisytail.numerics import (
     Mlp,
     SgdMomentum,
+    backward_batch,
     finite_diff_grad,
     forward_batch,
     gradient_check,
     init_mlp,
     make_rng,
-    mlp_backward,
-    mlp_forward,
     relative_error,
-    softmax,
+    softmax_rows,
 )
+
+
+def forward_row(net, x):
+    """`forward_batch` on the one-row matrix [x]; returns the output row."""
+    return forward_batch(net, np.asarray(x, dtype=np.float64)[None, :])[0][0]
+
+
+def backward_row(net, x, u):
+    """`backward_batch` of (output . u) on the one-row matrix [x]."""
+    _, cache = forward_batch(net, x[None, :])
+    grads, gx = backward_batch(net, cache, u[None, :])
+    return grads, gx[0]
 
 
 class TestSoftmax:
     def test_symmetry(self):
-        np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(softmax_rows([[0.0, 0.0]]), [[0.5, 0.5]], atol=1e-15)
 
     def test_closed_form_ln3(self):
         # e^{ln 3} / (e^{ln 3} + 1) = 3/4
-        np.testing.assert_allclose(softmax([math.log(3), 0.0]), [0.75, 0.25],
+        np.testing.assert_allclose(softmax_rows([[math.log(3), 0.0]]), [[0.75, 0.25]],
                                    atol=1e-12)
 
     def test_shift_invariance(self):
         rng = make_rng(0)
         for _ in range(50):
-            z = rng.normal(size=rng.integers(1, 8))
+            z = rng.normal(size=(1, rng.integers(1, 8)))
             c = rng.normal() * 100
-            np.testing.assert_allclose(softmax(z + c), softmax(z), atol=1e-12)
+            np.testing.assert_allclose(softmax_rows(z + c), softmax_rows(z), atol=1e-12)
 
     @given(st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_probability_vector_up_to_1e4(self, logits):
-        p = softmax(logits)
+        p = softmax_rows([logits])
         assert np.all(p >= 0)
         assert abs(p.sum() - 1.0) < 1e-12
-
-    def test_errors(self):
-        with pytest.raises(InvalidInputError):
-            softmax([])
-        with pytest.raises(InvalidInputError):
-            softmax([1.0, float("nan")])
-        with pytest.raises(InvalidInputError):
-            softmax([1.0, float("inf")])
 
 
 class TestMlpForward:
     def test_identity_single_layer(self):
         net = Mlp([3, 3], [np.eye(3)], [np.zeros(3)])
         v = np.array([1.5, -2.0, 0.25])
-        np.testing.assert_array_equal(mlp_forward(net, v), v)
+        np.testing.assert_array_equal(forward_row(net, v), v)
 
     def test_zero_weight_returns_bias(self):
         b = np.array([0.1, -0.7])
         net = Mlp([4, 2], [np.zeros((2, 4))], [b])
-        np.testing.assert_array_equal(mlp_forward(net, np.ones(4)), b)
+        np.testing.assert_array_equal(forward_row(net, np.ones(4)), b)
 
     def test_matches_direct_matrix_arithmetic(self):
         # oracle: the same affine chain written out by hand
@@ -71,19 +74,19 @@ class TestMlpForward:
             x = rng.normal(size=5)
             hidden = np.tanh(net.weights[0] @ x + net.biases[0])
             expected = net.weights[1] @ hidden + net.biases[1]
-            np.testing.assert_allclose(mlp_forward(net, x), expected, atol=1e-12)
+            np.testing.assert_allclose(forward_row(net, x), expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
         net = init_mlp([3, 2], make_rng(0))
         with pytest.raises(InvalidInputError):
-            mlp_forward(net, np.ones(4))
+            forward_row(net, np.ones(4))
 
 
 class TestMlpBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = make_rng(1)
         net = init_mlp([4, 5, 2], rng)
-        grads, gx = mlp_backward(net, rng.normal(size=4), np.zeros(2))
+        grads, gx = backward_row(net, rng.normal(size=4), np.zeros(2))
         for g in grads.params():
             assert np.all(g == 0.0)
         assert np.all(gx == 0.0)
@@ -94,7 +97,7 @@ class TestMlpBackward:
         net = init_mlp([3, 2], rng)
         x = rng.normal(size=3)
         u = rng.normal(size=2)
-        grads, gx = mlp_backward(net, x, u)
+        grads, gx = backward_row(net, x, u)
         np.testing.assert_allclose(grads.d_weights[0], np.outer(u, x), atol=1e-12)
         np.testing.assert_allclose(grads.d_biases[0], u, atol=1e-12)
         np.testing.assert_allclose(gx, net.weights[0].T @ u, atol=1e-12)
@@ -109,10 +112,10 @@ class TestMlpBackward:
             net = init_mlp(dims, rng, activation=str(rng.choice(["tanh", "logistic"])))
             x = rng.normal(size=dims[0])
             u = rng.normal(size=dims[-1])
-            grads, gx = mlp_backward(net, x, u)
+            grads, gx = backward_row(net, x, u)
 
             def loss_of_x(xv):
-                return float(mlp_forward(net, xv) @ u)
+                return float(forward_row(net, xv) @ u)
 
             numeric_x = finite_diff_grad(loss_of_x, x, eps=1e-5)
             for a, n in zip(gx, numeric_x):
@@ -124,7 +127,7 @@ class TestMlpBackward:
                 def loss_of_w(wv, l=l, shape=net.weights[l].shape):
                     saved = net.weights[l]
                     net.weights[l] = wv.reshape(shape)
-                    out = float(mlp_forward(net, x) @ u)
+                    out = float(forward_row(net, x) @ u)
                     net.weights[l] = saved
                     return out
 
@@ -135,7 +138,7 @@ class TestMlpBackward:
                 def loss_of_b(bv, l=l):
                     saved = net.biases[l]
                     net.biases[l] = bv
-                    out = float(mlp_forward(net, x) @ u)
+                    out = float(forward_row(net, x) @ u)
                     net.biases[l] = saved
                     return out
 
@@ -146,8 +149,9 @@ class TestMlpBackward:
 
     def test_shape_mismatch(self):
         net = init_mlp([3, 2], make_rng(0))
+        _, cache = forward_batch(net, np.ones((1, 3)))
         with pytest.raises(InvalidInputError):
-            mlp_backward(net, np.ones(3), np.ones(3))
+            backward_batch(net, cache, np.ones((1, 3)))
 
 
 class TestFiniteDiff:
@@ -170,11 +174,11 @@ class TestFiniteDiff:
         y[1] = 1.0
 
         def f(logits):
-            return banc_loss(softmax(logits), y, c=6.0)[0]
+            return banc_loss(softmax_rows(logits), y, c=6.0)[0]
 
         g4 = finite_diff_grad(f, z, eps=1e-4)
         g5 = finite_diff_grad(f, z, eps=1e-5)
-        _, analytic = banc_loss(softmax(z), y, c=6.0)
+        _, analytic = banc_loss(softmax_rows(z), y, c=6.0)
         for a, b in zip(g4, g5):
             assert relative_error(a, b) < 1e-4
         for a, b in zip(analytic, g5):
@@ -237,4 +241,5 @@ class TestBatchedForward:
         X = rng.normal(size=(10, 6))
         Y, _ = forward_batch(net, X)
         for i in range(10):
-            np.testing.assert_allclose(Y[i], mlp_forward(net, X[i]), atol=1e-12)
+            np.testing.assert_allclose(Y[i], forward_batch(net, X[i:i + 1])[0][0],
+                                       atol=1e-12)

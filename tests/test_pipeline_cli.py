@@ -304,6 +304,28 @@ class TestCliErrors:
                      "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, section", [
+        ("stage1", 5), ("stage1", None), ("stage1", []), ("noise", "symmetric")],
+        ids=["stage1-number", "stage1-null", "stage1-list", "noise-string"])
+    def test_non_object_section_exits_2_naming_it(self, tmp_path, capsys,
+                                                  name, section):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({name: section}))
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config section {name!r} must be an object" in err
+        assert "Traceback" not in err
+
+    def test_unknown_activation_exits_2_at_load(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"stage1": {"activation": "relu"}}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "activation" in err and "'relu'" in err
+        assert not out.exists()
+
     def test_int_accepted_for_float_field(self):
         cfg = config_from_dict({"stage1": {"lr": 1}, "refurbish": {"sigma": 1}})
         assert cfg.stage1.lr == 1 and cfg.refurbish.sigma == 1

@@ -5,22 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisytail.datagen import Dataset
-from noisytail.errors import InvalidInputError, InvalidSpecError
-from noisytail.numerics import make_rng, softmax
+from noisytail.errors import InvalidInputError, InvalidSpecError, ParseError
+from noisytail.numerics import make_rng
 from noisytail.refurbish import (
     ClassStats,
     RefurbishConfig,
-    SoftLabel,
+    RefurbishRecords,
     align_records,
     class_proportions,
     load_records,
     rarity,
+    refurbish_batch,
     refurbish_dataset,
-    refurbish_one,
     save_records,
     summarize_records,
 )
-from noisytail.stage1 import Prediction, Predictions, prediction_from_logits
+from noisytail.stage1 import Predictions
 
 
 def make_ds(labels, k, dim=2):
@@ -29,14 +29,20 @@ def make_ds(labels, k, dim=2):
                    labels, k)
 
 
-def pred_from_probs(probs):
-    probs = np.asarray(probs, dtype=np.float64)
-    return Prediction(np.log(probs + 1e-300), probs, int(np.argmax(probs)))
+def preds_from_probs(*prob_rows):
+    """Predictions whose rows have the given probabilities: the logits are
+    their logs, a zero probability becoming a logit of -1e4, whose softmax
+    underflows to exactly 0."""
+    P = np.asarray(prob_rows, dtype=np.float64)
+    logits = np.full(P.shape, -1e4)
+    np.log(P, out=logits, where=P > 0)
+    return Predictions(logits)
 
 
-def stack(preds):
-    """Per-row Predictions as one columnar Predictions."""
-    return Predictions(np.stack([p.logits for p in preds]))
+def refurbish_row(preds, observed, stats, sigma):
+    """`refurbish_batch` on a one-row `Predictions`."""
+    return refurbish_batch([0], preds, np.array([observed]), stats,
+                           RefurbishConfig(sigma))
 
 
 class TestClassProportions:
@@ -113,71 +119,65 @@ class TestRefurbishOne:
     def test_worked_example_exact(self):
         probs, gamma, rho, w, expected = self.worked_example()
         stats = self._stats_with_h(0.05)
-        rec = refurbish_one(pred_from_probs(probs), 1, stats, RefurbishConfig(0.2))
-        assert rec.changed
-        assert abs(rec.gamma - gamma) < 1e-12
-        assert abs(rec.rho - rho) < 1e-12
-        assert abs(rec.weight - w) < 1e-12
-        assert rec.weight == rec.rho * rec.gamma
-        np.testing.assert_allclose(rec.soft_label.weights, expected, atol=1e-12)
+        rec = refurbish_row(preds_from_probs(probs), 1, stats, 0.2)
+        assert rec.changed[0]
+        assert abs(rec.gamma[0] - gamma) < 1e-12
+        assert abs(rec.rho[0] - rho) < 1e-12
+        assert abs(rec.weight[0] - w) < 1e-12
+        assert rec.weight[0] == rec.rho[0] * rec.gamma[0]
+        np.testing.assert_allclose(rec.soft[0], expected, atol=1e-12)
         # values printed to 6 places elsewhere round-trip within 2e-5
-        np.testing.assert_allclose(rec.soft_label.weights,
-                                   [0.420919, 0.326542, 0.252539], atol=2e-5)
+        np.testing.assert_allclose(rec.soft[0], [0.420919, 0.326542, 0.252539], atol=2e-5)
 
     def test_agreement_returns_exact_onehot(self):
         stats = self._stats_with_h(0.3)
-        rec = refurbish_one(pred_from_probs([0.2, 0.7, 0.1]), 1, stats,
-                            RefurbishConfig(0.2))
-        assert not rec.changed
-        np.testing.assert_array_equal(rec.soft_label.weights, [0.0, 1.0, 0.0])
+        rec = refurbish_row(preds_from_probs([0.2, 0.7, 0.1]), 1, stats, 0.2)
+        assert not rec.changed[0]
+        np.testing.assert_array_equal(rec.soft[0], [0.0, 1.0, 0.0])
 
     def test_zero_confidence_keeps_probs(self):
         # rho = 0 implies w = 0, so the soft label is the prediction itself
         stats = self._stats_with_h(0.2)
         probs = np.array([0.6, 0.0, 0.4])
-        rec = refurbish_one(pred_from_probs(probs), 1, stats, RefurbishConfig(0.2))
-        assert rec.weight == 0.0
-        np.testing.assert_allclose(rec.soft_label.weights, probs, atol=1e-15)
+        rec = refurbish_row(preds_from_probs(probs), 1, stats, 0.2)
+        assert rec.weight[0] == 0.0
+        np.testing.assert_allclose(rec.soft[0], probs, atol=1e-15)
 
     def test_denominator_identity(self):
         # sum of the unnormalized blend is exactly 1 + w
         rng = make_rng(0)
         for _ in range(100):
             k = int(rng.integers(2, 7))
-            probs = softmax(rng.normal(size=k) * 2)
+            preds = Predictions(rng.normal(size=(1, k)) * 2)
             observed = int(rng.integers(0, k))
             stats = ClassStats(rng.uniform(1, 100, size=k))
-            rec = refurbish_one(pred_from_probs(probs), observed, stats,
-                                RefurbishConfig(0.2))
-            s = probs.copy()
-            s[observed] += rec.weight
-            assert abs(s.sum() - (1.0 + rec.weight)) < 1e-12
+            rec = refurbish_row(preds, observed, stats, 0.2)
+            s = preds.probs[0].copy()
+            s[observed] += rec.weight[0]
+            assert abs(s.sum() - (1.0 + rec.weight[0])) < 1e-12
 
     def test_monotone_in_weight(self):
-        # soft_label[observed] = (rho + w)/(1 + w) strictly increases in w;
+        # soft[observed] = (rho + w)/(1 + w) strictly increases in w;
         # sweep w upward by raising sigma
         probs = np.array([0.5, 0.2, 0.3])
         stats = self._stats_with_h(0.3)
         prev = -1.0
         prev_w = -1.0
         for sigma in [0.05, 0.1, 0.2, 0.4, 0.8, 1.6]:
-            rec = refurbish_one(pred_from_probs(probs), 1, stats,
-                                RefurbishConfig(sigma))
-            assert rec.weight > prev_w
-            assert rec.soft_label.weights[1] > prev
-            prev = rec.soft_label.weights[1]
-            prev_w = rec.weight
+            rec = refurbish_row(preds_from_probs(probs), 1, stats, sigma)
+            assert rec.weight[0] > prev_w
+            assert rec.soft[0, 1] > prev
+            prev = rec.soft[0, 1]
+            prev_w = rec.weight[0]
 
     @given(st.integers(2, 6), st.integers(0, 5), st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
     def test_normalization_property(self, k, observed, seed):
         observed = observed % k
         rng = make_rng(seed)
-        probs = softmax(rng.normal(size=k) * 3)
+        preds = Predictions(rng.normal(size=(1, k)) * 3)
         stats = ClassStats(rng.uniform(0.5, 50, size=k))
-        rec = refurbish_one(pred_from_probs(probs), observed, stats,
-                            RefurbishConfig(0.2))
-        w = rec.soft_label.weights
+        w = refurbish_row(preds, observed, stats, 0.2).soft[0]
         assert np.all(w >= 0)
         assert abs(w.sum() - 1.0) < 1e-9
 
@@ -191,8 +191,8 @@ class TestRefurbishDataset:
 
     def test_all_agreeing_gives_onehots(self):
         ds, _ = self._setup()
-        preds = stack([pred_from_probs(np.roll([0.7, 0.1, 0.1, 0.1], obs))
-                       for obs in ds.observed])
+        preds = preds_from_probs(*[np.roll([0.7, 0.1, 0.1, 0.1], obs)
+                                   for obs in ds.observed])
         softs, records = refurbish_dataset(ds, preds, RefurbishConfig())
         assert all(not r.changed for r in records)
         for obs, sl in zip(ds.observed, softs):
@@ -202,7 +202,7 @@ class TestRefurbishDataset:
         k = 4
         ds = make_ds([0, 1, 2, 3, 0, 0], k)
         uniform = np.full(k, 0.25)
-        preds = stack([Prediction(np.zeros(k), uniform.copy(), 0) for _ in ds.ids])
+        preds = Predictions(np.zeros((len(ds), k)))
         softs, records = refurbish_dataset(ds, preds, RefurbishConfig(0.2))
         stats = class_proportions(ds)
         for obs, sl, rec in zip(ds.observed, softs, records):
@@ -238,7 +238,7 @@ class TestRecordPersistence:
     def test_roundtrip_and_alignment(self, tmp_path):
         rng = make_rng(2)
         ds = make_ds(rng.integers(0, 3, size=10), 3)
-        preds = stack([prediction_from_logits(rng.normal(size=3)) for _ in range(10)])
+        preds = Predictions(rng.normal(size=(10, 3)))
         _, records = refurbish_dataset(ds, preds, RefurbishConfig())
         path = tmp_path / "refurb.jsonl"
         save_records(records, path)
@@ -248,23 +248,26 @@ class TestRecordPersistence:
             assert (a.id, a.changed) == (b.id, b.changed)
             assert abs(a.rho - b.rho) < 1e-15
             assert abs(a.gamma - b.gamma) < 1e-15
-            np.testing.assert_array_equal(a.soft_label.weights, b.soft_label.weights)
+            np.testing.assert_array_equal(a.soft, b.soft)
 
     def test_alignment_rejects_wrong_count(self, tmp_path):
         rng = make_rng(3)
         ds = make_ds(rng.integers(0, 2, size=5), 2)
-        preds = stack([prediction_from_logits(rng.normal(size=2)) for _ in range(5)])
+        preds = Predictions(rng.normal(size=(5, 2)))
         _, records = refurbish_dataset(ds, preds, RefurbishConfig())
         with pytest.raises(InvalidInputError):
             align_records(ds, records.take(slice(0, -1)))
 
 
 class TestSoftLabelValidation:
-    def test_rejects_non_probability(self):
-        with pytest.raises(InvalidInputError):
-            SoftLabel(np.array([0.5, 0.6]))
-        with pytest.raises(InvalidInputError):
-            SoftLabel(np.array([-0.1, 1.1]))
+    def test_rejects_non_probability(self, tmp_path):
+        # soft labels are checked where they enter from a file
+        for bad in ([0.5, 0.6], [-0.1, 1.1]):
+            records = RefurbishRecords(np.array([0]), np.array([0.5]), np.array([1.0]),
+                                       np.array([0.5]), np.array([bad]), np.array([True]))
+            save_records(records, tmp_path / "r.jsonl")
+            with pytest.raises(ParseError, match="line 1.*probability"):
+                load_records(tmp_path / "r.jsonl")
 
     def test_sigma_positive(self):
         with pytest.raises(InvalidSpecError):

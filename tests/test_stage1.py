@@ -14,25 +14,24 @@ from noisytail.numerics import (
     l2_normalize,
     make_rng,
     relative_error,
-    softmax,
+    softmax_rows,
 )
 from noisytail.stage1 import (
     FeatureQueue,
+    Predictions,
     Stage1Config,
     augment,
     align_predictions,
     banc_loss,
     build_stage1_model,
     contrastive_loss,
-    cross_entropy,
     load_predictions,
     load_stage1_checkpoint,
-    predict,
+    predict_batch,
     save_predictions,
     save_stage1_checkpoint,
     sce_loss,
     stage1_batch_gradients,
-    stage1_loss,
     train_stage1,
 )
 
@@ -68,9 +67,6 @@ class DequeQueue:
         for row in np.asarray(Z, dtype=np.float64):
             self._buf.append(l2_normalize(row))
 
-    def entries(self):
-        return [z.copy() for z in self._buf]
-
     def as_matrix(self):
         return np.stack(list(self._buf)) if self._buf else None
 
@@ -83,7 +79,7 @@ class TestFeatureQueue:
     def test_matches_deque_reference(self, capacity, sizes, seed):
         rng = make_rng(seed)
         q, ref = FeatureQueue(capacity), DequeQueue(capacity)
-        assert q.as_matrix() is None and q.entries() == [] and len(q) == 0
+        assert q.as_matrix() is None and len(q) == 0
         for size in sizes:
             Z = rng.normal(size=(size, 3)) * rng.uniform(0.1, 10.0)
             q.push_batch(Z)
@@ -94,16 +90,11 @@ class TestFeatureQueue:
                 assert got is None
             else:
                 np.testing.assert_array_equal(got, want)
-            got_entries, want_entries = q.entries(), ref.entries()
-            assert len(got_entries) == len(want_entries)
-            for a, b in zip(got_entries, want_entries):
-                np.testing.assert_array_equal(a, b)
 
     def test_reads_are_copies(self):
         q = FeatureQueue(3)
         q.push_batch(np.eye(3))
         q.as_matrix()[:] = 0.0
-        q.entries()[0][:] = 0.0
         np.testing.assert_array_equal(q.as_matrix(), np.eye(3))
 
     @pytest.mark.parametrize("bad", [
@@ -131,13 +122,13 @@ class TestFeatureQueue:
                 history.extend(Z)
             expected = history[-min(len(history), capacity):]
             assert len(q) == min(pushes * batch, capacity)
-            for got, want in zip(q.entries(), expected):
+            for got, want in zip(q.as_matrix(), expected):
                 np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_entries_unit_norm(self):
         q = FeatureQueue(4)
-        q.push(np.array([3.0, 4.0]))
-        np.testing.assert_allclose(np.linalg.norm(q.entries()[0]), 1.0, atol=1e-9)
+        q.push_batch(np.array([[3.0, 4.0]]))
+        np.testing.assert_allclose(np.linalg.norm(q.as_matrix()[0]), 1.0, atol=1e-9)
 
     def test_capacity_validated(self):
         with pytest.raises(InvalidSpecError):
@@ -250,8 +241,8 @@ class TestSceLoss:
             k = int(rng.integers(2, 6))
             z = rng.normal(size=k) * 2
             y = onehot(int(rng.integers(0, k)), k)
-            _, grad = sce_loss(softmax(z), y)
-            num = finite_diff_grad(lambda v: sce_loss(softmax(v), y)[0], z)
+            _, grad = sce_loss(softmax_rows(z), y)
+            num = finite_diff_grad(lambda v: sce_loss(softmax_rows(v), y)[0], z)
             for a, b in zip(grad, num):
                 worst = max(worst, relative_error(a, b))
         assert worst < 1e-4, f"max relative error {worst}"
@@ -262,10 +253,10 @@ class TestBancLoss:
         rng = make_rng(10)
         for _ in range(50):
             k = int(rng.integers(2, 6))
-            p = softmax(rng.normal(size=k) * 3)
-            y = onehot(int(rng.integers(0, k)), k)
-            loss, _ = banc_loss(p, y, c=0.0)
-            assert abs(loss - cross_entropy(p, y)) < 1e-12
+            p = softmax_rows(rng.normal(size=k) * 3)
+            label = int(rng.integers(0, k))
+            loss, _ = banc_loss(p, onehot(label, k), c=0.0)
+            assert abs(loss - (-math.log(p[label]))) < 1e-12
 
     def test_worked_example(self):
         loss, _ = banc_loss(np.array([0.5, 0.5]), np.array([1.0, 0.0]), c=6.0)
@@ -281,11 +272,11 @@ class TestBancLoss:
         rng = make_rng(11)
         for _ in range(100):
             k = int(rng.integers(2, 7))
-            p = softmax(rng.normal(size=k) * 2)
-            y = onehot(int(rng.integers(0, k)), k)
+            p = softmax_rows(rng.normal(size=k) * 2)
+            label = int(rng.integers(0, k))
             c = float(rng.uniform(0, 10))
-            gap = banc_loss(p, y, c)[0] - cross_entropy(p, y)
-            expected = c * (1.0 - float(p @ y))
+            gap = banc_loss(p, onehot(label, k), c)[0] + math.log(p[label])
+            expected = c * (1.0 - p[label])
             assert abs(gap - expected) < 1e-12
             assert -1e-12 <= gap <= c + 1e-12
 
@@ -297,8 +288,8 @@ class TestBancLoss:
             z = rng.normal(size=k) * 2
             y = onehot(int(rng.integers(0, k)), k)
             c = float(rng.uniform(0, 8))
-            _, grad = banc_loss(softmax(z), y, c)
-            num = finite_diff_grad(lambda v: banc_loss(softmax(v), y, c)[0], z)
+            _, grad = banc_loss(softmax_rows(z), y, c)
+            num = finite_diff_grad(lambda v: banc_loss(softmax_rows(v), y, c)[0], z)
             for a, b in zip(grad, num):
                 worst = max(worst, relative_error(a, b))
         assert worst < 1e-4, f"max relative error {worst}"
@@ -308,35 +299,109 @@ class TestBancLoss:
             banc_loss(np.array([0.7, 0.7]), np.array([1.0, 0.0]), c=1.0)
 
 
+class TestBatchedKernelsMatchReferences:
+    """The kernels that train stage 1 against the per-sample reference
+    formulas: `_banc_batch` is the mean of `banc_loss` over the rows, and
+    `_contrastive_batch` the mean of `contrastive_loss` over the anchors,
+    each anchor's negatives being the other in-batch keys plus the queue."""
+
+    # absolute: about five float64 ulps at 10, the largest |similarity|/tau
+    # these draws reach (tau >= 0.1); the largest deviation seen is 1.8e-15
+    TOL = 1e-14
+
+    def test_banc_batch_is_mean_of_banc_loss(self):
+        rng = make_rng(30)
+        for _ in range(100):
+            b, k = int(rng.integers(1, 9)), int(rng.integers(2, 7))
+            logits = rng.normal(size=(b, k)) * 3
+            Y = np.eye(k)[rng.integers(0, k, size=b)]
+            c = float(rng.uniform(0, 8))
+            loss, grad = stage1._banc_batch(logits, Y, c)
+            P = softmax_rows(logits)
+            refs = [banc_loss(P[i], Y[i], c) for i in range(b)]
+            assert abs(loss - np.mean([r[0] for r in refs])) <= self.TOL
+            np.testing.assert_allclose(grad, np.stack([r[1] for r in refs]) / b,
+                                       rtol=0, atol=self.TOL)
+
+    @pytest.mark.parametrize("queue_rows", [0, 5])
+    @pytest.mark.parametrize("include_positive", [False, True])
+    def test_contrastive_batch_is_mean_of_contrastive_loss(self, include_positive,
+                                                          queue_rows):
+        rng = make_rng(31 + 2 * queue_rows + include_positive)
+        for _ in range(100):
+            b, d = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            Zq = l2_normalize(rng.normal(size=(b, d)))
+            Zk = l2_normalize(rng.normal(size=(b, d)))
+            queue = l2_normalize(rng.normal(size=(queue_rows, d))) if queue_rows else None
+            tau = float(rng.uniform(0.1, 2.0))
+            loss, g_Zk = stage1._contrastive_batch(Zq, Zk, queue, tau, include_positive)
+            losses, g_ref = [], np.zeros_like(Zk)
+            for i in range(b):
+                others = [j for j in range(b) if j != i]
+                negs = Zk[others] if queue is None else np.concatenate((Zk[others], queue))
+                l_i, g_zk, g_negs = contrastive_loss(Zq[i], Zk[i], negs, tau,
+                                                     include_positive)
+                losses.append(l_i)
+                g_ref[i] += g_zk
+                g_ref[others] += g_negs[:b - 1]  # the queue rows are constants
+            assert abs(loss - np.mean(losses)) <= self.TOL
+            np.testing.assert_allclose(g_Zk, g_ref / b, rtol=0, atol=self.TOL)
+
+
+def step_setup(**overrides):
+    """A tiny model, an 8-row batch with one-hot labels and a 10-row queue."""
+    ds = tiny_dataset()
+    cfg = Stage1Config(seed=4, **{**TINY, **overrides})
+    model = build_stage1_model(ds.feature_dim, ds.num_classes, cfg, make_rng(4))
+    X = ds.X[:8]
+    labels = ds.observed[:8]
+    Y = np.zeros((8, ds.num_classes))
+    Y[np.arange(8), labels] = 1.0
+    queue = l2_normalize(make_rng(5).normal(size=(10, cfg.embed_dim)))
+    return model, X, Y, queue, cfg
+
+
 class TestStage1Loss:
+    """The step's `total` metric blends its two terms as
+    (1-alpha)*con + alpha*banc."""
+
+    def _metrics(self, alpha):
+        model, X, Y, queue, cfg = step_setup(alpha=alpha)
+        return stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(6))[1]
+
     def test_endpoints(self):
-        assert stage1_loss(2.0, 5.0, 0.0) == 2.0
-        assert stage1_loss(2.0, 5.0, 1.0) == 5.0
+        m = self._metrics(0.0)
+        assert m["total"] == m["con"]
+        m = self._metrics(1.0)
+        assert m["total"] == m["banc"]
 
     def test_blend(self):
-        assert abs(stage1_loss(2.0, 5.0, 0.2) - 2.6) < 1e-12
+        m = self._metrics(0.2)
+        assert abs(m["total"] - (0.8 * m["con"] + 0.2 * m["banc"])) < 1e-12
 
     def test_alpha_range(self):
         with pytest.raises(InvalidSpecError):
-            stage1_loss(1.0, 1.0, 1.5)
+            Stage1Config(alpha=1.5)
 
 
 class TestPredict:
+    """`predict_batch` on one-row feature matrices, read through `Predictions`."""
+
     def _model(self, seed=0):
         cfg = Stage1Config(**TINY)
         return build_stage1_model(5, 4, cfg, make_rng(seed)), cfg
 
     def test_probs_sum_to_one(self):
         model, _ = self._model()
-        p = predict(model, np.ones(5))
-        assert abs(p.probs.sum() - 1.0) < 1e-12
+        p = Predictions(predict_batch(model, np.ones((1, 5))))
+        assert abs(p.probs[0].sum() - 1.0) < 1e-12
 
     def test_deterministic(self):
         model, _ = self._model()
-        x = np.linspace(0, 1, 5)
-        a, b = predict(model, x), predict(model, x)
+        x = np.linspace(0, 1, 5)[None, :]
+        a, b = Predictions(predict_batch(model, x)), Predictions(predict_batch(model, x))
         np.testing.assert_array_equal(a.logits, b.logits)
-        assert a.predicted_class == b.predicted_class
+        np.testing.assert_array_equal(a.predicted, b.predicted)
 
     def test_zero_weight_classifier_uniform(self):
         model, _ = self._model()
@@ -344,14 +409,19 @@ class TestPredict:
             w[:] = 0.0
         for b in model.classifier.biases:
             b[:] = 0.0
-        p = predict(model, np.ones(5))
-        np.testing.assert_allclose(p.probs, np.full(4, 0.25), atol=1e-12)
-        assert p.predicted_class == 0  # tie broken toward lowest index
+        p = Predictions(predict_batch(model, np.ones((1, 5))))
+        np.testing.assert_allclose(p.probs, np.full((1, 4), 0.25), atol=1e-12)
+        assert p.predicted[0] == 0  # tie broken toward lowest index
 
     def test_dimension_mismatch(self):
         model, _ = self._model()
         with pytest.raises(InvalidInputError):
-            predict(model, np.ones(7))
+            predict_batch(model, np.ones((1, 7)))
+
+    def test_logits_must_be_finite_matrix(self):
+        for bad in (np.empty((1, 0)), [[1.0, np.nan]], [[1.0, np.inf]], [1.0, 0.0]):
+            with pytest.raises(InvalidInputError, match="finite"):
+                Predictions(bad)
 
 
 class TestTrainStage1:
@@ -364,8 +434,7 @@ class TestTrainStage1:
             np.testing.assert_array_equal(a, b)
         assert log == []
         assert len(preds) == len(ds)
-        for p in preds:
-            assert abs(p.probs.sum() - 1.0) < 1e-9
+        assert np.all(np.abs(preds.probs.sum(axis=1) - 1.0) < 1e-9)
 
     def test_deterministic_given_seed(self):
         ds = tiny_dataset()
@@ -375,8 +444,7 @@ class TestTrainStage1:
         assert l1 == l2
         for a, b in zip(m1.encoder.params(), m2.encoder.params()):
             np.testing.assert_array_equal(a, b)
-        for a, b in zip(p1, p2):
-            np.testing.assert_array_equal(a.logits, b.logits)
+        np.testing.assert_array_equal(p1.logits, p2.logits)
 
     def test_matches_deque_queue_bitwise(self, monkeypatch):
         # the ring buffer must train exactly as the per-row deque queue did
@@ -389,8 +457,7 @@ class TestTrainStage1:
         for part in ("encoder", "projection", "classifier"):
             for a, b in zip(getattr(m1, part).params(), getattr(m2, part).params()):
                 np.testing.assert_array_equal(a, b)
-        for a, b in zip(p1, p2):
-            np.testing.assert_array_equal(a.logits, b.logits)
+        np.testing.assert_array_equal(p1.logits, p2.logits)
 
     def test_batch_size_exceeds_dataset(self):
         ds = tiny_dataset()
@@ -412,21 +479,10 @@ class TestTrainStage1:
 
 
 class TestStopGradientAndIsolation:
-    def _setup(self):
-        ds = tiny_dataset()
-        cfg = Stage1Config(seed=4, **TINY)
-        model = build_stage1_model(ds.feature_dim, ds.num_classes, cfg, make_rng(4))
-        X = ds.X[:8]
-        labels = ds.observed[:8]
-        Y = np.zeros((8, ds.num_classes))
-        Y[np.arange(8), labels] = 1.0
-        queue = l2_normalize(make_rng(5).normal(size=(10, cfg.embed_dim)))
-        return model, X, Y, queue, cfg
-
     def test_query_branch_is_stop_gradient(self):
         # swapping a frozen deep copy into the query branch must not change
         # any gradient: the branch contributes values only
-        model, X, Y, queue, cfg = self._setup()
+        model, X, Y, queue, cfg = step_setup()
         g1, _, _ = stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(6))
         frozen = copy.deepcopy(model)
         g2, _, _ = stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(6),
@@ -439,7 +495,7 @@ class TestStopGradientAndIsolation:
         # the gradients that train the model, checked against the oracle:
         # (1-alpha)*con for encoder and projection, alpha*banc for the
         # classifier, with the query branch frozen and a fixed augmentation
-        model, X, Y, queue, cfg = self._setup()
+        model, X, Y, queue, cfg = step_setup()
         frozen = copy.deepcopy(model)
         grads, _, _ = stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(6),
                                              query_model=frozen)
@@ -463,7 +519,7 @@ class TestStopGradientAndIsolation:
 
     def test_classifier_isolated_from_encoder(self):
         # labels must not influence encoder/projection gradients
-        model, X, Y, queue, cfg = self._setup()
+        model, X, Y, queue, cfg = step_setup()
         Y2 = np.roll(Y, 1, axis=1)  # different labels
         g1, _, _ = stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(7))
         g2, _, _ = stage1_batch_gradients(model, X, Y2, queue, cfg, make_rng(7))
@@ -474,7 +530,7 @@ class TestStopGradientAndIsolation:
                    zip(g1["classifier"].params(), g2["classifier"].params()))
 
     def test_alpha_one_zeroes_contrastive_path(self):
-        model, X, Y, queue, cfg = self._setup()
+        model, X, Y, queue, cfg = step_setup()
         cfg = Stage1Config(**{**cfg.__dict__, "alpha": 1.0})
         g, _, _ = stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(8))
         for part in ("encoder", "projection"):
@@ -482,7 +538,7 @@ class TestStopGradientAndIsolation:
                 assert np.all(a == 0.0)
 
     def test_alpha_zero_zeroes_classifier(self):
-        model, X, Y, queue, cfg = self._setup()
+        model, X, Y, queue, cfg = step_setup()
         cfg = Stage1Config(**{**cfg.__dict__, "alpha": 0.0})
         g, _, _ = stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(9))
         for a in g["classifier"].params():
@@ -512,9 +568,8 @@ class TestPersistence:
         save_predictions(ds.ids, preds, path)
         ids, loaded = load_predictions(path)
         aligned = align_predictions(ds, ids, loaded)
-        for orig, got in zip(preds, aligned):
-            np.testing.assert_array_equal(orig.logits, got.logits)
-            assert orig.predicted_class == got.predicted_class
+        np.testing.assert_array_equal(preds.logits, aligned.logits)
+        np.testing.assert_array_equal(preds.predicted, aligned.predicted)
 
     def test_alignment_rejects_missing_id(self):
         ds = tiny_dataset()
