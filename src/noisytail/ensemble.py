@@ -154,7 +154,8 @@ def train_stage2(ds: Dataset, soft_labels: np.ndarray,
     def step(idx):
         logits, cache = forward_batch(model.head, V[idx])
         losses, g_logits = _expert_batch(logits.reshape(idx.size, 3, k), Y[idx], shifts)
-        grads, _ = backward_batch(model.head, cache, g_logits.reshape(logits.shape))
+        grads, _ = backward_batch(model.head, cache, g_logits.reshape(logits.shape),
+                                  input_grad=False)
         return grads.params(), dict(zip(("e1", "e2", "e3"), losses.tolist()))
 
     return model, sgd_epochs("stage 2", opt, n, cfg.batch_size, cfg.epochs, rng, step)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -58,8 +59,9 @@ def relative_error(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 _ACTIVATIONS = {
-    # value and derivative expressed through the post-activation a
-    "tanh": (np.tanh, lambda a: 1.0 - a * a),
+    # value (free to overwrite its argument) and derivative expressed
+    # through the post-activation a
+    "tanh": (lambda z: np.tanh(z, out=z), lambda a: 1.0 - a * a),
     "logistic": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda a: a * (1.0 - a)),
 }
 
@@ -150,18 +152,21 @@ def forward_batch(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]
     a = X
     last = len(net.weights) - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
+        # bias and tanh in place: one (N, width) array per layer, not three
+        z = a @ w.T
+        z += b
         a = z if l == last else act(z)
         cache.append(a)
     return a, cache
 
 
-def backward_batch(net: Mlp, cache: list[np.ndarray],
-                   upstream: np.ndarray) -> tuple[MlpGrads, np.ndarray]:
+def backward_batch(net: Mlp, cache: list[np.ndarray], upstream: np.ndarray,
+                   input_grad: bool = True) -> tuple[MlpGrads, Optional[np.ndarray]]:
     """Gradients of sum_n (output_n . upstream_n) from a forward cache.
 
     Parameter gradients are summed over the batch; also returns the
-    gradient with respect to the input matrix.
+    gradient with respect to the input matrix, or None with
+    `input_grad=False`, which skips its matrix product.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (cache[0].shape[0], net.out_dim):
@@ -173,13 +178,12 @@ def backward_batch(net: Mlp, cache: list[np.ndarray],
     d_biases = [np.empty(0)] * len(net.biases)
     delta = upstream
     for l in range(len(net.weights) - 1, -1, -1):
-        a_in = cache[l]
-        d_weights[l] = delta.T @ a_in
+        d_weights[l] = delta.T @ cache[l]
         d_biases[l] = delta.sum(axis=0)
-        delta = delta @ net.weights[l]
         if l > 0:
-            delta = delta * dact(cache[l])
-    return MlpGrads(d_weights, d_biases), delta
+            delta = (delta @ net.weights[l]) * dact(cache[l])
+    return (MlpGrads(d_weights, d_biases),
+            delta @ net.weights[0] if input_grad else None)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ SHA-256 hashes of its data artifacts.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -181,6 +182,12 @@ def config_from_dict(data: dict) -> PipelineConfig:
     for name in _SCALAR_FIELDS:
         kwargs[name] = data.get(name, base[name])
     _check_fields("", PipelineConfig, {n: kwargs[n] for n in _SCALAR_FIELDS})
+    n_train = sum(datagen.longtail_counts(kwargs["longtail"]))
+    for name in ("stage1", "stage2"):
+        if kwargs[name].batch_size > n_train:
+            raise InvalidSpecError(
+                f"{name}.batch_size {kwargs[name].batch_size} exceeds the "
+                f"{n_train} training samples the longtail section simulates")
     return PipelineConfig(**kwargs)
 
 
@@ -450,11 +457,45 @@ class PipelineResult:
     metrics: dict = field(default_factory=dict)
 
 
+# The simulate + stage-1 outputs of the last run_in_memory call, keyed by
+# `_stage1_key(cfg)`: at most one entry, held as a deep copy so that no
+# returned result shares an array with it.
+_stage1_memo: dict[str, tuple] = {}
+
+
+def _stage1_key(cfg: PipelineConfig) -> str:
+    """The config as JSON, less the sections simulate and stage 1 never
+    read: a section added later makes the key differ, not collide."""
+    d = config_to_dict(cfg)
+    for name in ("refurbish", "stage2", "thresholds", "out_dir"):
+        del d[name]
+    return json.dumps(d, sort_keys=True)
+
+
+def _simulated_stage1(cfg: PipelineConfig) -> tuple:
+    """(train, test, noise mask, stage-1 model, predictions, stage-1 log):
+    copies of the memo's on a key match, else computed and memoized."""
+    key = _stage1_key(cfg)
+    if key in _stage1_memo:
+        return copy.deepcopy(_stage1_memo[key])
+    _stage1_memo.clear()  # a call that raises leaves no entry
+    train, test, mask = _simulated_data(cfg)
+    out = (train, test, mask, *stage1.train_stage1(train, _seeded(cfg, "stage1")))
+    _stage1_memo[key] = copy.deepcopy(out)
+    return out
+
+
 def run_in_memory(cfg: PipelineConfig, no_relabel: bool = False) -> PipelineResult:
     """The full chain without touching disk; identical seeding to the
-    file-based commands."""
-    train, test, mask = _simulated_data(cfg)
-    s1_model, preds, s1_log = stage1.train_stage1(train, _seeded(cfg, "stage1"))
+    file-based commands.
+
+    As on the CLI, where `stage2 --no-relabel` reads the one stage-1
+    checkpoint, the `no_relabel` variant shares stage 1 with the full
+    chain: simulate and stage 1 are memoized for the last config seen,
+    keyed on every section but `refurbish`, `stage2`, `thresholds` and
+    `out_dir`.  Refurbishment, stage 2 and evaluation run on every call,
+    and each result holds its own copies of the arrays."""
+    train, test, mask, s1_model, preds, s1_log = _simulated_stage1(cfg)
 
     soft, records = refurbish.refurbish_dataset(train, preds, cfg.refurbish)
     if no_relabel:
@@ -493,7 +534,7 @@ def train_ce_baseline(train: Dataset, cfg: Stage1Config, seed: int):
         logits, head_cache = forward_batch(head, v)
         loss, g_logits = stage1._banc_batch(logits, Y[idx], 0.0)  # c = 0: plain CE
         g_head, g_v = backward_batch(head, head_cache, g_logits)
-        g_encoder = backward_batch(encoder, enc_cache, g_v)[0]
+        g_encoder, _ = backward_batch(encoder, enc_cache, g_v, input_grad=False)
         return g_encoder.params() + g_head.params(), {"ce": loss}
 
     sgd_epochs("CE baseline", opt, len(train), cfg.batch_size, cfg.epochs, rng, step)

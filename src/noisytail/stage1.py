@@ -404,13 +404,13 @@ def stage1_batch_gradients(model: Stage1Model, X: np.ndarray, Y: np.ndarray,
     proj_grads, g_vk = backward_batch(
         model.projection, [c[o:] for c in proj_cache], g_zk_raw)
     enc_grads, _ = backward_batch(
-        model.encoder, [c[o:o + b] for c in enc_cache], g_vk)
+        model.encoder, [c[o:o + b] for c in enc_cache], g_vk, input_grad=False)
 
     # classifier on detached features of the raw inputs
     logits, clf_cache = forward_batch(model.classifier, v[o + b:])
     banc_mean, g_logits = _banc_batch(logits, Y, cfg.c)
     clf_grads, _ = backward_batch(model.classifier, clf_cache,
-                                  cfg.alpha * g_logits)
+                                  cfg.alpha * g_logits, input_grad=False)
 
     grads = {"encoder": enc_grads, "projection": proj_grads, "classifier": clf_grads}
     metrics = {

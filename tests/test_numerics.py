@@ -147,6 +147,18 @@ class TestMlpBackward:
                     worst = max(worst, relative_error(a, n))
         assert worst < 1e-4, f"max relative error {worst}"
 
+    @pytest.mark.parametrize("dims", [[3, 2], [3, 5, 4, 2]])
+    def test_without_input_grad_same_param_grads(self, dims):
+        rng = make_rng(4)
+        net = init_mlp(dims, rng)
+        _, cache = forward_batch(net, rng.normal(size=(7, 3)))
+        upstream = rng.normal(size=(7, 2))
+        full, gx = backward_batch(net, cache, upstream)
+        grads, none = backward_batch(net, cache, upstream, input_grad=False)
+        assert gx.shape == (7, 3) and none is None
+        for a, b in zip(full.params(), grads.params()):
+            assert a.tobytes() == b.tobytes()
+
     def test_shape_mismatch(self):
         net = init_mlp([3, 2], make_rng(0))
         _, cache = forward_batch(net, np.ones((1, 3)))

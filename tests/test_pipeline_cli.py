@@ -223,6 +223,93 @@ class TestCliPipeline:
                    - res.report.overall_accuracy) < 1e-12
 
 
+def _result_bits(res) -> tuple:
+    """Everything a PipelineResult holds, as comparable bytes and JSON."""
+    nets = (res.stage1_model.encoder, res.stage1_model.projection,
+            res.stage1_model.classifier, res.stage2_model.head)
+    arrays = [p for net in nets for p in net.params()]
+    arrays += [res.train.X, res.test.X, res.noise_mask, res.predictions.logits,
+               res.records.soft]
+    return (json.dumps([res.report.to_json_dict(), res.metrics, res.stage1_log],
+                       sort_keys=True),
+            [a.tobytes() for a in arrays])
+
+
+class TestInMemoryMemo:
+    @pytest.fixture
+    def stage1_calls(self, monkeypatch):
+        calls = []
+        train = stage1.train_stage1
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(stage1, "train_stage1", counted)
+        return calls
+
+    @pytest.mark.parametrize("no_relabel", [False, True])
+    def test_hit_equals_cold_run(self, stage1_calls, no_relabel):
+        cfg = config_from_dict(TINY_CONFIG)
+        run_in_memory(cfg)
+        hit = run_in_memory(cfg, no_relabel=no_relabel)
+        assert len(stage1_calls) == 1
+        pipeline._stage1_memo.clear()
+        cold = run_in_memory(cfg, no_relabel=no_relabel)
+        assert len(stage1_calls) == 2
+        assert _result_bits(hit) == _result_bits(cold)
+
+    def test_results_share_no_arrays(self, stage1_calls):
+        cfg = config_from_dict(TINY_CONFIG)
+        first = run_in_memory(cfg)
+        first.train.X[:] = 0.0
+        first.stage1_model.encoder.weights[0][:] = 0.0
+        first.predictions.logits[:] = 0.0
+        second = run_in_memory(cfg, no_relabel=True)
+        second_bits = _result_bits(second)
+        second.train.X[:] = 0.0  # a hit's copies are its own too
+        third = run_in_memory(cfg, no_relabel=True)
+        pipeline._stage1_memo.clear()
+        cold = _result_bits(run_in_memory(cfg, no_relabel=True))
+        assert len(stage1_calls) == 2
+        assert second_bits == cold and _result_bits(third) == cold
+
+    @pytest.mark.parametrize("section, key, value, hit", [
+        ("seed", None, 12, False),
+        ("test_per_class", None, 11, False),
+        ("longtail", "head_count", 61, False),
+        ("mixture", "within_class_stddev", 0.9, False),
+        ("noise", "rate", 0.3, False),
+        ("stage1", "epochs", 3, False),
+        ("refurbish", "sigma", 0.3, True),
+        ("stage2", "lr", 0.05, True),
+        ("thresholds", "few_max", 14, True),
+        ("out_dir", None, "elsewhere", True),
+    ])
+    def test_key_is_what_simulate_and_stage1_read(self, stage1_calls,
+                                                  section, key, value, hit):
+        data = json.loads(json.dumps(TINY_CONFIG))
+        if key is None:
+            data[section] = value
+        else:
+            data.setdefault(section, {})[key] = value
+        run_in_memory(config_from_dict(TINY_CONFIG))
+        changed = run_in_memory(config_from_dict(data))
+        assert len(stage1_calls) == (1 if hit else 2)
+        assert len(pipeline._stage1_memo) == 1
+        pipeline._stage1_memo.clear()
+        assert _result_bits(changed) == _result_bits(run_in_memory(config_from_dict(data)))
+
+    def test_diverging_stage1_leaves_memo_empty(self):
+        run_in_memory(config_from_dict(TINY_CONFIG))
+        assert len(pipeline._stage1_memo) == 1
+        data = json.loads(json.dumps(TINY_CONFIG))
+        data["stage1"]["lr"] = 1e300
+        with pytest.raises(NumericError, match="stage 1"):
+            run_in_memory(config_from_dict(data))
+        assert not pipeline._stage1_memo
+
+
 class TestCliErrors:
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -325,6 +412,23 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "activation" in err and "'relu'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["stage1", "stage2"])
+    def test_batch_larger_than_train_split_exits_2_at_load(self, tmp_path, capsys,
+                                                          section):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({section: {"batch_size": 100000}}))
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{section}.batch_size 100000" in err and "4792" in err
+        assert not out.exists()
+
+    def test_batch_equal_to_train_split_loads(self):
+        n = sum(datagen.longtail_counts(config_from_dict(TINY_CONFIG).longtail))
+        data = json.loads(json.dumps(TINY_CONFIG))
+        data["stage1"]["batch_size"] = data["stage2"]["batch_size"] = n
+        assert config_from_dict(data).stage2.batch_size == n
 
     def test_int_accepted_for_float_field(self):
         cfg = config_from_dict({"stage1": {"lr": 1}, "refurbish": {"sigma": 1}})
