@@ -280,14 +280,20 @@ def apply_noise(ds: Dataset, noise: NoiseSpec, rng: np.random.Generator
 _MISSING = np.iinfo(np.int64).min  # true_label absent from a record
 
 
-def save_dataset(ds: Dataset, path) -> None:
-    """One JSON object per line; floats keep full double precision."""
+def dataset_rows(ds: Dataset) -> tuple[tuple[str, ...], list]:
+    """The (keys, columns) of a dataset file."""
     keys = ("id", "features", "observed_label")
     columns = [ds.ids, ds.X, ds.observed]
     if ds.true is not None:
         keys += ("true_label",)
         columns.append(ds.true)
-    jsonl.write_rows(path, keys, columns)
+    return keys, columns
+
+
+def save_dataset(ds: Dataset, path) -> str:
+    """One JSON object per line; floats keep full double precision.
+    Returns the file's SHA-256."""
+    return jsonl.write_rows(path, *dataset_rows(ds))
 
 
 def load_dataset(path, num_classes: Optional[int] = None) -> Dataset:
@@ -317,9 +323,13 @@ def load_dataset(path, num_classes: Optional[int] = None) -> Dataset:
                    true if has_true.all() else None, k)
 
 
-def save_noise_mask(mask: np.ndarray, ids: np.ndarray, path) -> None:
-    jsonl.write_rows(path, ("id", "noisy"),
-                     [np.asarray(ids), np.asarray(mask, dtype=bool)])
+def mask_rows(mask: np.ndarray, ids: np.ndarray) -> tuple[tuple[str, ...], list]:
+    """The (keys, columns) of a noise-mask file."""
+    return ("id", "noisy"), [np.asarray(ids), np.asarray(mask, dtype=bool)]
+
+
+def save_noise_mask(mask: np.ndarray, ids: np.ndarray, path) -> str:
+    return jsonl.write_rows(path, *mask_rows(mask, ids))
 
 
 def load_noise_mask(path) -> dict[int, bool]:

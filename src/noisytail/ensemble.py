@@ -282,12 +282,13 @@ def backbone_hash(net: Mlp) -> str:
 
 
 def save_stage2_checkpoint(model: EnsembleModel, cfg: Stage2Config,
-                           stage1_checkpoint_name: str, path) -> None:
-    """The head goes to disk as three per-expert (K x repr) layers."""
+                           stage1_checkpoint_name: str, path) -> str:
+    """The head goes to disk as three per-expert (K x repr) layers.
+    Returns the file's SHA-256."""
     head = model.head
     experts = [Mlp([head.in_dim, w.shape[0]], [w], [b], head.activation)
                for w, b in zip(np.split(head.weights[0], 3), np.split(head.biases[0], 3))]
-    jsonl.write_json(path, {
+    return jsonl.write_json(path, {
         "kind": "stage2",
         "config": asdict(cfg),
         "backbone_hash": backbone_hash(model.backbone),

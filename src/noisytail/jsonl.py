@@ -1,10 +1,15 @@
-"""Strict JSON and JSON Lines persistence for column arrays.
+"""Strict JSON and JSON Lines persistence for column arrays, and `Forks`,
+the one helper that forks.
 
-JSONL writers emit one C-encoded object per row.  A file of at least two
-`MIN_SHARD_ROWS` is split into contiguous row shards, at most one per
-usable CPU: forked children encode all shards but the first into temp
-files that the parent appends in order, so the bytes are identical for any
-CPU count.
+Every writer returns the SHA-256 of the bytes it wrote, hashed as they are
+written, so no file is read back to be hashed.  JSONL writers emit one
+C-encoded object per row.  A file of at least two `MIN_SHARD_ROWS` is
+split into contiguous row shards, at most one per usable CPU: forked
+children encode all shards but the first into temp files that the parent
+appends in order, so the bytes are identical for any CPU count.  The
+pipeline runs each JSONL writer in a forked child of its own (see
+`pipeline.Workspace`), which sends back the digest and how long the write
+took; the shards are then forked from that child.
 Readers stream a file line by line, array fields straight into a float64
 matrix preallocated from the line count.  Parse errors name the line; NaN
 and infinity are refused both ways, a writer before opening the file.
@@ -12,7 +17,10 @@ and infinity are refused both ways, a writer before opening the file.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import tempfile
 from contextlib import contextmanager
 
 import numpy as np
@@ -31,37 +39,50 @@ MIN_SHARD_ROWS = 4 * BLOCK_ROWS
 
 def usable_cpus() -> int:
     """CPUs this process may run on."""
-    import os
-
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def write_rows(path, keys: tuple[str, ...], columns) -> None:
-    """Row i becomes {keys[0]: columns[0][i], ...}; 2-D columns give arrays.
-
-    A NaN or infinity is refused, naming its key and row, before the file
-    is opened.  Large files are encoded in contiguous row shards, at most
-    one per usable CPU, by forked children; the bytes do not depend on the
-    shard count.  A write that fails deletes the target.
-    """
-    import os
-
+def check_finite(path, keys: tuple[str, ...], columns) -> None:
+    """ValueError naming the key and row of the first NaN or infinity."""
     for key, col in zip(keys, columns):
         if col.dtype.kind == "f":
             bad = ~np.isfinite(col)
             if bad.any():
                 row = int(np.argmax(bad.reshape(len(col), -1).any(axis=1)))
                 raise ValueError(f"cannot write {path}: {key} at row {row} is not finite")
+
+
+def write_rows(path, keys: tuple[str, ...], columns) -> str:
+    """Row i becomes {keys[0]: columns[0][i], ...}; 2-D columns give arrays.
+    Returns the SHA-256 of the bytes written.
+
+    A NaN or infinity is refused, naming its key and row, before the file
+    is opened.  Large files are encoded in contiguous row shards, at most
+    one per usable CPU, by forked children; the bytes do not depend on the
+    shard count.  A write that fails deletes the target.
+    """
+    check_finite(path, keys, columns)
+    return write_checked_rows(path, keys, columns)
+
+
+def write_checked_rows(path, keys: tuple[str, ...], columns) -> str:
+    """`write_rows` for columns that already passed `check_finite`."""
     n = len(columns[0])
     shards = min(usable_cpus(), n // MIN_SHARD_ROWS) if hasattr(os, "fork") else 1
-    fh = open(path, "w", encoding="utf-8")
+    sha = hashlib.sha256()
+    fh = open(path, "wb")
+
+    def write(data: bytes) -> None:
+        sha.update(data)
+        fh.write(data)
+
     try:
         if shards < 2:
-            encode_shard(fh, keys, columns, 0, n)
+            encode_shard(write, keys, columns, 0, n)
         else:
-            _write_forked(fh, path, keys, columns, shards)
+            _write_sharded(write, path, keys, columns, shards)
         fh.close()
     except BaseException:
         try:
@@ -70,74 +91,143 @@ def write_rows(path, keys: tuple[str, ...], columns) -> None:
             pass
         os.unlink(path)
         raise
+    return sha.hexdigest()
 
 
-def encode_shard(fh, keys, columns, start: int, stop: int) -> None:
-    """Write rows [start, stop) to the text file `fh`."""
+def encode_shard(write, keys, columns, start: int, stop: int) -> None:
+    """Pass rows [start, stop), UTF-8 encoded, to `write` a block at a time."""
     for lo in range(start, stop, BLOCK_ROWS):
         block = [c[lo:min(lo + BLOCK_ROWS, stop)].tolist() for c in columns]
-        fh.writelines(_encode(dict(zip(keys, row))) + "\n" for row in zip(*block))
+        write("".join(_encode(dict(zip(keys, row))) + "\n"
+                      for row in zip(*block)).encode())
 
 
-def _write_forked(fh, path, keys, columns, shards: int) -> None:
-    """Rows split into `shards` contiguous shards: the caller's process
-    encodes shard 0 into `fh` while one forked child per other shard encodes
-    into an unnamed temp file beside `path`; the parent then appends those
-    files in shard order, so the bytes equal one serial pass.  On failure
-    the children still running are killed and reaped.
-
-    Forking is safe here although BLAS may hold threads: a child runs only
-    `tolist` and the JSON encoder, which take no lock another thread could
-    hold and make no BLAS call, and it leaves through `os._exit`, so it
-    runs no exit handler and flushes no buffer it inherited.  Tested on
-    CPython 3.11 only: from 3.12 `os.fork` in a process with live threads
-    also emits a DeprecationWarning, hidden by the default warning filters
-    but shown by pytest or `-W error`.
-    """
-    import os
-    import shutil
-    import signal
-    import tempfile
-
+def _write_sharded(write, path, keys, columns, shards: int) -> None:
+    """Rows split into `shards` contiguous shards: this process encodes
+    shard 0 into `write` while one forked child per other shard encodes
+    into an unnamed temp file beside `path`; those files are then passed
+    to `write` in shard order, so the bytes equal one serial pass."""
     n = len(columns[0])
     bounds = [n * s // shards for s in range(shards + 1)]
-    tmps, pids = [], []
+    forks, tmps, pids = Forks(), [], []
     try:
-        for s in range(1, shards):
-            tmp = tempfile.TemporaryFile("w+", encoding="utf-8",
-                                         dir=os.path.dirname(os.path.abspath(path)))
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            tmp = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
             tmps.append(tmp)
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    encode_shard(tmp, keys, columns, bounds[s], bounds[s + 1])
-                    tmp.flush()
-                    status = 0
-                except BaseException as e:
-                    os.write(2, f"{path}: shard {s} encoder failed: {e!r}\n".encode())
-                finally:
-                    os._exit(status)
-            pids.append(pid)
-        encode_shard(fh, keys, columns, 0, bounds[1])
-        for s, tmp in enumerate(tmps, start=1):
-            _, status = os.waitpid(pids[s - 1], 0)
-            pids[s - 1] = None
-            if status:
-                raise OSError(f"cannot write {path}: encoder of rows "
-                              f"{bounds[s]}-{bounds[s + 1] - 1} exited with "
-                              f"status {os.waitstatus_to_exitcode(status)}")
+
+            def encode(tmp=tmp, lo=lo, hi=hi) -> str:
+                encode_shard(tmp.write, keys, columns, lo, hi)
+                tmp.flush()
+                return ""
+            pids.append(forks.start(
+                f"cannot write {path}: encoder of rows {lo}-{hi - 1}", encode))
+        encode_shard(write, keys, columns, 0, bounds[1])
+        for pid, tmp in zip(pids, tmps):
+            forks.wait(pid)
             tmp.seek(0)
-            shutil.copyfileobj(tmp, fh)
+            for chunk in iter(lambda: tmp.read(1 << 20), b""):
+                write(chunk)
     except BaseException:
-        for pid in pids:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        forks.kill()
         raise
     finally:
         for tmp in tmps:
             tmp.close()
+
+
+class Forks:
+    """Forked children, each running one function whose str result comes
+    back through a pipe; the one place this package forks.
+
+    A child leaves through `os._exit`, so it runs no exit handler and
+    flushes no buffer it inherited.  One that raises prints `label
+    failed: ...` to stderr and exits 1, and `wait` raises OSError
+    naming the label.  `kill` sends SIGTERM, on which a child first kills
+    and reaps its own children, then exits: no process of the tree is
+    left behind.
+
+    Forking is safe here although BLAS may hold threads: the children of
+    this package run only `tolist`, the JSON encoder and hashlib, which
+    take no lock another thread could hold and make no BLAS call.  Tested
+    on CPython 3.11 only: from 3.12 `os.fork` in a process with live
+    threads also emits a DeprecationWarning, hidden by the default warning
+    filters but shown by pytest or `-W error`.
+    """
+
+    def __init__(self):
+        self.running: dict[int, tuple[str, object]] = {}  # pid -> (label, pipe)
+
+    def start(self, label: str, fn) -> int:
+        """Fork a child that runs `fn()` and sends back the str it returns."""
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                import signal  # here: the caller's process needs it only to kill
+
+                _live.clear()  # its parent's children are not its own
+                signal.signal(signal.SIGTERM, _end_tree)
+                os.close(r)
+                data = fn().encode()
+                while data:
+                    data = data[os.write(w, data):]
+                code = 0
+            except BaseException as e:
+                os.write(2, f"{label} failed: {e!r}\n".encode())
+            finally:
+                os._exit(code)
+        os.close(w)
+        _live.add(pid)
+        self.running[pid] = (label, os.fdopen(r, "rb"))
+        return pid
+
+    def wait(self, pid: int) -> str:
+        """What child `pid` sent, once it has exited; OSError naming its
+        label if it failed."""
+        label, pipe = self.running[pid]
+        data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        _live.discard(pid)
+        del self.running[pid]
+        pipe.close()
+        if status:
+            raise OSError(f"{label} exited with status "
+                          f"{os.waitstatus_to_exitcode(status)}")
+        return data.decode()
+
+    def kill(self) -> None:
+        """End and reap every child not yet waited for."""
+        import signal
+
+        for pid, (_, pipe) in self.running.items():
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+            _live.discard(pid)
+            pipe.close()
+        self.running.clear()
+
+
+_live: set[int] = set()  # children this process forked and has not reaped
+
+
+def _end_tree(signum, frame) -> None:
+    """SIGTERM in a forked child: end and reap its own children, then exit
+    at once (raising instead could escape the child's `os._exit`)."""
+    import signal
+
+    for pid in list(_live):
+        try:
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):  # already reaped
+            pass
+    os._exit(1)
 
 
 def read_rows(path, what: str):
@@ -201,11 +291,19 @@ def read_columns(path, what: str, scalars: dict, vectors: tuple = (),
     return out, linenos
 
 
-def write_json(path, obj, indent=None) -> None:
-    """One strict JSON document with sorted keys and a trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=indent, allow_nan=False)
-        fh.write("\n")
+def write_json(path, obj, indent=None) -> str:
+    """One strict JSON document with sorted keys and a trailing newline;
+    returns the SHA-256 of its bytes."""
+    return write_text(path, json.dumps(obj, sort_keys=True, indent=indent,
+                                       allow_nan=False) + "\n")
+
+
+def write_text(path, text: str) -> str:
+    """`text` as UTF-8; returns the SHA-256 of its bytes."""
+    data = text.encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def read_json(path, what: str):

@@ -4,7 +4,7 @@ simulate -> stage1 -> refurbish -> stage2 -> evaluate chain.
 Every command is reproducible from (config, seed) alone; per-stage seeds
 are derived by hashing the global seed with the stage name, and each
 command writes a JSON manifest recording the config hash, the seed, and
-SHA-256 hashes of its data artifacts.
+the SHA-256 and write time of each of its data artifacts.
 """
 
 from __future__ import annotations
@@ -225,6 +225,8 @@ def _simulated_data(cfg: PipelineConfig) -> tuple[Dataset, Dataset, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def file_sha256(path) -> str:
+    """SHA-256 of a file as read back from disk: an independent check on
+    the digests the writers report, which the manifests record."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -234,7 +236,9 @@ def file_sha256(path) -> str:
 
 def write_manifest(out_dir: Path, command: str, cfg: PipelineConfig,
                    wall_time_s: float, metrics: dict,
-                   artifact_names: list[str]) -> None:
+                   written: dict[str, tuple[str, float]]) -> None:
+    """`written` maps each artifact to (SHA-256, seconds its write took);
+    the digests come from the writers, so no artifact is read back."""
     manifest = {
         "command": command,
         "config": config_to_dict(cfg),
@@ -243,8 +247,9 @@ def write_manifest(out_dir: Path, command: str, cfg: PipelineConfig,
         "stage_seeds": {s: stage_seed(cfg.seed, s)
                         for s in ("simulate", "stage1", "stage2")},
         "wall_time_s": wall_time_s,
+        "write_s": {name: seconds for name, (_, seconds) in written.items()},
         "metrics": metrics,
-        "artifacts": {name: file_sha256(out_dir / name) for name in artifact_names},
+        "artifacts": {name: digest for name, (digest, _) in written.items()},
     }
     jsonl.write_json(out_dir / f"manifest_{command}.json", manifest, indent=2)
 
@@ -254,11 +259,27 @@ class Workspace:
     A later stage takes a kept value, else loads the file: floats are
     written with `repr` and rows in id order, so the two are equal.  A
     single-stage command starts with an empty memo; `run_pipeline` hands
-    one workspace down the chain."""
+    one workspace down the chain.
+
+    JSONL files are written by forked writers while the next stage runs;
+    leaving the workspace's `with` block joins them on every path, then
+    writes the manifest of each stage that finished, from the digests the
+    writers sent back."""
 
     def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
         self.memo: dict[str, object] = {}
+        self.written: dict[str, tuple[str, float]] = {}  # name -> (SHA-256, write s)
+        self._writers = jsonl.Forks()
+        self._writing: dict[int, str] = {}  # writer pid -> artifact name
+        self._unclaimed: list[str] = []  # written since the last stage finished
+        self._finished: list[tuple] = []  # manifests to write at the join
+
+    def __enter__(self) -> "Workspace":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.join()
 
     def get(self, name: str, producer: str, load):
         """The kept value of `name`, else `load(path)` of the file the
@@ -275,6 +296,64 @@ class Workspace:
         return self.get(name, "simulate",
                         lambda p: datagen.load_dataset(p, cfg.longtail.num_classes))
 
+    def write(self, name: str, value, rows) -> None:
+        """Keep `value` as `name` and write `rows`, a (keys, columns) pair,
+        to the file `name` in a forked writer.  The rows are checked finite
+        here, before the fork; the writer encodes the snapshot the fork
+        took, so the caller may change or drop the arrays at once."""
+        path = self.out_dir / name
+        jsonl.check_finite(path, *rows)
+        self.memo[name] = value
+
+        def write() -> str:
+            t0 = time.perf_counter()
+            digest = jsonl.write_checked_rows(path, *rows)
+            return f"{digest} {time.perf_counter() - t0!r}"
+        self._writing[self._writers.start(f"cannot write {path}: writer", write)] = name
+        self._unclaimed.append(name)
+
+    def save(self, name: str, write) -> None:
+        """Write the file `name` now, in this process, by `write(path)`,
+        which returns the SHA-256 of the bytes it wrote."""
+        t0 = time.perf_counter()
+        digest = write(self.out_dir / name)
+        self.written[name] = (digest, time.perf_counter() - t0)
+        self._unclaimed.append(name)
+
+    def finish(self, command: str, cfg: PipelineConfig, t0: float,
+               metrics: dict) -> None:
+        """End a stage that started at `t0`: its manifest, written at the
+        join, lists the artifacts written since the last stage finished."""
+        self._finished.append((command, cfg, time.perf_counter() - t0, metrics,
+                               self._unclaimed))
+        self._unclaimed = []
+
+    def join(self) -> None:
+        """Wait for every writer, then write the manifest of each finished
+        stage whose artifacts were all written, and delete that of any
+        other.  A writer that failed raises OSError naming its file, after
+        the other writers are killed and reaped and every file not fully
+        written is deleted."""
+        try:
+            for pid, name in list(self._writing.items()):
+                digest, seconds = self._writers.wait(pid).split()
+                self.written[name] = (digest, float(seconds))
+                del self._writing[pid]
+        except BaseException:
+            self._writers.kill()
+            for name in self._writing.values():
+                (self.out_dir / name).unlink(missing_ok=True)
+            self._writing.clear()
+            raise
+        finally:
+            for command, cfg, wall_time_s, metrics, names in self._finished:
+                if all(name in self.written for name in names):
+                    write_manifest(self.out_dir, command, cfg, wall_time_s, metrics,
+                                   {name: self.written[name] for name in names})
+                else:
+                    (self.out_dir / f"manifest_{command}.json").unlink(missing_ok=True)
+            self._finished.clear()
+
 
 # ---------------------------------------------------------------------------
 # Stage runners
@@ -284,10 +363,9 @@ def run_simulate(cfg: PipelineConfig, ws: Workspace) -> dict:
     t0 = time.perf_counter()
     ws.out_dir.mkdir(parents=True, exist_ok=True)
     train, test, mask = _simulated_data(cfg)
-    datagen.save_dataset(train, ws.out_dir / TRAIN_FILE)
-    datagen.save_dataset(test, ws.out_dir / TEST_FILE)
-    datagen.save_noise_mask(mask, train.ids, ws.out_dir / MASK_FILE)
-    ws.memo.update({TRAIN_FILE: train, TEST_FILE: test})
+    ws.write(TRAIN_FILE, train, datagen.dataset_rows(train))
+    ws.write(TEST_FILE, test, datagen.dataset_rows(test))
+    ws.write(MASK_FILE, mask, datagen.mask_rows(mask, train.ids))
     counts = np.bincount(train.true, minlength=cfg.longtail.num_classes).tolist()
     metrics = {
         "train_size": len(train),
@@ -295,8 +373,7 @@ def run_simulate(cfg: PipelineConfig, ws: Workspace) -> dict:
         "class_counts": counts,
         "measured_noise_rate": int(mask.sum()) / len(train),
     }
-    write_manifest(ws.out_dir, "simulate", cfg, time.perf_counter() - t0, metrics,
-                   [TRAIN_FILE, TEST_FILE, MASK_FILE])
+    ws.finish("simulate", cfg, t0, metrics)
     return metrics
 
 
@@ -313,15 +390,13 @@ def run_stage1(cfg: PipelineConfig, ws: Workspace) -> dict:
     train = ws.dataset(TRAIN_FILE, cfg)
     s1_cfg = _seeded(cfg, "stage1")
     model, preds, log = stage1.train_stage1(train, s1_cfg)
-    stage1.save_stage1_checkpoint(model, s1_cfg, ws.out_dir / STAGE1_CKPT)
-    stage1.save_predictions(train.ids, preds, ws.out_dir / PREDICTIONS_FILE)
-    jsonl.write_json(ws.out_dir / STAGE1_LOG, log)
+    ws.write(PREDICTIONS_FILE, preds, stage1.prediction_rows(train.ids, preds))
+    ws.save(STAGE1_CKPT, lambda p: stage1.save_stage1_checkpoint(model, s1_cfg, p))
+    ws.save(STAGE1_LOG, lambda p: jsonl.write_json(p, log))
     ws.memo[STAGE1_CKPT] = model
-    ws.memo[PREDICTIONS_FILE] = preds
     metrics = {"final_losses": log[-1] if log else None,
                **_accuracy("train_accuracy", preds.predicted, train)}
-    write_manifest(ws.out_dir, "stage1", cfg, time.perf_counter() - t0, metrics,
-                   [STAGE1_CKPT, PREDICTIONS_FILE, STAGE1_LOG])
+    ws.finish("stage1", cfg, t0, metrics)
     return metrics
 
 
@@ -332,14 +407,12 @@ def run_refurbish(cfg: PipelineConfig, ws: Workspace) -> dict:
         train, *stage1.load_predictions(p)))
     soft, records = refurbish.refurbish_dataset(train, preds, cfg.refurbish)
     ws.memo.pop(PREDICTIONS_FILE, None)  # no later stage reads them: free the memory
-    refurbish.save_records(records, ws.out_dir / REFURB_FILE)
-    ws.memo[REFURB_FILE] = soft
+    ws.write(REFURB_FILE, soft, refurbish.record_rows(records))
     metrics = refurbish.summarize_records(records)
     if train.true is not None:
         metrics.update(refurbish_quality(train, soft, records.changed,
                                          cfg.thresholds))
-    write_manifest(ws.out_dir, "refurbish", cfg, time.perf_counter() - t0, metrics,
-                   [REFURB_FILE])
+    ws.finish("refurbish", cfg, t0, metrics)
     return metrics
 
 
@@ -379,15 +452,13 @@ def run_stage2(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -> 
     model, log = ensemble.train_stage2(train, softs, s1_model, s2_cfg)
     ckpt_name = _variant_name(STAGE2_CKPT, no_relabel)
     log_name = _variant_name(STAGE2_LOG, no_relabel)
-    ensemble.save_stage2_checkpoint(model, s2_cfg, STAGE1_CKPT,
-                                    ws.out_dir / ckpt_name)
-    jsonl.write_json(ws.out_dir / log_name, log)
+    ws.save(ckpt_name, lambda p: ensemble.save_stage2_checkpoint(
+        model, s2_cfg, STAGE1_CKPT, p))
+    ws.save(log_name, lambda p: jsonl.write_json(p, log))
     ws.memo[ckpt_name] = (model, s2_cfg)
     metrics = {"variant": "w/o re-label" if no_relabel else "refurbished",
                "final_losses": log[-1] if log else None}
-    command = "stage2_norelabel" if no_relabel else "stage2"
-    write_manifest(ws.out_dir, command, cfg, time.perf_counter() - t0, metrics,
-                   [ckpt_name, log_name])
+    ws.finish("stage2_norelabel" if no_relabel else "stage2", cfg, t0, metrics)
     return metrics
 
 
@@ -414,29 +485,27 @@ def run_evaluate(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -
     doc = {"variant": label, **report.to_json_dict()}
     json_name = _variant_name(EVAL_JSON, no_relabel)
     csv_name = _variant_name(EVAL_CSV, no_relabel)
-    jsonl.write_json(ws.out_dir / json_name, doc, indent=2)
-    with open(ws.out_dir / csv_name, "w", encoding="utf-8") as fh:
-        fh.write(f"# variant: {label}; thresholds: many>"
-                 f"{cfg.thresholds.many_min}, few<{cfg.thresholds.few_max}\n")
-        fh.write(ensemble.report_csv(report))
+    ws.save(json_name, lambda p: jsonl.write_json(p, doc, indent=2))
+    ws.save(csv_name, lambda p: jsonl.write_text(
+        p, f"# variant: {label}; thresholds: many>{cfg.thresholds.many_min}, "
+           f"few<{cfg.thresholds.few_max}\n" + ensemble.report_csv(report)))
     metrics = {"variant": label,
                "overall_accuracy": report.overall_accuracy,
                "subgroup_accuracy": report.subgroup_accuracy}
-    command = "evaluate_norelabel" if no_relabel else "evaluate"
-    write_manifest(ws.out_dir, command, cfg, time.perf_counter() - t0, metrics,
-                   [json_name, csv_name])
+    ws.finish("evaluate_norelabel" if no_relabel else "evaluate", cfg, t0, metrics)
     return metrics
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
     """simulate -> stage1 -> refurbish -> stage2 -> evaluate over one
-    workspace, each stage taking its inputs from memory."""
-    ws = Workspace(out_dir)
-    run_simulate(cfg, ws)
-    run_stage1(cfg, ws)
-    run_refurbish(cfg, ws)
-    run_stage2(cfg, ws)
-    return run_evaluate(cfg, ws)
+    workspace, each stage taking its inputs from memory while the files of
+    the stages before it are still being written."""
+    with Workspace(out_dir) as ws:
+        run_simulate(cfg, ws)
+        run_stage1(cfg, ws)
+        run_refurbish(cfg, ws)
+        run_stage2(cfg, ws)
+        return run_evaluate(cfg, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -600,15 +669,13 @@ def run_sweep(cfg: PipelineConfig, sweep: SweepSpec, out_dir: Path) -> list[dict
         rows.append({"value": float(value),
                      "accuracy": result.report.overall_accuracy})
     rows.sort(key=lambda r: r["value"])
-    csv_name = f"sweep_{sweep.parameter}.csv"
-    with open(out_dir / csv_name, "w", encoding="utf-8") as fh:
-        fh.write(f"{sweep.parameter},accuracy\n")
-        for r in rows:
-            fh.write(f"{r['value']},{r['accuracy']:.6f}\n")
+    text = f"{sweep.parameter},accuracy\n" + "".join(
+        f"{r['value']},{r['accuracy']:.6f}\n" for r in rows)
     best = max(rows, key=lambda r: r["accuracy"])
-    metrics = {"parameter": sweep.parameter, "rows": rows, "best": best}
-    write_manifest(out_dir, f"sweep_{sweep.parameter}", cfg,
-                   time.perf_counter() - t0, metrics, [csv_name])
+    with Workspace(out_dir) as ws:
+        ws.save(f"sweep_{sweep.parameter}.csv", lambda p: jsonl.write_text(p, text))
+        ws.finish(f"sweep_{sweep.parameter}", cfg, t0,
+                  {"parameter": sweep.parameter, "rows": rows, "best": best})
     return rows
 
 

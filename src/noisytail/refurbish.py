@@ -160,10 +160,15 @@ def summarize_records(records: RefurbishRecords) -> dict:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def save_records(records: RefurbishRecords, path) -> None:
-    jsonl.write_rows(path, ("id", "soft_label", "changed", "rho", "gamma", "weight"),
-                     [records.ids, records.soft, records.changed, records.rho,
-                      records.gamma, records.weight])
+def record_rows(records: RefurbishRecords) -> tuple[tuple[str, ...], list]:
+    """The (keys, columns) of a refurbishment file."""
+    return (("id", "soft_label", "changed", "rho", "gamma", "weight"),
+            [records.ids, records.soft, records.changed, records.rho,
+             records.gamma, records.weight])
+
+
+def save_records(records: RefurbishRecords, path) -> str:
+    return jsonl.write_rows(path, *record_rows(records))
 
 
 def load_records(path) -> RefurbishRecords:

@@ -487,8 +487,8 @@ def train_stage1(ds: Dataset, cfg: Stage1Config
 # Persistence
 # ---------------------------------------------------------------------------
 
-def save_stage1_checkpoint(model: Stage1Model, cfg: Stage1Config, path) -> None:
-    jsonl.write_json(path, {
+def save_stage1_checkpoint(model: Stage1Model, cfg: Stage1Config, path) -> str:
+    return jsonl.write_json(path, {
         "kind": "stage1",
         "config": asdict(cfg),
         "encoder": mlp_state(model.encoder),
@@ -507,9 +507,14 @@ def load_stage1_checkpoint(path) -> tuple[Stage1Model, Stage1Config]:
         return model, Stage1Config(**state["config"])
 
 
-def save_predictions(ids: np.ndarray, preds: Predictions, path) -> None:
+def prediction_rows(ids: np.ndarray, preds: Predictions
+                    ) -> tuple[tuple[str, ...], list]:
     """One `{"id", "logits"}` row per sample; the rest derives from the logits."""
-    jsonl.write_rows(path, ("id", "logits"), [np.asarray(ids), preds.logits])
+    return ("id", "logits"), [np.asarray(ids), preds.logits]
+
+
+def save_predictions(ids: np.ndarray, preds: Predictions, path) -> str:
+    return jsonl.write_rows(path, *prediction_rows(ids, preds))
 
 
 def load_predictions(path) -> tuple[np.ndarray, Predictions]:

@@ -202,6 +202,16 @@ def mask_case(n, seed):
     return (lambda path: save_noise_mask(mask, ids, path)), refs
 
 
+def in_forked_writer(write):
+    """`write(path)` run as the pipeline runs a JSONL writer: in a child
+    forked by `jsonl.Forks`, whose failure the caller sees as an OSError
+    naming the file."""
+    def run(path):
+        forks = jsonl.Forks()
+        forks.wait(forks.start(f"cannot write {path}: writer", lambda: write(path)))
+    return run
+
+
 WRITER_CASES = {
     "dataset": dataset_case,
     "dataset_no_true": lambda n, seed: dataset_case(n, seed, with_true=False),
@@ -273,6 +283,17 @@ class TestWriters:
                                                 where):
         """A shard encoder that fails, in a child, in the parent or in the
         serial loop, leaves no file in the directory and no child unreaped."""
+        self.check_failed_shard(tmp_path, monkeypatch, capfd, where, "caller")
+
+    @pytest.mark.parametrize("where", ["child", "parent", "serial"])
+    def test_failed_shard_in_forked_writer_leaves_nothing_behind(
+            self, tmp_path, monkeypatch, capfd, where):
+        """The same when the whole write runs in a forked writer, whose
+        shards are then forked from that writer."""
+        self.check_failed_shard(tmp_path, monkeypatch, capfd, where, "forked_writer")
+
+    @staticmethod
+    def check_failed_shard(tmp_path, monkeypatch, capfd, where, via):
         encode_shard = jsonl.encode_shard
 
         def failing(fh, keys, columns, start, stop):
@@ -284,22 +305,39 @@ class TestWriters:
         monkeypatch.setattr(jsonl, "encode_shard", failing)
         write, _ = mask_case(3 * jsonl.MIN_SHARD_ROWS, 0)
         path = tmp_path / "mask.jsonl"
-        expected = ((OSError, f"cannot write {re.escape(str(path))}") if where == "child"
+        expected = ((OSError, f"cannot write {re.escape(str(path))}")
+                    if where == "child" or via == "forked_writer"
                     else (RuntimeError, "boom"))
+        if via == "forked_writer":
+            write = in_forked_writer(write)
         with pytest.raises(expected[0], match=expected[1]):
             write(path)
         assert os.listdir(tmp_path) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        if where == "child":
+        if where == "child" or via == "forked_writer":
             assert "boom at row" in capfd.readouterr().err
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("encoder_fails", [True, False])
-    def test_failed_close_leaves_nothing_behind(self, tmp_path, monkeypatch, cpus,
-                                                encoder_fails):
+    def test_failed_close_leaves_nothing_behind(self, tmp_path, monkeypatch, capfd,
+                                                cpus, encoder_fails):
         """A target whose closing flush fails (a full disk) is deleted, and an
         encoder failure before it stays the error reported."""
+        self.check_failed_close(tmp_path, monkeypatch, capfd, cpus, encoder_fails,
+                                "caller")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("encoder_fails", [True, False])
+    def test_failed_close_in_forked_writer_leaves_nothing_behind(
+            self, tmp_path, monkeypatch, capfd, cpus, encoder_fails):
+        """The same when the whole write runs in a forked writer: the error
+        reported on stderr is the first one, and the OSError names the file."""
+        self.check_failed_close(tmp_path, monkeypatch, capfd, cpus, encoder_fails,
+                                "forked_writer")
+
+    @staticmethod
+    def check_failed_close(tmp_path, monkeypatch, capfd, cpus, encoder_fails, via):
         def open_failing_close(*args, **kwargs):
             fh = open(*args, **kwargs)
             close = fh.close
@@ -318,9 +356,15 @@ class TestWriters:
         if encoder_fails:
             monkeypatch.setattr(jsonl, "encode_shard", failing)
         write, _ = mask_case(2 * jsonl.MIN_SHARD_ROWS, 0)
-        with pytest.raises(RuntimeError if encoder_fails else OSError,
-                           match="boom" if encoder_fails else "disk full"):
-            write(tmp_path / "mask.jsonl")
+        cause = "boom" if encoder_fails else "disk full"
+        path = tmp_path / "mask.jsonl"
+        if via == "forked_writer":
+            with pytest.raises(OSError, match=f"cannot write {re.escape(str(path))}"):
+                in_forked_writer(write)(path)
+            assert cause in capfd.readouterr().err
+        else:
+            with pytest.raises(RuntimeError if encoder_fails else OSError, match=cause):
+                write(path)
         assert os.listdir(tmp_path) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from noisytail import datagen, ensemble, pipeline, refurbish, stage1
+from noisytail import datagen, ensemble, jsonl, pipeline, refurbish, stage1
 from noisytail.cli import main
 from noisytail.errors import InvalidSpecError, NumericError
 from noisytail.numerics import make_rng
@@ -33,6 +34,34 @@ TINY_CONFIG = {
     "thresholds": {"many_min": 40, "few_max": 15},
     "test_per_class": 10,
 }
+
+
+STAGES = ("simulate", "stage1", "refurbish", "stage2", "evaluate")
+
+
+def assert_manifests_match_files(out, commands):
+    """Each command's manifest lists SHA-256 digests that match its files
+    as read back here, and a write time for each of them."""
+    for command in commands:
+        manifest = json.loads((out / f"manifest_{command}.json").read_text())
+        assert manifest["artifacts"], command
+        for name, digest in manifest["artifacts"].items():
+            assert file_sha256(out / name) == digest, name
+        assert manifest["write_s"].keys() == manifest["artifacts"].keys(), command
+        assert all(s >= 0 for s in manifest["write_s"].values()), command
+
+
+def refuse_to_hash_files(monkeypatch):
+    """Make the manifests fail if they hash a file by reading it back."""
+    def refuse(path):
+        raise AssertionError(f"read back {path} to hash it")
+    monkeypatch.setattr(pipeline, "file_sha256", refuse)
+
+
+def force_nested_shards(monkeypatch):
+    """Tiny files split into two row shards, forked from each writer."""
+    monkeypatch.setattr(jsonl, "MIN_SHARD_ROWS", 16)
+    monkeypatch.setattr(jsonl, "usable_cpus", lambda: 2)
 
 
 def write_tiny_config(tmp_path, **extra):
@@ -151,7 +180,8 @@ class TestCliPipeline:
         for cmd in ("simulate", "stage1", "refurbish", "stage2", "evaluate"):
             m1 = json.loads((out1 / f"manifest_{cmd}.json").read_text())
             m2 = json.loads((out2 / f"manifest_{cmd}.json").read_text())
-            m1.pop("wall_time_s"), m2.pop("wall_time_s")
+            for timing in ("wall_time_s", "write_s"):
+                m1.pop(timing), m2.pop(timing)
             assert m1 == m2, cmd
 
     def test_stagewise_equals_pipeline(self, tmp_path):
@@ -168,7 +198,8 @@ class TestCliPipeline:
         for name in names:
             if name.startswith("manifest_"):
                 m1, m2 = (json.loads((d / name).read_text()) for d in (out1, out2))
-                del m1["wall_time_s"], m2["wall_time_s"]
+                for timing in ("wall_time_s", "write_s"):
+                    del m1[timing], m2[timing]
                 assert m1 == m2, name
             else:
                 assert file_sha256(out1 / name) == file_sha256(out2 / name), name
@@ -182,14 +213,77 @@ class TestCliPipeline:
                              (refurbish, "load_records"),
                              (ensemble, "load_stage2_checkpoint")):
             monkeypatch.setattr(module, name, refuse)
+        refuse_to_hash_files(monkeypatch)
+        force_nested_shards(monkeypatch)
         cfg = config_from_dict(TINY_CONFIG)
         out = tmp_path / "ws"
         metrics = pipeline.run_pipeline(cfg, out)
         assert 0.0 <= metrics["overall_accuracy"] <= 1.0
-        for command in ("simulate", "stage1", "refurbish", "stage2", "evaluate"):
-            manifest = json.loads((out / f"manifest_{command}.json").read_text())
-            for name, digest in manifest["artifacts"].items():
-                assert file_sha256(out / name) == digest, name
+        assert_manifests_match_files(out, STAGES)
+
+    def test_stage_commands_hash_without_reading_back(self, tmp_path, monkeypatch):
+        """The five single-stage commands take their manifests' digests from
+        the writers too, and the files equal those of `pipeline`."""
+        cfg_path = write_tiny_config(tmp_path)
+        ref = tmp_path / "ref"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(ref)]) == 0
+        refuse_to_hash_files(monkeypatch)
+        force_nested_shards(monkeypatch)
+        out = tmp_path / "ws"
+        for command in STAGES:
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        monkeypatch.undo()
+        assert_manifests_match_files(out, STAGES)
+        for name in os.listdir(ref):
+            if not name.startswith("manifest_"):
+                assert file_sha256(out / name) == file_sha256(ref / name), name
+
+    def test_writer_encodes_a_snapshot(self, tmp_path, monkeypatch):
+        """Arrays changed in place after `write` returns do not reach the
+        file: the forked writer encodes the values as they were."""
+        force_nested_shards(monkeypatch)
+        rng = make_rng(3)
+        ids = rng.permutation(100)
+        preds = stage1.Predictions(rng.normal(size=(100, 5)))
+        expected = tmp_path / "expected.jsonl"
+        digest = stage1.save_predictions(ids, preds, expected)
+        out = tmp_path / "ws"
+        out.mkdir()
+        with pipeline.Workspace(out) as ws:
+            ws.write(pipeline.PREDICTIONS_FILE, preds,
+                     stage1.prediction_rows(ids, preds))
+            preds.logits[:] = 0
+        assert (out / pipeline.PREDICTIONS_FILE).read_bytes() == expected.read_bytes()
+        assert ws.written[pipeline.PREDICTIONS_FILE][0] == digest == file_sha256(expected)
+
+    @pytest.mark.parametrize("command", ["pipeline", "stage1"])
+    def test_failed_writer_exits_3_naming_the_file(self, tmp_path, monkeypatch, capsys,
+                                                   command):
+        """An encoder that raises inside a forked writer: exit 3 naming the
+        file, the file deleted, every writer reaped, and no manifest for the
+        stage that wrote it; every manifest left matches its files."""
+        cfg_path = write_tiny_config(tmp_path)
+        out = tmp_path / "ws"
+        if command == "stage1":
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        encode_shard = jsonl.encode_shard
+
+        def failing(write, keys, columns, start, stop):
+            if "logits" in keys:
+                raise RuntimeError("encoder broke")
+            encode_shard(write, keys, columns, start, stop)
+        monkeypatch.setattr(jsonl, "encode_shard", failing)
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"cannot write {out / pipeline.PREDICTIONS_FILE}" in err
+        assert not (out / pipeline.PREDICTIONS_FILE).exists()
+        assert not (out / "manifest_stage1.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.undo()
+        left = [p.name[len("manifest_"):-len(".json")] for p in out.glob("manifest_*")]
+        assert "simulate" in left
+        assert_manifests_match_files(out, left)
 
     def test_no_relabel_variant(self, tmp_path):
         cfg_path = write_tiny_config(tmp_path)
@@ -365,6 +459,12 @@ class TestCliErrors:
         for path in out.iterdir():
             text = path.read_text()
             assert "NaN" not in text and "Infinity" not in text, path.name
+        # the stages that finished before the divergence keep their
+        # manifests, written once their writers were joined
+        assert_manifests_match_files(out, ("simulate", "stage1", "refurbish"))
+        assert not (out / "manifest_stage2.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("overrides, field", [
         ({"stage1": {"epochs": 2.5}}, "stage1.epochs"),
