@@ -24,6 +24,7 @@ from .numerics import (
     Mlp,
     SgdMomentum,
     backward_batch,
+    forward,
     forward_batch,
     init_mlp,
     make_rng,
@@ -146,7 +147,7 @@ def train_stage2(ds: Dataset, soft_labels: np.ndarray,
     shifts = expert_shifts(soft_class_counts(Y))
 
     # frozen backbone: features can be precomputed once
-    V, _ = forward_batch(backbone, ds.X)
+    V = forward(backbone, ds.X)
 
     opt = SgdMomentum(model.head.params(), lr=cfg.lr, momentum=cfg.momentum,
                       weight_decay=cfg.weight_decay)
@@ -167,8 +168,8 @@ def train_stage2(ds: Dataset, soft_labels: np.ndarray,
 
 def _expert_logits(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
     """(m, 3, K) raw logits of every expert."""
-    v, _ = forward_batch(model.backbone, X)
-    return forward_batch(model.head, v)[0].reshape(len(v), 3, -1)
+    v = forward(model.backbone, X)
+    return forward(model.head, v).reshape(len(v), 3, -1)
 
 
 def ensemble_predict_batch(model: EnsembleModel, X: np.ndarray, fusion: str = "prob_mean"

@@ -19,6 +19,7 @@ from .errors import InvalidInputError, InvalidSpecError, NumericError
 Vec = np.ndarray
 
 REL_ERR_FLOOR = 1e-8
+FORWARD_ROWS = 4096  # the most rows per block of `forward`
 
 
 def as_vec(values, name: str = "vector") -> Vec:
@@ -39,8 +40,10 @@ def make_rng(seed: int) -> np.random.Generator:
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Max-shifted softmax over the last axis of a batch of logits."""
     z = np.asarray(logits, dtype=np.float64)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)  # the one new array; exp and divide in place
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def l2_normalize(v: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -136,17 +139,24 @@ def init_mlp(layer_dims: list[int], rng: np.random.Generator,
     return Mlp(list(layer_dims), weights, biases, activation)
 
 
-def forward_batch(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Batched forward pass.  Returns (outputs, cache of per-layer inputs).
-
-    X is (N, in_dim); the cache stores each layer's input matrix plus, for
-    hidden layers, the post-activation needed by the derivative.
-    """
+def _net_input(net: Mlp, X: np.ndarray) -> np.ndarray:
+    """X as an (N, in_dim) float64 matrix, or InvalidInputError."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.in_dim:
         raise InvalidInputError(
             f"input shape {X.shape} incompatible with first layer dim {net.in_dim}"
         )
+    return X
+
+
+def forward_batch(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Batched forward pass for training.  Returns (outputs, cache of
+    per-layer inputs).
+
+    X is (N, in_dim); the cache stores each layer's input matrix plus, for
+    hidden layers, the post-activation needed by the derivative.
+    """
+    X = _net_input(net, X)
     act, _ = _ACTIVATIONS[net.activation]
     cache = [X]
     a = X
@@ -158,6 +168,28 @@ def forward_batch(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]
         a = z if l == last else act(z)
         cache.append(a)
     return a, cache
+
+
+def forward(net: Mlp, X: np.ndarray) -> np.ndarray:
+    """Inference: the outputs of `forward_batch(net, X)`, bit for bit, with
+    no cache.  The rows go through `forward_batch` in blocks of at most
+    FORWARD_ROWS, each block's cache dropped before the next, so the hidden
+    activations held at once do not grow with N.
+
+    Each output row depends only on its input row, but BLAS computes a
+    product of few rows with another kernel, which rounds differently
+    (OpenBLAS 0.3.31: one row, or up to ~1,200 output entries).  So the
+    blocks are of equal size, to one row, never a short remainder: past
+    FORWARD_ROWS rows, each block has at least FORWARD_ROWS / 2.
+    """
+    X = _net_input(net, X)
+    n = len(X)
+    blocks = max(1, -(-n // FORWARD_ROWS))
+    out = np.empty((n, net.out_dim))
+    for i in range(blocks):
+        rows = slice(n * i // blocks, n * (i + 1) // blocks)
+        out[rows] = forward_batch(net, X[rows])[0]
+    return out
 
 
 def backward_batch(net: Mlp, cache: list[np.ndarray], upstream: np.ndarray,

@@ -3,8 +3,9 @@ simulate -> stage1 -> refurbish -> stage2 -> evaluate chain.
 
 Every command is reproducible from (config, seed) alone; per-stage seeds
 are derived by hashing the global seed with the stage name, and each
-command writes a JSON manifest recording the config hash, the seed, and
-the SHA-256 and write time of each of its data artifacts.
+command writes a JSON manifest recording the config hash, the seed, the
+SHA-256 and write time of each of its data artifacts, and the process's
+peak memory when the stage finished.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import resource
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -28,6 +30,7 @@ from .errors import InvalidInputError, InvalidSpecError
 from .numerics import (
     SgdMomentum,
     backward_batch,
+    forward,
     forward_batch,
     init_mlp,
     make_rng,
@@ -235,10 +238,12 @@ def file_sha256(path) -> str:
 
 
 def write_manifest(out_dir: Path, command: str, cfg: PipelineConfig,
-                   wall_time_s: float, metrics: dict,
+                   wall_time_s: float, peak_rss: float, metrics: dict,
                    written: dict[str, tuple[str, float]]) -> None:
     """`written` maps each artifact to (SHA-256, seconds its write took);
-    the digests come from the writers, so no artifact is read back."""
+    the digests come from the writers, so no artifact is read back.
+    `peak_rss` is the process's peak resident set size in MB (10^6 bytes)
+    when the stage finished."""
     manifest = {
         "command": command,
         "config": config_to_dict(cfg),
@@ -248,6 +253,7 @@ def write_manifest(out_dir: Path, command: str, cfg: PipelineConfig,
                         for s in ("simulate", "stage1", "stage2")},
         "wall_time_s": wall_time_s,
         "write_s": {name: seconds for name, (_, seconds) in written.items()},
+        "peak_rss_mb": peak_rss,
         "metrics": metrics,
         "artifacts": {name: digest for name, (digest, _) in written.items()},
     }
@@ -323,9 +329,12 @@ class Workspace:
     def finish(self, command: str, cfg: PipelineConfig, t0: float,
                metrics: dict) -> None:
         """End a stage that started at `t0`: its manifest, written at the
-        join, lists the artifacts written since the last stage finished."""
-        self._finished.append((command, cfg, time.perf_counter() - t0, metrics,
-                               self._unclaimed))
+        join, lists the artifacts written since the last stage finished and
+        records the stage's wall time and the peak RSS so far."""
+        # ru_maxrss is in KiB on Linux
+        peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+        self._finished.append((command, cfg, time.perf_counter() - t0, peak_rss,
+                               metrics, self._unclaimed))
         self._unclaimed = []
 
     def join(self) -> None:
@@ -346,10 +355,10 @@ class Workspace:
             self._writing.clear()
             raise
         finally:
-            for command, cfg, wall_time_s, metrics, names in self._finished:
+            for command, cfg, wall_time_s, peak_rss, metrics, names in self._finished:
                 if all(name in self.written for name in names):
-                    write_manifest(self.out_dir, command, cfg, wall_time_s, metrics,
-                                   {name: self.written[name] for name in names})
+                    write_manifest(self.out_dir, command, cfg, wall_time_s, peak_rss,
+                                   metrics, {name: self.written[name] for name in names})
                 else:
                     (self.out_dir / f"manifest_{command}.json").unlink(missing_ok=True)
             self._finished.clear()
@@ -594,14 +603,15 @@ def train_ce_baseline(train: Dataset, cfg: Stage1Config, seed: int):
     encoder = init_mlp([train.feature_dim, cfg.encoder_hidden, cfg.repr_dim],
                        rng, cfg.activation)
     head = init_mlp([cfg.repr_dim, k], rng, cfg.activation)
-    Y = np.eye(k)[train.observed]
+    onehot = np.eye(k)  # row k is class k's label
     opt = SgdMomentum(encoder.params() + head.params(), lr=cfg.lr,
                       momentum=cfg.momentum, weight_decay=cfg.weight_decay)
 
     def step(idx):
         v, enc_cache = forward_batch(encoder, train.X[idx])
         logits, head_cache = forward_batch(head, v)
-        loss, g_logits = stage1._banc_batch(logits, Y[idx], 0.0)  # c = 0: plain CE
+        y = onehot[train.observed[idx]]
+        loss, g_logits = stage1._banc_batch(logits, y, 0.0)  # c = 0: plain CE
         g_head, g_v = backward_batch(head, head_cache, g_logits)
         g_encoder, _ = backward_batch(encoder, enc_cache, g_v, input_grad=False)
         return g_encoder.params() + g_head.params(), {"ce": loss}
@@ -613,9 +623,7 @@ def train_ce_baseline(train: Dataset, cfg: Stage1Config, seed: int):
 def ce_baseline_accuracy(train: Dataset, test: Dataset, cfg: Stage1Config,
                          seed: int) -> float:
     encoder, head = train_ce_baseline(train, cfg, seed)
-    v, _ = forward_batch(encoder, test.X)
-    logits, _ = forward_batch(head, v)
-    pred = np.argmax(logits, axis=1)
+    pred = np.argmax(forward(head, forward(encoder, test.X)), axis=1)
     return float((pred == test.observed).mean())
 
 

@@ -28,6 +28,7 @@ from .numerics import (
     SgdMomentum,
     as_vec,
     backward_batch,
+    forward,
     forward_batch,
     init_mlp,
     l2_normalize,
@@ -437,9 +438,7 @@ def build_stage1_model(feature_dim: int, num_classes: int, cfg: Stage1Config,
 
 
 def predict_batch(model: Stage1Model, X: np.ndarray) -> np.ndarray:
-    v, _ = forward_batch(model.encoder, X)
-    logits, _ = forward_batch(model.classifier, v)
-    return logits
+    return forward(model.classifier, forward(model.encoder, X))
 
 
 def predict_all(model: Stage1Model, ds: Dataset) -> Predictions:
@@ -462,7 +461,7 @@ def train_stage1(ds: Dataset, cfg: Stage1Config
     rng = make_rng(cfg.seed)
     model = build_stage1_model(ds.feature_dim, ds.num_classes, cfg, rng)
     X = ds.X
-    Y = np.eye(ds.num_classes)[ds.observed]
+    onehot = np.eye(ds.num_classes)  # row k is class k's label
 
     params = (model.encoder.params() + model.projection.params()
               + model.classifier.params())
@@ -474,7 +473,7 @@ def train_stage1(ds: Dataset, cfg: Stage1Config
     def step(idx):
         nonlocal keys
         grads, metrics, keys = stage1_batch_gradients(
-            model, X[idx], Y[idx], queue.as_matrix(), cfg, rng)
+            model, X[idx], onehot[ds.observed[idx]], queue.as_matrix(), cfg, rng)
         return [p for part in ("encoder", "projection", "classifier")
                 for p in grads[part].params()], metrics
 

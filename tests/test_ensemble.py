@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from noisytail.ensemble import (
 )
 from noisytail.errors import InvalidInputError, InvalidSpecError, ParseError
 from noisytail.numerics import (
+    FORWARD_ROWS,
     Mlp,
     SgdMomentum,
     backward_batch,
@@ -36,7 +38,7 @@ from noisytail.numerics import (
     softmax_rows,
 )
 from noisytail.refurbish import ClassStats
-from noisytail.stage1 import Stage1Config, build_stage1_model
+from noisytail.stage1 import Stage1Config, build_stage1_model, predict_batch
 
 
 def random_softlabels(rng, n, k):
@@ -553,3 +555,45 @@ class TestCheckpoint:
         net2 = net.copy()
         net2.weights[0][0, 0] += 1e-12
         assert backbone_hash(net2) != h1
+
+
+class TestInferenceMemory:
+    """The full-training-set inference passes (stage-1 predictions, stage-2
+    features) hold the wide hidden activation one row block at a time.
+    NumPy reports its buffers to tracemalloc."""
+
+    N = 3 * FORWARD_ROWS + 17
+    HIDDEN = 256
+    FULL_ACTIVATION = N * HIDDEN * 8  # bytes of one (N, HIDDEN) float64 matrix
+
+    def model_and_data(self):
+        cfg = Stage1Config(encoder_hidden=self.HIDDEN, repr_dim=4, proj_hidden=4,
+                           embed_dim=4)
+        rng = make_rng(0)
+        model = build_stage1_model(4, 3, cfg, rng)
+        labels = np.arange(self.N) % 3
+        ds = Dataset(np.arange(self.N), rng.normal(size=(self.N, 4)), labels, labels, 3)
+        return model, ds
+
+    @staticmethod
+    def traced_peak(fn) -> int:
+        """Peak bytes allocated while `fn()` runs, above what was held before."""
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    def test_stage1_predictions(self):
+        model, ds = self.model_and_data()
+        peak = self.traced_peak(lambda: predict_batch(model, ds.X))
+        assert peak < self.FULL_ACTIVATION / 2, peak
+
+    def test_stage2_features(self):
+        model, ds = self.model_and_data()
+        soft = np.eye(3)[ds.observed]
+        cfg = Stage2Config(epochs=0, batch_size=16)
+        peak = self.traced_peak(lambda: train_stage2(ds, soft, model, cfg))
+        assert peak < self.FULL_ACTIVATION / 2, peak

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from noisytail.errors import InvalidInputError, NumericError
 from noisytail.numerics import (
+    FORWARD_ROWS,
     Mlp,
     SgdMomentum,
     backward_batch,
     finite_diff_grad,
+    forward,
     forward_batch,
     gradient_check,
     init_mlp,
@@ -255,3 +257,31 @@ class TestBatchedForward:
         for i in range(10):
             np.testing.assert_allclose(Y[i], forward_batch(net, X[i:i + 1])[0][0],
                                        atol=1e-12)
+
+
+class TestForward:
+    """`forward`, the cache-free inference pass in row blocks, against
+    `forward_batch` on the whole matrix."""
+
+    @pytest.mark.parametrize("activation", ["tanh", "logistic"])
+    @pytest.mark.parametrize("n", [0, 1, FORWARD_ROWS - 1, FORWARD_ROWS,
+                                   FORWARD_ROWS + 1, 3 * FORWARD_ROWS + 17])
+    def test_same_bytes_as_forward_batch(self, n, activation):
+        # the stage-1 encoder and classifier shapes; a short last block of
+        # 1 or 17 rows would round differently in BLAS
+        rng = make_rng(n)
+        net = init_mlp([32, 64, 32, 20], rng, activation)
+        X = rng.normal(size=(n, 32)) * 2
+        out = forward(net, X)
+        expected = forward_batch(net, X)[0]
+        assert out.shape == expected.shape == (n, 20)
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 7), (FORWARD_ROWS + 1, 7)])
+    def test_rejects_input_as_forward_batch_does(self, shape):
+        net = init_mlp([6, 4, 3], make_rng(0))
+        with pytest.raises(InvalidInputError) as batch_error:
+            forward_batch(net, np.ones(shape))
+        with pytest.raises(InvalidInputError) as error:
+            forward(net, np.ones(shape))
+        assert str(error.value) == str(batch_error.value)
