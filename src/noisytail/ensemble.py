@@ -168,8 +168,8 @@ def train_stage2(ds: Dataset, soft_labels: np.ndarray,
 
 def _expert_logits(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
     """(m, 3, K) raw logits of every expert."""
-    v = forward(model.backbone, X)
-    return forward(model.head, v).reshape(len(v), 3, -1)
+    logits = forward(model.backbone, X, model.head)
+    return logits.reshape(len(logits), 3, -1)
 
 
 def ensemble_predict_batch(model: EnsembleModel, X: np.ndarray, fusion: str = "prob_mean"

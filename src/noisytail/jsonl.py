@@ -45,13 +45,13 @@ def usable_cpus() -> int:
 
 
 def check_finite(path, keys: tuple[str, ...], columns) -> None:
-    """ValueError naming the key and row of the first NaN or infinity."""
+    """ValueError naming the key and row of the first NaN or infinity.
+    A column that passes builds one bool array; the row-locating mask is
+    built only for a column that fails."""
     for key, col in zip(keys, columns):
-        if col.dtype.kind == "f":
-            bad = ~np.isfinite(col)
-            if bad.any():
-                row = int(np.argmax(bad.reshape(len(col), -1).any(axis=1)))
-                raise ValueError(f"cannot write {path}: {key} at row {row} is not finite")
+        if col.dtype.kind == "f" and not np.isfinite(col).all():
+            row = int(np.argmin(np.isfinite(col).reshape(len(col), -1).all(axis=1)))
+            raise ValueError(f"cannot write {path}: {key} at row {row} is not finite")
 
 
 def write_rows(path, keys: tuple[str, ...], columns) -> str:

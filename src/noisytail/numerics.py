@@ -170,25 +170,38 @@ def forward_batch(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]
     return a, cache
 
 
-def forward(net: Mlp, X: np.ndarray) -> np.ndarray:
+def forward(net: Mlp, X: np.ndarray, *then: Mlp) -> np.ndarray:
     """Inference: the outputs of `forward_batch(net, X)`, bit for bit, with
-    no cache.  The rows go through `forward_batch` in blocks of at most
-    FORWARD_ROWS, each block's cache dropped before the next, so the hidden
-    activations held at once do not grow with N.
+    no cache; with nets in `then`, those outputs go on through each of
+    them in order, as nested calls would.  The rows go through
+    `forward_batch` in blocks of at most FORWARD_ROWS, each block through
+    every net before the next block starts, and only the last net's
+    output is kept, so the activations held at once do not grow with N.
+    The widths of the chain are checked before any block runs.
 
     Each output row depends only on its input row, but BLAS computes a
     product of few rows with another kernel, which rounds differently
     (OpenBLAS 0.3.31: one row, or up to ~1,200 output entries).  So the
     blocks are of equal size, to one row, never a short remainder: past
-    FORWARD_ROWS rows, each block has at least FORWARD_ROWS / 2.
+    FORWARD_ROWS rows, each block has at least FORWARD_ROWS / 2.  The
+    blocks depend on N alone, so a chained call and the nested calls see
+    the same blocks.
     """
     X = _net_input(net, X)
+    nets = (net, *then)
+    for prev, nxt in zip(nets, then):
+        if nxt.in_dim != prev.out_dim:
+            raise InvalidInputError(f"chained net input dim {nxt.in_dim} does not "
+                                    f"match the previous output dim {prev.out_dim}")
     n = len(X)
     blocks = max(1, -(-n // FORWARD_ROWS))
-    out = np.empty((n, net.out_dim))
+    out = np.empty((n, nets[-1].out_dim))
     for i in range(blocks):
         rows = slice(n * i // blocks, n * (i + 1) // blocks)
-        out[rows] = forward_batch(net, X[rows])[0]
+        a = X[rows]
+        for m in nets:
+            a = forward_batch(m, a)[0]
+        out[rows] = a
     return out
 
 

@@ -239,11 +239,14 @@ def file_sha256(path) -> str:
 
 def write_manifest(out_dir: Path, command: str, cfg: PipelineConfig,
                    wall_time_s: float, peak_rss: float, metrics: dict,
-                   written: dict[str, tuple[str, float]]) -> None:
+                   written: dict[str, tuple[str, float]],
+                   writers_peak_rss: float) -> None:
     """`written` maps each artifact to (SHA-256, seconds its write took);
     the digests come from the writers, so no artifact is read back.
     `peak_rss` is the process's peak resident set size in MB (10^6 bytes)
-    when the stage finished."""
+    when the stage finished; `writers_peak_rss` is the largest peak of the
+    process's reaped children (the forked writers) when it wrote the
+    manifest."""
     manifest = {
         "command": command,
         "config": config_to_dict(cfg),
@@ -254,10 +257,16 @@ def write_manifest(out_dir: Path, command: str, cfg: PipelineConfig,
         "wall_time_s": wall_time_s,
         "write_s": {name: seconds for name, (_, seconds) in written.items()},
         "peak_rss_mb": peak_rss,
+        "writers_peak_rss_mb": writers_peak_rss,
         "metrics": metrics,
         "artifacts": {name: digest for name, (digest, _) in written.items()},
     }
     jsonl.write_json(out_dir / f"manifest_{command}.json", manifest, indent=2)
+
+
+def _peak_rss_mb(who: int) -> float:
+    """`getrusage(who).ru_maxrss` in MB (10^6 bytes); Linux reports KiB."""
+    return resource.getrusage(who).ru_maxrss * 1024 / 1e6
 
 
 class Workspace:
@@ -331,9 +340,8 @@ class Workspace:
         """End a stage that started at `t0`: its manifest, written at the
         join, lists the artifacts written since the last stage finished and
         records the stage's wall time and the peak RSS so far."""
-        # ru_maxrss is in KiB on Linux
-        peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
-        self._finished.append((command, cfg, time.perf_counter() - t0, peak_rss,
+        self._finished.append((command, cfg, time.perf_counter() - t0,
+                               _peak_rss_mb(resource.RUSAGE_SELF),
                                metrics, self._unclaimed))
         self._unclaimed = []
 
@@ -355,10 +363,12 @@ class Workspace:
             self._writing.clear()
             raise
         finally:
+            writers_peak_rss = _peak_rss_mb(resource.RUSAGE_CHILDREN)
             for command, cfg, wall_time_s, peak_rss, metrics, names in self._finished:
                 if all(name in self.written for name in names):
                     write_manifest(self.out_dir, command, cfg, wall_time_s, peak_rss,
-                                   metrics, {name: self.written[name] for name in names})
+                                   metrics, {name: self.written[name] for name in names},
+                                   writers_peak_rss)
                 else:
                     (self.out_dir / f"manifest_{command}.json").unlink(missing_ok=True)
             self._finished.clear()
@@ -415,7 +425,8 @@ def run_refurbish(cfg: PipelineConfig, ws: Workspace) -> dict:
     preds = ws.get(PREDICTIONS_FILE, "stage1", lambda p: stage1.align_predictions(
         train, *stage1.load_predictions(p)))
     soft, records = refurbish.refurbish_dataset(train, preds, cfg.refurbish)
-    ws.memo.pop(PREDICTIONS_FILE, None)  # no later stage reads them: free the memory
+    del preds  # no later stage reads them: free the memory, before the writer forks
+    ws.memo.pop(PREDICTIONS_FILE, None)
     ws.write(REFURB_FILE, soft, refurbish.record_rows(records))
     metrics = refurbish.summarize_records(records)
     if train.true is not None:
@@ -623,7 +634,7 @@ def train_ce_baseline(train: Dataset, cfg: Stage1Config, seed: int):
 def ce_baseline_accuracy(train: Dataset, test: Dataset, cfg: Stage1Config,
                          seed: int) -> float:
     encoder, head = train_ce_baseline(train, cfg, seed)
-    pred = np.argmax(forward(head, forward(encoder, test.X)), axis=1)
+    pred = np.argmax(forward(encoder, test.X, head), axis=1)
     return float((pred == test.observed).mean())
 
 

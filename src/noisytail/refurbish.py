@@ -17,7 +17,7 @@ import numpy as np
 from . import jsonl
 from .datagen import Dataset, align_ids
 from .errors import InvalidInputError, InvalidSpecError
-from .numerics import as_vec
+from .numerics import as_vec, softmax_rows
 from .stage1 import Predictions
 
 
@@ -109,24 +109,24 @@ def refurbish_batch(ids, preds: Predictions, observed: np.ndarray,
     """Refurbish N labels at once from N predictions.
 
     Agreement (predicted class == observed) keeps the exact one-hot label.
-    Otherwise the new label is (probs + w * onehot) / (1 + w) with
-    w = rho * gamma: the prediction's confidence in the observed label
-    times the observed class's rarity.
+    Otherwise the new label is (p + w * onehot) / (1 + w), with p the
+    softmax of the logits and w = rho * gamma: the prediction's confidence
+    in the observed label times the observed class's rarity.  The soft
+    labels are built in place in p, the only (N, K) array made here.
     """
-    probs = preds.probs
-    n, k = probs.shape
+    soft = softmax_rows(preds.logits)
+    n, k = soft.shape
     if np.any((observed < 0) | (observed >= k)):
         raise InvalidInputError(f"observed label out of range [0, {k})")
     if stats.num_classes != k:
         raise InvalidInputError("class stats length does not match the predictions")
 
     rows = np.arange(n)
-    rho = probs[rows, observed]
+    rho = soft[rows, observed]  # a copy, taken before the labels overwrite it
     # one scalar rarity per class, so gamma carries rarity()'s exact bits
     gamma = np.array([rarity(float(h), cfg.sigma) for h in stats.proportions])[observed]
     weight = rho * gamma
     changed = preds.predicted != observed
-    soft = probs.copy()
     soft[rows, observed] += weight
     soft /= soft.sum(axis=1, keepdims=True)
     soft[~changed] = 0.0

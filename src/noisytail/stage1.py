@@ -100,12 +100,12 @@ class Stage1Config:
 @dataclass
 class Predictions:
     """Classifier outputs for N samples, built from the (N, K) `logits`
-    alone: their row-wise softmax `probs` and `predicted`, the row argmax
-    (lowest index on ties), are computed once, at construction, after the
-    logits are checked to be a finite matrix of at least one column."""
+    alone: `predicted`, the row argmax (lowest index on ties), is computed
+    once, at construction, after the logits are checked to be a finite
+    matrix of at least one column.  No (N, K) probability matrix is kept:
+    a reader takes `softmax_rows(logits)` when it needs one."""
 
     logits: np.ndarray
-    probs: np.ndarray = field(init=False)
     predicted: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -114,7 +114,6 @@ class Predictions:
                 or not np.all(np.isfinite(self.logits))):
             raise InvalidInputError("logits must be a finite (N, K) matrix with "
                                     f"K >= 1, got shape {self.logits.shape}")
-        self.probs = softmax_rows(self.logits)
         self.predicted = np.argmax(self.logits, axis=1)
 
     def __len__(self) -> int:
@@ -438,7 +437,7 @@ def build_stage1_model(feature_dim: int, num_classes: int, cfg: Stage1Config,
 
 
 def predict_batch(model: Stage1Model, X: np.ndarray) -> np.ndarray:
-    return forward(model.classifier, forward(model.encoder, X))
+    return forward(model.encoder, X, model.classifier)
 
 
 def predict_all(model: Stage1Model, ds: Dataset) -> Predictions:

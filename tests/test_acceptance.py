@@ -354,7 +354,8 @@ def test_criterion_9_determinism(tmp_path):
         for cmd in ("simulate", "stage1", "refurbish", "stage2", "evaluate"):
             m1 = json.loads((out1 / f"manifest_{cmd}.json").read_text())
             m2 = json.loads((out2 / f"manifest_{cmd}.json").read_text())
-            for measured in ("wall_time_s", "write_s", "peak_rss_mb"):
+            for measured in ("wall_time_s", "write_s", "peak_rss_mb",
+                             "writers_peak_rss_mb"):
                 m1.pop(measured), m2.pop(measured)
             assert m1 == m2, cmd
 

@@ -31,7 +31,7 @@ from noisytail.datagen import (
     save_noise_mask,
 )
 from noisytail.errors import InvalidInputError, ParseError
-from noisytail.numerics import make_rng
+from noisytail.numerics import make_rng, softmax_rows
 from noisytail.refurbish import (
     RefurbishConfig,
     align_records,
@@ -80,9 +80,10 @@ class TestBatchedRefurbishment:
         preds = Predictions(rng.normal(size=(n, k)) * scale)
         soft, records = refurbish_dataset(ds, preds, RefurbishConfig(sigma))
         h = class_proportions(ds).proportions
+        probs = softmax_rows(preds.logits)
         for i in range(n):
             rho, gamma, w, changed, ref = reference_refurbish(
-                preds.probs[i], int(preds.predicted[i]), int(ds.observed[i]),
+                probs[i], int(preds.predicted[i]), int(ds.observed[i]),
                 float(h[ds.observed[i]]), sigma)
             assert records.rho[i] == rho
             assert records.gamma[i] == gamma
@@ -101,10 +102,11 @@ class TestBatchedRefurbishment:
         logits[:20] = 0.0  # exact ties
         preds = Predictions(logits)
         soft, records = refurbish_dataset(ds, preds, RefurbishConfig())
-        assert np.all(preds.probs >= 0)
-        assert np.all(np.abs(preds.probs.sum(axis=1) - 1.0) < 1e-12)
+        probs = softmax_rows(preds.logits)
+        assert np.all(probs >= 0)
+        assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-12)
         np.testing.assert_array_equal(
-            records.changed, np.argmax(preds.probs, axis=1) != ds.observed)
+            records.changed, np.argmax(probs, axis=1) != ds.observed)
         assert np.all(np.abs(soft.sum(axis=1) - 1.0) < 1e-12)
 
 
@@ -483,7 +485,8 @@ class TestPredictionLoader:
         save_predictions(ids, preds, tmp_path / "p.jsonl")
         got_ids, got = load_predictions(tmp_path / "p.jsonl")
         assert got_ids.tolist() == ids.tolist()
-        for a, b in ((preds.logits, got.logits), (preds.probs, got.probs),
+        for a, b in ((preds.logits, got.logits),
+                     (softmax_rows(preds.logits), softmax_rows(got.logits)),
                      (preds.predicted, got.predicted)):
             assert a.tobytes() == b.tobytes()
 
@@ -555,14 +558,16 @@ class TestPredictionLoader:
         rng = make_rng(9)
         logits = rng.normal(size=(6, 4)) * 3
         preds = Predictions(logits)
-        lines = [prediction(i, logits[i].tolist(), preds.probs[i].tolist(),
+        probs = softmax_rows(preds.logits)
+        lines = [prediction(i, logits[i].tolist(), probs[i].tolist(),
                             int(preds.predicted[i])) for i in range(5)]
         lines.append(prediction(5, logits[5].tolist(), [1.0, 0.0, 0.0, 0.0],
                                 (int(preds.predicted[5]) + 1) % 4))
         path = tmp_path / "p.jsonl"
         write_lines(path, lines)
         _, got = load_predictions(path)
-        for a, b in ((preds.logits, got.logits), (preds.probs, got.probs),
+        for a, b in ((preds.logits, got.logits),
+                     (softmax_rows(preds.logits), softmax_rows(got.logits)),
                      (preds.predicted, got.predicted)):
             assert a.tobytes() == b.tobytes()
 
@@ -572,7 +577,8 @@ class TestPredictionLoader:
         for idx in (rng.permutation(80), rng.permutation(80)[:33], slice(5, 40)):
             got = preds.take(idx)
             assert got.logits.tobytes() == preds.logits[idx].tobytes()
-            assert got.probs.tobytes() == preds.probs[idx].tobytes()
+            assert (softmax_rows(got.logits).tobytes()
+                    == softmax_rows(preds.logits)[idx].tobytes())
             assert got.predicted.tobytes() == preds.predicted[idx].tobytes()
 
     def test_malformed_json_names_line(self, tmp_path):

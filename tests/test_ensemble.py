@@ -38,7 +38,7 @@ from noisytail.numerics import (
     softmax_rows,
 )
 from noisytail.refurbish import ClassStats
-from noisytail.stage1 import Stage1Config, build_stage1_model, predict_batch
+from noisytail.stage1 import Predictions, Stage1Config, build_stage1_model, predict_batch
 
 
 def random_softlabels(rng, n, k):
@@ -559,16 +559,17 @@ class TestCheckpoint:
 
 class TestInferenceMemory:
     """The full-training-set inference passes (stage-1 predictions, stage-2
-    features) hold the wide hidden activation one row block at a time.
-    NumPy reports its buffers to tracemalloc."""
+    features) hold each wide activation one row block at a time, and
+    `Predictions` keeps no matrix beside its logits.  NumPy reports its
+    buffers to tracemalloc."""
 
     N = 3 * FORWARD_ROWS + 17
     HIDDEN = 256
     FULL_ACTIVATION = N * HIDDEN * 8  # bytes of one (N, HIDDEN) float64 matrix
 
-    def model_and_data(self):
-        cfg = Stage1Config(encoder_hidden=self.HIDDEN, repr_dim=4, proj_hidden=4,
-                           embed_dim=4)
+    def model_and_data(self, encoder_hidden=HIDDEN, repr_dim=4):
+        cfg = Stage1Config(encoder_hidden=encoder_hidden, repr_dim=repr_dim,
+                           proj_hidden=4, embed_dim=4)
         rng = make_rng(0)
         model = build_stage1_model(4, 3, cfg, rng)
         labels = np.arange(self.N) % 3
@@ -590,6 +591,18 @@ class TestInferenceMemory:
         model, ds = self.model_and_data()
         peak = self.traced_peak(lambda: predict_batch(model, ds.X))
         assert peak < self.FULL_ACTIVATION / 2, peak
+
+    def test_stage1_predictions_chain_the_encoder_output(self):
+        # a wide encoder output goes on to the classifier block by block
+        model, ds = self.model_and_data(encoder_hidden=4, repr_dim=self.HIDDEN)
+        peak = self.traced_peak(lambda: predict_batch(model, ds.X))
+        assert peak < self.FULL_ACTIVATION / 2, peak
+
+    def test_predictions_keep_only_the_logits(self):
+        k = 20
+        logits = make_rng(0).normal(size=(self.N, k))
+        peak = self.traced_peak(lambda: Predictions(logits))
+        assert peak < self.N * k * 8 / 2, peak
 
     def test_stage2_features(self):
         model, ds = self.model_and_data()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noisytail import numerics
 from noisytail.errors import InvalidInputError, NumericError
 from noisytail.numerics import (
     FORWARD_ROWS,
@@ -285,3 +286,26 @@ class TestForward:
         with pytest.raises(InvalidInputError) as error:
             forward(net, np.ones(shape))
         assert str(error.value) == str(batch_error.value)
+
+    @pytest.mark.parametrize("n", [0, 1, FORWARD_ROWS - 1, FORWARD_ROWS,
+                                   FORWARD_ROWS + 1, 3 * FORWARD_ROWS + 17])
+    def test_chained_same_bytes_as_nested_forward_batch(self, n):
+        # the stage-1 encoder then classifier, as `predict_batch` chains them
+        rng = make_rng(n)
+        encoder = init_mlp([32, 64, 32], rng)
+        classifier = init_mlp([32, 20], rng)
+        X = rng.normal(size=(n, 32)) * 2
+        out = forward(encoder, X, classifier)
+        expected = forward_batch(classifier, forward_batch(encoder, X)[0])[0]
+        assert out.shape == expected.shape == (n, 20)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_chain_width_mismatch_raises_before_any_block(self, monkeypatch):
+        rng = make_rng(0)
+        nets = [init_mlp([6, 4], rng), init_mlp([4, 5], rng), init_mlp([3, 2], rng)]
+        calls = []
+        monkeypatch.setattr(numerics, "forward_batch",
+                            lambda net, X: calls.append(net) or forward_batch(net, X))
+        with pytest.raises(InvalidInputError, match="input dim 3"):
+            forward(nets[0], np.ones((2 * FORWARD_ROWS + 1, 6)), *nets[1:])
+        assert calls == []

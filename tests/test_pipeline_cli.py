@@ -41,7 +41,7 @@ STAGES = ("simulate", "stage1", "refurbish", "stage2", "evaluate")
 
 def assert_manifests_match_files(out, commands):
     """Each command's manifest lists SHA-256 digests that match its files
-    as read back here, a write time for each of them, and a peak RSS."""
+    as read back here, a write time for each of them, and peak RSS figures."""
     for command in commands:
         manifest = json.loads((out / f"manifest_{command}.json").read_text())
         assert manifest["artifacts"], command
@@ -50,6 +50,7 @@ def assert_manifests_match_files(out, commands):
         assert manifest["write_s"].keys() == manifest["artifacts"].keys(), command
         assert all(s >= 0 for s in manifest["write_s"].values()), command
         assert manifest["peak_rss_mb"] > 0, command
+        assert manifest["writers_peak_rss_mb"] >= 0, command
 
 
 def refuse_to_hash_files(monkeypatch):
@@ -181,7 +182,8 @@ class TestCliPipeline:
         for cmd in ("simulate", "stage1", "refurbish", "stage2", "evaluate"):
             m1 = json.loads((out1 / f"manifest_{cmd}.json").read_text())
             m2 = json.loads((out2 / f"manifest_{cmd}.json").read_text())
-            for measured in ("wall_time_s", "write_s", "peak_rss_mb"):
+            for measured in ("wall_time_s", "write_s", "peak_rss_mb",
+                             "writers_peak_rss_mb"):
                 m1.pop(measured), m2.pop(measured)
             assert m1 == m2, cmd
 
@@ -199,7 +201,8 @@ class TestCliPipeline:
         for name in names:
             if name.startswith("manifest_"):
                 m1, m2 = (json.loads((d / name).read_text()) for d in (out1, out2))
-                for measured in ("wall_time_s", "write_s", "peak_rss_mb"):
+                for measured in ("wall_time_s", "write_s", "peak_rss_mb",
+                                 "writers_peak_rss_mb"):
                     del m1[measured], m2[measured]
                 assert m1 == m2, name
             else:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from noisytail.datagen import Dataset
 from noisytail.errors import InvalidInputError, InvalidSpecError, ParseError
-from noisytail.numerics import make_rng
+from noisytail.numerics import make_rng, softmax_rows
 from noisytail.refurbish import (
     ClassStats,
     RefurbishConfig,
@@ -152,7 +152,7 @@ class TestRefurbishOne:
             observed = int(rng.integers(0, k))
             stats = ClassStats(rng.uniform(1, 100, size=k))
             rec = refurbish_row(preds, observed, stats, 0.2)
-            s = preds.probs[0].copy()
+            s = softmax_rows(preds.logits)[0]
             s[observed] += rec.weight[0]
             assert abs(s.sum() - (1.0 + rec.weight[0])) < 1e-12
 

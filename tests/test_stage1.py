@@ -394,7 +394,7 @@ class TestPredict:
     def test_probs_sum_to_one(self):
         model, _ = self._model()
         p = Predictions(predict_batch(model, np.ones((1, 5))))
-        assert abs(p.probs[0].sum() - 1.0) < 1e-12
+        assert abs(softmax_rows(p.logits)[0].sum() - 1.0) < 1e-12
 
     def test_deterministic(self):
         model, _ = self._model()
@@ -410,7 +410,8 @@ class TestPredict:
         for b in model.classifier.biases:
             b[:] = 0.0
         p = Predictions(predict_batch(model, np.ones((1, 5))))
-        np.testing.assert_allclose(p.probs, np.full((1, 4), 0.25), atol=1e-12)
+        np.testing.assert_allclose(softmax_rows(p.logits), np.full((1, 4), 0.25),
+                                   atol=1e-12)
         assert p.predicted[0] == 0  # tie broken toward lowest index
 
     def test_dimension_mismatch(self):
@@ -434,7 +435,7 @@ class TestTrainStage1:
             np.testing.assert_array_equal(a, b)
         assert log == []
         assert len(preds) == len(ds)
-        assert np.all(np.abs(preds.probs.sum(axis=1) - 1.0) < 1e-9)
+        assert np.all(np.abs(softmax_rows(preds.logits).sum(axis=1) - 1.0) < 1e-9)
 
     def test_deterministic_given_seed(self):
         ds = tiny_dataset()
