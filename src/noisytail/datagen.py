@@ -323,18 +323,12 @@ def load_dataset(path, num_classes: Optional[int] = None) -> Dataset:
                    true if has_true.all() else None, k)
 
 
-def mask_rows(mask: np.ndarray, ids: np.ndarray) -> tuple[tuple[str, ...], list]:
-    """The (keys, columns) of a noise-mask file."""
-    return ("id", "noisy"), [np.asarray(ids), np.asarray(mask, dtype=bool)]
-
-
 def save_noise_mask(mask: np.ndarray, ids: np.ndarray, path) -> str:
-    return jsonl.write_rows(path, *mask_rows(mask, ids))
-
-
-def load_noise_mask(path) -> dict[int, bool]:
-    cols, _ = jsonl.read_columns(path, "mask", {"id": int, "noisy": bool})
-    return dict(zip(cols["id"].tolist(), cols["noisy"].tolist()))
+    """Rows {"id", "noisy"}; returns the file's SHA-256.  No command writes
+    this file: the mask is `observed_label != true_label` in the dataset
+    file.  Kept only because the benchmark's tracer names it as a target."""
+    return jsonl.write_rows(path, ("id", "noisy"),
+                            [np.asarray(ids), np.asarray(mask, dtype=bool)])
 
 
 def import_embeddings(features_path, labels_path,

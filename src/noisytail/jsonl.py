@@ -2,14 +2,11 @@
 the one helper that forks.
 
 Every writer returns the SHA-256 of the bytes it wrote, hashed as they are
-written, so no file is read back to be hashed.  JSONL writers emit one
-C-encoded object per row.  A file of at least two `MIN_SHARD_ROWS` is
-split into contiguous row shards, at most one per usable CPU: forked
-children encode all shards but the first into temp files that the parent
-appends in order, so the bytes are identical for any CPU count.  The
+written, so no file is read back to be hashed.  JSONL writers encode one
+C-encoded object per row, serially, a block of rows at a time.  The
 pipeline runs each JSONL writer in a forked child of its own (see
 `pipeline.Workspace`), which sends back the digest and how long the write
-took; the shards are then forked from that child.
+took.
 Readers stream a file line by line, array fields straight into a float64
 matrix preallocated from the line count.  Parse errors name the line; NaN
 and infinity are refused both ways, a writer before opening the file.
@@ -20,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 
 import numpy as np
@@ -30,18 +26,6 @@ from .numerics import as_vec
 
 _encode = json.JSONEncoder(allow_nan=False).encode
 BLOCK_ROWS = 512  # rows converted to Python values at a time; bounds peak memory
-# fewest rows a forked shard encodes; below 2 x this a file is written
-# serially.  Two shards against one on a 2-CPU Xeon VM: the narrowest rows
-# (noise mask) break even at ~1,024 rows a shard and gain 21% at 2,048;
-# 20-class predictions break even below 256 and gain 38% at 2,048.
-MIN_SHARD_ROWS = 4 * BLOCK_ROWS
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def check_finite(path, keys: tuple[str, ...], columns) -> None:
@@ -59,9 +43,8 @@ def write_rows(path, keys: tuple[str, ...], columns) -> str:
     Returns the SHA-256 of the bytes written.
 
     A NaN or infinity is refused, naming its key and row, before the file
-    is opened.  Large files are encoded in contiguous row shards, at most
-    one per usable CPU, by forked children; the bytes do not depend on the
-    shard count.  A write that fails deletes the target.
+    is opened.  The rows are encoded serially in this process, a block at
+    a time.  A write that fails deletes the target.
     """
     check_finite(path, keys, columns)
     return write_checked_rows(path, keys, columns)
@@ -69,8 +52,6 @@ def write_rows(path, keys: tuple[str, ...], columns) -> str:
 
 def write_checked_rows(path, keys: tuple[str, ...], columns) -> str:
     """`write_rows` for columns that already passed `check_finite`."""
-    n = len(columns[0])
-    shards = min(usable_cpus(), n // MIN_SHARD_ROWS) if hasattr(os, "fork") else 1
     sha = hashlib.sha256()
     fh = open(path, "wb")
 
@@ -79,10 +60,7 @@ def write_checked_rows(path, keys: tuple[str, ...], columns) -> str:
         fh.write(data)
 
     try:
-        if shards < 2:
-            encode_shard(write, keys, columns, 0, n)
-        else:
-            _write_sharded(write, path, keys, columns, shards)
+        encode_rows(write, keys, columns)
         fh.close()
     except BaseException:
         try:
@@ -94,57 +72,24 @@ def write_checked_rows(path, keys: tuple[str, ...], columns) -> str:
     return sha.hexdigest()
 
 
-def encode_shard(write, keys, columns, start: int, stop: int) -> None:
-    """Pass rows [start, stop), UTF-8 encoded, to `write` a block at a time."""
-    for lo in range(start, stop, BLOCK_ROWS):
-        block = [c[lo:min(lo + BLOCK_ROWS, stop)].tolist() for c in columns]
+def encode_rows(write, keys, columns) -> None:
+    """Pass every row, UTF-8 encoded, to `write` a block at a time."""
+    for lo in range(0, len(columns[0]), BLOCK_ROWS):
+        block = [c[lo:lo + BLOCK_ROWS].tolist() for c in columns]
         write("".join(_encode(dict(zip(keys, row))) + "\n"
                       for row in zip(*block)).encode())
 
 
-def _write_sharded(write, path, keys, columns, shards: int) -> None:
-    """Rows split into `shards` contiguous shards: this process encodes
-    shard 0 into `write` while one forked child per other shard encodes
-    into an unnamed temp file beside `path`; those files are then passed
-    to `write` in shard order, so the bytes equal one serial pass."""
-    n = len(columns[0])
-    bounds = [n * s // shards for s in range(shards + 1)]
-    forks, tmps, pids = Forks(), [], []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            tmp = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
-            tmps.append(tmp)
-
-            def encode(tmp=tmp, lo=lo, hi=hi) -> str:
-                encode_shard(tmp.write, keys, columns, lo, hi)
-                tmp.flush()
-                return ""
-            pids.append(forks.start(
-                f"cannot write {path}: encoder of rows {lo}-{hi - 1}", encode))
-        encode_shard(write, keys, columns, 0, bounds[1])
-        for pid, tmp in zip(pids, tmps):
-            forks.wait(pid)
-            tmp.seek(0)
-            for chunk in iter(lambda: tmp.read(1 << 20), b""):
-                write(chunk)
-    except BaseException:
-        forks.kill()
-        raise
-    finally:
-        for tmp in tmps:
-            tmp.close()
-
-
 class Forks:
     """Forked children, each running one function whose str result comes
-    back through a pipe; the one place this package forks.
+    back through a pipe; the one place this package forks.  No child
+    forks a child of its own.
 
     A child leaves through `os._exit`, so it runs no exit handler and
     flushes no buffer it inherited.  One that raises prints `label
     failed: ...` to stderr and exits 1, and `wait` raises OSError
-    naming the label.  `kill` sends SIGTERM, on which a child first kills
-    and reaps its own children, then exits: no process of the tree is
-    left behind.
+    naming the label.  `kill` sends SIGKILL, which ends a child whatever
+    signal handler it inherited, and reaps it.
 
     Forking is safe here although BLAS may hold threads: the children of
     this package run only `tolist`, the JSON encoder and hashlib, which
@@ -169,10 +114,6 @@ class Forks:
         if pid == 0:
             code = 1
             try:
-                import signal  # here: the caller's process needs it only to kill
-
-                _live.clear()  # its parent's children are not its own
-                signal.signal(signal.SIGTERM, _end_tree)
                 os.close(r)
                 data = fn().encode()
                 while data:
@@ -183,7 +124,6 @@ class Forks:
             finally:
                 os._exit(code)
         os.close(w)
-        _live.add(pid)
         self.running[pid] = (label, os.fdopen(r, "rb"))
         return pid
 
@@ -193,7 +133,6 @@ class Forks:
         label, pipe = self.running[pid]
         data = pipe.read()
         _, status = os.waitpid(pid, 0)
-        _live.discard(pid)
         del self.running[pid]
         pipe.close()
         if status:
@@ -206,28 +145,10 @@ class Forks:
         import signal
 
         for pid, (_, pipe) in self.running.items():
-            os.kill(pid, signal.SIGTERM)
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            _live.discard(pid)
             pipe.close()
         self.running.clear()
-
-
-_live: set[int] = set()  # children this process forked and has not reaped
-
-
-def _end_tree(signum, frame) -> None:
-    """SIGTERM in a forked child: end and reap its own children, then exit
-    at once (raising instead could escape the child's `os._exit`)."""
-    import signal
-
-    for pid in list(_live):
-        try:
-            os.kill(pid, signal.SIGTERM)
-            os.waitpid(pid, 0)
-        except (ProcessLookupError, ChildProcessError):  # already reaped
-            pass
-    os._exit(1)
 
 
 def read_rows(path, what: str):

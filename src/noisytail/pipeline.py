@@ -42,7 +42,6 @@ from .stage1 import Stage1Config
 # artifact names within a workspace directory
 TRAIN_FILE = "train.jsonl"
 TEST_FILE = "test.jsonl"
-MASK_FILE = "noise_mask.jsonl"
 STAGE1_CKPT = "stage1_checkpoint.json"
 PREDICTIONS_FILE = "stage1_predictions.jsonl"
 STAGE1_LOG = "stage1_log.json"
@@ -214,13 +213,13 @@ def _seeded(cfg: PipelineConfig, stage: str):
     return dataclasses.replace(getattr(cfg, stage), seed=stage_seed(cfg.seed, stage))
 
 
-def _simulated_data(cfg: PipelineConfig) -> tuple[Dataset, Dataset, np.ndarray]:
-    """Train and test splits and the noise mask, drawn under the simulate seed."""
+def _simulated_data(cfg: PipelineConfig) -> tuple[Dataset, Dataset]:
+    """Train and test splits, drawn under the simulate seed."""
     rng = make_rng(stage_seed(cfg.seed, "simulate"))
     train, test = datagen.synth_split(cfg.longtail, cfg.mixture, rng,
                                       cfg.test_per_class)
-    train, mask = datagen.apply_noise(train, cfg.noise, rng)
-    return train, test, mask
+    train, _ = datagen.apply_noise(train, cfg.noise, rng)
+    return train, test
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +275,10 @@ class Workspace:
     single-stage command starts with an empty memo; `run_pipeline` hands
     one workspace down the chain.
 
-    JSONL files are written by forked writers while the next stage runs;
-    leaving the workspace's `with` block joins them on every path, then
-    writes the manifest of each stage that finished, from the digests the
-    writers sent back."""
+    Each JSONL file is written by a forked writer of its own while the next
+    stage runs; leaving the workspace's `with` block joins them on every
+    path, then writes the manifest of each stage that finished, from the
+    digests the writers sent back."""
 
     def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
@@ -381,16 +380,15 @@ class Workspace:
 def run_simulate(cfg: PipelineConfig, ws: Workspace) -> dict:
     t0 = time.perf_counter()
     ws.out_dir.mkdir(parents=True, exist_ok=True)
-    train, test, mask = _simulated_data(cfg)
+    train, test = _simulated_data(cfg)
     ws.write(TRAIN_FILE, train, datagen.dataset_rows(train))
     ws.write(TEST_FILE, test, datagen.dataset_rows(test))
-    ws.write(MASK_FILE, mask, datagen.mask_rows(mask, train.ids))
     counts = np.bincount(train.true, minlength=cfg.longtail.num_classes).tolist()
     metrics = {
         "train_size": len(train),
         "test_size": len(test),
         "class_counts": counts,
-        "measured_noise_rate": int(mask.sum()) / len(train),
+        "measured_noise_rate": int((train.observed != train.true).sum()) / len(train),
     }
     ws.finish("simulate", cfg, t0, metrics)
     return metrics
@@ -536,7 +534,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
 class PipelineResult:
     train: Dataset
     test: Dataset
-    noise_mask: np.ndarray
     stage1_model: stage1.Stage1Model
     predictions: stage1.Predictions
     stage1_log: list[dict]
@@ -544,6 +541,11 @@ class PipelineResult:
     stage2_model: ensemble.EnsembleModel
     report: ensemble.EvalReport
     metrics: dict = field(default_factory=dict)
+
+    @property
+    def noise_mask(self) -> np.ndarray:
+        """Which train labels the noise altered: observed != true."""
+        return self.train.observed != self.train.true
 
 
 # The simulate + stage-1 outputs of the last run_in_memory call, keyed by
@@ -562,14 +564,14 @@ def _stage1_key(cfg: PipelineConfig) -> str:
 
 
 def _simulated_stage1(cfg: PipelineConfig) -> tuple:
-    """(train, test, noise mask, stage-1 model, predictions, stage-1 log):
+    """(train, test, stage-1 model, predictions, stage-1 log):
     copies of the memo's on a key match, else computed and memoized."""
     key = _stage1_key(cfg)
     if key in _stage1_memo:
         return copy.deepcopy(_stage1_memo[key])
     _stage1_memo.clear()  # a call that raises leaves no entry
-    train, test, mask = _simulated_data(cfg)
-    out = (train, test, mask, *stage1.train_stage1(train, _seeded(cfg, "stage1")))
+    train, test = _simulated_data(cfg)
+    out = (train, test, *stage1.train_stage1(train, _seeded(cfg, "stage1")))
     _stage1_memo[key] = copy.deepcopy(out)
     return out
 
@@ -584,7 +586,7 @@ def run_in_memory(cfg: PipelineConfig, no_relabel: bool = False) -> PipelineResu
     keyed on every section but `refurbish`, `stage2`, `thresholds` and
     `out_dir`.  Refurbishment, stage 2 and evaluation run on every call,
     and each result holds its own copies of the arrays."""
-    train, test, mask, s1_model, preds, s1_log = _simulated_stage1(cfg)
+    train, test, s1_model, preds, s1_log = _simulated_stage1(cfg)
 
     soft, records = refurbish.refurbish_dataset(train, preds, cfg.refurbish)
     if no_relabel:
@@ -597,7 +599,7 @@ def run_in_memory(cfg: PipelineConfig, no_relabel: bool = False) -> PipelineResu
 
     metrics = {"overall_accuracy": report.overall_accuracy,
                **_accuracy("stage1_accuracy", preds.predicted, train)}
-    return PipelineResult(train, test, mask, s1_model, preds, s1_log, records,
+    return PipelineResult(train, test, s1_model, preds, s1_log, records,
                           s2_model, report, metrics)
 
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from noisytail import datagen, pipeline
+from noisytail.cli import main
 from noisytail.datagen import LongTailSpec, MixtureSpec, longtail_counts, synth_dataset
 from noisytail.ensemble import _expert_batch, expert_shifts, soft_class_counts
 from noisytail.numerics import (
@@ -26,7 +27,7 @@ from noisytail.numerics import (
     relative_error,
     softmax_rows,
 )
-from noisytail.pipeline import default_config, file_sha256, run_in_memory, stage_seed
+from noisytail.pipeline import default_config, run_in_memory, stage_seed
 from noisytail.refurbish import (
     ClassStats,
     RefurbishConfig,
@@ -343,14 +344,11 @@ def test_criterion_9_determinism(tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         pipeline.run_pipeline(cfg, out1)
         pipeline.run_pipeline(cfg, out2)
-        data_artifacts = [
-            "train.jsonl", "test.jsonl", "noise_mask.jsonl",
-            "stage1_checkpoint.json", "stage1_predictions.jsonl",
-            "stage1_log.json", "refurbished.jsonl", "stage2_checkpoint.json",
-            "stage2_log.json", "eval_report.json", "eval_report.csv",
-        ]
-        for name in data_artifacts:
-            assert file_sha256(out1 / name) == file_sha256(out2 / name), name
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            if not name.startswith("manifest_"):
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
         for cmd in ("simulate", "stage1", "refurbish", "stage2", "evaluate"):
             m1 = json.loads((out1 / f"manifest_{cmd}.json").read_text())
             m2 = json.loads((out2 / f"manifest_{cmd}.json").read_text())
@@ -387,3 +385,13 @@ def test_file_formats_table_matches_artifacts(tmp_path):
             keys = set(json.loads(fh.readline()))
         required, optional = table[name]
         assert required <= keys <= required | optional, (name, sorted(keys))
+
+
+def test_file_formats_table_lists_what_the_cli_writes(tmp_path):
+    """The table names exactly the JSONL files `noisytail pipeline` writes;
+    the noise mask is not among them, as it is read off the labels."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CRITERION_9_CONFIG))
+    out = tmp_path / "ws"
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.jsonl")) == sorted(readme_file_formats())

@@ -2,12 +2,13 @@
 
 Batched refurbishment and vectorised noise injection are compared bit for
 bit with the per-sample rules, the JSONL writers byte for byte with a
-per-record `json.dumps` writer at every shard count, and
-every loader is fed malformed input that must be rejected with an error
-naming the line or the sample id.
+per-record `json.dumps` writer at block edges and beside sibling writers,
+and every loader is fed malformed input that must be rejected with an
+error naming the line or the sample id.
 """
 
 import errno
+import hashlib
 import json
 import math
 import os
@@ -232,12 +233,25 @@ def assert_writer_bytes(tmp_path, case, n, seed):
 
 
 B = jsonl.BLOCK_ROWS
-# 0, 1 and either side of a block edge write serially; 4 * cpus * B +- 1
-# straddles the edge where forking gives every usable CPU a shard.  A
-# Dataset (and so a record set) holds at least one sample.
-SHARD_CASES = [(case, cpus, n) for case in sorted(WRITER_CASES) for cpus in (1, 2, 3, 4)
-               for n in (0, 1, B - 1, B + 1, 4 * cpus * B - 1, 4 * cpus * B + 1)
-               if n or case in ("predictions", "mask")]
+# (case, writers, rows): 0, 1 and either side of a block edge, and either
+# side of 4 blocks per writer, written by `writers` forked writers at once.
+# A Dataset (and so a record set) holds at least one sample.
+CONCURRENT_CASES = [(case, writers, n)
+                    for case in sorted(WRITER_CASES) for writers in (1, 2, 3, 4)
+                    for n in (0, 1, B - 1, B, B + 1,
+                              4 * writers * B - 1, 4 * writers * B + 1)
+                    if n or case in ("predictions", "mask")]
+
+
+def failing_after(blocks: int, error: Exception):
+    """An `encode_rows` that passes `blocks` blocks to `write`, then raises."""
+    encode_rows = jsonl.encode_rows
+
+    def failing(write, keys, columns):
+        rows = min(blocks * B, len(columns[0]))
+        encode_rows(write, keys, [c[:rows] for c in columns])
+        raise error
+    return failing
 
 
 class TestWriters:
@@ -255,23 +269,35 @@ class TestWriters:
     def test_mask_bytes(self, tmp_path):
         assert_writer_bytes(tmp_path, "mask", 300, 5)
 
-    @pytest.mark.parametrize("case,cpus,n", SHARD_CASES)
-    def test_bytes_at_every_shard_count(self, tmp_path, monkeypatch, case, cpus, n):
-        monkeypatch.setattr(jsonl, "usable_cpus", lambda: cpus)
-        assert_writer_bytes(tmp_path, case, n, n + cpus)
+    @pytest.mark.parametrize("case,writers,n", CONCURRENT_CASES)
+    def test_bytes_at_every_shard_count(self, tmp_path, case, writers, n):
+        """`writers` forked writers, each encoding a file of its own
+        serially, run at once as the pipeline's do: every file equals the
+        per-record reference and every digest sent back is that of its
+        bytes."""
+        write, refs = WRITER_CASES[case](n, n + writers)
+        reference_write(tmp_path / "ref.jsonl", refs)
+        ref = (tmp_path / "ref.jsonl").read_bytes()
+        forks = jsonl.Forks()
+        paths = {forks.start(f"cannot write {path}: writer",
+                             lambda path=path: write(path)): path
+                 for path in (tmp_path / f"new{w}.jsonl" for w in range(writers))}
+        try:
+            for pid, path in paths.items():
+                assert forks.wait(pid) == hashlib.sha256(ref).hexdigest()
+                assert path.read_bytes() == ref
+        finally:
+            forks.kill()
 
-    @given(n=st.integers(0, 5 * jsonl.MIN_SHARD_ROWS), cpus=st.integers(1, 4))
+    @given(n=st.integers(0, 20 * B))
     @settings(max_examples=25, deadline=None)
-    def test_mask_bytes_any_row_count(self, tmp_path_factory, n, cpus):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(jsonl, "usable_cpus", lambda: cpus)
-            assert_writer_bytes(tmp_path_factory.mktemp("mask"), "mask", n, n)
+    def test_mask_bytes_any_row_count(self, tmp_path_factory, n):
+        assert_writer_bytes(tmp_path_factory.mktemp("mask"), "mask", n, n)
 
-    def test_non_finite_values_are_refused(self, tmp_path, monkeypatch):
+    def test_non_finite_values_are_refused(self, tmp_path):
         """Refused before the file is opened, naming key and row, also when
-        the value lies past the first shard."""
-        monkeypatch.setattr(jsonl, "usable_cpus", lambda: 2)
-        n = 4 * jsonl.MIN_SHARD_ROWS
+        the value lies past the first block."""
+        n = 8 * B
         for value in (np.nan, np.inf, -np.inf):
             preds = Predictions(np.zeros((n, 3)))
             preds.logits[n - 10, 2] = value
@@ -280,36 +306,28 @@ class TestWriters:
                 save_predictions(np.arange(n), preds, path)
             assert not path.exists()
 
-    @pytest.mark.parametrize("where", ["child", "parent", "serial"])
-    def test_failed_shard_leaves_nothing_behind(self, tmp_path, monkeypatch, capfd,
-                                                where):
-        """A shard encoder that fails, in a child, in the parent or in the
-        serial loop, leaves no file in the directory and no child unreaped."""
-        self.check_failed_shard(tmp_path, monkeypatch, capfd, where, "caller")
+    @pytest.mark.parametrize("blocks", [0, 2])
+    def test_failed_encoder_leaves_nothing_behind(self, tmp_path, monkeypatch, capfd,
+                                                  blocks):
+        """An encoder that fails, before any row or after `blocks` blocks
+        reached the file, leaves no file in the directory."""
+        self.check_failed_encoder(tmp_path, monkeypatch, capfd, blocks, "caller")
 
-    @pytest.mark.parametrize("where", ["child", "parent", "serial"])
-    def test_failed_shard_in_forked_writer_leaves_nothing_behind(
-            self, tmp_path, monkeypatch, capfd, where):
-        """The same when the whole write runs in a forked writer, whose
-        shards are then forked from that writer."""
-        self.check_failed_shard(tmp_path, monkeypatch, capfd, where, "forked_writer")
+    @pytest.mark.parametrize("blocks", [0, 2])
+    def test_failed_encoder_in_forked_writer_leaves_nothing_behind(
+            self, tmp_path, monkeypatch, capfd, blocks):
+        """The same when the write runs in a forked writer, whose failure
+        the caller sees as an OSError naming the file."""
+        self.check_failed_encoder(tmp_path, monkeypatch, capfd, blocks, "forked_writer")
 
     @staticmethod
-    def check_failed_shard(tmp_path, monkeypatch, capfd, where, via):
-        encode_shard = jsonl.encode_shard
-
-        def failing(fh, keys, columns, start, stop):
-            if (start > 0) == (where == "child"):
-                raise RuntimeError(f"boom at row {start}")
-            encode_shard(fh, keys, columns, start, stop)
-
-        monkeypatch.setattr(jsonl, "usable_cpus", lambda: 1 if where == "serial" else 3)
-        monkeypatch.setattr(jsonl, "encode_shard", failing)
-        write, _ = mask_case(3 * jsonl.MIN_SHARD_ROWS, 0)
+    def check_failed_encoder(tmp_path, monkeypatch, capfd, blocks, via):
+        monkeypatch.setattr(jsonl, "encode_rows",
+                            failing_after(blocks, RuntimeError(f"boom after {blocks}")))
+        write, _ = mask_case(3 * B, 0)
         path = tmp_path / "mask.jsonl"
         expected = ((OSError, f"cannot write {re.escape(str(path))}")
-                    if where == "child" or via == "forked_writer"
-                    else (RuntimeError, "boom"))
+                    if via == "forked_writer" else (RuntimeError, "boom"))
         if via == "forked_writer":
             write = in_forked_writer(write)
         with pytest.raises(expected[0], match=expected[1]):
@@ -317,29 +335,30 @@ class TestWriters:
         assert os.listdir(tmp_path) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        if where == "child" or via == "forked_writer":
-            assert "boom at row" in capfd.readouterr().err
+        if via == "forked_writer":
+            assert f"boom after {blocks}" in capfd.readouterr().err
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("encoder_fails", [True, False])
     def test_failed_close_leaves_nothing_behind(self, tmp_path, monkeypatch, capfd,
-                                                cpus, encoder_fails):
-        """A target whose closing flush fails (a full disk) is deleted, and an
-        encoder failure before it stays the error reported."""
-        self.check_failed_close(tmp_path, monkeypatch, capfd, cpus, encoder_fails,
+                                                blocks, encoder_fails):
+        """A target of `blocks` blocks and one row whose closing flush fails
+        (a full disk) is deleted, and an encoder failure before it, after
+        `blocks` blocks, stays the error reported."""
+        self.check_failed_close(tmp_path, monkeypatch, capfd, blocks, encoder_fails,
                                 "caller")
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("encoder_fails", [True, False])
     def test_failed_close_in_forked_writer_leaves_nothing_behind(
-            self, tmp_path, monkeypatch, capfd, cpus, encoder_fails):
+            self, tmp_path, monkeypatch, capfd, blocks, encoder_fails):
         """The same when the whole write runs in a forked writer: the error
         reported on stderr is the first one, and the OSError names the file."""
-        self.check_failed_close(tmp_path, monkeypatch, capfd, cpus, encoder_fails,
+        self.check_failed_close(tmp_path, monkeypatch, capfd, blocks, encoder_fails,
                                 "forked_writer")
 
     @staticmethod
-    def check_failed_close(tmp_path, monkeypatch, capfd, cpus, encoder_fails, via):
+    def check_failed_close(tmp_path, monkeypatch, capfd, blocks, encoder_fails, via):
         def open_failing_close(*args, **kwargs):
             fh = open(*args, **kwargs)
             close = fh.close
@@ -350,14 +369,11 @@ class TestWriters:
             fh.close = failing_close
             return fh
 
-        def failing(fh, keys, columns, start, stop):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(jsonl, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(jsonl, "open", open_failing_close, raising=False)
         if encoder_fails:
-            monkeypatch.setattr(jsonl, "encode_shard", failing)
-        write, _ = mask_case(2 * jsonl.MIN_SHARD_ROWS, 0)
+            monkeypatch.setattr(jsonl, "encode_rows",
+                                failing_after(blocks, RuntimeError("boom")))
+        write, _ = mask_case(blocks * B + 1, 0)
         cause = "boom" if encoder_fails else "disk full"
         path = tmp_path / "mask.jsonl"
         if via == "forked_writer":

@@ -14,10 +14,8 @@ from noisytail.datagen import (
     inject_asymmetric,
     inject_symmetric,
     load_dataset,
-    load_noise_mask,
     longtail_counts,
     save_dataset,
-    save_noise_mask,
     synth_dataset,
     synth_split,
 )
@@ -260,11 +258,6 @@ class TestPersistence:
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         with pytest.raises(ParseError, match="line 2"):
             load_dataset(path)
-
-    def test_mask_roundtrip(self, tmp_path):
-        path = tmp_path / "mask.jsonl"
-        save_noise_mask([True, False, True], [5, 7, 9], path)
-        assert load_noise_mask(path) == {5: True, 7: False, 9: True}
 
 
 class TestImportEmbeddings:

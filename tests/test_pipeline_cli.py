@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import select
+import time
 
 import numpy as np
 import pytest
@@ -60,10 +62,10 @@ def refuse_to_hash_files(monkeypatch):
     monkeypatch.setattr(pipeline, "file_sha256", refuse)
 
 
-def force_nested_shards(monkeypatch):
-    """Tiny files split into two row shards, forked from each writer."""
-    monkeypatch.setattr(jsonl, "MIN_SHARD_ROWS", 16)
-    monkeypatch.setattr(jsonl, "usable_cpus", lambda: 2)
+def train_noise_mask(out) -> list[bool]:
+    """Which labels in `out`'s train.jsonl the noise altered."""
+    rows = [json.loads(l) for l in (out / "train.jsonl").read_text().splitlines()]
+    return [r["observed_label"] != r["true_label"] for r in rows]
 
 
 def write_tiny_config(tmp_path, **extra):
@@ -127,8 +129,9 @@ class TestCliSimulate:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out1)]) == 0
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out2)]) == 0
-        for name in ("train.jsonl", "test.jsonl", "noise_mask.jsonl"):
-            assert (out1 / name).exists()
+        assert sorted(p.name for p in out1.glob("*.jsonl")) == ["test.jsonl",
+                                                                "train.jsonl"]
+        for name in ("train.jsonl", "test.jsonl"):
             assert file_sha256(out1 / name) == file_sha256(out2 / name)
 
     def test_seed_override_changes_data(self, tmp_path):
@@ -143,8 +146,7 @@ class TestCliSimulate:
         cfg_path = write_tiny_config(tmp_path)
         out = tmp_path / "ws"
         main(["simulate", "--config", str(cfg_path), "--out", str(out)])
-        mask = [json.loads(l)["noisy"] for l in
-                (out / "noise_mask.jsonl").read_text().splitlines()]
+        mask = train_noise_mask(out)
         n = len(mask)
         assert abs(sum(mask) - 0.4 * n) <= 0.5
 
@@ -161,9 +163,7 @@ class TestCliSimulate:
             counts[r["observed_label"]] = counts.get(r["observed_label"], 0) + 1
             assert r["observed_label"] == r["true_label"]
         assert set(counts.values()) == {40}
-        mask = [json.loads(l)["noisy"] for l in
-                (out / "noise_mask.jsonl").read_text().splitlines()]
-        assert not any(mask)
+        assert not any(train_noise_mask(out))
 
 
 class TestCliPipeline:
@@ -172,13 +172,11 @@ class TestCliPipeline:
         out1, out2 = tmp_path / "p1", tmp_path / "p2"
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out1)]) == 0
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out2)]) == 0
-        artifacts = ["train.jsonl", "test.jsonl", "noise_mask.jsonl",
-                     "stage1_checkpoint.json", "stage1_predictions.jsonl",
-                     "refurbished.jsonl", "stage2_checkpoint.json",
-                     "eval_report.json", "eval_report.csv"]
-        for name in artifacts:
-            assert (out1 / name).exists(), name
-            assert file_sha256(out1 / name) == file_sha256(out2 / name), name
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            if not name.startswith("manifest_"):
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
         for cmd in ("simulate", "stage1", "refurbish", "stage2", "evaluate"):
             m1 = json.loads((out1 / f"manifest_{cmd}.json").read_text())
             m2 = json.loads((out2 / f"manifest_{cmd}.json").read_text())
@@ -197,7 +195,7 @@ class TestCliPipeline:
         # commands reload them: every artifact must come out the same
         names = sorted(p.name for p in out1.iterdir())
         assert names == sorted(p.name for p in out2.iterdir())
-        assert len(names) == 16
+        assert len(names) == 15
         for name in names:
             if name.startswith("manifest_"):
                 m1, m2 = (json.loads((d / name).read_text()) for d in (out1, out2))
@@ -218,7 +216,6 @@ class TestCliPipeline:
                              (ensemble, "load_stage2_checkpoint")):
             monkeypatch.setattr(module, name, refuse)
         refuse_to_hash_files(monkeypatch)
-        force_nested_shards(monkeypatch)
         cfg = config_from_dict(TINY_CONFIG)
         out = tmp_path / "ws"
         metrics = pipeline.run_pipeline(cfg, out)
@@ -232,7 +229,6 @@ class TestCliPipeline:
         ref = tmp_path / "ref"
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(ref)]) == 0
         refuse_to_hash_files(monkeypatch)
-        force_nested_shards(monkeypatch)
         out = tmp_path / "ws"
         for command in STAGES:
             assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -245,7 +241,6 @@ class TestCliPipeline:
     def test_writer_encodes_a_snapshot(self, tmp_path, monkeypatch):
         """Arrays changed in place after `write` returns do not reach the
         file: the forked writer encodes the values as they were."""
-        force_nested_shards(monkeypatch)
         rng = make_rng(3)
         ids = rng.permutation(100)
         preds = stage1.Predictions(rng.normal(size=(100, 5)))
@@ -260,6 +255,43 @@ class TestCliPipeline:
         assert (out / pipeline.PREDICTIONS_FILE).read_bytes() == expected.read_bytes()
         assert ws.written[pipeline.PREDICTIONS_FILE][0] == digest == file_sha256(expected)
 
+    def test_failed_writer_kills_a_sibling_still_encoding(self, tmp_path, monkeypatch):
+        """A writer fails while a sibling started after it is still encoding:
+        the join raises OSError naming the failed file, kills and reaps the
+        sibling, deletes its partial file, and writes neither stage's
+        manifest."""
+        encode_rows = jsonl.encode_rows
+        ready_r, ready_w = os.pipe()
+
+        def encoder(write, keys, columns):
+            if keys == ("fails",):
+                raise RuntimeError("encoder broke")
+            encode_rows(write, keys, [c[:jsonl.BLOCK_ROWS] for c in columns])
+            os.write(ready_w, str(os.getpid()).encode())  # one block in, more to come
+            time.sleep(120)
+        monkeypatch.setattr(jsonl, "encode_rows", encoder)
+        cfg = config_from_dict(TINY_CONFIG)
+        out = tmp_path / "ws"
+        out.mkdir()
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(OSError, match=f"cannot write {out / 'a.jsonl'}"):
+                with pipeline.Workspace(out) as ws:
+                    ws.write("a.jsonl", None, (("fails",), [np.arange(10)]))
+                    ws.finish("simulate", cfg, time.perf_counter(), {})
+                    ws.write("b.jsonl", None, (("id",), [np.arange(3 * jsonl.BLOCK_ROWS)]))
+                    ws.finish("stage1", cfg, time.perf_counter(), {})
+                    assert select.select([ready_r], [], [], 60)[0]
+                    sibling = int(os.read(ready_r, 32))
+                    assert (out / "b.jsonl").exists()
+        finally:
+            os.close(ready_r)
+            os.close(ready_w)
+        assert time.monotonic() - t0 < 90  # killed, not waited out
+        with pytest.raises(ChildProcessError):
+            os.waitpid(sibling, os.WNOHANG)
+        assert os.listdir(out) == []  # no partial file, no manifest
+
     @pytest.mark.parametrize("command", ["pipeline", "stage1"])
     def test_failed_writer_exits_3_naming_the_file(self, tmp_path, monkeypatch, capsys,
                                                    command):
@@ -270,13 +302,13 @@ class TestCliPipeline:
         out = tmp_path / "ws"
         if command == "stage1":
             assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-        encode_shard = jsonl.encode_shard
+        encode_rows = jsonl.encode_rows
 
-        def failing(write, keys, columns, start, stop):
+        def failing(write, keys, columns):
             if "logits" in keys:
                 raise RuntimeError("encoder broke")
-            encode_shard(write, keys, columns, start, stop)
-        monkeypatch.setattr(jsonl, "encode_shard", failing)
+            encode_rows(write, keys, columns)
+        monkeypatch.setattr(jsonl, "encode_rows", failing)
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert f"cannot write {out / pipeline.PREDICTIONS_FILE}" in err
@@ -406,6 +438,24 @@ class TestInMemoryMemo:
         with pytest.raises(NumericError, match="stage 1"):
             run_in_memory(config_from_dict(data))
         assert not pipeline._stage1_memo
+
+
+class TestNoiseMask:
+    @pytest.mark.parametrize("noise", [
+        {"kind": "symmetric", "rate": 0.4},
+        {"kind": "asymmetric", "rate": 0.4, "flip_map": [[0, 1], [1, 0], [3, 2]]},
+    ])
+    def test_derived_mask_equals_the_injected_one(self, noise):
+        """`PipelineResult.noise_mask`, derived from the labels, has the
+        bytes of the mask that label corruption returned."""
+        cfg = config_from_dict({**TINY_CONFIG, "noise": noise})
+        rng = make_rng(stage_seed(cfg.seed, "simulate"))
+        train, _ = datagen.synth_split(cfg.longtail, cfg.mixture, rng, cfg.test_per_class)
+        _, injected = datagen.apply_noise(train, cfg.noise, rng)
+        derived = run_in_memory(cfg).noise_mask
+        assert injected.any()
+        assert derived.dtype == injected.dtype
+        assert derived.tobytes() == injected.tobytes()
 
 
 class TestCliErrors:
