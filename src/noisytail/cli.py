@@ -102,7 +102,6 @@ def run(args) -> int:
 
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
     # nothing in memory yet: inputs come from --out.  Leaving the block waits
     # for the forked file writers, then writes the manifests.
     with pipeline.Workspace(out) as ws:

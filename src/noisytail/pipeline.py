@@ -1,5 +1,6 @@
 """End-to-end orchestration: configuration, seeding, manifests, and the
-simulate -> stage1 -> refurbish -> stage2 -> evaluate chain.
+simulate -> stage1 -> refurbish -> stage2 -> evaluate chain, which the CLI
+and `run_in_memory` both run through the five stage runners.
 
 Every command is reproducible from (config, seed) alone; per-stage seeds
 are derived by hashing the global seed with the stage name, and each
@@ -213,15 +214,6 @@ def _seeded(cfg: PipelineConfig, stage: str):
     return dataclasses.replace(getattr(cfg, stage), seed=stage_seed(cfg.seed, stage))
 
 
-def _simulated_data(cfg: PipelineConfig) -> tuple[Dataset, Dataset]:
-    """Train and test splits, drawn under the simulate seed."""
-    rng = make_rng(stage_seed(cfg.seed, "simulate"))
-    train, test = datagen.synth_split(cfg.longtail, cfg.mixture, rng,
-                                      cfg.test_per_class)
-    train, _ = datagen.apply_noise(train, cfg.noise, rng)
-    return train, test
-
-
 # ---------------------------------------------------------------------------
 # Manifests and the workspace
 # ---------------------------------------------------------------------------
@@ -278,11 +270,15 @@ class Workspace:
     Each JSONL file is written by a forked writer of its own while the next
     stage runs; leaving the workspace's `with` block joins them on every
     path, then writes the manifest of each stage that finished, from the
-    digests the writers sent back."""
+    digests the writers sent back.  A workspace with no directory only
+    keeps the values and metrics: it checks, forks and writes nothing."""
 
-    def __init__(self, out_dir):
-        self.out_dir = Path(out_dir)
+    def __init__(self, out_dir=None):
+        self.out_dir = None if out_dir is None else Path(out_dir)
+        if self.out_dir is not None:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
         self.memo: dict[str, object] = {}
+        self.metrics: dict[str, dict] = {}  # command -> that stage's metrics
         self.written: dict[str, tuple[str, float]] = {}  # name -> (SHA-256, write s)
         self._writers = jsonl.Forks()
         self._writing: dict[int, str] = {}  # writer pid -> artifact name
@@ -315,9 +311,11 @@ class Workspace:
         to the file `name` in a forked writer.  The rows are checked finite
         here, before the fork; the writer encodes the snapshot the fork
         took, so the caller may change or drop the arrays at once."""
+        self.memo[name] = value
+        if self.out_dir is None:
+            return
         path = self.out_dir / name
         jsonl.check_finite(path, *rows)
-        self.memo[name] = value
 
         def write() -> str:
             t0 = time.perf_counter()
@@ -326,9 +324,13 @@ class Workspace:
         self._writing[self._writers.start(f"cannot write {path}: writer", write)] = name
         self._unclaimed.append(name)
 
-    def save(self, name: str, write) -> None:
-        """Write the file `name` now, in this process, by `write(path)`,
-        which returns the SHA-256 of the bytes it wrote."""
+    def save(self, name: str, value, write) -> None:
+        """Keep `value` as `name` and write the file `name` now, in this
+        process, by `write(path)`, which returns the SHA-256 of the bytes
+        it wrote."""
+        self.memo[name] = value
+        if self.out_dir is None:
+            return
         t0 = time.perf_counter()
         digest = write(self.out_dir / name)
         self.written[name] = (digest, time.perf_counter() - t0)
@@ -339,6 +341,9 @@ class Workspace:
         """End a stage that started at `t0`: its manifest, written at the
         join, lists the artifacts written since the last stage finished and
         records the stage's wall time and the peak RSS so far."""
+        self.metrics[command] = metrics
+        if self.out_dir is None:
+            return
         self._finished.append((command, cfg, time.perf_counter() - t0,
                                _peak_rss_mb(resource.RUSAGE_SELF),
                                metrics, self._unclaimed))
@@ -379,8 +384,10 @@ class Workspace:
 
 def run_simulate(cfg: PipelineConfig, ws: Workspace) -> dict:
     t0 = time.perf_counter()
-    ws.out_dir.mkdir(parents=True, exist_ok=True)
-    train, test = _simulated_data(cfg)
+    rng = make_rng(stage_seed(cfg.seed, "simulate"))
+    train, test = datagen.synth_split(cfg.longtail, cfg.mixture, rng,
+                                      cfg.test_per_class)
+    train, _ = datagen.apply_noise(train, cfg.noise, rng)
     ws.write(TRAIN_FILE, train, datagen.dataset_rows(train))
     ws.write(TEST_FILE, test, datagen.dataset_rows(test))
     counts = np.bincount(train.true, minlength=cfg.longtail.num_classes).tolist()
@@ -408,9 +415,8 @@ def run_stage1(cfg: PipelineConfig, ws: Workspace) -> dict:
     s1_cfg = _seeded(cfg, "stage1")
     model, preds, log = stage1.train_stage1(train, s1_cfg)
     ws.write(PREDICTIONS_FILE, preds, stage1.prediction_rows(train.ids, preds))
-    ws.save(STAGE1_CKPT, lambda p: stage1.save_stage1_checkpoint(model, s1_cfg, p))
-    ws.save(STAGE1_LOG, lambda p: jsonl.write_json(p, log))
-    ws.memo[STAGE1_CKPT] = model
+    ws.save(STAGE1_CKPT, model, lambda p: stage1.save_stage1_checkpoint(model, s1_cfg, p))
+    ws.save(STAGE1_LOG, log, lambda p: jsonl.write_json(p, log))
     metrics = {"final_losses": log[-1] if log else None,
                **_accuracy("train_accuracy", preds.predicted, train)}
     ws.finish("stage1", cfg, t0, metrics)
@@ -425,7 +431,7 @@ def run_refurbish(cfg: PipelineConfig, ws: Workspace) -> dict:
     soft, records = refurbish.refurbish_dataset(train, preds, cfg.refurbish)
     del preds  # no later stage reads them: free the memory, before the writer forks
     ws.memo.pop(PREDICTIONS_FILE, None)
-    ws.write(REFURB_FILE, soft, refurbish.record_rows(records))
+    ws.write(REFURB_FILE, records, refurbish.record_rows(records))
     metrics = refurbish.summarize_records(records)
     if train.true is not None:
         metrics.update(refurbish_quality(train, soft, records.changed,
@@ -465,15 +471,15 @@ def run_stage2(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -> 
         softs = np.eye(train.num_classes)[train.observed]
     else:
         softs = ws.get(REFURB_FILE, "refurbish", lambda p: refurbish.align_records(
-            train, refurbish.load_records(p)).soft)
+            train, refurbish.load_records(p))).soft
+    ws.memo.pop(REFURB_FILE, None)  # no later stage reads the records: free them
     s2_cfg = _seeded(cfg, "stage2")
     model, log = ensemble.train_stage2(train, softs, s1_model, s2_cfg)
     ckpt_name = _variant_name(STAGE2_CKPT, no_relabel)
     log_name = _variant_name(STAGE2_LOG, no_relabel)
-    ws.save(ckpt_name, lambda p: ensemble.save_stage2_checkpoint(
+    ws.save(ckpt_name, (model, s2_cfg), lambda p: ensemble.save_stage2_checkpoint(
         model, s2_cfg, STAGE1_CKPT, p))
-    ws.save(log_name, lambda p: jsonl.write_json(p, log))
-    ws.memo[ckpt_name] = (model, s2_cfg)
+    ws.save(log_name, log, lambda p: jsonl.write_json(p, log))
     metrics = {"variant": "w/o re-label" if no_relabel else "refurbished",
                "final_losses": log[-1] if log else None}
     ws.finish("stage2_norelabel" if no_relabel else "stage2", cfg, t0, metrics)
@@ -503,10 +509,10 @@ def run_evaluate(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -
     doc = {"variant": label, **report.to_json_dict()}
     json_name = _variant_name(EVAL_JSON, no_relabel)
     csv_name = _variant_name(EVAL_CSV, no_relabel)
-    ws.save(json_name, lambda p: jsonl.write_json(p, doc, indent=2))
-    ws.save(csv_name, lambda p: jsonl.write_text(
-        p, f"# variant: {label}; thresholds: many>{cfg.thresholds.many_min}, "
-           f"few<{cfg.thresholds.few_max}\n" + ensemble.report_csv(report)))
+    csv = (f"# variant: {label}; thresholds: many>{cfg.thresholds.many_min}, "
+           f"few<{cfg.thresholds.few_max}\n" + ensemble.report_csv(report))
+    ws.save(json_name, report, lambda p: jsonl.write_json(p, doc, indent=2))
+    ws.save(csv_name, csv, lambda p: jsonl.write_text(p, csv))
     metrics = {"variant": label,
                "overall_accuracy": report.overall_accuracy,
                "subgroup_accuracy": report.subgroup_accuracy}
@@ -541,6 +547,7 @@ class PipelineResult:
     stage2_model: ensemble.EnsembleModel
     report: ensemble.EvalReport
     metrics: dict = field(default_factory=dict)
+    stages: dict = field(default_factory=dict)  # command -> that stage's metrics
 
     @property
     def noise_mask(self) -> np.ndarray:
@@ -548,10 +555,10 @@ class PipelineResult:
         return self.train.observed != self.train.true
 
 
-# The simulate + stage-1 outputs of the last run_in_memory call, keyed by
-# `_stage1_key(cfg)`: at most one entry, held as a deep copy so that no
-# returned result shares an array with it.
-_stage1_memo: dict[str, tuple] = {}
+# The workspace of the last run_in_memory call after simulate and stage 1,
+# keyed by `_stage1_key(cfg)`: at most one entry, which each call deep-copies
+# so that no returned result shares an array with it.
+_stage1_memo: dict[str, Workspace] = {}
 
 
 def _stage1_key(cfg: PipelineConfig) -> str:
@@ -563,44 +570,38 @@ def _stage1_key(cfg: PipelineConfig) -> str:
     return json.dumps(d, sort_keys=True)
 
 
-def _simulated_stage1(cfg: PipelineConfig) -> tuple:
-    """(train, test, stage-1 model, predictions, stage-1 log):
-    copies of the memo's on a key match, else computed and memoized."""
-    key = _stage1_key(cfg)
-    if key in _stage1_memo:
-        return copy.deepcopy(_stage1_memo[key])
-    _stage1_memo.clear()  # a call that raises leaves no entry
-    train, test = _simulated_data(cfg)
-    out = (train, test, *stage1.train_stage1(train, _seeded(cfg, "stage1")))
-    _stage1_memo[key] = copy.deepcopy(out)
-    return out
-
-
 def run_in_memory(cfg: PipelineConfig, no_relabel: bool = False) -> PipelineResult:
-    """The full chain without touching disk; identical seeding to the
-    file-based commands.
+    """The five stage runners on a workspace with no directory: the chain
+    and seeding of the file-based commands, without touching disk.
+    `stages` maps each command to the metrics its manifest would record.
 
     As on the CLI, where `stage2 --no-relabel` reads the one stage-1
     checkpoint, the `no_relabel` variant shares stage 1 with the full
-    chain: simulate and stage 1 are memoized for the last config seen,
-    keyed on every section but `refurbish`, `stage2`, `thresholds` and
-    `out_dir`.  Refurbishment, stage 2 and evaluation run on every call,
-    and each result holds its own copies of the arrays."""
-    train, test, s1_model, preds, s1_log = _simulated_stage1(cfg)
-
-    soft, records = refurbish.refurbish_dataset(train, preds, cfg.refurbish)
-    if no_relabel:
-        soft = np.eye(train.num_classes)[train.observed]
-
-    s2_cfg = _seeded(cfg, "stage2")
-    s2_model, _ = ensemble.train_stage2(train, soft, s1_model, s2_cfg)
-    report = ensemble.evaluate(s2_model, test, train_counts_for_eval(train),
-                               cfg.thresholds, fusion=s2_cfg.fusion)
-
+    chain: the workspace after simulate and stage 1, with their outputs
+    and metrics, is memoized for the last config seen, keyed on every
+    section but `refurbish`, `stage2`, `thresholds` and `out_dir`.
+    Refurbishment, stage 2 and evaluation run on every call, and each
+    result holds its own copies of the arrays."""
+    key = _stage1_key(cfg)
+    if key not in _stage1_memo:
+        _stage1_memo.clear()  # a call that raises leaves no entry
+        ws = Workspace()
+        run_simulate(cfg, ws)
+        run_stage1(cfg, ws)
+        _stage1_memo[key] = ws
+    ws = copy.deepcopy(_stage1_memo[key])
+    preds = ws.memo[PREDICTIONS_FILE]  # run_refurbish drops them from the memo,
+    run_refurbish(cfg, ws)
+    records = ws.memo[REFURB_FILE]  # and run_stage2 these
+    run_stage2(cfg, ws, no_relabel)
+    run_evaluate(cfg, ws, no_relabel)
+    train, report = ws.memo[TRAIN_FILE], ws.memo[_variant_name(EVAL_JSON, no_relabel)]
     metrics = {"overall_accuracy": report.overall_accuracy,
                **_accuracy("stage1_accuracy", preds.predicted, train)}
-    return PipelineResult(train, test, s1_model, preds, s1_log, records,
-                          s2_model, report, metrics)
+    return PipelineResult(train, ws.memo[TEST_FILE], ws.memo[STAGE1_CKPT], preds,
+                          ws.memo[STAGE1_LOG], records,
+                          ws.memo[_variant_name(STAGE2_CKPT, no_relabel)][0], report,
+                          metrics, ws.metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +680,6 @@ def run_sweep(cfg: PipelineConfig, sweep: SweepSpec, out_dir: Path) -> list[dict
     points are independent yet reproducible.  Returns rows sorted by value.
     """
     t0 = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for value in sweep.grid:
         cfg_v = _with_sweep_value(cfg, sweep.parameter, value)
@@ -688,13 +688,13 @@ def run_sweep(cfg: PipelineConfig, sweep: SweepSpec, out_dir: Path) -> list[dict
         cfg_v = dataclasses.replace(cfg_v, seed=seed_v)
         result = run_in_memory(cfg_v)
         rows.append({"value": float(value),
-                     "accuracy": result.report.overall_accuracy})
+                     "accuracy": result.report.overall_accuracy, **result.stages})
     rows.sort(key=lambda r: r["value"])
     text = f"{sweep.parameter},accuracy\n" + "".join(
         f"{r['value']},{r['accuracy']:.6f}\n" for r in rows)
     best = max(rows, key=lambda r: r["accuracy"])
     with Workspace(out_dir) as ws:
-        ws.save(f"sweep_{sweep.parameter}.csv", lambda p: jsonl.write_text(p, text))
+        ws.save(f"sweep_{sweep.parameter}.csv", text, lambda p: jsonl.write_text(p, text))
         ws.finish(f"sweep_{sweep.parameter}", cfg, t0,
                   {"parameter": sweep.parameter, "rows": rows, "best": best})
     return rows

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 import select
 import time
 
@@ -343,14 +344,23 @@ class TestCliPipeline:
         assert "simulate" in capsys.readouterr().err
 
     def test_in_memory_matches_cli_metrics(self, tmp_path):
+        """`run_in_memory(cfg).stages` holds exactly the metrics of the
+        CLI's manifests, command by command, in both variants."""
         cfg_path = write_tiny_config(tmp_path)
         out = tmp_path / "ws"
-        main(["pipeline", "--config", str(cfg_path), "--out", str(out)])
-        report = json.loads((out / "eval_report.json").read_text())
+        args = ["--config", str(cfg_path), "--out", str(out)]
+        assert main(["pipeline", *args]) == 0
+        assert main(["stage2", *args, "--no-relabel"]) == 0
+        assert main(["evaluate", *args, "--no-relabel"]) == 0
         cfg = config_from_dict(json.loads(cfg_path.read_text()))
-        res = run_in_memory(cfg)
-        assert abs(report["overall_accuracy"]
-                   - res.report.overall_accuracy) < 1e-12
+        for no_relabel, suffix in ((False, ""), (True, "_norelabel")):
+            stages = run_in_memory(cfg, no_relabel=no_relabel).stages
+            commands = ["simulate", "stage1", "refurbish", f"stage2{suffix}",
+                        f"evaluate{suffix}"]
+            assert list(stages) == commands
+            for command in commands:
+                manifest = json.loads((out / f"manifest_{command}.json").read_text())
+                assert stages[command] == manifest["metrics"], command
 
 
 def _result_bits(res) -> tuple:
@@ -429,6 +439,20 @@ class TestInMemoryMemo:
         assert len(pipeline._stage1_memo) == 1
         pipeline._stage1_memo.clear()
         assert _result_bits(changed) == _result_bits(run_in_memory(config_from_dict(data)))
+
+    def test_forks_nothing_and_creates_no_directory(self, stage1_calls, monkeypatch):
+        """Cold and on a memo hit, in both variants, an in-memory run
+        starts no writer and makes no directory."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("an in-memory run forked or made a directory")
+        monkeypatch.setattr(jsonl.Forks, "start", refuse)
+        monkeypatch.setattr(pathlib.Path, "mkdir", refuse)
+        cfg = config_from_dict(TINY_CONFIG)
+        for no_relabel in (False, True):
+            pipeline._stage1_memo.clear()
+            run_in_memory(cfg, no_relabel=no_relabel)
+            run_in_memory(cfg, no_relabel=no_relabel)
+        assert len(stage1_calls) == 2  # one cold run and one hit per variant
 
     def test_diverging_stage1_leaves_memo_empty(self):
         run_in_memory(config_from_dict(TINY_CONFIG))
@@ -712,6 +736,10 @@ class TestSweep:
             hashlib.sha256(config_hash(cfg_v).encode()).digest()[:8], "little")
         res = run_in_memory(dataclasses.replace(cfg_v, seed=seed_v))
         assert abs(rows[0]["accuracy"] - res.report.overall_accuracy) < 1e-12
+        # the row and its manifest carry every stage's metrics
+        assert {c: rows[0][c] for c in res.stages} == res.stages
+        manifest = json.loads((out / "manifest_sweep_c.json").read_text())
+        assert manifest["metrics"]["rows"] == rows
 
     def test_alpha_grid_endpoints_cli(self, tmp_path):
         cfg_path = write_tiny_config(tmp_path)
