@@ -102,34 +102,28 @@ def run(args) -> int:
 
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    # nothing in memory yet: inputs come from --out.  Leaving the block waits
-    # for the forked file writers, then writes the manifests.
-    with pipeline.Workspace(out) as ws:
+    # run_pipeline and run_sweep open a workspace of their own
+    if args.command == "pipeline":
+        metrics = pipeline.run_pipeline(cfg, out)
+    elif args.command == "sweep":
+        try:
+            grid = [float(v) for v in args.grid.split(",") if v.strip() != ""]
+        except ValueError as e:
+            raise InvalidSpecError(f"bad --grid value: {e}") from e
+        rows = pipeline.run_sweep(cfg, SweepSpec(args.param, grid), out)
+        best = max(rows, key=lambda r: r["accuracy"])
+        print(f"best {args.param}={best['value']} "
+              f"(accuracy {best['accuracy']:.4f})")
+        metrics = {"rows": rows}
+    else:
+        # nothing in memory yet: inputs come from --out.  Leaving the block
+        # waits for the forked writers, then writes the manifest.
+        run_stage = getattr(pipeline, f"run_{args.command}")
+        flags = {"no_relabel": args.no_relabel} if "no_relabel" in args else {}
+        with pipeline.Workspace(out) as ws:
+            metrics = run_stage(cfg, ws, **flags)
         if args.command == "simulate":
-            metrics = pipeline.run_simulate(cfg, ws)
             print("class sizes (head to tail):", metrics["class_counts"])
-        elif args.command == "stage1":
-            metrics = pipeline.run_stage1(cfg, ws)
-        elif args.command == "refurbish":
-            metrics = pipeline.run_refurbish(cfg, ws)
-        elif args.command == "stage2":
-            metrics = pipeline.run_stage2(cfg, ws, no_relabel=args.no_relabel)
-        elif args.command == "evaluate":
-            metrics = pipeline.run_evaluate(cfg, ws, no_relabel=args.no_relabel)
-        elif args.command == "pipeline":
-            metrics = pipeline.run_pipeline(cfg, out)
-        elif args.command == "sweep":
-            try:
-                grid = [float(v) for v in args.grid.split(",") if v.strip() != ""]
-            except ValueError as e:
-                raise InvalidSpecError(f"bad --grid value: {e}") from e
-            rows = pipeline.run_sweep(cfg, SweepSpec(args.param, grid), out)
-            best = max(rows, key=lambda r: r["accuracy"])
-            print(f"best {args.param}={best['value']} "
-                  f"(accuracy {best['accuracy']:.4f})")
-            metrics = {"rows": rows}
-        else:  # pragma: no cover - argparse enforces the choices
-            raise InvalidSpecError(f"unknown command {args.command!r}")
 
     _print_metrics(args.command, metrics)
     return EXIT_OK

@@ -280,20 +280,15 @@ def apply_noise(ds: Dataset, noise: NoiseSpec, rng: np.random.Generator
 _MISSING = np.iinfo(np.int64).min  # true_label absent from a record
 
 
-def dataset_rows(ds: Dataset) -> tuple[tuple[str, ...], list]:
-    """The (keys, columns) of a dataset file."""
+def save_dataset(ds: Dataset, path) -> str:
+    """One JSON object per line; floats keep full double precision.
+    Returns the file's SHA-256."""
     keys = ("id", "features", "observed_label")
     columns = [ds.ids, ds.X, ds.observed]
     if ds.true is not None:
         keys += ("true_label",)
         columns.append(ds.true)
-    return keys, columns
-
-
-def save_dataset(ds: Dataset, path) -> str:
-    """One JSON object per line; floats keep full double precision.
-    Returns the file's SHA-256."""
-    return jsonl.write_rows(path, *dataset_rows(ds))
+    return jsonl.write_rows(path, keys, columns)
 
 
 def load_dataset(path, num_classes: Optional[int] = None) -> Dataset:

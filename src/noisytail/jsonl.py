@@ -4,9 +4,9 @@ the one helper that forks.
 Every writer returns the SHA-256 of the bytes it wrote, hashed as they are
 written, so no file is read back to be hashed.  JSONL writers encode one
 C-encoded object per row, serially, a block of rows at a time.  The
-pipeline runs each JSONL writer in a forked child of its own (see
-`pipeline.Workspace`), which sends back the digest and how long the write
-took.
+pipeline saves every artifact, JSONL, JSON or text, in a forked child of
+its own (see `pipeline.Workspace`), which sends back the digest and how
+long the write took.
 Readers stream a file line by line, array fields straight into a float64
 matrix preallocated from the line count.  Parse errors name the line; NaN
 and infinity are refused both ways, a writer before opening the file.
@@ -28,30 +28,19 @@ _encode = json.JSONEncoder(allow_nan=False).encode
 BLOCK_ROWS = 512  # rows converted to Python values at a time; bounds peak memory
 
 
-def check_finite(path, keys: tuple[str, ...], columns) -> None:
-    """ValueError naming the key and row of the first NaN or infinity.
-    A column that passes builds one bool array; the row-locating mask is
-    built only for a column that fails."""
-    for key, col in zip(keys, columns):
-        if col.dtype.kind == "f" and not np.isfinite(col).all():
-            row = int(np.argmin(np.isfinite(col).reshape(len(col), -1).all(axis=1)))
-            raise ValueError(f"cannot write {path}: {key} at row {row} is not finite")
-
-
 def write_rows(path, keys: tuple[str, ...], columns) -> str:
     """Row i becomes {keys[0]: columns[0][i], ...}; 2-D columns give arrays.
     Returns the SHA-256 of the bytes written.
 
-    A NaN or infinity is refused, naming its key and row, before the file
-    is opened.  The rows are encoded serially in this process, a block at
-    a time.  A write that fails deletes the target.
+    A NaN or infinity is refused with ValueError, naming its key and row,
+    before the file is opened; a column that passes builds one bool array.
+    The rows are encoded serially, a block at a time.  A write that fails
+    deletes the target.
     """
-    check_finite(path, keys, columns)
-    return write_checked_rows(path, keys, columns)
-
-
-def write_checked_rows(path, keys: tuple[str, ...], columns) -> str:
-    """`write_rows` for columns that already passed `check_finite`."""
+    for key, col in zip(keys, columns):
+        if col.dtype.kind == "f" and not np.isfinite(col).all():
+            row = int(np.argmin(np.isfinite(col).reshape(len(col), -1).all(axis=1)))
+            raise ValueError(f"cannot write {path}: {key} at row {row} is not finite")
     sha = hashlib.sha256()
     fh = open(path, "wb")
 
@@ -92,8 +81,10 @@ class Forks:
     signal handler it inherited, and reaps it.
 
     Forking is safe here although BLAS may hold threads: the children of
-    this package run only `tolist`, the JSON encoder and hashlib, which
-    take no lock another thread could hold and make no BLAS call.  Tested
+    this package run only the savers, that is `tolist`, the JSON encoder,
+    hashlib and `isfinite`, plus, for the checkpoints, `mlp_state`,
+    `np.split` and the `isfinite` checks in `Mlp.__post_init__`.  None
+    takes a lock another thread could hold or makes a BLAS call.  Tested
     on CPython 3.11 only: from 3.12 `os.fork` in a process with live
     threads also emits a DeprecationWarning, hidden by the default warning
     filters but shown by pytest or `-W error`.

@@ -5,8 +5,9 @@ and `run_in_memory` both run through the five stage runners.
 Every command is reproducible from (config, seed) alone; per-stage seeds
 are derived by hashing the global seed with the stage name, and each
 command writes a JSON manifest recording the config hash, the seed, the
-SHA-256 and write time of each of its data artifacts, and the process's
-peak memory when the stage finished.
+SHA-256 and write time of each of its artifacts, and the process's peak
+memory when the stage finished.  Every artifact is saved, by the saver of
+the module that owns its format, in a forked writer of its own.
 """
 
 from __future__ import annotations
@@ -267,11 +268,11 @@ class Workspace:
     single-stage command starts with an empty memo; `run_pipeline` hands
     one workspace down the chain.
 
-    Each JSONL file is written by a forked writer of its own while the next
+    Each artifact is written by a forked writer of its own while the next
     stage runs; leaving the workspace's `with` block joins them on every
     path, then writes the manifest of each stage that finished, from the
     digests the writers sent back.  A workspace with no directory only
-    keeps the values and metrics: it checks, forks and writes nothing."""
+    keeps the values and metrics: it forks and writes nothing."""
 
     def __init__(self, out_dir=None):
         self.out_dir = None if out_dir is None else Path(out_dir)
@@ -306,34 +307,23 @@ class Workspace:
         return self.get(name, "simulate",
                         lambda p: datagen.load_dataset(p, cfg.longtail.num_classes))
 
-    def write(self, name: str, value, rows) -> None:
-        """Keep `value` as `name` and write `rows`, a (keys, columns) pair,
-        to the file `name` in a forked writer.  The rows are checked finite
-        here, before the fork; the writer encodes the snapshot the fork
-        took, so the caller may change or drop the arrays at once."""
+    def write(self, name: str, value, save) -> None:
+        """Keep `value` as `name` and fork a writer that runs `save(path)`
+        on the file `name`; `save` returns the SHA-256 of the bytes it
+        wrote.  The writer saves the snapshot the fork took, so the caller
+        may change or drop what `save` reads at once.  A value `save`
+        refuses, such as a NaN, fails the writer before it opens the file,
+        and the join raises."""
         self.memo[name] = value
         if self.out_dir is None:
             return
         path = self.out_dir / name
-        jsonl.check_finite(path, *rows)
 
         def write() -> str:
             t0 = time.perf_counter()
-            digest = jsonl.write_checked_rows(path, *rows)
+            digest = save(path)
             return f"{digest} {time.perf_counter() - t0!r}"
         self._writing[self._writers.start(f"cannot write {path}: writer", write)] = name
-        self._unclaimed.append(name)
-
-    def save(self, name: str, value, write) -> None:
-        """Keep `value` as `name` and write the file `name` now, in this
-        process, by `write(path)`, which returns the SHA-256 of the bytes
-        it wrote."""
-        self.memo[name] = value
-        if self.out_dir is None:
-            return
-        t0 = time.perf_counter()
-        digest = write(self.out_dir / name)
-        self.written[name] = (digest, time.perf_counter() - t0)
         self._unclaimed.append(name)
 
     def finish(self, command: str, cfg: PipelineConfig, t0: float,
@@ -388,8 +378,8 @@ def run_simulate(cfg: PipelineConfig, ws: Workspace) -> dict:
     train, test = datagen.synth_split(cfg.longtail, cfg.mixture, rng,
                                       cfg.test_per_class)
     train, _ = datagen.apply_noise(train, cfg.noise, rng)
-    ws.write(TRAIN_FILE, train, datagen.dataset_rows(train))
-    ws.write(TEST_FILE, test, datagen.dataset_rows(test))
+    ws.write(TRAIN_FILE, train, lambda p: datagen.save_dataset(train, p))
+    ws.write(TEST_FILE, test, lambda p: datagen.save_dataset(test, p))
     counts = np.bincount(train.true, minlength=cfg.longtail.num_classes).tolist()
     metrics = {
         "train_size": len(train),
@@ -414,9 +404,9 @@ def run_stage1(cfg: PipelineConfig, ws: Workspace) -> dict:
     train = ws.dataset(TRAIN_FILE, cfg)
     s1_cfg = _seeded(cfg, "stage1")
     model, preds, log = stage1.train_stage1(train, s1_cfg)
-    ws.write(PREDICTIONS_FILE, preds, stage1.prediction_rows(train.ids, preds))
-    ws.save(STAGE1_CKPT, model, lambda p: stage1.save_stage1_checkpoint(model, s1_cfg, p))
-    ws.save(STAGE1_LOG, log, lambda p: jsonl.write_json(p, log))
+    ws.write(PREDICTIONS_FILE, preds, lambda p: stage1.save_predictions(train.ids, preds, p))
+    ws.write(STAGE1_CKPT, model, lambda p: stage1.save_stage1_checkpoint(model, s1_cfg, p))
+    ws.write(STAGE1_LOG, log, lambda p: jsonl.write_json(p, log))
     metrics = {"final_losses": log[-1] if log else None,
                **_accuracy("train_accuracy", preds.predicted, train)}
     ws.finish("stage1", cfg, t0, metrics)
@@ -431,7 +421,7 @@ def run_refurbish(cfg: PipelineConfig, ws: Workspace) -> dict:
     soft, records = refurbish.refurbish_dataset(train, preds, cfg.refurbish)
     del preds  # no later stage reads them: free the memory, before the writer forks
     ws.memo.pop(PREDICTIONS_FILE, None)
-    ws.write(REFURB_FILE, records, refurbish.record_rows(records))
+    ws.write(REFURB_FILE, records, lambda p: refurbish.save_records(records, p))
     metrics = refurbish.summarize_records(records)
     if train.true is not None:
         metrics.update(refurbish_quality(train, soft, records.changed,
@@ -477,9 +467,9 @@ def run_stage2(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -> 
     model, log = ensemble.train_stage2(train, softs, s1_model, s2_cfg)
     ckpt_name = _variant_name(STAGE2_CKPT, no_relabel)
     log_name = _variant_name(STAGE2_LOG, no_relabel)
-    ws.save(ckpt_name, (model, s2_cfg), lambda p: ensemble.save_stage2_checkpoint(
+    ws.write(ckpt_name, (model, s2_cfg), lambda p: ensemble.save_stage2_checkpoint(
         model, s2_cfg, STAGE1_CKPT, p))
-    ws.save(log_name, log, lambda p: jsonl.write_json(p, log))
+    ws.write(log_name, log, lambda p: jsonl.write_json(p, log))
     metrics = {"variant": "w/o re-label" if no_relabel else "refurbished",
                "final_losses": log[-1] if log else None}
     ws.finish("stage2_norelabel" if no_relabel else "stage2", cfg, t0, metrics)
@@ -511,8 +501,8 @@ def run_evaluate(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -
     csv_name = _variant_name(EVAL_CSV, no_relabel)
     csv = (f"# variant: {label}; thresholds: many>{cfg.thresholds.many_min}, "
            f"few<{cfg.thresholds.few_max}\n" + ensemble.report_csv(report))
-    ws.save(json_name, report, lambda p: jsonl.write_json(p, doc, indent=2))
-    ws.save(csv_name, csv, lambda p: jsonl.write_text(p, csv))
+    ws.write(json_name, report, lambda p: jsonl.write_json(p, doc, indent=2))
+    ws.write(csv_name, csv, lambda p: jsonl.write_text(p, csv))
     metrics = {"variant": label,
                "overall_accuracy": report.overall_accuracy,
                "subgroup_accuracy": report.subgroup_accuracy}
@@ -680,21 +670,21 @@ def run_sweep(cfg: PipelineConfig, sweep: SweepSpec, out_dir: Path) -> list[dict
     points are independent yet reproducible.  Returns rows sorted by value.
     """
     t0 = time.perf_counter()
-    rows = []
-    for value in sweep.grid:
-        cfg_v = _with_sweep_value(cfg, sweep.parameter, value)
-        seed_v = int.from_bytes(
-            hashlib.sha256(config_hash(cfg_v).encode()).digest()[:8], "little")
-        cfg_v = dataclasses.replace(cfg_v, seed=seed_v)
-        result = run_in_memory(cfg_v)
-        rows.append({"value": float(value),
-                     "accuracy": result.report.overall_accuracy, **result.stages})
-    rows.sort(key=lambda r: r["value"])
-    text = f"{sweep.parameter},accuracy\n" + "".join(
-        f"{r['value']},{r['accuracy']:.6f}\n" for r in rows)
-    best = max(rows, key=lambda r: r["accuracy"])
     with Workspace(out_dir) as ws:
-        ws.save(f"sweep_{sweep.parameter}.csv", text, lambda p: jsonl.write_text(p, text))
+        rows = []
+        for value in sweep.grid:
+            cfg_v = _with_sweep_value(cfg, sweep.parameter, value)
+            seed_v = int.from_bytes(
+                hashlib.sha256(config_hash(cfg_v).encode()).digest()[:8], "little")
+            cfg_v = dataclasses.replace(cfg_v, seed=seed_v)
+            result = run_in_memory(cfg_v)
+            rows.append({"value": float(value),
+                         "accuracy": result.report.overall_accuracy, **result.stages})
+        rows.sort(key=lambda r: r["value"])
+        text = f"{sweep.parameter},accuracy\n" + "".join(
+            f"{r['value']},{r['accuracy']:.6f}\n" for r in rows)
+        best = max(rows, key=lambda r: r["accuracy"])
+        ws.write(f"sweep_{sweep.parameter}.csv", text, lambda p: jsonl.write_text(p, text))
         ws.finish(f"sweep_{sweep.parameter}", cfg, t0,
                   {"parameter": sweep.parameter, "rows": rows, "best": best})
     return rows
@@ -706,23 +696,21 @@ def rarity_curve_rows(sigma: float) -> list[tuple[float, float]]:
 
 
 def write_rarity_curve(sigma: float, out_dir: Path, svg: bool = False) -> Path:
-    rows = rarity_curve_rows(sigma)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "rarity_curve.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("h,gamma\n")
-        for h, g in rows:
-            fh.write(f"{h:.2f},{g!r}\n")
-    if svg:
-        write_svg_line_chart(rows, out_dir / "rarity_curve.svg",
-                             title=f"rarity score, sigma={sigma}",
-                             x_label="class proportion h", y_label="gamma")
-    return path
+    """gamma(h) as `rarity_curve.csv`, and as a chart in `rarity_curve.svg`
+    if `svg`.  No stage finishes, so no manifest is written."""
+    rows = rarity_curve_rows(sigma)  # a bad sigma raises before the mkdir
+    csv = "h,gamma\n" + "".join(f"{h:.2f},{g!r}\n" for h, g in rows)
+    with Workspace(out_dir) as ws:
+        ws.write("rarity_curve.csv", csv, lambda p: jsonl.write_text(p, csv))
+        if svg:
+            chart = svg_line_chart(rows, title=f"rarity score, sigma={sigma}",
+                                   x_label="class proportion h", y_label="gamma")
+            ws.write("rarity_curve.svg", chart, lambda p: jsonl.write_text(p, chart))
+    return ws.out_dir / "rarity_curve.csv"
 
 
-def write_svg_line_chart(points: list[tuple[float, float]], path,
-                         title: str = "", x_label: str = "",
-                         y_label: str = "") -> None:
+def svg_line_chart(points: list[tuple[float, float]], title: str = "",
+                   x_label: str = "", y_label: str = "") -> str:
     """Dependency-free SVG polyline for sweep/curve outputs."""
     w, h, pad = 640, 400, 50
     xs = [p[0] for p in points]
@@ -751,5 +739,4 @@ def write_svg_line_chart(points: list[tuple[float, float]], path,
         f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="2"/>',
         "</svg>",
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

@@ -160,15 +160,10 @@ def summarize_records(records: RefurbishRecords) -> dict:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def record_rows(records: RefurbishRecords) -> tuple[tuple[str, ...], list]:
-    """The (keys, columns) of a refurbishment file."""
-    return (("id", "soft_label", "changed", "rho", "gamma", "weight"),
-            [records.ids, records.soft, records.changed, records.rho,
-             records.gamma, records.weight])
-
-
 def save_records(records: RefurbishRecords, path) -> str:
-    return jsonl.write_rows(path, *record_rows(records))
+    return jsonl.write_rows(path, ("id", "soft_label", "changed", "rho", "gamma", "weight"),
+                            [records.ids, records.soft, records.changed, records.rho,
+                             records.gamma, records.weight])
 
 
 def load_records(path) -> RefurbishRecords:

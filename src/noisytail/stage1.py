@@ -505,14 +505,9 @@ def load_stage1_checkpoint(path) -> tuple[Stage1Model, Stage1Config]:
         return model, Stage1Config(**state["config"])
 
 
-def prediction_rows(ids: np.ndarray, preds: Predictions
-                    ) -> tuple[tuple[str, ...], list]:
-    """One `{"id", "logits"}` row per sample; the rest derives from the logits."""
-    return ("id", "logits"), [np.asarray(ids), preds.logits]
-
-
 def save_predictions(ids: np.ndarray, preds: Predictions, path) -> str:
-    return jsonl.write_rows(path, *prediction_rows(ids, preds))
+    """One `{"id", "logits"}` row per sample; the rest derives from the logits."""
+    return jsonl.write_rows(path, ("id", "logits"), [np.asarray(ids), preds.logits])
 
 
 def load_predictions(path) -> tuple[np.ndarray, Predictions]:

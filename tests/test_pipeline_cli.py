@@ -240,21 +240,42 @@ class TestCliPipeline:
                 assert file_sha256(out / name) == file_sha256(ref / name), name
 
     def test_writer_encodes_a_snapshot(self, tmp_path, monkeypatch):
-        """Arrays changed in place after `write` returns do not reach the
-        file: the forked writer encodes the values as they were."""
+        """Arrays and weights changed in place after `write` returns do not
+        reach the file: the forked writer saves the values as they were."""
         rng = make_rng(3)
         ids = rng.permutation(100)
         preds = stage1.Predictions(rng.normal(size=(100, 5)))
-        expected = tmp_path / "expected.jsonl"
-        digest = stage1.save_predictions(ids, preds, expected)
+        s1_cfg = stage1.Stage1Config()
+        model = stage1.build_stage1_model(3, 5, s1_cfg, rng)
+        saves = {pipeline.PREDICTIONS_FILE: lambda p: stage1.save_predictions(ids, preds, p),
+                 pipeline.STAGE1_CKPT: lambda p: stage1.save_stage1_checkpoint(
+                     model, s1_cfg, p)}
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        digests = {name: save(expected / name) for name, save in saves.items()}
         out = tmp_path / "ws"
-        out.mkdir()
         with pipeline.Workspace(out) as ws:
-            ws.write(pipeline.PREDICTIONS_FILE, preds,
-                     stage1.prediction_rows(ids, preds))
+            for name, save in saves.items():
+                ws.write(name, None, save)
             preds.logits[:] = 0
-        assert (out / pipeline.PREDICTIONS_FILE).read_bytes() == expected.read_bytes()
-        assert ws.written[pipeline.PREDICTIONS_FILE][0] == digest == file_sha256(expected)
+            model.encoder.weights[0][:] = 0
+        for name, digest in digests.items():
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+            assert ws.written[name][0] == digest == file_sha256(expected / name), name
+
+    def test_writer_refuses_a_nan_before_opening_the_file(self, tmp_path, capfd):
+        """The finiteness check runs in the writer: the join raises OSError
+        naming the file, the writer's stderr names the key and row, and
+        neither the file nor the stage's manifest is left."""
+        cfg = config_from_dict(TINY_CONFIG)
+        out = tmp_path / "ws"
+        with pytest.raises(OSError, match=f"cannot write {out / 'x.jsonl'}"):
+            with pipeline.Workspace(out) as ws:
+                ws.write("x.jsonl", None, lambda p: jsonl.write_rows(
+                    p, ("x",), [np.array([0.0, np.nan])]))
+                ws.finish("simulate", cfg, time.perf_counter(), {})
+        assert "x at row 1 is not finite" in capfd.readouterr().err
+        assert os.listdir(out) == []
 
     def test_failed_writer_kills_a_sibling_still_encoding(self, tmp_path, monkeypatch):
         """A writer fails while a sibling started after it is still encoding:
@@ -278,9 +299,11 @@ class TestCliPipeline:
         try:
             with pytest.raises(OSError, match=f"cannot write {out / 'a.jsonl'}"):
                 with pipeline.Workspace(out) as ws:
-                    ws.write("a.jsonl", None, (("fails",), [np.arange(10)]))
+                    ws.write("a.jsonl", None, lambda p: jsonl.write_rows(
+                        p, ("fails",), [np.arange(10)]))
                     ws.finish("simulate", cfg, time.perf_counter(), {})
-                    ws.write("b.jsonl", None, (("id",), [np.arange(3 * jsonl.BLOCK_ROWS)]))
+                    ws.write("b.jsonl", None, lambda p: jsonl.write_rows(
+                        p, ("id",), [np.arange(3 * jsonl.BLOCK_ROWS)]))
                     ws.finish("stage1", cfg, time.perf_counter(), {})
                     assert select.select([ready_r], [], [], 60)[0]
                     sibling = int(os.read(ready_r, 32))
@@ -293,27 +316,40 @@ class TestCliPipeline:
             os.waitpid(sibling, os.WNOHANG)
         assert os.listdir(out) == []  # no partial file, no manifest
 
-    @pytest.mark.parametrize("command", ["pipeline", "stage1"])
+    @pytest.mark.parametrize("command, name", [
+        pytest.param("pipeline", pipeline.PREDICTIONS_FILE, id="pipeline"),
+        pytest.param("stage1", pipeline.PREDICTIONS_FILE, id="stage1"),
+        pytest.param("stage1", pipeline.STAGE1_CKPT, id="stage1-checkpoint")])
     def test_failed_writer_exits_3_naming_the_file(self, tmp_path, monkeypatch, capsys,
-                                                   command):
-        """An encoder that raises inside a forked writer: exit 3 naming the
-        file, the file deleted, every writer reaped, and no manifest for the
-        stage that wrote it; every manifest left matches its files."""
+                                                   command, name):
+        """The JSONL encoder raises, or the checkpoint write fails halfway,
+        inside a forked writer: exit 3 naming the file, the file deleted,
+        every writer reaped, and no manifest for the stage that wrote it;
+        every manifest left matches its files."""
         cfg_path = write_tiny_config(tmp_path)
         out = tmp_path / "ws"
         if command == "stage1":
             assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-        encode_rows = jsonl.encode_rows
+        encode_rows, write_text = jsonl.encode_rows, jsonl.write_text
 
-        def failing(write, keys, columns):
+        def failing_encoder(write, keys, columns):
             if "logits" in keys:
                 raise RuntimeError("encoder broke")
             encode_rows(write, keys, columns)
-        monkeypatch.setattr(jsonl, "encode_rows", failing)
+
+        def failing_text(path, text):
+            if path.name == name:
+                write_text(path, text[:len(text) // 2])
+                raise OSError("disk full")
+            return write_text(path, text)
+        if name == pipeline.PREDICTIONS_FILE:
+            monkeypatch.setattr(jsonl, "encode_rows", failing_encoder)
+        else:
+            monkeypatch.setattr(jsonl, "write_text", failing_text)
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert f"cannot write {out / pipeline.PREDICTIONS_FILE}" in err
-        assert not (out / pipeline.PREDICTIONS_FILE).exists()
+        assert f"cannot write {out / name}" in err
+        assert not (out / name).exists()
         assert not (out / "manifest_stage1.json").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
