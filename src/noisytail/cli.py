@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, desc in [
         ("simulate", "generate the long-tailed noisy train split and clean test split"),
         ("stage1", "contrastive + pre-screening classifier training"),
-        ("refurbish", "convert observed labels and predictions into soft labels"),
+        ("refurbish", "soft labels from observed labels and the stage-1 checkpoint"),
         ("stage2", "train the three-expert ensemble over the frozen backbone"),
         ("evaluate", "score the ensemble on the test split with shot subgroups"),
         ("pipeline", "run all stages in order"),

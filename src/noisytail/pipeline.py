@@ -45,13 +45,13 @@ from .stage1 import Stage1Config
 TRAIN_FILE = "train.jsonl"
 TEST_FILE = "test.jsonl"
 STAGE1_CKPT = "stage1_checkpoint.json"
-PREDICTIONS_FILE = "stage1_predictions.jsonl"
 STAGE1_LOG = "stage1_log.json"
 REFURB_FILE = "refurbished.jsonl"
 STAGE2_CKPT = "stage2_checkpoint.json"
 STAGE2_LOG = "stage2_log.json"
 EVAL_JSON = "eval_report.json"
 EVAL_CSV = "eval_report.csv"
+PREDICTIONS = "stage1 predictions"  # a memo key only: no file holds them
 
 
 def _variant_name(name: str, no_relabel: bool) -> str:
@@ -262,11 +262,11 @@ def _peak_rss_mb(who: int) -> float:
 
 
 class Workspace:
-    """A run's directory plus, in `memo`, the artifacts the run wrote there.
-    A later stage takes a kept value, else loads the file: floats are
-    written with `repr` and rows in id order, so the two are equal.  A
-    single-stage command starts with an empty memo; `run_pipeline` hands
-    one workspace down the chain.
+    """A run's directory plus, in `memo`, the artifacts the run wrote there
+    and stage 1's predictions, which no file holds.  A later stage takes a
+    kept value, else loads the file: floats are written with `repr` and
+    rows in id order, so the two are equal.  A single-stage command starts
+    with an empty memo; `run_pipeline` hands one workspace down the chain.
 
     Each artifact is written by a forked writer of its own while the next
     stage runs; leaving the workspace's `with` block joins them on every
@@ -404,7 +404,7 @@ def run_stage1(cfg: PipelineConfig, ws: Workspace) -> dict:
     train = ws.dataset(TRAIN_FILE, cfg)
     s1_cfg = _seeded(cfg, "stage1")
     model, preds, log = stage1.train_stage1(train, s1_cfg)
-    ws.write(PREDICTIONS_FILE, preds, lambda p: stage1.save_predictions(train.ids, preds, p))
+    ws.memo[PREDICTIONS] = preds
     ws.write(STAGE1_CKPT, model, lambda p: stage1.save_stage1_checkpoint(model, s1_cfg, p))
     ws.write(STAGE1_LOG, log, lambda p: jsonl.write_json(p, log))
     metrics = {"final_losses": log[-1] if log else None,
@@ -416,11 +416,12 @@ def run_stage1(cfg: PipelineConfig, ws: Workspace) -> dict:
 def run_refurbish(cfg: PipelineConfig, ws: Workspace) -> dict:
     t0 = time.perf_counter()
     train = ws.dataset(TRAIN_FILE, cfg)
-    preds = ws.get(PREDICTIONS_FILE, "stage1", lambda p: stage1.align_predictions(
-        train, *stage1.load_predictions(p)))
+    preds = ws.memo.pop(PREDICTIONS, None)  # no later stage reads them
+    if preds is None:  # the checkpoint and train.jsonl determine them bit for bit
+        model = ws.get(STAGE1_CKPT, "stage1", lambda p: stage1.load_stage1_checkpoint(p)[0])
+        preds = stage1.predict_all(model, train)
     soft, records = refurbish.refurbish_dataset(train, preds, cfg.refurbish)
-    del preds  # no later stage reads them: free the memory, before the writer forks
-    ws.memo.pop(PREDICTIONS_FILE, None)
+    del preds  # free the memory before the writer forks
     ws.write(REFURB_FILE, records, lambda p: refurbish.save_records(records, p))
     metrics = refurbish.summarize_records(records)
     if train.true is not None:
@@ -580,7 +581,7 @@ def run_in_memory(cfg: PipelineConfig, no_relabel: bool = False) -> PipelineResu
         run_stage1(cfg, ws)
         _stage1_memo[key] = ws
     ws = copy.deepcopy(_stage1_memo[key])
-    preds = ws.memo[PREDICTIONS_FILE]  # run_refurbish drops them from the memo,
+    preds = ws.memo[PREDICTIONS]  # run_refurbish drops them from the memo,
     run_refurbish(cfg, ws)
     records = ws.memo[REFURB_FILE]  # and run_stage2 these
     run_stage2(cfg, ws, no_relabel)

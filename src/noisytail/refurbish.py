@@ -138,9 +138,9 @@ def refurbish_dataset(ds: Dataset, preds: Predictions, cfg: RefurbishConfig
                       ) -> tuple[np.ndarray, RefurbishRecords]:
     """Refurbish the whole corpus; one record per sample, none dropped.
 
-    `preds` must align positionally with the dataset (use
-    `stage1.align_predictions` when loading from a file).  Returns the
-    (N, K) soft-label matrix and the records.
+    `preds` must align positionally with the dataset, as those of
+    `stage1.predict_all` on it do.  Returns the (N, K) soft-label matrix
+    and the records.
     """
     if len(preds) != len(ds):
         raise InvalidInputError(

@@ -7,8 +7,9 @@ updates flow through it) while the key branch receives the contrastive
 gradients.  A FIFO feature queue supplies extra negatives.  The classifier
 head is trained on detached encoder features with a noise-tolerant
 cross-entropy (`_banc_batch`), so labels never influence the representation.
-`banc_loss`, `sce_loss` and `contrastive_loss` are the per-sample reference
-formulas the batched kernels are tested against.
+`banc_loss` and `contrastive_loss` are the per-sample reference formulas the
+batched kernels are tested against.  Nothing trains with `sce_loss`: it is
+kept only as the gradient reference that acceptance criterion 1 checks.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import jsonl
-from .datagen import Dataset, align_ids
+from .datagen import Dataset
 from .errors import InvalidInputError, InvalidSpecError
 from .numerics import (
     _ACTIVATIONS,
@@ -118,9 +119,6 @@ class Predictions:
 
     def __len__(self) -> int:
         return len(self.logits)
-
-    def take(self, idx) -> "Predictions":
-        return Predictions(self.logits[idx])
 
 
 @dataclass
@@ -506,20 +504,16 @@ def load_stage1_checkpoint(path) -> tuple[Stage1Model, Stage1Config]:
 
 
 def save_predictions(ids: np.ndarray, preds: Predictions, path) -> str:
-    """One `{"id", "logits"}` row per sample; the rest derives from the logits."""
+    """One `{"id", "logits"}` row per sample; the rest derives from the logits.
+    No command writes this file (`refurbish` recomputes the predictions from
+    the checkpoint); kept only because the benchmark's tracer names it."""
     return jsonl.write_rows(path, ("id", "logits"), [np.asarray(ids), preds.logits])
 
 
 def load_predictions(path) -> tuple[np.ndarray, Predictions]:
     """Sample ids and predictions in file order.  Only `id` and `logits`
     are read: the `probs` and `predicted_class` of older files are
-    ignored, so no file can contradict its own logits."""
+    ignored, so no file can contradict its own logits.  No command reads
+    this file; kept only because the benchmark's tracer names it."""
     cols, _ = jsonl.read_columns(path, "prediction", {"id": int}, ("logits",))
     return cols["id"], Predictions(cols["logits"])
-
-
-def align_predictions(ds: Dataset, ids: np.ndarray, preds: Predictions
-                      ) -> Predictions:
-    """Reorder predictions keyed by `ids` to match the dataset; ids must
-    correspond 1:1."""
-    return preds.take(align_ids(ids, ds.ids, "prediction"))

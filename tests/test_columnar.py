@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from noisytail import jsonl
 from noisytail.datagen import (
     Dataset,
+    align_ids,
     import_embeddings,
     inject_asymmetric,
     inject_symmetric,
@@ -43,7 +44,6 @@ from noisytail.refurbish import (
 )
 from noisytail.stage1 import (
     Predictions,
-    align_predictions,
     load_predictions,
     save_predictions,
 )
@@ -511,9 +511,10 @@ class TestPredictionLoader:
         ds = random_dataset(rng, 60, 4)
         preds = Predictions(rng.normal(size=(60, 4)))
         order = rng.permutation(60)
-        save_predictions(ds.ids[order], preds.take(order), tmp_path / "p.jsonl")
+        save_predictions(ds.ids[order], Predictions(preds.logits[order]),
+                         tmp_path / "p.jsonl")
         ids, loaded = load_predictions(tmp_path / "p.jsonl")
-        aligned = align_predictions(ds, ids, loaded)
+        aligned = Predictions(loaded.logits[align_ids(ids, ds.ids, "prediction")])
         assert aligned.logits.tobytes() == preds.logits.tobytes()
         assert aligned.predicted.tolist() == preds.predicted.tolist()
         _, records = refurbish_dataset(ds, preds, RefurbishConfig())
@@ -531,9 +532,8 @@ class TestPredictionLoader:
         rng = make_rng(8)
         ds = random_dataset(rng, 10, 3)
         ids = edit(ds.ids.copy())
-        preds = Predictions(rng.normal(size=(len(ids), 3)))
         with pytest.raises(InvalidInputError, match=match):
-            align_predictions(ds, ids, preds)
+            align_ids(ids, ds.ids, "prediction")
 
     def test_nan_logit_names_line(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -588,10 +588,12 @@ class TestPredictionLoader:
             assert a.tobytes() == b.tobytes()
 
     def test_take_equals_row_slicing(self):
+        """A `Predictions` of some rows of the logits holds those rows of
+        the whole: softmax and argmax work row by row."""
         rng = make_rng(10)
         preds = Predictions(rng.normal(size=(80, 7)) * 5)
         for idx in (rng.permutation(80), rng.permutation(80)[:33], slice(5, 40)):
-            got = preds.take(idx)
+            got = Predictions(preds.logits[idx])
             assert got.logits.tobytes() == preds.logits[idx].tobytes()
             assert (softmax_rows(got.logits).tobytes()
                     == softmax_rows(preds.logits)[idx].tobytes())

@@ -12,7 +12,7 @@ import pytest
 from noisytail import datagen, ensemble, jsonl, pipeline, refurbish, stage1
 from noisytail.cli import main
 from noisytail.errors import InvalidSpecError, NumericError
-from noisytail.numerics import make_rng
+from noisytail.numerics import FORWARD_ROWS, make_rng
 from noisytail.pipeline import (
     SweepSpec,
     config_from_dict,
@@ -196,7 +196,7 @@ class TestCliPipeline:
         # commands reload them: every artifact must come out the same
         names = sorted(p.name for p in out1.iterdir())
         assert names == sorted(p.name for p in out2.iterdir())
-        assert len(names) == 15
+        assert len(names) == 14
         for name in names:
             if name.startswith("manifest_"):
                 m1, m2 = (json.loads((d / name).read_text()) for d in (out1, out2))
@@ -208,6 +208,8 @@ class TestCliPipeline:
                 assert file_sha256(out1 / name) == file_sha256(out2 / name), name
 
     def test_pipeline_reads_back_nothing(self, tmp_path, monkeypatch):
+        """No loader runs, and the predictions are computed once, by
+        `train_stage1`: refurbish takes them from memory."""
         def refuse(*args, **kwargs):
             raise AssertionError("pipeline read back an artifact it wrote")
 
@@ -217,10 +219,26 @@ class TestCliPipeline:
                              (ensemble, "load_stage2_checkpoint")):
             monkeypatch.setattr(module, name, refuse)
         refuse_to_hash_files(monkeypatch)
+        training, predict_calls = [], []
+        train_stage1, predict_all = stage1.train_stage1, stage1.predict_all
+
+        def counted_train(*args, **kwargs):
+            training.append(True)
+            try:
+                return train_stage1(*args, **kwargs)
+            finally:
+                training.pop()
+
+        def counted_predict(*args, **kwargs):
+            predict_calls.append(bool(training))
+            return predict_all(*args, **kwargs)
+        monkeypatch.setattr(stage1, "train_stage1", counted_train)
+        monkeypatch.setattr(stage1, "predict_all", counted_predict)
         cfg = config_from_dict(TINY_CONFIG)
         out = tmp_path / "ws"
         metrics = pipeline.run_pipeline(cfg, out)
         assert 0.0 <= metrics["overall_accuracy"] <= 1.0
+        assert predict_calls == [True]
         assert_manifests_match_files(out, STAGES)
 
     def test_stage_commands_hash_without_reading_back(self, tmp_path, monkeypatch):
@@ -239,15 +257,53 @@ class TestCliPipeline:
             if not name.startswith("manifest_"):
                 assert file_sha256(out / name) == file_sha256(ref / name), name
 
+    def test_refurbish_recomputes_multi_block_predictions(self, tmp_path):
+        """Above FORWARD_ROWS training rows `forward` runs the stage-1
+        predictions in several row blocks: `refurbish` on the pipeline's
+        train.jsonl and checkpoint alone still writes its records byte for
+        byte."""
+        cfg_path = write_tiny_config(
+            tmp_path,
+            longtail={"num_classes": 5, "head_count": 1500, "imbalance_ratio": 3.0},
+            stage1={**TINY_CONFIG["stage1"], "epochs": 1, "batch_size": 256},
+            stage2={"epochs": 1, "batch_size": 256},
+            thresholds={"many_min": 1000, "few_max": 600})
+        ref, out = tmp_path / "ref", tmp_path / "ws"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(ref)]) == 0
+        assert len(train_noise_mask(ref)) > FORWARD_ROWS
+        out.mkdir()
+        for name in (pipeline.TRAIN_FILE, pipeline.STAGE1_CKPT):
+            (out / name).write_bytes((ref / name).read_bytes())
+        assert main(["refurbish", "--config", str(cfg_path), "--out", str(out)]) == 0
+        name = pipeline.REFURB_FILE
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+        metrics = [json.loads((d / "manifest_refurbish.json").read_text())["metrics"]
+                   for d in (ref, out)]
+        assert metrics[0] == metrics[1]
+
+    def test_refurbish_ignores_a_stale_predictions_file(self, tmp_path):
+        """A workspace from an older version may hold stage1_predictions.jsonl:
+        nothing reads it, so a corrupt one changes nothing."""
+        cfg_path = write_tiny_config(tmp_path)
+        ref, out = tmp_path / "ref", tmp_path / "ws"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(ref)]) == 0
+        for command in ("simulate", "stage1"):
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        (out / "stage1_predictions.jsonl").write_text('{"id": 0, "logits": [NaN\n')
+        assert main(["refurbish", "--config", str(cfg_path), "--out", str(out)]) == 0
+        name = pipeline.REFURB_FILE
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+
     def test_writer_encodes_a_snapshot(self, tmp_path, monkeypatch):
         """Arrays and weights changed in place after `write` returns do not
         reach the file: the forked writer saves the values as they were."""
         rng = make_rng(3)
-        ids = rng.permutation(100)
-        preds = stage1.Predictions(rng.normal(size=(100, 5)))
+        labels = rng.integers(0, 5, size=100)
+        ds = datagen.Dataset(rng.permutation(100), rng.normal(size=(100, 3)),
+                             labels, labels, 5)
         s1_cfg = stage1.Stage1Config()
         model = stage1.build_stage1_model(3, 5, s1_cfg, rng)
-        saves = {pipeline.PREDICTIONS_FILE: lambda p: stage1.save_predictions(ids, preds, p),
+        saves = {pipeline.TRAIN_FILE: lambda p: datagen.save_dataset(ds, p),
                  pipeline.STAGE1_CKPT: lambda p: stage1.save_stage1_checkpoint(
                      model, s1_cfg, p)}
         expected = tmp_path / "expected"
@@ -257,7 +313,7 @@ class TestCliPipeline:
         with pipeline.Workspace(out) as ws:
             for name, save in saves.items():
                 ws.write(name, None, save)
-            preds.logits[:] = 0
+            ds.X[:] = 0
             model.encoder.weights[0][:] = 0
         for name, digest in digests.items():
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
@@ -316,24 +372,28 @@ class TestCliPipeline:
             os.waitpid(sibling, os.WNOHANG)
         assert os.listdir(out) == []  # no partial file, no manifest
 
-    @pytest.mark.parametrize("command, name", [
-        pytest.param("pipeline", pipeline.PREDICTIONS_FILE, id="pipeline"),
-        pytest.param("stage1", pipeline.PREDICTIONS_FILE, id="stage1"),
-        pytest.param("stage1", pipeline.STAGE1_CKPT, id="stage1-checkpoint")])
+    @pytest.mark.parametrize("before, command, name, stage", [
+        pytest.param((), "pipeline", pipeline.REFURB_FILE, "refurbish", id="pipeline"),
+        pytest.param(("simulate", "stage1"), "refurbish", pipeline.REFURB_FILE,
+                     "refurbish", id="stage1"),
+        pytest.param(("simulate",), "stage1", pipeline.STAGE1_CKPT, "stage1",
+                     id="stage1-checkpoint")])
     def test_failed_writer_exits_3_naming_the_file(self, tmp_path, monkeypatch, capsys,
-                                                   command, name):
+                                                   before, command, name, stage):
         """The JSONL encoder raises, or the checkpoint write fails halfway,
         inside a forked writer: exit 3 naming the file, the file deleted,
         every writer reaped, and no manifest for the stage that wrote it;
-        every manifest left matches its files."""
+        every manifest left matches its files.  The JSONL encoder fails in
+        `pipeline`, and in `refurbish` on a workspace that the commands up
+        to `stage1` wrote."""
         cfg_path = write_tiny_config(tmp_path)
         out = tmp_path / "ws"
-        if command == "stage1":
-            assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        for earlier in before:
+            assert main([earlier, "--config", str(cfg_path), "--out", str(out)]) == 0
         encode_rows, write_text = jsonl.encode_rows, jsonl.write_text
 
         def failing_encoder(write, keys, columns):
-            if "logits" in keys:
+            if "soft_label" in keys:
                 raise RuntimeError("encoder broke")
             encode_rows(write, keys, columns)
 
@@ -342,7 +402,7 @@ class TestCliPipeline:
                 write_text(path, text[:len(text) // 2])
                 raise OSError("disk full")
             return write_text(path, text)
-        if name == pipeline.PREDICTIONS_FILE:
+        if name == pipeline.REFURB_FILE:
             monkeypatch.setattr(jsonl, "encode_rows", failing_encoder)
         else:
             monkeypatch.setattr(jsonl, "write_text", failing_text)
@@ -350,7 +410,7 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert f"cannot write {out / name}" in err
         assert not (out / name).exists()
-        assert not (out / "manifest_stage1.json").exists()
+        assert not (out / f"manifest_{stage}.json").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         monkeypatch.undo()
@@ -378,6 +438,11 @@ class TestCliPipeline:
         code = main(["stage1", "--config", str(cfg_path), "--out", str(out)])
         assert code == 2
         assert "simulate" in capsys.readouterr().err
+        # refurbish reads the checkpoint, not a predictions file
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["refurbish", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert pipeline.STAGE1_CKPT in err and "`stage1`" in err
 
     def test_in_memory_matches_cli_metrics(self, tmp_path):
         """`run_in_memory(cfg).stages` holds exactly the metrics of the

@@ -221,7 +221,7 @@ class TestRefurbishDataset:
     def test_length_mismatch(self):
         ds, preds = self._setup()
         with pytest.raises(InvalidInputError):
-            refurbish_dataset(ds, preds.take(slice(0, -1)), RefurbishConfig())
+            refurbish_dataset(ds, Predictions(preds.logits[:-1]), RefurbishConfig())
 
     def test_summary(self):
         ds, preds = self._setup()

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisytail import stage1
-from noisytail.datagen import LongTailSpec, MixtureSpec, synth_dataset, inject_symmetric
+from noisytail.datagen import (
+    LongTailSpec,
+    MixtureSpec,
+    align_ids,
+    inject_symmetric,
+    synth_dataset,
+)
 from noisytail.errors import InvalidInputError, InvalidSpecError
 from noisytail.numerics import (
     finite_diff_grad,
@@ -21,12 +27,12 @@ from noisytail.stage1 import (
     Predictions,
     Stage1Config,
     augment,
-    align_predictions,
     banc_loss,
     build_stage1_model,
     contrastive_loss,
     load_predictions,
     load_stage1_checkpoint,
+    predict_all,
     predict_batch,
     save_predictions,
     save_stage1_checkpoint,
@@ -548,9 +554,11 @@ class TestStopGradientAndIsolation:
 
 class TestPersistence:
     def test_checkpoint_roundtrip(self, tmp_path):
+        """Weights round-trip exactly, so the checkpoint determines the
+        predictions of `train_stage1` bit for bit."""
         ds = tiny_dataset()
         cfg = Stage1Config(seed=6, **TINY)
-        model, _, _ = train_stage1(ds, cfg)
+        model, preds, _ = train_stage1(ds, cfg)
         path = tmp_path / "ckpt.json"
         save_stage1_checkpoint(model, cfg, path)
         back, back_cfg = load_stage1_checkpoint(path)
@@ -560,6 +568,9 @@ class TestPersistence:
                         back.encoder.params() + back.projection.params()
                         + back.classifier.params()):
             np.testing.assert_array_equal(a, b)
+        again = predict_all(back, ds)
+        assert again.logits.tobytes() == preds.logits.tobytes()
+        assert again.predicted.tobytes() == preds.predicted.tobytes()
 
     def test_predictions_roundtrip_and_alignment(self, tmp_path):
         ds = tiny_dataset()
@@ -568,16 +579,14 @@ class TestPersistence:
         path = tmp_path / "preds.jsonl"
         save_predictions(ds.ids, preds, path)
         ids, loaded = load_predictions(path)
-        aligned = align_predictions(ds, ids, loaded)
+        aligned = Predictions(loaded.logits[align_ids(ids, ds.ids, "prediction")])
         np.testing.assert_array_equal(preds.logits, aligned.logits)
         np.testing.assert_array_equal(preds.predicted, aligned.predicted)
 
     def test_alignment_rejects_missing_id(self):
         ds = tiny_dataset()
-        cfg = Stage1Config(seed=8, **{**TINY, "epochs": 0})
-        _, preds, _ = train_stage1(ds, cfg)
         # the first sample's prediction is missing and another id stands in
         ids = ds.ids.copy()
         ids[0] = ds.ids.max() + 1
         with pytest.raises(InvalidInputError, match=f"sample id {ds.ids[0]}"):
-            align_predictions(ds, ids, preds)
+            align_ids(ids, ds.ids, "prediction")
