@@ -300,10 +300,8 @@ def load_dataset(path, num_classes: Optional[int] = None) -> Dataset:
     the offending line.
     """
     cols, linenos = jsonl.read_columns(
-        path, "sample",
-        {"id": int, "observed_label": int,
-         "true_label": lambda t: _MISSING if t is None else int(t)},
-        ("features",), optional=("true_label",))
+        path, "sample", {"id": int, "observed_label": int, "true_label": int},
+        ("features",), optional={"true_label": _MISSING})
     observed, true = cols["observed_label"], cols["true_label"]
     has_true = true != _MISSING
     k = num_classes

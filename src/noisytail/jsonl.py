@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 
@@ -175,27 +176,51 @@ class VectorColumn:
         self.n += 1
 
 
+# the type a scalar field is declared with -> (what its JSON value must
+# be, check, array dtype).  bool is a subclass of int in Python, so the
+# checks compare exact types.
+_SCALARS = {
+    int: ("an integer", lambda v: type(v) is int and -2**63 <= v < 2**63, np.int64),
+    float: ("a finite number",
+            lambda v: type(v) is int or type(v) is float and math.isfinite(v),
+            np.float64),
+    bool: ("true or false", lambda v: type(v) is bool, bool),
+}
+
+
 def read_columns(path, what: str, scalars: dict, vectors: tuple = (),
-                 optional: tuple = ()):
+                 optional: dict | None = None):
     """Stream JSONL records into one array per key, returned with each
-    row's line number.  `scalars` maps a key to the converter of its value
-    (None if absent and `optional`); each key in `vectors` holds a number
-    array and becomes the rows of a finite float64 matrix."""
+    row's line number.  `scalars` maps a key to the type its value must
+    have: int (a JSON integer, not a bool), float (a finite JSON number)
+    or bool; any other value is a ParseError naming the line.  A key in
+    `optional` may be absent or null and then reads as its value there.
+    Each key in `vectors` holds a number array and becomes the rows of a
+    finite float64 matrix."""
+    optional = optional or {}
     vecs = [VectorColumn(key, path) for key in vectors]
+    checks = [(key, *_SCALARS[kind]) for key, kind in scalars.items()]
     cols = {key: [] for key in scalars}
     linenos = []
     for lineno, rec in read_rows(path, f"{what} record"):
         try:
-            for key, conv in scalars.items():
-                cols[key].append(conv(rec.get(key) if key in optional else rec[key]))
+            values = [rec.get(key) if key in optional else rec[key]
+                      for key, *_ in checks]
             for col in vecs:
                 col.append(rec[col.name])
         except (KeyError, TypeError, ValueError, AttributeError) as e:
             raise ParseError(f"bad {what} record: {e!r}", lineno) from e
+        for (key, want, ok, _), value in zip(checks, values):
+            if value is None and key in optional:
+                value = optional[key]
+            elif not ok(value):
+                raise ParseError(f"bad {what} record: {key} must be {want}, "
+                                 f"got {json.dumps(value)}", lineno)
+            cols[key].append(value)
         linenos.append(lineno)
     if not linenos:
         raise ParseError(f"{what} file contains no records", None)
-    out = {key: np.array(values) for key, values in cols.items()}
+    out = {key: np.array(cols[key], dtype=dtype) for key, _, _, dtype in checks}
     for col in vecs:
         out[col.name] = col.buf[:col.n]
         check_rows(~np.isfinite(out[col.name]).all(axis=1), linenos,

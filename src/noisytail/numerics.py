@@ -46,10 +46,17 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e
 
 
+def l2_norms(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The L2 norms `l2_normalize` divides by, floored at 1e-12, with the
+    reduced axis kept.  The same operations as `np.linalg.norm`, without
+    its `conj` copy."""
+    n = np.sqrt(np.add.reduce(v * v, axis, keepdims=True))
+    return np.maximum(n, 1e-12, out=n)
+
+
 def l2_normalize(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """Scale to unit L2 norm (rows of a matrix when axis=-1 on 2-D input)."""
-    n = np.linalg.norm(v, axis=axis, keepdims=True)
-    return v / np.maximum(n, 1e-12)
+    return v / l2_norms(v, axis)
 
 
 def relative_error(a: float, b: float) -> float:
@@ -61,11 +68,22 @@ def relative_error(a: float, b: float) -> float:
 # Multilayer perceptron with manual backprop
 # ---------------------------------------------------------------------------
 
+def _tanh_derivative(a: np.ndarray) -> np.ndarray:
+    d = a * a
+    return np.subtract(1.0, d, out=d)
+
+
+def _logistic_derivative(a: np.ndarray) -> np.ndarray:
+    d = 1.0 - a
+    d *= a
+    return d
+
+
 _ACTIVATIONS = {
     # value (free to overwrite its argument) and derivative expressed
-    # through the post-activation a
-    "tanh": (lambda z: np.tanh(z, out=z), lambda a: 1.0 - a * a),
-    "logistic": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda a: a * (1.0 - a)),
+    # through the post-activation a (one new array, never a itself)
+    "tanh": (lambda z: np.tanh(z, out=z), _tanh_derivative),
+    "logistic": (lambda z: 1.0 / (1.0 + np.exp(-z)), _logistic_derivative),
 }
 
 
@@ -211,7 +229,9 @@ def backward_batch(net: Mlp, cache: list[np.ndarray], upstream: np.ndarray,
 
     Parameter gradients are summed over the batch; also returns the
     gradient with respect to the input matrix, or None with
-    `input_grad=False`, which skips its matrix product.
+    `input_grad=False`, which skips its matrix product.  Neither the cache
+    nor `upstream` is written: each layer's delta is a new array, scaled
+    by the activation derivative in place.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (cache[0].shape[0], net.out_dim):
@@ -226,7 +246,8 @@ def backward_batch(net: Mlp, cache: list[np.ndarray], upstream: np.ndarray,
         d_weights[l] = delta.T @ cache[l]
         d_biases[l] = delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ net.weights[l]) * dact(cache[l])
+            delta = delta @ net.weights[l]
+            delta *= dact(cache[l])
     return (MlpGrads(d_weights, d_biases),
             delta @ net.weights[0] if input_grad else None)
 
@@ -279,27 +300,37 @@ def gradient_check(f, x: Vec, analytic_grad: Vec, eps: float = 1e-5,
 
 @dataclass
 class SgdMomentum:
-    """In-place SGD over a fixed parameter list: v = mu*v + (g + wd*p); p -= lr*v."""
+    """In-place SGD over a fixed parameter list: v = mu*v + (g + wd*p); p -= lr*v.
+
+    Each parameter has one scratch array of its shape, which holds
+    g + wd*p and then lr*v, so a step allocates nothing and never writes
+    into the gradients it is given."""
 
     params: list[np.ndarray]
     lr: float
     momentum: float = 0.9
     weight_decay: float = 0.0
     velocity: list[np.ndarray] = field(default_factory=list)
+    _scratch: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lr <= 0:
             raise InvalidInputError("lr must be positive")
         if not self.velocity:
             self.velocity = [np.zeros_like(p) for p in self.params]
+        self._scratch = [np.empty_like(p) for p in self.params]
 
     def step(self, grads: list[np.ndarray]) -> None:
         if len(grads) != len(self.params):
             raise InvalidInputError("gradient list does not match parameter list")
-        for p, v, g in zip(self.params, self.velocity, grads):
-            np.multiply(v, self.momentum, out=v)
-            v += g + self.weight_decay * p
-            p -= self.lr * v
+        lr, mu, wd = self.lr, self.momentum, self.weight_decay
+        for p, v, g, s in zip(self.params, self.velocity, grads, self._scratch):
+            v *= mu
+            np.multiply(p, wd, out=s)
+            s += g
+            v += s
+            np.multiply(v, lr, out=s)
+            p -= s
 
 
 def sgd_epochs(stage: str, opt: SgdMomentum, n: int, batch_size: int, epochs: int,

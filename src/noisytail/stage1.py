@@ -33,6 +33,7 @@ from .numerics import (
     forward_batch,
     init_mlp,
     l2_normalize,
+    l2_norms,
     make_rng,
     mlp_from_state,
     mlp_state,
@@ -163,7 +164,7 @@ class FeatureQueue:
         Z = np.asarray(Z, dtype=np.float64)
         if Z.ndim != 2:
             raise InvalidInputError(f"embedding batch must be 2-D, got shape {Z.shape}")
-        if not np.all(np.isfinite(Z)):
+        if not np.isfinite(Z).all():
             raise InvalidInputError("embedding contains non-finite entries")
         if self._buf is None:
             self._buf = np.empty((self._capacity, Z.shape[1]))
@@ -182,7 +183,7 @@ class FeatureQueue:
         """Oldest-to-newest copy of the queued rows, or None when empty."""
         if self._len == 0:
             return None
-        if self._len < self._capacity:
+        if self._len < self._capacity or self._head == 0:  # stored in order
             return self._buf[:self._len].copy()
         return np.concatenate((self._buf[self._head:], self._buf[:self._head]))
 
@@ -305,13 +306,20 @@ def banc_loss(probs: np.ndarray, onehot: np.ndarray,
 
 def _banc_batch(logits: np.ndarray, Y: np.ndarray, c: float
                 ) -> tuple[float, np.ndarray]:
-    """Mean loss over the batch and the gradient of that mean wrt logits."""
+    """Mean loss over the batch and the gradient of that mean wrt logits,
+    ((P - Y) + c*P*(p_y - Y)) / b, built in the softmax's own buffer."""
     P = softmax_rows(logits)
-    p_y = np.sum(P * Y, axis=1)
+    W = P * Y
+    p_y = W.sum(axis=1)
     ce = -np.log(np.maximum(p_y, 1e-300))
     losses = ce + c * (1.0 - p_y)
-    grad = ((P - Y) + c * P * (p_y[:, None] - Y)) / logits.shape[0]
-    return float(losses.mean()), grad
+    np.multiply(P, c, out=W)
+    W *= p_y[:, None] - Y
+    P -= Y
+    P += W
+    b = logits.shape[0]
+    P /= b
+    return float(losses.sum()) / b, P  # the mean, rounded as np.mean rounds it
 
 
 def _contrastive_batch(Zq: np.ndarray, Zk: np.ndarray,
@@ -328,34 +336,45 @@ def _contrastive_batch(Zq: np.ndarray, Zk: np.ndarray,
     n_queue = 0 if queue_mat is None else queue_mat.shape[0]
     if (b - 1) + n_queue < 1:
         raise InvalidInputError("contrastive loss requires at least one negative")
-    S = (Zq @ Zk.T) / tau
-    pos = np.diag(S).copy()
-    blocks = [S]
+    # One (b, b + Q) buffer holds the similarities, then the softmax
+    # numerators.  Each product writes its own columns: a single product
+    # over [Zk; queue], or one by a contiguous copy of a transpose, rounds
+    # differently at some batch sizes.
+    den = np.empty((b, b + n_queue))
+    np.matmul(Zq, Zk.T, out=den[:, :b])
     if n_queue:
-        blocks.append((Zq @ queue_mat.T) / tau)
-    den = np.concatenate(blocks, axis=1)
+        np.matmul(Zq, queue_mat.T, out=den[:, b:])
+    den /= tau
+    pos = den.diagonal().copy()
     if not include_positive:
-        den[np.arange(b), np.arange(b)] = -np.inf
+        np.fill_diagonal(den, -np.inf)
 
     m = den.max(axis=1, keepdims=True)
-    e = np.exp(den - m)
-    z = e.sum(axis=1)
+    den -= m
+    np.exp(den, out=den)
+    z = den.sum(axis=1)
     lse = m[:, 0] + np.log(z)
     losses = -pos + lse
 
-    P = e / z[:, None]
-    Pb = P[:, :b]  # coefficients on in-batch keys
-    G_Zk = (Pb.T @ Zq) / tau
+    Pb = den[:, :b]  # probabilities on the in-batch keys only
+    Pb /= z[:, None]
+    G_Zk = Pb.T @ Zq
+    G_Zk /= tau
     G_Zk -= Zq / tau  # the positive term: dloss_i/dzk_i has -zq_i/tau
-    return float(losses.mean()), G_Zk / b
+    G_Zk /= b
+    return float(losses.sum()) / b, G_Zk  # the mean, rounded as np.mean rounds it
 
 
-def _normalize_backward(raw: np.ndarray, unit: np.ndarray,
+def _normalize_backward(norms: np.ndarray, unit: np.ndarray,
                         grad_unit: np.ndarray) -> np.ndarray:
-    """Backprop through row-wise L2 normalization z = u/||u||."""
-    norms = np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-12)
-    inner = np.sum(grad_unit * unit, axis=1, keepdims=True)
-    return (grad_unit - inner * unit) / norms
+    """Backprop through row-wise L2 normalization unit = raw / norms, given
+    the (b, 1) norms the forward divided by (`l2_norms(raw)`)."""
+    g = grad_unit * unit
+    inner = g.sum(axis=1, keepdims=True)
+    np.multiply(inner, unit, out=g)
+    np.subtract(grad_unit, g, out=g)
+    g /= norms
+    return g
 
 
 def stage1_batch_gradients(model: Stage1Model, X: np.ndarray, Y: np.ndarray,
@@ -385,20 +404,24 @@ def stage1_batch_gradients(model: Stage1Model, X: np.ndarray, Y: np.ndarray,
         model.encoder, np.concatenate((X_q, X_k, X) if shared else (X_k, X)))
     z_raw, proj_cache = forward_batch(model.projection, v[:o + b])
 
+    # one normalization of the [query and] key rows
+    norms = l2_norms(z_raw)
+    unit = z_raw / norms
+
     # query branch: values only
     if shared:
-        Zq = l2_normalize(z_raw[:b])
+        Zq = unit[:b]
     else:
         vq, _ = forward_batch(query_model.encoder, X_q)
         Zq = l2_normalize(forward_batch(query_model.projection, vq)[0])
 
     # key branch: receives the contrastive gradient
-    zk_raw = z_raw[o:]
-    Zk = l2_normalize(zk_raw)
+    Zk = unit[o:]
 
     con_loss, g_Zk = _contrastive_batch(Zq, Zk, queue_mat, cfg.tau,
                                         cfg.include_positive)
-    g_zk_raw = _normalize_backward(zk_raw, Zk, (1.0 - cfg.alpha) * g_Zk)
+    g_Zk *= 1.0 - cfg.alpha
+    g_zk_raw = _normalize_backward(norms[o:], Zk, g_Zk)
     proj_grads, g_vk = backward_batch(
         model.projection, [c[o:] for c in proj_cache], g_zk_raw)
     enc_grads, _ = backward_batch(
@@ -407,8 +430,9 @@ def stage1_batch_gradients(model: Stage1Model, X: np.ndarray, Y: np.ndarray,
     # classifier on detached features of the raw inputs
     logits, clf_cache = forward_batch(model.classifier, v[o + b:])
     banc_mean, g_logits = _banc_batch(logits, Y, cfg.c)
-    clf_grads, _ = backward_batch(model.classifier, clf_cache,
-                                  cfg.alpha * g_logits, input_grad=False)
+    g_logits *= cfg.alpha
+    clf_grads, _ = backward_batch(model.classifier, clf_cache, g_logits,
+                                  input_grad=False)
 
     grads = {"encoder": enc_grads, "projection": proj_grads, "classifier": clf_grads}
     metrics = {
@@ -457,7 +481,7 @@ def train_stage1(ds: Dataset, cfg: Stage1Config
         raise InvalidSpecError("training requires at least 2 samples")
     rng = make_rng(cfg.seed)
     model = build_stage1_model(ds.feature_dim, ds.num_classes, cfg, rng)
-    X = ds.X
+    X, observed = ds.X, ds.observed
     onehot = np.eye(ds.num_classes)  # row k is class k's label
 
     params = (model.encoder.params() + model.projection.params()
@@ -470,9 +494,10 @@ def train_stage1(ds: Dataset, cfg: Stage1Config
     def step(idx):
         nonlocal keys
         grads, metrics, keys = stage1_batch_gradients(
-            model, X[idx], onehot[ds.observed[idx]], queue.as_matrix(), cfg, rng)
-        return [p for part in ("encoder", "projection", "classifier")
-                for p in grads[part].params()], metrics
+            model, X.take(idx, axis=0), onehot.take(observed.take(idx), axis=0),
+            queue.as_matrix(), cfg, rng)
+        return (grads["encoder"].params() + grads["projection"].params()
+                + grads["classifier"].params()), metrics
 
     log = sgd_epochs("stage 1", opt, n, cfg.batch_size, cfg.epochs, rng, step,
                      after_update=lambda: queue.push_batch(keys))

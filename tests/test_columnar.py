@@ -473,6 +473,28 @@ class TestDatasetLoader:
         with pytest.raises(ParseError, match="line 2"):
             load_dataset(path, num_classes=2)
 
+    @pytest.mark.parametrize("key,value", [
+        ("observed_label", 1.9), ("observed_label", 1.0), ("observed_label", "1"),
+        ("observed_label", True), ("true_label", "1"), ("true_label", True),
+        ("true_label", 0.5), ("id", 2.0), ("id", False), ("id", "2"), ("id", 2**63),
+        ("observed_label", [1]),
+    ])
+    def test_label_or_id_not_an_integer_names_line(self, tmp_path, key, value):
+        rec = json.loads(sample(1))
+        rec[key] = value
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [sample(0), json.dumps(rec)])
+        with pytest.raises(ParseError, match=f"line 2: .*{key} must be an integer"):
+            load_dataset(path, num_classes=2)
+
+    def test_null_true_label_is_absent(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        rec = json.loads(sample(1))
+        rec["true_label"] = None
+        write_lines(path, [sample(0), json.dumps(rec)])
+        ds = load_dataset(path, num_classes=2)
+        assert ds.true is None and ds.observed.dtype == np.int64
+
     def test_blank_lines_skipped_and_mixed_true_is_real_data(self, tmp_path):
         path = tmp_path / "d.jsonl"
         no_true = json.dumps({"id": 5, "features": [1.0, 2.0], "observed_label": 1})
@@ -634,3 +656,30 @@ class TestRecordLoader:
         write_lines(path, [record(0), json.dumps(rec)])
         with pytest.raises(ParseError, match="line 2"):
             load_records(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("changed", "no"), ("changed", 1), ("changed", 0), ("changed", None),
+        ("id", 1.0), ("id", True), ("rho", "0.5"), ("rho", True), ("gamma", None),
+    ])
+    def test_field_of_wrong_type_names_line(self, tmp_path, key, value):
+        rec = json.loads(record(1))
+        rec[key] = value
+        path = tmp_path / "r.jsonl"
+        write_lines(path, [record(0), json.dumps(rec)])
+        want = {"changed": "true or false", "id": "an integer"}.get(key, "a finite number")
+        with pytest.raises(ParseError, match=f"line 2: .*{key} must be {want}"):
+            load_records(path)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_scalar_names_line(self, tmp_path, value):
+        path = tmp_path / "r.jsonl"
+        write_lines(path, [record(0), record(1).replace('"rho": 0.5', f'"rho": {value}')])
+        with pytest.raises(ParseError, match="line 2: .*rho must be a finite number"):
+            load_records(path)
+
+    def test_integer_numbers_load_as_floats(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_lines(path, [record(0, changed=False).replace('"weight": 0.45', '"weight": 0')])
+        rec = load_records(path)
+        assert rec.weight.dtype == np.float64 and rec.weight.tolist() == [0.0]
+        assert rec.changed.dtype == bool and rec.changed.tolist() == [False]
