@@ -69,6 +69,7 @@ from .stage1 import (
     augment,
     banc_loss,
     contrastive_loss,
+    predict_all,
     sce_loss,
     train_stage1,
 )

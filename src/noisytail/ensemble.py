@@ -22,7 +22,6 @@ from .datagen import Dataset
 from .errors import InvalidInputError, InvalidSpecError
 from .numerics import (
     Mlp,
-    SgdMomentum,
     backward_batch,
     forward,
     forward_batch,
@@ -163,17 +162,14 @@ def train_stage2(ds: Dataset, soft_labels: np.ndarray,
     # frozen backbone: features can be precomputed once
     V = forward(backbone, ds.X)
 
-    opt = SgdMomentum(model.head.params(), lr=cfg.lr, momentum=cfg.momentum,
-                      weight_decay=cfg.weight_decay)
-
     def step(idx):
         logits, cache = forward_batch(model.head, V[idx])
         losses, g_logits = _expert_batch(logits.reshape(idx.size, 3, k), Y[idx], shifts)
         grads, _ = backward_batch(model.head, cache, g_logits.reshape(logits.shape),
                                   input_grad=False)
-        return grads.params(), dict(zip(("e1", "e2", "e3"), losses.tolist()))
+        return grads, dict(zip(("e1", "e2", "e3"), losses.tolist()))
 
-    return model, sgd_epochs("stage 2", opt, n, cfg.batch_size, cfg.epochs, rng, step)
+    return model, sgd_epochs("stage 2", model.head.params(), cfg, n, rng, step)
 
 
 # ---------------------------------------------------------------------------

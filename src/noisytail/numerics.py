@@ -131,17 +131,6 @@ class Mlp:
                    [b.copy() for b in self.biases], self.activation)
 
 
-@dataclass
-class MlpGrads:
-    """Parameter gradients mirroring an Mlp's weight/bias lists."""
-
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
-
-    def params(self) -> list[np.ndarray]:
-        return [g for layer in zip(self.d_weights, self.d_biases) for g in layer]
-
-
 def init_mlp(layer_dims: list[int], rng: np.random.Generator,
              activation: str = "tanh", weight_scale: float = 1.0) -> Mlp:
     """Random init: N(0, (weight_scale/sqrt(fan_in))^2) weights, zero biases.
@@ -224,14 +213,17 @@ def forward(net: Mlp, X: np.ndarray, *then: Mlp) -> np.ndarray:
 
 
 def backward_batch(net: Mlp, cache: list[np.ndarray], upstream: np.ndarray,
-                   input_grad: bool = True) -> tuple[MlpGrads, Optional[np.ndarray]]:
+                   input_grad: bool = True
+                   ) -> tuple[list[np.ndarray], Optional[np.ndarray]]:
     """Gradients of sum_n (output_n . upstream_n) from a forward cache.
 
-    Parameter gradients are summed over the batch; also returns the
-    gradient with respect to the input matrix, or None with
-    `input_grad=False`, which skips its matrix product.  Neither the cache
-    nor `upstream` is written: each layer's delta is a new array, scaled
-    by the activation derivative in place.
+    The parameter gradients, summed over the batch, come as one list in
+    `net.params()` order (weight then bias per layer), so a trainer hands
+    them to the optimizer as they are.  Also returns the gradient with
+    respect to the input matrix, or None with `input_grad=False`, which
+    skips its matrix product.  Neither the cache nor `upstream` is written:
+    each layer's delta is a new array, scaled by the activation derivative
+    in place.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (cache[0].shape[0], net.out_dim):
@@ -239,17 +231,15 @@ def backward_batch(net: Mlp, cache: list[np.ndarray], upstream: np.ndarray,
             f"upstream shape {upstream.shape} incompatible with output dim {net.out_dim}"
         )
     _, dact = _ACTIVATIONS[net.activation]
-    d_weights = [np.empty(0)] * len(net.weights)
-    d_biases = [np.empty(0)] * len(net.biases)
+    grads = [np.empty(0)] * (2 * len(net.weights))
     delta = upstream
     for l in range(len(net.weights) - 1, -1, -1):
-        d_weights[l] = delta.T @ cache[l]
-        d_biases[l] = delta.sum(axis=0)
+        grads[2 * l] = delta.T @ cache[l]
+        grads[2 * l + 1] = delta.sum(axis=0)
         if l > 0:
             delta = delta @ net.weights[l]
             delta *= dact(cache[l])
-    return (MlpGrads(d_weights, d_biases),
-            delta @ net.weights[0] if input_grad else None)
+    return grads, delta @ net.weights[0] if input_grad else None
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +323,22 @@ class SgdMomentum:
             p -= s
 
 
-def sgd_epochs(stage: str, opt: SgdMomentum, n: int, batch_size: int, epochs: int,
-               rng: np.random.Generator, step, after_update=None) -> list[dict]:
+def sgd_epochs(stage: str, params: list[np.ndarray], cfg, n: int,
+               rng: np.random.Generator, step) -> list[dict]:
     """The permute/batch/update loop of every trainer; returns each epoch's
-    mean losses.  `step(idx)` gives a batch's gradients, in `opt.params`
-    order, and its named losses.  A non-finite loss raises NumericError
-    naming the stage, epoch and step, before the update."""
+    mean losses.  It trains `params` in place with an `SgdMomentum` built
+    from `cfg.lr`, `cfg.momentum` and `cfg.weight_decay`, over `cfg.epochs`
+    epochs of `cfg.batch_size`-row batches of the n samples.  `step(idx)`
+    gives a batch's gradients, a list in `params` order, and its named
+    losses.  A non-finite loss raises NumericError naming the stage, epoch
+    and step, before the update."""
+    batch_size = cfg.batch_size
     if batch_size > n:
         raise InvalidSpecError(f"batch_size {batch_size} exceeds dataset size {n}")
+    opt = SgdMomentum(params, lr=cfg.lr, momentum=cfg.momentum,
+                      weight_decay=cfg.weight_decay)
     log = []
-    for epoch in range(epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         starts = range(0, n, batch_size)
         sums: dict[str, float] = {}
@@ -352,8 +348,6 @@ def sgd_epochs(stage: str, opt: SgdMomentum, n: int, batch_size: int, epochs: in
                 raise NumericError(
                     f"{stage} diverged: non-finite loss at epoch {epoch}, step {i}")
             opt.step(grads)
-            if after_update is not None:
-                after_update()
             for name, value in losses.items():
                 sums[name] = sums.get(name, 0.0) + value
         log.append({"epoch": epoch, **{k: v / len(starts) for k, v in sums.items()}})

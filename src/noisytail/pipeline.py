@@ -30,7 +30,6 @@ from .datagen import Dataset, LongTailSpec, MixtureSpec, NoiseSpec
 from .ensemble import Stage2Config, SubgroupThresholds
 from .errors import InvalidInputError, InvalidSpecError
 from .numerics import (
-    SgdMomentum,
     backward_batch,
     forward,
     forward_batch,
@@ -219,16 +218,6 @@ def _seeded(cfg: PipelineConfig, stage: str):
 # Manifests and the workspace
 # ---------------------------------------------------------------------------
 
-def file_sha256(path) -> str:
-    """SHA-256 of a file as read back from disk: an independent check on
-    the digests the writers report, which the manifests record."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def write_manifest(out_dir: Path, command: str, cfg: PipelineConfig,
                    wall_time_s: float, peak_rss: float, metrics: dict,
                    written: dict[str, tuple[str, float]],
@@ -403,8 +392,8 @@ def run_stage1(cfg: PipelineConfig, ws: Workspace) -> dict:
     t0 = time.perf_counter()
     train = ws.dataset(TRAIN_FILE, cfg)
     s1_cfg = _seeded(cfg, "stage1")
-    model, preds, log = stage1.train_stage1(train, s1_cfg)
-    ws.memo[PREDICTIONS] = preds
+    model, log = stage1.train_stage1(train, s1_cfg)
+    preds = ws.memo[PREDICTIONS] = stage1.predict_all(model, train)
     ws.write(STAGE1_CKPT, model, lambda p: stage1.save_stage1_checkpoint(model, s1_cfg, p))
     ws.write(STAGE1_LOG, log, lambda p: jsonl.write_json(p, log))
     metrics = {"final_losses": log[-1] if log else None,
@@ -600,17 +589,16 @@ def run_in_memory(cfg: PipelineConfig, no_relabel: bool = False) -> PipelineResu
 # ---------------------------------------------------------------------------
 
 def train_ce_baseline(train: Dataset, cfg: Stage1Config, seed: int):
-    """Supervised end-to-end baseline: the same encoder architecture plus a
-    linear head, trained with plain cross-entropy on observed labels.  A
-    non-finite loss raises NumericError naming the epoch and step."""
+    """Supervised end-to-end baseline: the same encoder architecture and
+    initial weight scale as stage 1 plus a linear head, trained with plain
+    cross-entropy on observed labels.  A non-finite loss raises
+    NumericError naming the epoch and step."""
     rng = make_rng(seed)
     k = train.num_classes
     encoder = init_mlp([train.feature_dim, cfg.encoder_hidden, cfg.repr_dim],
-                       rng, cfg.activation)
-    head = init_mlp([cfg.repr_dim, k], rng, cfg.activation)
+                       rng, cfg.activation, cfg.init_scale)
+    head = init_mlp([cfg.repr_dim, k], rng, cfg.activation, cfg.init_scale)
     onehot = np.eye(k)  # row k is class k's label
-    opt = SgdMomentum(encoder.params() + head.params(), lr=cfg.lr,
-                      momentum=cfg.momentum, weight_decay=cfg.weight_decay)
 
     def step(idx):
         v, enc_cache = forward_batch(encoder, train.X[idx])
@@ -619,9 +607,10 @@ def train_ce_baseline(train: Dataset, cfg: Stage1Config, seed: int):
         loss, g_logits = stage1._banc_batch(logits, y, 0.0)  # c = 0: plain CE
         g_head, g_v = backward_batch(head, head_cache, g_logits)
         g_encoder, _ = backward_batch(encoder, enc_cache, g_v, input_grad=False)
-        return g_encoder.params() + g_head.params(), {"ce": loss}
+        return g_encoder + g_head, {"ce": loss}
 
-    sgd_epochs("CE baseline", opt, len(train), cfg.batch_size, cfg.epochs, rng, step)
+    sgd_epochs("CE baseline", encoder.params() + head.params(), cfg, len(train),
+               rng, step)
     return encoder, head
 
 

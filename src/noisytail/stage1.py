@@ -1,12 +1,13 @@
 """Stage-1 training: contrastive representation learning plus a
 pre-screening classifier.
 
-A single shared encoder serves both branches of the contrastive pair; the
-query branch is evaluated under stop-gradient (values only, no parameter
-updates flow through it) while the key branch receives the contrastive
-gradients.  A FIFO feature queue supplies extra negatives.  The classifier
-head is trained on detached encoder features with a noise-tolerant
-cross-entropy (`_banc_batch`), so labels never influence the representation.
+A single shared encoder serves both branches of the contrastive pair, in
+one forward of the stacked query, key and raw rows; the query branch is
+evaluated under stop-gradient (values only, no parameter updates flow
+through it) while the key branch receives the contrastive gradients.  A
+FIFO feature queue supplies extra negatives.  The classifier head is
+trained on detached encoder features with a noise-tolerant cross-entropy
+(`_banc_batch`), so labels never influence the representation.
 `banc_loss` and `contrastive_loss` are the per-sample reference formulas the
 batched kernels are tested against.  Nothing trains with `sce_loss`: it is
 kept only as the gradient reference that acceptance criterion 1 checks.
@@ -26,7 +27,6 @@ from .errors import InvalidInputError, InvalidSpecError
 from .numerics import (
     _ACTIVATIONS,
     Mlp,
-    SgdMomentum,
     as_vec,
     backward_batch,
     forward,
@@ -379,68 +379,54 @@ def _normalize_backward(norms: np.ndarray, unit: np.ndarray,
 
 def stage1_batch_gradients(model: Stage1Model, X: np.ndarray, Y: np.ndarray,
                            queue_mat: Optional[np.ndarray], cfg: Stage1Config,
-                           rng: np.random.Generator,
-                           query_model: Optional[Stage1Model] = None):
+                           rng: np.random.Generator):
     """One training step's gradients, without applying them.
 
-    The query branch runs on `query_model` (defaults to `model`) and is
-    used for its values only; swapping in a frozen copy must not change
-    the result, which is the stop-gradient contract.  Returns
-    (grads-by-component dict, metrics dict, detached unit-norm keys).
+    Returns (gradients, metrics dict, detached unit-norm keys).  The
+    gradients are one list in the optimizer's order: encoder, projection,
+    classifier, each in its `params()` order.
 
-    When the query branch runs on `model` itself (training), the query,
-    key and raw rows share one encoder forward and the query and key rows
-    one projection forward; backprop reads only the key rows' slices of
-    those caches.
+    The query, key and raw rows share one encoder forward, and the query
+    and key rows one projection forward.  The query rows are used for
+    their values only (stop-gradient): backprop reads only the key rows'
+    slices of those caches.
     """
     b = X.shape[0]
     X_q = augment(X, cfg, rng)
     X_k = augment(X, cfg, rng)
 
-    # row layout of the stacked forwards: [query rows,] key rows, raw rows
-    shared = query_model is None or query_model is model
-    o = b if shared else 0  # offset of the key rows
-    v, enc_cache = forward_batch(
-        model.encoder, np.concatenate((X_q, X_k, X) if shared else (X_k, X)))
-    z_raw, proj_cache = forward_batch(model.projection, v[:o + b])
+    # row layout of the stacked forwards: query rows, key rows, raw rows
+    v, enc_cache = forward_batch(model.encoder, np.concatenate((X_q, X_k, X)))
+    z_raw, proj_cache = forward_batch(model.projection, v[:2 * b])
 
-    # one normalization of the [query and] key rows
+    # one normalization of the query and key rows
     norms = l2_norms(z_raw)
     unit = z_raw / norms
-
-    # query branch: values only
-    if shared:
-        Zq = unit[:b]
-    else:
-        vq, _ = forward_batch(query_model.encoder, X_q)
-        Zq = l2_normalize(forward_batch(query_model.projection, vq)[0])
+    Zq, Zk = unit[:b], unit[b:]
 
     # key branch: receives the contrastive gradient
-    Zk = unit[o:]
-
     con_loss, g_Zk = _contrastive_batch(Zq, Zk, queue_mat, cfg.tau,
                                         cfg.include_positive)
     g_Zk *= 1.0 - cfg.alpha
-    g_zk_raw = _normalize_backward(norms[o:], Zk, g_Zk)
+    g_zk_raw = _normalize_backward(norms[b:], Zk, g_Zk)
     proj_grads, g_vk = backward_batch(
-        model.projection, [c[o:] for c in proj_cache], g_zk_raw)
+        model.projection, [c[b:] for c in proj_cache], g_zk_raw)
     enc_grads, _ = backward_batch(
-        model.encoder, [c[o:o + b] for c in enc_cache], g_vk, input_grad=False)
+        model.encoder, [c[b:2 * b] for c in enc_cache], g_vk, input_grad=False)
 
     # classifier on detached features of the raw inputs
-    logits, clf_cache = forward_batch(model.classifier, v[o + b:])
+    logits, clf_cache = forward_batch(model.classifier, v[2 * b:])
     banc_mean, g_logits = _banc_batch(logits, Y, cfg.c)
     g_logits *= cfg.alpha
     clf_grads, _ = backward_batch(model.classifier, clf_cache, g_logits,
                                   input_grad=False)
 
-    grads = {"encoder": enc_grads, "projection": proj_grads, "classifier": clf_grads}
     metrics = {
         "con": con_loss,
         "banc": banc_mean,
         "total": (1.0 - cfg.alpha) * con_loss + cfg.alpha * banc_mean,
     }
-    return grads, metrics, Zk
+    return enc_grads + proj_grads + clf_grads, metrics, Zk
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +452,15 @@ def predict_all(model: Stage1Model, ds: Dataset) -> Predictions:
     return Predictions(predict_batch(model, ds.X))
 
 
-def train_stage1(ds: Dataset, cfg: Stage1Config
-                 ) -> tuple[Stage1Model, Predictions, list[dict]]:
+def train_stage1(ds: Dataset, cfg: Stage1Config) -> tuple[Stage1Model, list[dict]]:
     """Joint contrastive + classifier training over the noisy dataset.
 
     Per batch: two augmented views are formed; the query side is evaluated
     under stop-gradient; key embeddings receive the contrastive gradient
-    and are enqueued after the step.  The classifier head sees detached
-    features only.  Returns the model, the predictions for the training
-    samples in dataset order, and a per-epoch loss log.
+    and are enqueued when the next step starts, so every step reads the
+    queue as the previous update left it.  The classifier head sees
+    detached features only.  Returns the model and a per-epoch loss log;
+    `predict_all` gives the model's predictions.
     """
     n = len(ds)
     if n < 2:
@@ -483,25 +469,21 @@ def train_stage1(ds: Dataset, cfg: Stage1Config
     model = build_stage1_model(ds.feature_dim, ds.num_classes, cfg, rng)
     X, observed = ds.X, ds.observed
     onehot = np.eye(ds.num_classes)  # row k is class k's label
-
-    params = (model.encoder.params() + model.projection.params()
-              + model.classifier.params())
-    opt = SgdMomentum(params, lr=cfg.lr, momentum=cfg.momentum,
-                      weight_decay=cfg.weight_decay)
     queue = FeatureQueue(cfg.queue_capacity)
-    keys = None  # the last step's key embeddings, enqueued after its update
+    keys = None  # the previous step's key embeddings
 
     def step(idx):
         nonlocal keys
+        if keys is not None:
+            queue.push_batch(keys)
         grads, metrics, keys = stage1_batch_gradients(
             model, X.take(idx, axis=0), onehot.take(observed.take(idx), axis=0),
             queue.as_matrix(), cfg, rng)
-        return (grads["encoder"].params() + grads["projection"].params()
-                + grads["classifier"].params()), metrics
+        return grads, metrics
 
-    log = sgd_epochs("stage 1", opt, n, cfg.batch_size, cfg.epochs, rng, step,
-                     after_update=lambda: queue.push_batch(keys))
-    return model, predict_all(model, ds), log
+    params = (model.encoder.params() + model.projection.params()
+              + model.classifier.params())
+    return model, sgd_epochs("stage 1", params, cfg, n, rng, step)
 
 
 # ---------------------------------------------------------------------------

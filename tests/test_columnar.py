@@ -464,6 +464,19 @@ class TestDatasetLoader:
         with pytest.raises(ParseError, match="line 3"):
             load_dataset(path, num_classes=2)
 
+    @pytest.mark.parametrize("line", [1, 3])
+    @pytest.mark.parametrize("feats", [(True, 1.0), (1.0, False), ("0.5", 1.0)])
+    def test_non_number_entry_names_line(self, tmp_path, feats, line):
+        # a JSON boolean or a numeric string is not a number, in the first
+        # row (which fixes the width) or in a later one
+        rows = [sample(0), sample(1), sample(2)]
+        rows[line - 1] = sample(line - 1, feats=feats)
+        path = tmp_path / "d.jsonl"
+        write_lines(path, rows)
+        with pytest.raises(ParseError,
+                           match=f"line {line}: .*features must be an array of 2 numbers"):
+            load_dataset(path, num_classes=2)
+
     @pytest.mark.parametrize("key", ["id", "features", "observed_label"])
     def test_missing_key_names_line(self, tmp_path, key):
         rec = json.loads(sample(1))
@@ -512,6 +525,16 @@ class TestEmbeddingImport:
         write_lines(feats, ["[0.5, 1.5]", bad_row])
         write_lines(labels, ["0", "1"])
         with pytest.raises(ParseError, match="line 2"):
+            import_embeddings(feats, labels)
+
+    @pytest.mark.parametrize("rows,line", [(["[true, 1.0]", "[0.5, 1.5]"], 1),
+                                           (["[0.5, 1.5]", "[1.0, false]"], 2),
+                                           (["[0.5, 1.5]", '[1.0, "2.0"]'], 2)])
+    def test_non_number_entry_names_line(self, tmp_path, rows, line):
+        feats, labels = tmp_path / "emb.jsonl", tmp_path / "labels.txt"
+        write_lines(feats, rows)
+        write_lines(labels, ["0", "1"])
+        with pytest.raises(ParseError, match=f"line {line}: .*array of 2 numbers"):
             import_embeddings(feats, labels)
 
 
@@ -639,6 +662,17 @@ class TestRecordLoader:
         path = tmp_path / "r.jsonl"
         write_lines(path, [record(0), record(1).replace("0.25", "NaN")])
         with pytest.raises(ParseError, match="line 2.*non-finite"):
+            load_records(path)
+
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_boolean_soft_label_names_line(self, tmp_path, line):
+        # [false, true] would pass as the probability vector [0.0, 1.0]
+        rows = [record(0), record(1)]
+        rows[line - 1] = record(line - 1, soft=(False, True))
+        path = tmp_path / "r.jsonl"
+        write_lines(path, rows)
+        with pytest.raises(ParseError,
+                           match=f"line {line}: .*soft_label must be an array of 2 numbers"):
             load_records(path)
 
     def test_ragged_row_names_line(self, tmp_path):

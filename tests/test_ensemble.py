@@ -27,7 +27,6 @@ from noisytail.errors import InvalidInputError, InvalidSpecError, ParseError
 from noisytail.numerics import (
     FORWARD_ROWS,
     Mlp,
-    SgdMomentum,
     backward_batch,
     finite_diff_grad,
     forward_batch,
@@ -198,7 +197,7 @@ class TestExpertBatchGradient:
         num = finite_diff_grad(loss, logits.ravel())
         worst = max(relative_error(a, c) for a, c in zip(g_logits.ravel(), num))
         grads, _ = backward_batch(head, cache, g_logits.reshape(b, 3 * k))
-        for p, g in zip(head.params(), grads.params()):
+        for p, g in zip(head.params(), grads):
             def f(flat, p=p):
                 saved = p.copy()
                 p[...] = flat.reshape(p.shape)
@@ -312,8 +311,6 @@ def reference_train_stage2(ds, softs, s1, cfg):
     experts = [init_mlp([s1.encoder.out_dim, ds.num_classes], rng) for _ in range(3)]
     log_n = np.log(np.maximum(soft_class_counts(softs).counts, COUNT_FLOOR))
     V, _ = forward_batch(s1.encoder, ds.X)
-    opt = SgdMomentum([p for e in experts for p in e.params()], lr=cfg.lr,
-                      momentum=cfg.momentum, weight_decay=cfg.weight_decay)
 
     def step(idx):
         grads, losses = [], {}
@@ -322,10 +319,11 @@ def reference_train_stage2(ds, softs, s1, cfg):
             q = softmax_rows(logits + power * log_n)
             losses[name] = float(np.mean(-np.sum(softs[idx] * np.log(q), axis=1)))
             g_logits = (q - softs[idx]) / idx.size
-            grads.extend(backward_batch(expert, cache, g_logits)[0].params())
+            grads.extend(backward_batch(expert, cache, g_logits)[0])
         return grads, losses
 
-    log = sgd_epochs("reference", opt, len(ds), cfg.batch_size, cfg.epochs, rng, step)
+    log = sgd_epochs("reference", [p for e in experts for p in e.params()], cfg,
+                     len(ds), rng, step)
     return experts, log
 
 

@@ -90,7 +90,7 @@ class TestMlpBackward:
         rng = make_rng(1)
         net = init_mlp([4, 5, 2], rng)
         grads, gx = backward_row(net, rng.normal(size=4), np.zeros(2))
-        for g in grads.params():
+        for g in grads:
             assert np.all(g == 0.0)
         assert np.all(gx == 0.0)
 
@@ -101,8 +101,8 @@ class TestMlpBackward:
         x = rng.normal(size=3)
         u = rng.normal(size=2)
         grads, gx = backward_row(net, x, u)
-        np.testing.assert_allclose(grads.d_weights[0], np.outer(u, x), atol=1e-12)
-        np.testing.assert_allclose(grads.d_biases[0], u, atol=1e-12)
+        np.testing.assert_allclose(grads[0], np.outer(u, x), atol=1e-12)
+        np.testing.assert_allclose(grads[1], u, atol=1e-12)
         np.testing.assert_allclose(gx, net.weights[0].T @ u, atol=1e-12)
 
     def test_matches_finite_differences(self):
@@ -135,7 +135,7 @@ class TestMlpBackward:
                     return out
 
                 numeric_w = finite_diff_grad(loss_of_w, flat, eps=1e-5)
-                for a, n in zip(grads.d_weights[l].ravel(), numeric_w):
+                for a, n in zip(grads[2 * l].ravel(), numeric_w):
                     worst = max(worst, relative_error(a, n))
 
                 def loss_of_b(bv, l=l):
@@ -146,7 +146,7 @@ class TestMlpBackward:
                     return out
 
                 numeric_b = finite_diff_grad(loss_of_b, net.biases[l], eps=1e-5)
-                for a, n in zip(grads.d_biases[l], numeric_b):
+                for a, n in zip(grads[2 * l + 1], numeric_b):
                     worst = max(worst, relative_error(a, n))
         assert worst < 1e-4, f"max relative error {worst}"
 
@@ -159,7 +159,7 @@ class TestMlpBackward:
         full, gx = backward_batch(net, cache, upstream)
         grads, none = backward_batch(net, cache, upstream, input_grad=False)
         assert gx.shape == (7, 3) and none is None
-        for a, b in zip(full.params(), grads.params()):
+        for a, b in zip(full, grads):
             assert a.tobytes() == b.tobytes()
 
     def test_shape_mismatch(self):

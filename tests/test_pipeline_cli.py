@@ -1,4 +1,8 @@
+import builtins
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import math
 import os
@@ -12,14 +16,13 @@ import pytest
 from noisytail import datagen, ensemble, jsonl, pipeline, refurbish, stage1
 from noisytail.cli import main
 from noisytail.errors import InvalidSpecError, NumericError
-from noisytail.numerics import FORWARD_ROWS, make_rng
+from noisytail.numerics import FORWARD_ROWS, init_mlp, make_rng
 from noisytail.pipeline import (
     SweepSpec,
     config_from_dict,
     config_hash,
     config_to_dict,
     default_config,
-    file_sha256,
     rarity_curve_rows,
     run_in_memory,
     stage_seed,
@@ -56,11 +59,42 @@ def assert_manifests_match_files(out, commands):
         assert manifest["writers_peak_rss_mb"] >= 0, command
 
 
-def refuse_to_hash_files(monkeypatch):
-    """Make the manifests fail if they hash a file by reading it back."""
-    def refuse(path):
-        raise AssertionError(f"read back {path} to hash it")
-    monkeypatch.setattr(pipeline, "file_sha256", refuse)
+def file_sha256(path) -> str:
+    """SHA-256 of a file as read back from disk: an independent check on
+    the digests the writers report, which the manifests record."""
+    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+
+def _signature(path: pathlib.Path):
+    """What changes when a file is created or rewritten, or None if absent."""
+    try:
+        st = path.stat()
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+@contextlib.contextmanager
+def no_read_back(out):
+    """Within the block, a read-mode `open` of a file under `out` that was
+    created or rewritten since the block began raises AssertionError; the
+    files as they were before it may still be read.  `open`, `io.open` and
+    so `Path.open` are covered; the forked writers only write."""
+    out = pathlib.Path(out).resolve()
+    before = {p: _signature(p) for p in out.rglob("*")} if out.exists() else {}
+    real_open = builtins.open
+
+    def guarded(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, bytes, os.PathLike)) and not set(mode) & set("wax+"):
+            path = pathlib.Path(os.fsdecode(file)).resolve()
+            if path.is_relative_to(out) and before.get(path) != _signature(path):
+                raise AssertionError(f"read back {path}, which the command wrote")
+        return real_open(file, mode, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(builtins, "open", guarded)
+        mp.setattr(io, "open", guarded)
+        yield
 
 
 def train_noise_mask(out) -> list[bool]:
@@ -208,8 +242,9 @@ class TestCliPipeline:
                 assert file_sha256(out1 / name) == file_sha256(out2 / name), name
 
     def test_pipeline_reads_back_nothing(self, tmp_path, monkeypatch):
-        """No loader runs, and the predictions are computed once, by
-        `train_stage1`: refurbish takes them from memory."""
+        """No loader runs and no file the run wrote is opened for reading,
+        and the predictions are computed once, after `train_stage1`:
+        refurbish takes them from memory."""
         def refuse(*args, **kwargs):
             raise AssertionError("pipeline read back an artifact it wrote")
 
@@ -218,7 +253,6 @@ class TestCliPipeline:
                              (refurbish, "load_records"),
                              (ensemble, "load_stage2_checkpoint")):
             monkeypatch.setattr(module, name, refuse)
-        refuse_to_hash_files(monkeypatch)
         training, predict_calls = [], []
         train_stage1, predict_all = stage1.train_stage1, stage1.predict_all
 
@@ -236,26 +270,46 @@ class TestCliPipeline:
         monkeypatch.setattr(stage1, "predict_all", counted_predict)
         cfg = config_from_dict(TINY_CONFIG)
         out = tmp_path / "ws"
-        metrics = pipeline.run_pipeline(cfg, out)
+        with no_read_back(out):
+            metrics = pipeline.run_pipeline(cfg, out)
         assert 0.0 <= metrics["overall_accuracy"] <= 1.0
-        assert predict_calls == [True]
+        assert predict_calls == [False]
         assert_manifests_match_files(out, STAGES)
 
-    def test_stage_commands_hash_without_reading_back(self, tmp_path, monkeypatch):
+    def test_stage_commands_hash_without_reading_back(self, tmp_path):
         """The five single-stage commands take their manifests' digests from
-        the writers too, and the files equal those of `pipeline`."""
+        the writers too: none opens a file it wrote for reading.  The files
+        equal those of `pipeline`."""
         cfg_path = write_tiny_config(tmp_path)
         ref = tmp_path / "ref"
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(ref)]) == 0
-        refuse_to_hash_files(monkeypatch)
         out = tmp_path / "ws"
         for command in STAGES:
-            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
-        monkeypatch.undo()
+            with no_read_back(out):
+                assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
         assert_manifests_match_files(out, STAGES)
         for name in os.listdir(ref):
             if not name.startswith("manifest_"):
                 assert file_sha256(out / name) == file_sha256(ref / name), name
+
+    def test_read_back_guard_fires(self, tmp_path):
+        """The guard of the two tests above fails a stage that loads a file
+        written inside the block, and lets it load the same file when the
+        file was there before the block began."""
+        cfg = config_from_dict(TINY_CONFIG)
+        out = tmp_path / "ws"
+        with no_read_back(out):
+            with pipeline.Workspace(out) as ws:
+                pipeline.run_simulate(cfg, ws)
+            ws.memo.clear()
+            with pytest.raises(AssertionError, match="train.jsonl, which the command"):
+                pipeline.run_stage1(cfg, ws)
+        with no_read_back(out):
+            with pipeline.Workspace(out) as ws:
+                pipeline.run_stage1(cfg, ws)
+            assert ws.written.keys() == {pipeline.STAGE1_CKPT, pipeline.STAGE1_LOG}
+            with pytest.raises(AssertionError, match=pipeline.STAGE1_CKPT):
+                stage1.load_stage1_checkpoint(out / pipeline.STAGE1_CKPT)
 
     def test_refurbish_recomputes_multi_block_predictions(self, tmp_path):
         """Above FORWARD_ROWS training rows `forward` runs the stage-1
@@ -917,6 +971,25 @@ class TestBaseline:
         s1 = dataclasses.replace(cfg.stage1, epochs=30)
         acc = pipeline.ce_baseline_accuracy(train, test, s1, seed=5)
         assert acc > 0.9
+
+    def test_ce_baseline_draws_weights_at_init_scale(self):
+        """The baseline initialises at `init_scale`, as stage 1 does."""
+        cfg = config_from_dict(TINY_CONFIG)
+        rng = make_rng(stage_seed(cfg.seed, "simulate"))
+        train, _ = datagen.synth_split(cfg.longtail, cfg.mixture, rng,
+                                       cfg.test_per_class)
+        s1 = dataclasses.replace(cfg.stage1, epochs=0, init_scale=0.5)
+        encoder, head = pipeline.train_ce_baseline(train, s1, seed=5)
+        rng = make_rng(5)
+        want = [init_mlp([train.feature_dim, s1.encoder_hidden, s1.repr_dim], rng,
+                         s1.activation, 0.5),
+                init_mlp([s1.repr_dim, train.num_classes], rng, s1.activation, 0.5)]
+        for got, ref in zip((encoder, head), want):
+            for a, b in zip(got.params(), ref.params()):
+                assert np.array_equal(a, b)
+        unscaled, _ = pipeline.train_ce_baseline(
+            train, dataclasses.replace(s1, init_scale=1.0), seed=5)
+        assert np.array_equal(encoder.weights[0], 0.5 * unscaled.weights[0])
 
     def test_ce_baseline_divergence_raises_naming_step(self):
         cfg = config_from_dict(TINY_CONFIG)

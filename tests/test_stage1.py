@@ -17,6 +17,7 @@ from noisytail.datagen import (
 from noisytail.errors import InvalidInputError, InvalidSpecError
 from noisytail.numerics import (
     finite_diff_grad,
+    forward,
     l2_normalize,
     make_rng,
     relative_error,
@@ -367,6 +368,21 @@ def step_setup(**overrides):
     return model, X, Y, queue, cfg
 
 
+PARTS = ("encoder", "projection", "classifier")
+
+
+def by_part(model, grads):
+    """A step's gradient list, in the optimizer's order, split into one
+    list per model part."""
+    out, start = {}, 0
+    for part in PARTS:
+        n = len(getattr(model, part).params())
+        out[part] = grads[start:start + n]
+        start += n
+    assert start == len(grads)
+    return out
+
+
 class TestStage1Loss:
     """The step's `total` metric blends its two terms as
     (1-alpha)*con + alpha*banc."""
@@ -435,7 +451,8 @@ class TestTrainStage1:
     def test_epochs_zero_returns_init(self):
         ds = tiny_dataset()
         cfg = Stage1Config(seed=3, **{**TINY, "epochs": 0})
-        model, preds, log = train_stage1(ds, cfg)
+        model, log = train_stage1(ds, cfg)
+        preds = predict_all(model, ds)
         ref = build_stage1_model(ds.feature_dim, ds.num_classes, cfg, make_rng(3))
         for a, b in zip(model.encoder.params(), ref.encoder.params()):
             np.testing.assert_array_equal(a, b)
@@ -446,25 +463,27 @@ class TestTrainStage1:
     def test_deterministic_given_seed(self):
         ds = tiny_dataset()
         cfg = Stage1Config(seed=5, **TINY)
-        m1, p1, l1 = train_stage1(ds, cfg)
-        m2, p2, l2 = train_stage1(ds, cfg)
+        m1, l1 = train_stage1(ds, cfg)
+        m2, l2 = train_stage1(ds, cfg)
         assert l1 == l2
         for a, b in zip(m1.encoder.params(), m2.encoder.params()):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(p1.logits, p2.logits)
+        np.testing.assert_array_equal(predict_all(m1, ds).logits,
+                                      predict_all(m2, ds).logits)
 
     def test_matches_deque_queue_bitwise(self, monkeypatch):
         # the ring buffer must train exactly as the per-row deque queue did
         ds = tiny_dataset()
         cfg = Stage1Config(seed=5, **TINY)
-        m1, p1, l1 = train_stage1(ds, cfg)
+        m1, l1 = train_stage1(ds, cfg)
         monkeypatch.setattr(stage1, "FeatureQueue", DequeQueue)
-        m2, p2, l2 = train_stage1(ds, cfg)
+        m2, l2 = train_stage1(ds, cfg)
         assert l1 == l2
-        for part in ("encoder", "projection", "classifier"):
+        for part in PARTS:
             for a, b in zip(getattr(m1, part).params(), getattr(m2, part).params()):
                 np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(p1.logits, p2.logits)
+        np.testing.assert_array_equal(predict_all(m1, ds).logits,
+                                      predict_all(m2, ds).logits)
 
     def test_batch_size_exceeds_dataset(self):
         ds = tiny_dataset()
@@ -478,47 +497,49 @@ class TestTrainStage1:
         ds = tiny_dataset(seed=2, k=6, n1=80, ir=8.0, noise=0.4)
         cfg = Stage1Config(seed=1, encoder_hidden=32, repr_dim=16, proj_hidden=32,
                            embed_dim=16, queue_capacity=64, batch_size=32, epochs=25)
-        _, preds, _ = train_stage1(ds, cfg)
-        pred_cls = preds.predicted
+        model, _ = train_stage1(ds, cfg)
+        pred_cls = predict_all(model, ds).predicted
         true = ds.true
         observed_acc = (ds.observed == true).mean()
         assert (pred_cls == true).mean() > observed_acc
 
 
 class TestStopGradientAndIsolation:
-    def test_query_branch_is_stop_gradient(self):
-        # swapping a frozen deep copy into the query branch must not change
-        # any gradient: the branch contributes values only
-        model, X, Y, queue, cfg = step_setup()
-        g1, _, _ = stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(6))
-        frozen = copy.deepcopy(model)
-        g2, _, _ = stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(6),
-                                          query_model=frozen)
-        for part in ("encoder", "projection", "classifier"):
-            for a, b in zip(g1[part].params(), g2[part].params()):
-                np.testing.assert_array_equal(a, b)
-
     def test_batch_gradients_match_finite_differences(self):
         # the gradients that train the model, checked against the oracle:
-        # (1-alpha)*con for encoder and projection, alpha*banc for the
-        # classifier, with the query branch frozen and a fixed augmentation
+        # (1-alpha)*con for encoder and projection, with the query branch
+        # computed once by a frozen copy of the model (stop-gradient), and
+        # alpha*banc for the classifier on fixed features; the two
+        # augmentations are drawn as the step draws them
         model, X, Y, queue, cfg = step_setup()
+        grads = by_part(model, stage1_batch_gradients(model, X, Y, queue, cfg,
+                                                      make_rng(6))[0])
+        rng = make_rng(6)
+        X_q, X_k = augment(X, cfg, rng), augment(X, cfg, rng)
         frozen = copy.deepcopy(model)
-        grads, _, _ = stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(6),
-                                             query_model=frozen)
-        weights = {"encoder": 1.0 - cfg.alpha, "projection": 1.0 - cfg.alpha,
-                   "classifier": cfg.alpha}
-        terms = {"encoder": "con", "projection": "con", "classifier": "banc"}
+        Zq = l2_normalize(forward(frozen.encoder, X_q, frozen.projection))
+        V = forward(frozen.encoder, X)
+
+        def con():
+            Zk = l2_normalize(forward(model.encoder, X_k, model.projection))
+            return stage1._contrastive_batch(Zq, Zk, queue, cfg.tau,
+                                             cfg.include_positive)[0]
+
+        def banc():
+            return stage1._banc_batch(forward(model.classifier, V), Y, cfg.c)[0]
+
+        terms = {"encoder": (1.0 - cfg.alpha, con), "projection": (1.0 - cfg.alpha, con),
+                 "classifier": (cfg.alpha, banc)}
         worst = 0.0
-        for part in ("encoder", "projection", "classifier"):
-            for p, g in zip(getattr(model, part).params(), grads[part].params()):
-                def f(flat, p=p, part=part):
+        for part in PARTS:
+            weight, term = terms[part]
+            for p, g in zip(getattr(model, part).params(), grads[part]):
+                def f(flat, p=p):
                     saved = p.copy()
                     p[...] = flat.reshape(p.shape)
-                    _, metrics, _ = stage1_batch_gradients(
-                        model, X, Y, queue, cfg, make_rng(6), query_model=frozen)
+                    value = weight * term()
                     p[...] = saved
-                    return weights[part] * metrics[terms[part]]
+                    return value
                 num = finite_diff_grad(f, p.ravel().copy())
                 for a, b in zip(g.ravel(), num):
                     worst = max(worst, relative_error(a, b))
@@ -528,37 +549,39 @@ class TestStopGradientAndIsolation:
         # labels must not influence encoder/projection gradients
         model, X, Y, queue, cfg = step_setup()
         Y2 = np.roll(Y, 1, axis=1)  # different labels
-        g1, _, _ = stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(7))
-        g2, _, _ = stage1_batch_gradients(model, X, Y2, queue, cfg, make_rng(7))
+        g1, g2 = (by_part(model, stage1_batch_gradients(model, X, labels, queue, cfg,
+                                                        make_rng(7))[0])
+                  for labels in (Y, Y2))
         for part in ("encoder", "projection"):
-            for a, b in zip(g1[part].params(), g2[part].params()):
+            for a, b in zip(g1[part], g2[part]):
                 np.testing.assert_array_equal(a, b)
         assert any(not np.array_equal(a, b) for a, b in
-                   zip(g1["classifier"].params(), g2["classifier"].params()))
+                   zip(g1["classifier"], g2["classifier"]))
 
     def test_alpha_one_zeroes_contrastive_path(self):
         model, X, Y, queue, cfg = step_setup()
         cfg = Stage1Config(**{**cfg.__dict__, "alpha": 1.0})
-        g, _, _ = stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(8))
+        g = by_part(model, stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(8))[0])
         for part in ("encoder", "projection"):
-            for a in g[part].params():
+            for a in g[part]:
                 assert np.all(a == 0.0)
 
     def test_alpha_zero_zeroes_classifier(self):
         model, X, Y, queue, cfg = step_setup()
         cfg = Stage1Config(**{**cfg.__dict__, "alpha": 0.0})
-        g, _, _ = stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(9))
-        for a in g["classifier"].params():
+        g = by_part(model, stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(9))[0])
+        for a in g["classifier"]:
             assert np.all(a == 0.0)
 
 
 class TestPersistence:
     def test_checkpoint_roundtrip(self, tmp_path):
         """Weights round-trip exactly, so the checkpoint determines the
-        predictions of `train_stage1` bit for bit."""
+        predictions of the trained model bit for bit."""
         ds = tiny_dataset()
         cfg = Stage1Config(seed=6, **TINY)
-        model, preds, _ = train_stage1(ds, cfg)
+        model, _ = train_stage1(ds, cfg)
+        preds = predict_all(model, ds)
         path = tmp_path / "ckpt.json"
         save_stage1_checkpoint(model, cfg, path)
         back, back_cfg = load_stage1_checkpoint(path)
@@ -575,7 +598,8 @@ class TestPersistence:
     def test_predictions_roundtrip_and_alignment(self, tmp_path):
         ds = tiny_dataset()
         cfg = Stage1Config(seed=7, **TINY)
-        _, preds, _ = train_stage1(ds, cfg)
+        model, _ = train_stage1(ds, cfg)
+        preds = predict_all(model, ds)
         path = tmp_path / "preds.jsonl"
         save_predictions(ds.ids, preds, path)
         ids, loaded = load_predictions(path)
