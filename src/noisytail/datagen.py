@@ -114,16 +114,17 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.kind not in ("symmetric", "asymmetric"):
-            raise InvalidSpecError(f"unknown noise kind {self.kind!r}")
+            raise InvalidSpecError(
+                f"kind must be 'symmetric' or 'asymmetric', got {self.kind!r}")
         if not (0.0 <= self.rate < 1.0):
-            raise InvalidSpecError("noise rate must be in [0, 1)")
+            raise InvalidSpecError(f"rate must be in [0, 1), got {self.rate!r}")
         if self.kind == "asymmetric":
             if not self.flip_map:
-                raise InvalidSpecError("asymmetric noise requires a non-empty flip_map")
+                raise InvalidSpecError("flip_map must be non-empty for asymmetric noise")
             self.flip_map = [(int(a), int(b)) for a, b in self.flip_map]
             for src, dst in self.flip_map:
                 if src == dst:
-                    raise InvalidSpecError(f"flip pair {src}->{dst} maps a class to itself")
+                    raise InvalidSpecError(f"flip_map pair {src}->{dst} maps a class to itself")
             sources = [a for a, _ in self.flip_map]
             if len(sources) != len(set(sources)):
                 raise InvalidSpecError("flip_map has duplicate source classes")
@@ -142,8 +143,9 @@ class MixtureSpec:
     def __post_init__(self):
         if self.feature_dim < 1:
             raise InvalidSpecError("feature_dim must be >= 1")
-        if self.class_center_scale <= 0 or self.within_class_stddev <= 0:
-            raise InvalidSpecError("mixture scales must be positive")
+        for name in ("class_center_scale", "within_class_stddev"):
+            if getattr(self, name) <= 0:
+                raise InvalidSpecError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 def _round_half_up(x: float) -> int:
@@ -300,7 +302,7 @@ def load_dataset(path, num_classes: Optional[int] = None) -> Dataset:
     the offending line.
     """
     cols, linenos = jsonl.read_columns(
-        path, "sample", {"id": int, "observed_label": int, "true_label": int},
+        path, "sample", {"id": "int", "observed_label": "int", "true_label": "int"},
         ("features",), optional={"true_label": _MISSING})
     observed, true = cols["observed_label"], cols["true_label"]
     has_true = true != _MISSING
@@ -328,27 +330,23 @@ def import_embeddings(features_path, labels_path,
                       num_classes: Optional[int] = None) -> Dataset:
     """Build a Dataset from externally computed embeddings.
 
-    `features_path` holds one JSON array per line; `labels_path` one integer
-    per line.  Row counts must match.  `true` is None (real-data mode).
+    `features_path` holds one JSON array per line; `labels_path` one JSON
+    integer that fits an int64 per line.  Row counts must match.  `true`
+    is None (real-data mode).
     """
     features = jsonl.VectorColumn("features", features_path)
     linenos = []
     for lineno, row in jsonl.read_rows(features_path, "feature row"):
         try:
             features.append(row)
-        except (TypeError, ValueError) as e:  # InvalidInputError is a ValueError
+        except (TypeError, ValueError, OverflowError) as e:  # InvalidInputError is a ValueError
             raise ParseError(f"bad feature row: {e}", lineno) from e
         linenos.append(lineno)
     labels = []
-    with open(labels_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                labels.append(int(line))
-            except ValueError as e:
-                raise ParseError(f"bad label {line!r}", lineno) from e
+    for lineno, label in jsonl.read_rows(labels_path, "label"):
+        if not jsonl.is_int64(label):
+            raise ParseError(f"bad label: must be an integer, got {label!r}", lineno)
+        labels.append(label)
     if features.n != len(labels):
         raise ParseError(
             f"feature rows ({features.n}) and label rows ({len(labels)}) differ", None)

@@ -27,8 +27,6 @@ from .numerics import (
     forward_batch,
     init_mlp,
     make_rng,
-    mlp_from_state,
-    mlp_state,
     sgd_epochs,
     softmax_rows,
 )
@@ -61,12 +59,16 @@ class Stage2Config:
     fusion: str = "prob_mean"  # or "logit_mean", for ablation
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise InvalidSpecError("bad epochs/batch_size")
-        if self.lr <= 0 or not (0.0 <= self.momentum < 1.0) or self.weight_decay < 0:
-            raise InvalidSpecError("bad optimizer settings")
-        if self.fusion not in ("prob_mean", "logit_mean"):
-            raise InvalidSpecError(f"unknown fusion rule {self.fusion!r}")
+        for name, bad, want in (
+                ("epochs", self.epochs < 0, ">= 0"),
+                ("batch_size", self.batch_size < 1, ">= 1"),
+                ("lr", self.lr <= 0, "positive"),
+                ("momentum", not 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+                ("weight_decay", self.weight_decay < 0, ">= 0"),
+                ("fusion", self.fusion not in ("prob_mean", "logit_mean"),
+                 "'prob_mean' or 'logit_mean'")):
+            if bad:
+                raise InvalidSpecError(f"{name} must be {want}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -288,7 +290,7 @@ def report_csv(report: EvalReport) -> str:
 # ---------------------------------------------------------------------------
 
 def backbone_hash(net: Mlp) -> str:
-    payload = json.dumps(mlp_state(net), sort_keys=True, allow_nan=False).encode()
+    payload = json.dumps(jsonl.mlp_state(net), sort_keys=True, allow_nan=False).encode()
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -304,7 +306,7 @@ def save_stage2_checkpoint(model: EnsembleModel, cfg: Stage2Config,
         "config": asdict(cfg),
         "backbone_hash": backbone_hash(model.backbone),
         "stage1_checkpoint": stage1_checkpoint_name,
-        "experts": [mlp_state(e) for e in experts],
+        "experts": [jsonl.mlp_state(e) for e in experts],
     })
 
 
@@ -318,7 +320,7 @@ def load_stage2_checkpoint(path, backbone: Mlp
     """
     with jsonl.read_checkpoint(path, "stage2") as state:
         stored_hash = state["backbone_hash"]
-        experts = [mlp_from_state(s) for s in state["experts"]]
+        experts = [jsonl.mlp_from_state(s) for s in state["experts"]]
         if (len(experts) != 3 or len(experts[0].layer_dims) != 2
                 or any(e.layer_dims != experts[0].layer_dims for e in experts)):
             raise InvalidInputError(
@@ -330,7 +332,7 @@ def load_stage2_checkpoint(path, backbone: Mlp
                    [np.concatenate([e.biases[0] for e in experts])],
                    experts[0].activation)
         model = EnsembleModel(backbone.copy(), head)
-        cfg = Stage2Config(**state["config"])
+        cfg = jsonl.build(Stage2Config, state["config"], "config.")
     if backbone_hash(backbone) != stored_hash:
         raise InvalidInputError(
             "backbone weights do not match the checkpoint's backbone_hash; "

@@ -1,5 +1,6 @@
-"""Strict JSON and JSON Lines persistence for column arrays, and `Forks`,
-the one helper that forks.
+"""Strict JSON and JSON Lines persistence for column arrays, the one rule
+for what a JSON value the program reads may be, and `Forks`, the one
+helper that forks.
 
 Every writer returns the SHA-256 of the bytes it wrote, hashed as they are
 written, so no file is read back to be hashed.  JSONL writers encode one
@@ -10,10 +11,14 @@ long the write took.
 Readers stream a file line by line, array fields straight into a float64
 matrix preallocated from the line count.  Parse errors name the line; NaN
 and infinity are refused both ways, a writer before opening the file.
+Configs, JSONL records and checkpoints share one type table, `FIELD_TYPES`
+(see `build` and `read_columns`), and every number array passes the type
+scan of `check_numbers`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,8 +27,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError
-from .numerics import as_vec
+from .errors import InvalidInputError, InvalidSpecError, ParseError
+from .numerics import Mlp, as_vec
 
 _encode = json.JSONEncoder(allow_nan=False).encode
 BLOCK_ROWS = 512  # rows converted to Python values at a time; bounds peak memory
@@ -83,7 +88,7 @@ class Forks:
 
     Forking is safe here although BLAS may hold threads: the children of
     this package run only the savers, that is `tolist`, the JSON encoder,
-    hashlib and `isfinite`, plus, for the checkpoints, `mlp_state`,
+    hashlib and `isfinite`, plus, for the checkpoints, `mlp_state` (here),
     `np.split` and the `isfinite` checks in `Mlp.__post_init__`.  None
     takes a lock another thread could hold or makes a BLAS call.  Tested
     on CPython 3.11 only: from 3.12 `os.fork` in a process with live
@@ -159,11 +164,19 @@ def read_rows(path, what: str):
 _NUMBERS = frozenset((int, float))  # exact types: JSON true/false load as bool
 
 
+def check_numbers(values, name: str, size: int) -> None:
+    """InvalidInputError unless `values` is a JSON array of `size` numbers,
+    checked by one type scan in C, not a Python loop.  An integer too large
+    for a float64 passes; every reader reports its OverflowError."""
+    if (type(values) is not list or len(values) != size
+            or not _NUMBERS.issuperset(map(type, values))):
+        raise InvalidInputError(f"{name} must be an array of {size} numbers")
+
+
 class VectorColumn:
     """Equal-length number arrays stored as the rows of a float64 matrix
     preallocated to one row per line of `path`; the first fixes the width.
-    Every entry must be a JSON number: a boolean, string or null is an
-    InvalidInputError, found by one type scan in C, not a Python loop."""
+    Every row passes `check_numbers`."""
 
     def __init__(self, name: str, path):
         with open(path, "rb") as fh:
@@ -174,38 +187,69 @@ class VectorColumn:
     def append(self, values) -> None:
         if self.buf is None:
             self.buf = np.empty((self.capacity, as_vec(values, self.name).size))
-        if (type(values) is not list or len(values) != self.buf.shape[1]
-                or not _NUMBERS.issuperset(map(type, values))):
-            raise InvalidInputError(
-                f"{self.name} must be an array of {self.buf.shape[1]} numbers")
+        check_numbers(values, self.name, self.buf.shape[1])
         self.buf[self.n] = values
         self.n += 1
 
 
-# the type a scalar field is declared with -> (what its JSON value must
-# be, check, array dtype).  bool is a subclass of int in Python, so the
-# checks compare exact types.
-_SCALARS = {
-    int: ("an integer", lambda v: type(v) is int and -2**63 <= v < 2**63, np.int64),
-    float: ("a finite number",
-            lambda v: type(v) is int or type(v) is float and math.isfinite(v),
-            np.float64),
-    bool: ("true or false", lambda v: type(v) is bool, bool),
+# the annotation of a dataclass field -> (what its JSON value must be,
+# check).  bool is a subclass of int in Python, so the checks compare
+# exact types.  A float field takes an integer below 2**1023 in size, which
+# a float64 holds finitely (`math.isfinite` of a larger one raises).
+FIELD_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a finite number", lambda v: type(v) is float and math.isfinite(v)
+              or type(v) is int and v.bit_length() < 1024),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "str": ("a string", lambda v: type(v) is str),
+    "Optional[str]": ("a string or null", lambda v: v is None or type(v) is str),
+    "Optional[list[tuple[int, int]]]": (
+        "a list of [source, target] class pairs",
+        lambda v: v is None or type(v) is list and all(
+            type(p) is list and len(p) == 2 and {int}.issuperset(map(type, p))
+            for p in v)),
 }
+# a JSONL column's array type: an integer there must pass `is_int64`
+_DTYPES = {"int": np.int64, "float": np.float64, "bool": bool}
+
+
+def is_int64(v) -> bool:
+    """The rule for an id or a label: a JSON integer that fits an int64."""
+    return type(v) is int and -2**63 <= v < 2**63
+
+
+def build(cls, data: dict, where: str = "", **built):
+    """`cls(**data, **built)` for a dataclass `cls`, once every value in
+    `data` fits the FIELD_TYPES entry of its field's annotation; `built`
+    passes fields built already.  An unknown key, a value that does not
+    fit or a value `cls` refuses is an InvalidSpecError naming the field
+    after the prefix `where`, e.g. `stage2.momentum`."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(data) - types.keys()
+    if unknown:
+        raise InvalidSpecError(f"unknown config keys: {sorted(where + k for k in unknown)}")
+    for name, value in data.items():
+        want, ok = FIELD_TYPES[types[name]]
+        if not ok(value):
+            raise InvalidSpecError(f"{where}{name} must be {want}, got {value!r}")
+    try:
+        return cls(**data, **built)
+    except InvalidSpecError as e:
+        raise InvalidSpecError(f"{where}{e}") from e
 
 
 def read_columns(path, what: str, scalars: dict, vectors: tuple = (),
                  optional: dict | None = None):
     """Stream JSONL records into one array per key, returned with each
-    row's line number.  `scalars` maps a key to the type its value must
-    have: int (a JSON integer, not a bool), float (a finite JSON number)
-    or bool; any other value is a ParseError naming the line.  A key in
-    `optional` may be absent or null and then reads as its value there.
-    Each key in `vectors` holds a number array and becomes the rows of a
-    finite float64 matrix."""
+    row's line number.  `scalars` maps a key to the FIELD_TYPES entry its
+    value must fit: "int" (a JSON integer, not a bool, that fits an
+    int64), "float" (a finite JSON number) or "bool"; any other value is a
+    ParseError naming the line.  A key in `optional` may be absent or null
+    and then reads as its value there.  Each key in `vectors` holds a
+    number array and becomes the rows of a finite float64 matrix."""
     optional = optional or {}
     vecs = [VectorColumn(key, path) for key in vectors]
-    checks = [(key, *_SCALARS[kind]) for key, kind in scalars.items()]
+    checks = [(key, kind, *FIELD_TYPES[kind]) for key, kind in scalars.items()]
     cols = {key: [] for key in scalars}
     linenos = []
     for lineno, rec in read_rows(path, f"{what} record"):
@@ -214,19 +258,19 @@ def read_columns(path, what: str, scalars: dict, vectors: tuple = (),
                       for key, *_ in checks]
             for col in vecs:
                 col.append(rec[col.name])
-        except (KeyError, TypeError, ValueError, AttributeError) as e:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
             raise ParseError(f"bad {what} record: {e!r}", lineno) from e
-        for (key, want, ok, _), value in zip(checks, values):
+        for (key, kind, want, ok), value in zip(checks, values):
             if value is None and key in optional:
                 value = optional[key]
-            elif not ok(value):
+            elif not (is_int64(value) if kind == "int" else ok(value)):
                 raise ParseError(f"bad {what} record: {key} must be {want}, "
                                  f"got {json.dumps(value)}", lineno)
             cols[key].append(value)
         linenos.append(lineno)
     if not linenos:
         raise ParseError(f"{what} file contains no records", None)
-    out = {key: np.array(cols[key], dtype=dtype) for key, _, _, dtype in checks}
+    out = {key: np.array(cols[key], _DTYPES[kind]) for key, kind, *_ in checks}
     for col in vecs:
         out[col.name] = col.buf[:col.n]
         check_rows(~np.isfinite(out[col.name]).all(axis=1), linenos,
@@ -259,16 +303,43 @@ def read_json(path, what: str):
 
 @contextmanager
 def read_checkpoint(path, kind: str):
-    """The JSON object of a `kind` checkpoint.  A missing key, a wrong type
-    or a bad array met while rebuilding from it is a ParseError naming
-    the file."""
+    """The JSON object of a `kind` checkpoint.  A missing key, a value
+    that does not fit its type or a bad array met while rebuilding from it
+    is a ParseError naming the file."""
     state = read_json(path, "checkpoint")
     if not isinstance(state, dict) or state.get("kind") != kind:
         raise ParseError(f"{path} is not a {kind} checkpoint")
     try:
         yield state
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise ParseError(f"malformed {kind} checkpoint {path}: {e!r}") from e
+
+
+def mlp_state(net: Mlp) -> dict:
+    """JSON-serializable snapshot: layer dims plus flat weight/bias arrays."""
+    return {
+        "layer_dims": list(net.layer_dims),
+        "activation": net.activation,
+        "weights": [w.ravel().tolist() for w in net.weights],
+        "biases": [b.tolist() for b in net.biases],
+    }
+
+
+def mlp_from_state(state: dict) -> Mlp:
+    """The net of an `mlp_state` snapshot.  The dims must be JSON integers,
+    and each weight and bias array must pass `check_numbers` at the size
+    the dims give it, else InvalidInputError."""
+    dims = state["layer_dims"]
+    if type(dims) is not list or not {int}.issuperset(map(type, dims)):
+        raise InvalidInputError("layer_dims must be an array of integers")
+    weights, biases = [], []
+    for l, (fan_in, fan_out, w, b) in enumerate(zip(
+            dims[:-1], dims[1:], state["weights"], state["biases"], strict=True)):
+        check_numbers(w, f"layer {l} weights", fan_in * fan_out)
+        check_numbers(b, f"layer {l} biases", fan_out)
+        weights.append(np.array(w, dtype=np.float64).reshape(fan_out, fan_in))
+        biases.append(np.array(b, dtype=np.float64))
+    return Mlp(dims, weights, biases, state.get("activation", "tanh"))
 
 
 def check_rows(bad: np.ndarray, linenos, message) -> None:

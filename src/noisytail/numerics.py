@@ -352,25 +352,3 @@ def sgd_epochs(stage: str, params: list[np.ndarray], cfg, n: int,
                 sums[name] = sums.get(name, 0.0) + value
         log.append({"epoch": epoch, **{k: v / len(starts) for k, v in sums.items()}})
     return log
-
-
-# ---------------------------------------------------------------------------
-# Serialization helpers (JSON-safe nested lists)
-# ---------------------------------------------------------------------------
-
-def mlp_state(net: Mlp) -> dict:
-    """JSON-serializable snapshot: layer dims plus flat weight/bias arrays."""
-    return {
-        "layer_dims": list(net.layer_dims),
-        "activation": net.activation,
-        "weights": [w.ravel().tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-    }
-
-
-def mlp_from_state(state: dict) -> Mlp:
-    dims = [int(d) for d in state["layer_dims"]]
-    weights = [np.asarray(flat, dtype=np.float64).reshape(dims[l + 1], dims[l])
-               for l, flat in enumerate(state["weights"])]
-    biases = [np.asarray(b, dtype=np.float64) for b in state["biases"]]
-    return Mlp(dims, weights, biases, state.get("activation", "tanh"))

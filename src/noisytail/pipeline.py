@@ -21,7 +21,7 @@ import resource
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -114,16 +114,9 @@ def default_config(seed: int = 0) -> PipelineConfig:
 # Config (de)serialization
 # ---------------------------------------------------------------------------
 
-_SECTION_TYPES = {
-    "longtail": LongTailSpec,
-    "mixture": MixtureSpec,
-    "noise": NoiseSpec,
-    "stage1": Stage1Config,
-    "refurbish": RefurbishConfig,
-    "stage2": Stage2Config,
-    "thresholds": SubgroupThresholds,
-}
-_SCALAR_FIELDS = {"test_per_class", "out_dir", "seed"}
+# the config sections: the fields of PipelineConfig that are dataclasses
+_SECTION_TYPES = {name: t for name, t in get_type_hints(PipelineConfig).items()
+                  if dataclasses.is_dataclass(t)}
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
@@ -133,65 +126,24 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
     return d
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# field annotation -> (what a config value must be, check)
-_FIELD_TYPES = {
-    "int": ("an integer", _is_int),
-    "float": ("a finite number",
-              lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v))),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "Optional[str]": ("a string or null", lambda v: v is None or isinstance(v, str)),
-    "Optional[list[tuple[int, int]]]": (
-        "a list of [source, target] class pairs",
-        lambda v: v is None or isinstance(v, list) and all(
-            isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in v)),
-}
-
-
-def _check_fields(prefix: str, cls, data: dict) -> None:
-    """Reject a value that does not fit its dataclass field's annotation."""
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    for name, value in data.items():
-        want, ok = _FIELD_TYPES[types[name]]
-        if not ok(value):
-            raise InvalidSpecError(f"{prefix}{name} must be {want}, got {value!r}")
-
-
-def _build_section(name: str, cls, data: dict):
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise InvalidSpecError(f"unknown keys in {name!r}: {sorted(unknown)}")
-    _check_fields(f"{name}.", cls, data)
-    return cls(**data)  # NoiseSpec turns flip_map pairs into tuples
-
-
 def config_from_dict(data: dict) -> PipelineConfig:
     if not isinstance(data, dict):
         raise InvalidSpecError("config must be a JSON object")
-    unknown = set(data) - set(_SECTION_TYPES) - _SCALAR_FIELDS
-    if unknown:
-        raise InvalidSpecError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
     base = config_to_dict(default_config())
+    sections = {}
     for name, cls in _SECTION_TYPES.items():
         section = data.get(name, {})
         if not isinstance(section, dict):
             raise InvalidSpecError(f"config section {name!r} must be an object")
-        kwargs[name] = _build_section(name, cls, {**base[name], **section})
-    for name in _SCALAR_FIELDS:
-        kwargs[name] = data.get(name, base[name])
-    _check_fields("", PipelineConfig, {n: kwargs[n] for n in _SCALAR_FIELDS})
-    n_train = sum(datagen.longtail_counts(kwargs["longtail"]))
+        sections[name] = jsonl.build(cls, {**base[name], **section}, f"{name}.")
+    n_train = sum(datagen.longtail_counts(sections["longtail"]))
     for name in ("stage1", "stage2"):
-        if kwargs[name].batch_size > n_train:
+        if sections[name].batch_size > n_train:
             raise InvalidSpecError(
-                f"{name}.batch_size {kwargs[name].batch_size} exceeds the "
+                f"{name}.batch_size {sections[name].batch_size} exceeds the "
                 f"{n_train} training samples the longtail section simulates")
-    return PipelineConfig(**kwargs)
+    scalars = {k: v for k, v in {**base, **data}.items() if k not in sections}
+    return jsonl.build(PipelineConfig, scalars, **sections)
 
 
 def load_config(path) -> PipelineConfig:
@@ -210,7 +162,8 @@ def stage_seed(global_seed: int, stage: str) -> int:
 
 
 def _seeded(cfg: PipelineConfig, stage: str):
-    """The config section of `stage` ("stage1" or "stage2") under its derived seed."""
+    """The config section of `stage` ("stage1" or "stage2") under its
+    derived seed, which replaces the `seed` a config file may give it."""
     return dataclasses.replace(getattr(cfg, stage), seed=stage_seed(cfg.seed, stage))
 
 

@@ -170,7 +170,8 @@ def load_records(path) -> RefurbishRecords:
     """Records in file order; every soft label must be a probability vector."""
     cols, linenos = jsonl.read_columns(
         path, "refurbishment",
-        {"id": int, "rho": float, "gamma": float, "weight": float, "changed": bool},
+        {"id": "int", "rho": "float", "gamma": "float", "weight": "float",
+         "changed": "bool"},
         ("soft_label",))
     S = cols["soft_label"]
     jsonl.check_rows(np.any(S < 0, axis=1) | (np.abs(S.sum(axis=1) - 1.0) > 1e-9),

@@ -35,8 +35,6 @@ from .numerics import (
     l2_normalize,
     l2_norms,
     make_rng,
-    mlp_from_state,
-    mlp_state,
     sgd_epochs,
     softmax_rows,
 )
@@ -74,29 +72,27 @@ class Stage1Config:
     init_scale: float = 1.0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise InvalidSpecError("tau must be positive")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise InvalidSpecError("alpha must be in [0, 1]")
-        if self.c < 0:
-            raise InvalidSpecError("c must be >= 0")
-        if self.queue_capacity < 1:
-            raise InvalidSpecError("queue_capacity must be >= 1")
-        for name in ("embed_dim", "repr_dim", "encoder_hidden", "proj_hidden",
-                     "batch_size"):
-            if getattr(self, name) < 1:
-                raise InvalidSpecError(f"{name} must be >= 1")
-        if self.epochs < 0:
-            raise InvalidSpecError("epochs must be >= 0")
-        if self.lr <= 0 or not (0.0 <= self.momentum < 1.0) or self.weight_decay < 0:
-            raise InvalidSpecError("bad optimizer settings")
-        if self.aug_noise_stddev < 0 or not (0.0 <= self.aug_dropout_prob <= 1.0):
-            raise InvalidSpecError("bad augmentation settings")
-        if self.init_scale <= 0:
-            raise InvalidSpecError("init_scale must be positive")
-        if self.activation not in _ACTIVATIONS:
-            raise InvalidSpecError(f"activation must be one of {sorted(_ACTIVATIONS)}, "
-                                   f"got {self.activation!r}")
+        for name, bad, want in (
+                ("tau", self.tau <= 0, "positive"),
+                ("alpha", not 0.0 <= self.alpha <= 1.0, "in [0, 1]"),
+                ("c", self.c < 0, ">= 0"),
+                ("queue_capacity", self.queue_capacity < 1, ">= 1"),
+                ("embed_dim", self.embed_dim < 1, ">= 1"),
+                ("repr_dim", self.repr_dim < 1, ">= 1"),
+                ("encoder_hidden", self.encoder_hidden < 1, ">= 1"),
+                ("proj_hidden", self.proj_hidden < 1, ">= 1"),
+                ("batch_size", self.batch_size < 1, ">= 1"),
+                ("epochs", self.epochs < 0, ">= 0"),
+                ("lr", self.lr <= 0, "positive"),
+                ("momentum", not 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+                ("weight_decay", self.weight_decay < 0, ">= 0"),
+                ("aug_noise_stddev", self.aug_noise_stddev < 0, ">= 0"),
+                ("aug_dropout_prob", not 0.0 <= self.aug_dropout_prob <= 1.0, "in [0, 1]"),
+                ("init_scale", self.init_scale <= 0, "positive"),
+                ("activation", self.activation not in _ACTIVATIONS,
+                 f"one of {sorted(_ACTIVATIONS)}")):
+            if bad:
+                raise InvalidSpecError(f"{name} must be {want}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -494,20 +490,20 @@ def save_stage1_checkpoint(model: Stage1Model, cfg: Stage1Config, path) -> str:
     return jsonl.write_json(path, {
         "kind": "stage1",
         "config": asdict(cfg),
-        "encoder": mlp_state(model.encoder),
-        "projection": mlp_state(model.projection),
-        "classifier": mlp_state(model.classifier),
+        "encoder": jsonl.mlp_state(model.encoder),
+        "projection": jsonl.mlp_state(model.projection),
+        "classifier": jsonl.mlp_state(model.classifier),
     })
 
 
 def load_stage1_checkpoint(path) -> tuple[Stage1Model, Stage1Config]:
     with jsonl.read_checkpoint(path, "stage1") as state:
         model = Stage1Model(
-            encoder=mlp_from_state(state["encoder"]),
-            projection=mlp_from_state(state["projection"]),
-            classifier=mlp_from_state(state["classifier"]),
+            encoder=jsonl.mlp_from_state(state["encoder"]),
+            projection=jsonl.mlp_from_state(state["projection"]),
+            classifier=jsonl.mlp_from_state(state["classifier"]),
         )
-        return model, Stage1Config(**state["config"])
+        return model, jsonl.build(Stage1Config, state["config"], "config.")
 
 
 def save_predictions(ids: np.ndarray, preds: Predictions, path) -> str:
@@ -522,5 +518,5 @@ def load_predictions(path) -> tuple[np.ndarray, Predictions]:
     are read: the `probs` and `predicted_class` of older files are
     ignored, so no file can contradict its own logits.  No command reads
     this file; kept only because the benchmark's tracer names it."""
-    cols, _ = jsonl.read_columns(path, "prediction", {"id": int}, ("logits",))
+    cols, _ = jsonl.read_columns(path, "prediction", {"id": "int"}, ("logits",))
     return cols["id"], Predictions(cols["logits"])

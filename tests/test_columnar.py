@@ -704,7 +704,8 @@ class TestRecordLoader:
         with pytest.raises(ParseError, match=f"line 2: .*{key} must be {want}"):
             load_records(path)
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity",
+                                       pytest.param(str(10**400), id="10**400")])
     def test_non_finite_scalar_names_line(self, tmp_path, value):
         path = tmp_path / "r.jsonl"
         write_lines(path, [record(0), record(1).replace('"rho": 0.5', f'"rho": {value}')])

@@ -147,6 +147,13 @@ class TestConfig:
         back = config_from_dict(config_to_dict(cfg))
         assert back == cfg
 
+    def test_readme_example_is_the_default_profile(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = config_from_dict(json.loads(block))
+        assert config_to_dict(cfg) == config_to_dict(default_config())
+
 
 class TestStageSeed:
     def test_deterministic(self):
@@ -609,6 +616,7 @@ class TestInMemoryMemo:
             run_in_memory(cfg, no_relabel=no_relabel)
         assert len(stage1_calls) == 2  # one cold run and one hit per variant
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_stage1_leaves_memo_empty(self):
         run_in_memory(config_from_dict(TINY_CONFIG))
         assert len(pipeline._stage1_memo) == 1
@@ -670,6 +678,7 @@ class TestCliErrors:
                      "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stage1_divergence_exits_4_naming_step(self, tmp_path, capsys):
         cfg_path = write_tiny_config(
             tmp_path, stage1={**TINY_CONFIG["stage1"], "lr": 1e300})
@@ -679,7 +688,7 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "stage 1" in err and "epoch 0, step 1" in err
 
-
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stage2_divergence_exits_4_without_nan_artifacts(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"stage1": {"epochs": 1},
@@ -715,6 +724,7 @@ class TestCliErrors:
          "flip_map"),
         ({"noise": {"kind": "asymmetric", "rate": 0.4, "flip_map": [[0, 1.5]]}},
          "noise.flip_map"),
+        ({"refurbish": {"sigma": 10**400}}, "refurbish.sigma must be a finite number"),
     ])
     def test_mistyped_config_exits_2_naming_field(self, tmp_path, capsys,
                                                   overrides, field):
@@ -767,6 +777,36 @@ class TestCliErrors:
         cfg = config_from_dict({"stage1": {"lr": 1}, "refurbish": {"sigma": 1}})
         assert cfg.stage1.lr == 1 and cfg.refurbish.sigma == 1
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"stage2": {"momentum": 1.0}}, "stage2.momentum must be in [0, 1), got 1.0"),
+        ({"stage1": {"aug_dropout_prob": 2}}, "stage1.aug_dropout_prob must be in [0, 1], got 2"),
+        ({"stage2": {"epochs": -1}}, "stage2.epochs must be >= 0, got -1"),
+        ({"mixture": {"within_class_stddev": 0}},
+         "mixture.within_class_stddev must be positive, got 0"),
+        ({"stage1": {"tau": 0}}, "stage1.tau must be positive, got 0"),
+    ], ids=["stage2.momentum", "stage1.aug_dropout_prob", "stage2.epochs",
+            "mixture.within_class_stddev", "stage1.tau"])
+    def test_out_of_range_value_exits_2_naming_field_and_value(self, tmp_path, capsys,
+                                                               overrides, named):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(overrides))
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_feature_too_large_for_a_float_exits_2_naming_line(self, tmp_path, capsys):
+        cfg_path = write_tiny_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        lines = (out / "train.jsonl").read_text().splitlines()
+        row = json.loads(lines[1])
+        row["features"][0] = 10**400
+        lines[1] = json.dumps(row)
+        (out / "train.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["stage1", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and "Traceback" not in err
+
 
 def _drop_experts(state):
     del state["experts"]
@@ -795,6 +835,31 @@ def _drop_stage1_config(state):
     del state["config"]
 
 
+def _first_net(state):
+    return state["encoder"] if state["kind"] == "stage1" else state["experts"][0]
+
+
+def _bool_weight(state):
+    _first_net(state)["weights"][0][0] = True
+
+
+def _string_weight(state):
+    _first_net(state)["weights"][0][0] = "0.5"
+
+
+def _float_layer_dim(state):
+    dims = _first_net(state)["layer_dims"]
+    dims[0] = float(dims[0])
+
+
+def _fractional_epochs(state):
+    state["config"]["epochs"] = 1.5
+
+
+def _weight_too_large_for_a_float(state):
+    _first_net(state)["weights"][0][0] = 10**400
+
+
 @pytest.fixture(scope="module")
 def pipeline_out(tmp_path_factory):
     root = tmp_path_factory.mktemp("ckpt")
@@ -812,6 +877,11 @@ class TestMalformedCheckpoints:
         ("evaluate", "stage2_checkpoint.json", _two_experts),
         ("evaluate", "stage2_checkpoint.json", _mixed_shapes),
         ("stage2", "stage1_checkpoint.json", _drop_stage1_config),
+        *[(command, name, corrupt)
+          for command, name in (("evaluate", "stage2_checkpoint.json"),
+                                ("stage2", "stage1_checkpoint.json"))
+          for corrupt in (_bool_weight, _string_weight, _float_layer_dim,
+                          _fractional_epochs, _weight_too_large_for_a_float)],
     ], ids=lambda v: v.__name__.strip("_") if callable(v) else None)
     def test_exits_2_naming_the_file(self, tmp_path, capsys, pipeline_out,
                                      command, name, corrupt):
