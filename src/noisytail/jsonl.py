@@ -3,14 +3,17 @@ for what a JSON value the program reads may be, and `Forks`, the one
 helper that forks.
 
 Every writer returns the SHA-256 of the bytes it wrote, hashed as they are
-written, so no file is read back to be hashed.  JSONL writers encode one
-C-encoded object per row, serially, a block of rows at a time.  The
+written, so no file is read back to be hashed.  A JSONL writer builds one
+`%` row template per file, which writes the C JSON encoder's bytes for
+each row's dict, and fills it serially, a block of rows per `%`.  The
 pipeline saves every artifact, JSONL, JSON or text, in a forked child of
 its own (see `pipeline.Workspace`), which sends back the digest and how
 long the write took.
 Readers stream a file line by line, array fields straight into a float64
-matrix preallocated from the line count.  Parse errors name the line; NaN
-and infinity are refused both ways, a writer before opening the file.
+matrix preallocated from the line count.  Parse errors, an integer past
+CPython's 4,300-digit limit among them, name the line, or the file of a
+JSON document; NaN and infinity are refused both ways, a writer before
+opening the file.
 Configs, JSONL records and checkpoints share one type table, `FIELD_TYPES`
 (see `build` and `read_columns`), and every number array passes the type
 scan of `check_numbers`.
@@ -30,7 +33,6 @@ import numpy as np
 from .errors import InvalidInputError, InvalidSpecError, ParseError
 from .numerics import Mlp, as_vec
 
-_encode = json.JSONEncoder(allow_nan=False).encode
 BLOCK_ROWS = 512  # rows converted to Python values at a time; bounds peak memory
 
 
@@ -40,8 +42,9 @@ def write_rows(path, keys: tuple[str, ...], columns) -> str:
 
     A NaN or infinity is refused with ValueError, naming its key and row,
     before the file is opened; a column that passes builds one bool array.
-    The rows are encoded serially, a block at a time.  A write that fails
-    deletes the target.
+    The rows are encoded serially, a block at a time, by `encode_rows`,
+    which refuses a column that is not int, float or bool.  A write that
+    fails deletes the target.
     """
     for key, col in zip(keys, columns):
         if col.dtype.kind == "f" and not np.isfinite(col).all():
@@ -67,12 +70,47 @@ def write_rows(path, keys: tuple[str, ...], columns) -> str:
     return sha.hexdigest()
 
 
+# the `%` conversion of a column's values by dtype kind: Python's int and
+# float reprs are the strings the C JSON encoder writes; a bool column goes
+# in as the strings "true" and "false"
+_CONVERSIONS = {"i": "%r", "u": "%r", "f": "%r", "b": "%s"}
+
+
+def row_template(keys, columns) -> str:
+    """The `%` template of one row, `{"key": %r, "vector": [%r, %r], ...}`
+    and a newline, which writes the bytes the C JSON encoder writes for
+    the row's dict.  Keys are JSON-encoded, with `%` doubled; a 2-D column gives an
+    array of its width.  A column that is not 1-D or 2-D int, float or
+    bool is a TypeError naming its key."""
+    fields = []
+    for key, col in zip(keys, columns):
+        conv = _CONVERSIONS.get(col.dtype.kind)
+        if conv is None or col.ndim not in (1, 2):
+            raise TypeError(f"cannot write {key}: {col.ndim}-D {col.dtype} column")
+        if col.ndim == 2:
+            conv = "[" + ", ".join([conv] * col.shape[1]) + "]"
+        fields.append(json.dumps(key).replace("%", "%%") + ": " + conv)
+    return "{" + ", ".join(fields) + "}\n"
+
+
 def encode_rows(write, keys, columns) -> None:
-    """Pass every row, UTF-8 encoded, to `write` a block at a time."""
-    for lo in range(0, len(columns[0]), BLOCK_ROWS):
-        block = [c[lo:lo + BLOCK_ROWS].tolist() for c in columns]
-        write("".join(_encode(dict(zip(keys, row))) + "\n"
-                      for row in zip(*block)).encode())
+    """Pass every row, UTF-8 encoded, to `write` a block at a time: one
+    `row_template` per file, filled for a whole block by one `%` over the
+    block's values, gathered row-major into an object array of Python
+    ints, floats and "true"/"false" strings."""
+    template = row_template(keys, columns)
+    widths = [1 if c.ndim == 1 else c.shape[1] for c in columns]
+    n = len(columns[0])
+    for lo in range(0, n, BLOCK_ROWS):
+        m = min(BLOCK_ROWS, n - lo)
+        values = np.empty((m, sum(widths)), object)
+        at = 0
+        for col, width in zip(columns, widths):
+            block = col[lo:lo + BLOCK_ROWS].reshape(m, width)
+            values[:, at:at + width] = (np.where(block, "true", "false")
+                                        if col.dtype.kind == "b" else block)
+            at += width
+        write(((template * m) % tuple(values.ravel().tolist())).encode())
 
 
 class Forks:
@@ -87,13 +125,14 @@ class Forks:
     signal handler it inherited, and reaps it.
 
     Forking is safe here although BLAS may hold threads: the children of
-    this package run only the savers, that is `tolist`, the JSON encoder,
-    hashlib and `isfinite`, plus, for the checkpoints, `mlp_state` (here),
-    `np.split` and the `isfinite` checks in `Mlp.__post_init__`.  None
-    takes a lock another thread could hold or makes a BLAS call.  Tested
-    on CPython 3.11 only: from 3.12 `os.fork` in a process with live
-    threads also emits a DeprecationWarning, hidden by the default warning
-    filters but shown by pytest or `-W error`.
+    this package run only the savers, that is `tolist`, `np.where`, `%`
+    formatting, the JSON encoder, hashlib and `isfinite`, plus, for the
+    checkpoints, `mlp_state` (here), `np.split` and the `isfinite` checks
+    in `Mlp.__post_init__`.  None takes a lock another thread could hold
+    or makes a BLAS call.  Tested on CPython 3.11 only: from 3.12
+    `os.fork` in a process with live threads also emits a
+    DeprecationWarning, hidden by the default warning filters but shown
+    by pytest or `-W error`.
     """
 
     def __init__(self):
@@ -155,10 +194,18 @@ def read_rows(path, what: str):
             line = line.strip()
             if line:
                 try:
-                    yield lineno, json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise ParseError(f"bad {what}: malformed JSON ({e.msg})",
+                    value = json.loads(line)
+                except ValueError as e:
+                    raise ParseError(f"bad {what}: malformed JSON ({_json_error(e)})",
                                      lineno) from e
+                yield lineno, value
+
+
+def _json_error(e: ValueError) -> str:
+    """What `json.loads` refused: a JSONDecodeError's message, or the
+    plain ValueError CPython raises for an integer of more than 4,300
+    digits."""
+    return e.msg if isinstance(e, json.JSONDecodeError) else str(e)
 
 
 _NUMBERS = frozenset((int, float))  # exact types: JSON true/false load as bool
@@ -297,8 +344,9 @@ def read_json(path, what: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"malformed {what} JSON ({e.msg})", e.lineno) from e
+        except ValueError as e:
+            raise ParseError(f"malformed {what} JSON in {path} ({_json_error(e)})",
+                             getattr(e, "lineno", None)) from e
 
 
 @contextmanager

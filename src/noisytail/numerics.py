@@ -19,7 +19,14 @@ from .errors import InvalidInputError, InvalidSpecError, NumericError
 Vec = np.ndarray
 
 REL_ERR_FLOOR = 1e-8
-FORWARD_ROWS = 4096  # the most rows per block of `forward`
+# `forward`'s row blocks (see there).  Measured with OpenBLAS 0.3.31:
+# - a product of m*n*k >= BLAS_TWO_THREADS multiply-adds runs on two
+#   threads, and the helper thread then keeps spinning after it returns;
+# - a product of at most KERNEL_FLOOR output entries (m*n) goes to another
+#   kernel, which rounds differently from the same rows in a larger product.
+FORWARD_ROWS = 4096  # the most rows per block; bounds the activations held
+BLAS_TWO_THREADS = 524_288
+KERNEL_FLOOR = 1_200
 
 
 def as_vec(values, name: str = "vector") -> Vec:
@@ -177,22 +184,39 @@ def forward_batch(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]
     return a, cache
 
 
+def forward_rows(nets) -> int:
+    """The most rows per block of `forward` through the chain `nets`:
+    the largest B whose every layer product, B x in x out, stays below
+    BLAS_TWO_THREADS, raised until a block of (B + 1) // 2 rows has more
+    than KERNEL_FLOOR outputs in the narrowest layer, capped at
+    FORWARD_ROWS.  The default profile's nets get 255 rows; a K = 2 head
+    gets 1,201, and its widest products run on two threads, as they must
+    to keep their bits."""
+    shapes = [w.shape for m in nets for w in m.weights]
+    rows = max(1, (BLAS_TWO_THREADS - 1) // max(o * i for o, i in shapes))
+    rows = max(rows, 2 * (KERNEL_FLOOR // min(o for o, _ in shapes)) + 1)
+    return min(rows, FORWARD_ROWS)
+
+
 def forward(net: Mlp, X: np.ndarray, *then: Mlp) -> np.ndarray:
     """Inference: the outputs of `forward_batch(net, X)`, bit for bit, with
     no cache; with nets in `then`, those outputs go on through each of
     them in order, as nested calls would.  The rows go through
-    `forward_batch` in blocks of at most FORWARD_ROWS, each block through
-    every net before the next block starts, and only the last net's
-    output is kept, so the activations held at once do not grow with N.
-    The widths of the chain are checked before any block runs.
+    `forward_batch` in blocks of at most `forward_rows(nets)`, each block
+    through every net before the next block starts, and only the last
+    net's output is kept, so the activations held at once do not grow
+    with N.  The widths of the chain are checked before any block runs.
 
-    Each output row depends only on its input row, but BLAS computes a
-    product of few rows with another kernel, which rounds differently
-    (OpenBLAS 0.3.31: one row, or up to ~1,200 output entries).  So the
-    blocks are of equal size, to one row, never a short remainder: past
-    FORWARD_ROWS rows, each block has at least FORWARD_ROWS / 2.  The
-    blocks depend on N alone, so a chained call and the nested calls see
-    the same blocks.
+    Small blocks keep every layer product on one BLAS thread, so OpenBLAS
+    never wakes the helper thread that would then spin on the core the
+    forked writers use, and each block's activations stay in cache.  Each
+    output row depends only on its input row, except that a product of at
+    most KERNEL_FLOOR outputs rounds differently.  So the blocks are of
+    equal size, to one row, never a short remainder: past B rows, each
+    block has at least (B + 1) // 2, which `forward_rows` puts above the
+    floor in every layer.  Then every row has the bits it has in one
+    product over all N rows, so a chained call, nested calls and
+    `forward_batch` agree although their block sizes differ.
     """
     X = _net_input(net, X)
     nets = (net, *then)
@@ -201,7 +225,7 @@ def forward(net: Mlp, X: np.ndarray, *then: Mlp) -> np.ndarray:
             raise InvalidInputError(f"chained net input dim {nxt.in_dim} does not "
                                     f"match the previous output dim {prev.out_dim}")
     n = len(X)
-    blocks = max(1, -(-n // FORWARD_ROWS))
+    blocks = max(1, -(-n // forward_rows(nets)))
     out = np.empty((n, nets[-1].out_dim))
     for i in range(blocks):
         rows = slice(n * i // blocks, n * (i + 1) // blocks)

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from noisytail import jsonl
 from noisytail.datagen import (
@@ -386,6 +387,75 @@ class TestWriters:
         assert os.listdir(tmp_path) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+_ENCODER = json.JSONEncoder(allow_nan=False).encode
+# floats whose reprs take each form: signed zero, subnormal, exponent from
+# 1e16 up and below 1e-4, the largest double
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308]
+INT64 = np.iinfo(np.int64)
+# the elements drawn for each written dtype; None: any value of the dtype
+COLUMN_KINDS = {
+    np.int64: st.integers(INT64.min, INT64.max) | st.sampled_from([INT64.min, INT64.max]),
+    np.int32: None, np.uint64: None, bool: None,
+    np.float32: st.floats(allow_nan=False, allow_infinity=False, width=32),
+    np.float64: (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from(EDGE_FLOATS)),
+}
+
+
+@st.composite
+def tables(draw):
+    """Keys holding quotes, backslashes, `%` and non-ASCII characters, and
+    1-D columns or vectors of width 0, 1 and 20, of every written dtype."""
+    n = draw(st.integers(0, 5))
+    keys = draw(st.lists(st.text(st.sampled_from('a"\\%sé雪\n')), min_size=1,
+                         max_size=4, unique=True))
+    columns = []
+    for _ in keys:
+        dtype = draw(st.sampled_from(list(COLUMN_KINDS)))
+        width = draw(st.sampled_from([None, 0, 1, 20]))
+        columns.append(draw(hnp.arrays(dtype, (n,) if width is None else (n, width),
+                                       elements=COLUMN_KINDS[dtype])))
+    return tuple(keys), columns
+
+
+def encoded(keys, columns) -> bytes:
+    parts = []
+    jsonl.encode_rows(parts.append, keys, columns)
+    return b"".join(parts)
+
+
+class TestRowTemplate:
+    """`encode_rows` fills one `%` row template per file; every row must
+    come out as the JSON encoder's bytes for that row's dict."""
+
+    @staticmethod
+    def expected(keys, columns) -> bytes:
+        rows = zip(*(c.tolist() for c in columns))
+        return "".join(_ENCODER(dict(zip(keys, row))) + "\n" for row in rows).encode()
+
+    @given(table=tables())
+    @settings(max_examples=300, deadline=None)
+    def test_writes_the_encoders_bytes(self, table):
+        keys, columns = table
+        assert encoded(keys, columns) == self.expected(keys, columns)
+
+    def test_edge_values_across_a_block_edge(self):
+        n = B + 1
+        floats = np.resize(np.array(EDGE_FLOATS + [-x for x in EDGE_FLOATS]), (n, 20))
+        keys = ("id", "x", "flag", "v")
+        columns = [np.resize(np.array([INT64.min, INT64.max, 0, -1]), n), floats,
+                   np.arange(n) % 3 == 0, floats[:, 0]]
+        assert encoded(keys, columns) == self.expected(keys, columns)
+
+    @pytest.mark.parametrize("column", [
+        np.array(["a"]), np.array([1j]), np.array([None], object),
+        np.array(["2020-01-01"], "datetime64[D]"), np.zeros((1, 1, 1))],
+        ids=["str", "complex", "object", "datetime", "3-D"])
+    def test_unsupported_column_is_refused(self, column):
+        with pytest.raises(TypeError, match="cannot write x"):
+            encoded(("id", "x"), [np.arange(1), column])
 
 
 def test_import_starts_no_process_pool():

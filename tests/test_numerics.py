@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from noisytail import numerics
 from noisytail.errors import InvalidInputError, NumericError
 from noisytail.numerics import (
+    BLAS_TWO_THREADS,
     FORWARD_ROWS,
     Mlp,
     SgdMomentum,
@@ -14,12 +15,15 @@ from noisytail.numerics import (
     finite_diff_grad,
     forward,
     forward_batch,
+    forward_rows,
     gradient_check,
     init_mlp,
     make_rng,
     relative_error,
     softmax_rows,
 )
+from noisytail.pipeline import default_config
+from noisytail.stage1 import build_stage1_model
 
 
 def forward_row(net, x):
@@ -260,22 +264,41 @@ class TestBatchedForward:
                                        atol=1e-12)
 
 
+# Chains for `forward`: the stage-1 encoder and classifier shapes (255-row
+# blocks); narrow heads, K = 2 and K = 5, whose blocks the kernel floor
+# sizes (1,201 and 481 rows); a wide hidden layer, in = 256, whose products
+# the two-thread line sizes (121 rows).
+FORWARD_CHAINS = {"": [32, 64, 32, 20], "K2": [32, 64, 32, 2],
+                  "K5": [32, 64, 32, 5], "wide": [32, 256, 32, 20]}
+
+
+def forward_cases():
+    """(dims, n) for each chain at 0 and 1 rows, either side of its block
+    size B and of FORWARD_ROWS, and past three blocks of each.  A short
+    last block of 1 or 17 rows, or a block under the kernel floor, would
+    round differently in BLAS."""
+    cases = []
+    for name, dims in FORWARD_CHAINS.items():
+        b = forward_rows([init_mlp(dims, make_rng(0))])
+        for n in dict.fromkeys([0, 1, FORWARD_ROWS - 1, FORWARD_ROWS, FORWARD_ROWS + 1,
+                                3 * FORWARD_ROWS + 17, b - 1, b, b + 1, 3 * b + 17]):
+            cases.append(pytest.param(dims, n, id="-".join(filter(None, [name, str(n)]))))
+    return cases
+
+
 class TestForward:
     """`forward`, the cache-free inference pass in row blocks, against
     `forward_batch` on the whole matrix."""
 
     @pytest.mark.parametrize("activation", ["tanh", "logistic"])
-    @pytest.mark.parametrize("n", [0, 1, FORWARD_ROWS - 1, FORWARD_ROWS,
-                                   FORWARD_ROWS + 1, 3 * FORWARD_ROWS + 17])
-    def test_same_bytes_as_forward_batch(self, n, activation):
-        # the stage-1 encoder and classifier shapes; a short last block of
-        # 1 or 17 rows would round differently in BLAS
+    @pytest.mark.parametrize("dims, n", forward_cases())
+    def test_same_bytes_as_forward_batch(self, dims, n, activation):
         rng = make_rng(n)
-        net = init_mlp([32, 64, 32, 20], rng, activation)
+        net = init_mlp(dims, rng, activation)
         X = rng.normal(size=(n, 32)) * 2
         out = forward(net, X)
         expected = forward_batch(net, X)[0]
-        assert out.shape == expected.shape == (n, 20)
+        assert out.shape == expected.shape == (n, dims[-1])
         assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("shape", [(6,), (3, 7), (FORWARD_ROWS + 1, 7)])
@@ -287,18 +310,34 @@ class TestForward:
             forward(net, np.ones(shape))
         assert str(error.value) == str(batch_error.value)
 
-    @pytest.mark.parametrize("n", [0, 1, FORWARD_ROWS - 1, FORWARD_ROWS,
-                                   FORWARD_ROWS + 1, 3 * FORWARD_ROWS + 17])
-    def test_chained_same_bytes_as_nested_forward_batch(self, n):
-        # the stage-1 encoder then classifier, as `predict_batch` chains them
+    @pytest.mark.parametrize("dims, n", forward_cases())
+    def test_chained_same_bytes_as_nested_forward_batch(self, dims, n):
+        # an encoder then a one-layer head, as `predict_batch` chains them
         rng = make_rng(n)
-        encoder = init_mlp([32, 64, 32], rng)
-        classifier = init_mlp([32, 20], rng)
+        encoder = init_mlp(dims[:-1], rng)
+        classifier = init_mlp(dims[-2:], rng)
         X = rng.normal(size=(n, 32)) * 2
         out = forward(encoder, X, classifier)
         expected = forward_batch(classifier, forward_batch(encoder, X)[0])[0]
-        assert out.shape == expected.shape == (n, 20)
+        assert out.shape == expected.shape == (n, dims[-1])
         assert out.tobytes() == expected.tobytes()
+
+    def test_default_profile_blocks_stay_on_one_blas_thread(self):
+        """Every chain the default profile runs through `forward` (stage-1
+        predictions, stage-2 features, evaluation, the CE baseline's test
+        pass) keeps each block's layer products below the two-thread line."""
+        cfg = default_config()
+        k, s1 = cfg.longtail.num_classes, cfg.stage1
+        model = build_stage1_model(cfg.mixture.feature_dim, k, s1, make_rng(0))
+        chains = [(model.encoder, model.classifier), (model.encoder,),
+                  (model.encoder, init_mlp([s1.repr_dim, 3 * k], make_rng(0))),
+                  (model.encoder, init_mlp([s1.repr_dim, k], make_rng(0)))]
+        for chain in chains:
+            rows = forward_rows(chain)
+            assert rows == 255
+            for m in chain:
+                for w in m.weights:
+                    assert rows * w.size < BLAS_TWO_THREADS
 
     def test_chain_width_mismatch_raises_before_any_block(self, monkeypatch):
         rng = make_rng(0)

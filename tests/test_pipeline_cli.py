@@ -808,6 +808,37 @@ class TestCliErrors:
         assert err.startswith("error: line 2: ") and "Traceback" not in err
 
 
+    def test_feature_past_the_digit_limit_exits_2_naming_line(self, tmp_path, capsys):
+        """An integer of more than 4,300 digits makes `json.loads` raise a
+        plain ValueError, not a JSONDecodeError."""
+        cfg_path = write_tiny_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        lines = (out / "train.jsonl").read_text().splitlines()
+        row = json.loads(lines[1])
+        row["features"][0] = "HUGE"
+        lines[1] = json.dumps(row).replace('"HUGE"', HUGE_INT)
+        (out / "train.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["stage1", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and "Traceback" not in err
+
+    def test_config_integer_past_the_digit_limit_exits_2_naming_file(self, tmp_path,
+                                                                     capsys):
+        # sigma refuses a huge value even where CPython has no digit limit,
+        # so no run can start
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"refurbish": {"sigma": %s}}' % HUGE_INT)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg_path) in err
+        assert not out.exists()
+
+
+HUGE_INT = "9" * 5000  # past CPython's 4,300-digit int-string limit
+
+
 def _drop_experts(state):
     del state["experts"]
 
@@ -893,6 +924,22 @@ class TestMalformedCheckpoints:
         state = json.loads((out / name).read_text())
         corrupt(state)
         (out / name).write_text(json.dumps(state))
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
+    @pytest.mark.parametrize("command, name", [("evaluate", "stage2_checkpoint.json"),
+                                               ("stage2", "stage1_checkpoint.json")])
+    def test_weight_past_the_digit_limit_exits_2_naming_the_file(
+            self, tmp_path, capsys, pipeline_out, command, name):
+        cfg_path, src = pipeline_out
+        out = tmp_path / "ws"
+        out.mkdir()
+        for path in src.iterdir():
+            (out / path.name).write_bytes(path.read_bytes())
+        state = json.loads((out / name).read_text())
+        _first_net(state)["weights"][0][0] = "HUGE"
+        (out / name).write_text(json.dumps(state).replace('"HUGE"', HUGE_INT))
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err
