@@ -19,6 +19,15 @@ import numpy as np
 from . import jsonl
 from .errors import InvalidInputError, InvalidSpecError, ParseError
 
+# The largest size a config field may ask for.  Each size becomes an array
+# dimension or a loop count, so a larger one would exhaust memory or never
+# finish; a config that asks for more exits 2 naming the field.  Each
+# bound holds for its field alone, not for products of several fields.
+MAX_CLASSES = 10_000  # longtail.num_classes
+MAX_ROWS = 100_000  # longtail.head_count, test_per_class, stage1.queue_capacity
+MAX_WIDTH = 10_000  # mixture.feature_dim and the stage-1 layer widths
+MAX_EPOCHS = 100_000  # stage1.epochs and stage2.epochs
+
 
 @dataclass
 class Dataset:
@@ -98,8 +107,11 @@ class LongTailSpec:
     imbalance_ratio: float
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise InvalidSpecError("num_classes must be >= 2")
+        if not 2 <= self.num_classes <= MAX_CLASSES:
+            raise InvalidSpecError(f"num_classes must be in [2, {MAX_CLASSES}], "
+                                   f"got {self.num_classes}")
+        if self.head_count > MAX_ROWS:
+            raise InvalidSpecError(f"head_count must be <= {MAX_ROWS}, got {self.head_count}")
         if self.imbalance_ratio < 1:
             raise InvalidSpecError("imbalance_ratio must be >= 1")
         if self.head_count < self.imbalance_ratio:
@@ -141,8 +153,9 @@ class MixtureSpec:
     within_class_stddev: float = 0.3
 
     def __post_init__(self):
-        if self.feature_dim < 1:
-            raise InvalidSpecError("feature_dim must be >= 1")
+        if not 1 <= self.feature_dim <= MAX_WIDTH:
+            raise InvalidSpecError(f"feature_dim must be in [1, {MAX_WIDTH}], "
+                                   f"got {self.feature_dim}")
         for name in ("class_center_scale", "within_class_stddev"):
             if getattr(self, name) <= 0:
                 raise InvalidSpecError(f"{name} must be positive, got {getattr(self, name)!r}")

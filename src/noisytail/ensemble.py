@@ -2,7 +2,8 @@
 
 Each expert optimizes a soft cross-entropy whose logits are shifted by an
 increasing power of the (soft) class counts: no shift for the head expert,
-+ln(n) for the balanced expert, +2 ln(n) for the tail expert.  The shifts
++ln(n) for the balanced expert, +2 ln(n) for the tail expert, through
+`numerics.softmax_ce`, the kernel of stage 1's BANC loss too.  The shifts
 act only during training; prediction fuses the experts' raw-probability
 outputs.  Evaluation breaks accuracy down into many/medium/few-shot class
 subgroups by training-set class size.
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import jsonl
-from .datagen import Dataset
+from .datagen import MAX_EPOCHS, Dataset
 from .errors import InvalidInputError, InvalidSpecError
 from .numerics import (
     Mlp,
@@ -28,6 +29,7 @@ from .numerics import (
     init_mlp,
     make_rng,
     sgd_epochs,
+    softmax_ce,
     softmax_rows,
 )
 from .refurbish import ClassStats
@@ -61,6 +63,7 @@ class Stage2Config:
     def __post_init__(self):
         for name, bad, want in (
                 ("epochs", self.epochs < 0, ">= 0"),
+                ("epochs", self.epochs > MAX_EPOCHS, f"<= {MAX_EPOCHS}"),
                 ("batch_size", self.batch_size < 1, ">= 1"),
                 ("lr", self.lr <= 0, "positive"),
                 ("momentum", not 0.0 <= self.momentum < 1.0, "in [0, 1)"),
@@ -99,33 +102,8 @@ class EnsembleModel:
 
 
 # ---------------------------------------------------------------------------
-# Expert losses
+# Training
 # ---------------------------------------------------------------------------
-
-def _expert_batch(logits: np.ndarray, Y: np.ndarray,
-                  shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-expert mean shifted soft-CE of (m, E, K) logits against (m, K) soft
-    labels under an (E, K) shift table, and the gradient of their sum.
-
-    The softmax of the shifted logits is built in one new array, which
-    then becomes the gradient.  Its row max is taken over a transposed
-    copy, reduced along the leading axis: a max is exact in any order,
-    and this is one vectorised pass instead of one short reduction per
-    row.  The sums keep their order."""
-    m, e, k = logits.shape
-    q = logits + shifts
-    q -= np.ascontiguousarray(q.reshape(m * e, k).T).max(axis=0).reshape(m, e, 1)
-    np.exp(q, out=q)
-    q /= q.sum(axis=-1, keepdims=True)
-    logq = np.maximum(q, 1e-300)
-    np.log(logq, out=logq)
-    logq *= Y[:, None]
-    losses = -logq.sum(axis=-1)
-    q -= Y[:, None]
-    q /= m
-    # each expert's mean over its own contiguous column rounds as a 1-D mean
-    return np.ascontiguousarray(losses.T).mean(axis=1), q
-
 
 def expert_shifts(counts: ClassStats) -> np.ndarray:
     """The (3, K) shift table: 0 for E1 (plain soft CE), ln n_k for E2
@@ -133,10 +111,6 @@ def expert_shifts(counts: ClassStats) -> np.ndarray:
     counts floored at COUNT_FLOOR so ln n stays finite."""
     return np.log(np.maximum(counts.counts, COUNT_FLOOR)) * [[0.0], [1.0], [2.0]]
 
-
-# ---------------------------------------------------------------------------
-# Training
-# ---------------------------------------------------------------------------
 
 def train_stage2(ds: Dataset, soft_labels: np.ndarray,
                  stage1_model: Stage1Model, cfg: Stage2Config
@@ -166,7 +140,7 @@ def train_stage2(ds: Dataset, soft_labels: np.ndarray,
 
     def step(idx):
         logits, cache = forward_batch(model.head, V[idx])
-        losses, g_logits = _expert_batch(logits.reshape(idx.size, 3, k), Y[idx], shifts)
+        losses, g_logits = softmax_ce(logits.reshape(idx.size, 3, k), Y[idx], shifts)
         grads, _ = backward_batch(model.head, cache, g_logits.reshape(logits.shape),
                                   input_grad=False)
         return grads, dict(zip(("e1", "e2", "e3"), losses.tolist()))

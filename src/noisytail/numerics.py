@@ -53,6 +53,40 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e
 
 
+def softmax_ce(logits: np.ndarray, Y: np.ndarray, shifts: np.ndarray | float = 0.0,
+               c: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Soft cross-entropy of E heads, (m, E, K) logits against (m, K)
+    labels Y under a logit shift of shape (E, K) or a scalar, plus c times
+    the off-label mass 1 - p_y: each head's mean loss, shape (E,), and the
+    gradient of their sum, ((q - Y) + c q (p_y - Y)) / m, q being the
+    shifted softmax, built in the array that becomes the gradient.  The row
+    max comes from a transposed copy (exact in any order, one vectorised
+    pass), the log is floored at 1e-300, and each head's mean is over its
+    own contiguous column, so it rounds as a 1-D mean."""
+    m, e, k = logits.shape
+    Y = Y[:, None]
+    q = logits + shifts
+    q -= np.ascontiguousarray(q.reshape(m * e, k).T).max(axis=0).reshape(m, e, 1)
+    np.exp(q, out=q)
+    q /= q.sum(axis=-1, keepdims=True)
+    w = np.maximum(q, 1e-300)
+    np.log(w, out=w)
+    w *= Y
+    losses = -w.sum(axis=-1)
+    if c:  # the off-label penalty, built in the log's buffer
+        np.multiply(q, Y, out=w)
+        p_y = w.sum(axis=-1, keepdims=True)
+        losses += c * (1.0 - p_y[..., 0])
+        np.multiply(q, c, out=w)
+        w *= p_y - Y
+        q -= Y
+        q += w
+    else:
+        q -= Y
+    q /= m
+    return np.ascontiguousarray(losses.T).sum(axis=1) / m, q  # as np.mean rounds it
+
+
 def l2_norms(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """The L2 norms `l2_normalize` divides by, floored at 1e-12, with the
     reduced axis kept.  The same operations as `np.linalg.norm`, without

@@ -36,6 +36,7 @@ from .numerics import (
     init_mlp,
     make_rng,
     sgd_epochs,
+    softmax_ce,
 )
 from .refurbish import ClassStats, RefurbishConfig
 from .stage1 import Stage1Config
@@ -76,8 +77,9 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.test_per_class < 1:
-            raise InvalidSpecError("test_per_class must be >= 1")
+        if not 1 <= self.test_per_class <= datagen.MAX_ROWS:
+            raise InvalidSpecError(f"test_per_class must be in [1, {datagen.MAX_ROWS}], "
+                                   f"got {self.test_per_class}")
 
 
 def default_config(seed: int = 0) -> PipelineConfig:
@@ -557,10 +559,10 @@ def train_ce_baseline(train: Dataset, cfg: Stage1Config, seed: int):
         v, enc_cache = forward_batch(encoder, train.X[idx])
         logits, head_cache = forward_batch(head, v)
         y = onehot[train.observed[idx]]
-        loss, g_logits = stage1._banc_batch(logits, y, 0.0)  # c = 0: plain CE
-        g_head, g_v = backward_batch(head, head_cache, g_logits)
+        losses, g_logits = softmax_ce(logits[:, None], y)  # c = 0: plain CE
+        g_head, g_v = backward_batch(head, head_cache, g_logits[:, 0])
         g_encoder, _ = backward_batch(encoder, enc_cache, g_v, input_grad=False)
-        return g_encoder + g_head, {"ce": loss}
+        return g_encoder + g_head, {"ce": float(losses[0])}
 
     sgd_epochs("CE baseline", encoder.params() + head.params(), cfg, len(train),
                rng, step)

@@ -20,11 +20,12 @@ import pytest
 from noisytail import datagen, pipeline
 from noisytail.cli import main
 from noisytail.datagen import LongTailSpec, MixtureSpec, longtail_counts, synth_dataset
-from noisytail.ensemble import _expert_batch, expert_shifts, soft_class_counts
+from noisytail.ensemble import expert_shifts, soft_class_counts
 from noisytail.numerics import (
     finite_diff_grad,
     make_rng,
     relative_error,
+    softmax_ce,
     softmax_rows,
 )
 from noisytail.pipeline import default_config, run_in_memory, stage_seed
@@ -55,8 +56,8 @@ def onehot(i, k):
 
 def expert_losses(z, y, shifts):
     """Each expert's loss and logit gradient from the training kernel
-    `_expert_batch`, on one sample whose three logit rows all equal z."""
-    losses, grad = _expert_batch(np.tile(z, (1, 3, 1)), y[None], shifts)
+    `softmax_ce`, on one sample whose three logit rows all equal z."""
+    losses, grad = softmax_ce(np.tile(z, (1, 3, 1)), y[None], shifts)
     return losses, grad[0]
 
 
@@ -81,7 +82,8 @@ def test_criterion_1_gradient_suite():
         rng = make_rng(101)
         t0 = time.perf_counter()
         worst = {"contrastive": 0.0, "sce": 0.0, "banc": 0.0,
-                 "e1": 0.0, "e2": 0.0, "e3": 0.0}
+                 "e1": 0.0, "e2": 0.0, "e3": 0.0,
+                 "banc_kernel": 0.0, "banc_kernel_shifted": 0.0}
 
         for _ in range(100):
             d = int(rng.integers(2, 9))
@@ -123,7 +125,22 @@ def test_criterion_1_gradient_suite():
             shifts = expert_shifts(ClassStats(rng.uniform(0.5, 50, size=k)))
             for e, name in enumerate(("e1", "e2", "e3")):
                 def fn(v, e=e):
-                    return _expert_batch(v[None, None], y, shifts[e:e + 1])
+                    return softmax_ce(v[None, None], y, shifts[e:e + 1])
+                num = finite_diff_grad(lambda v: fn(v)[0][0], z)
+                worst[name] = max(worst[name], _max_rel_err(fn(z)[1][0, 0], num))
+
+        # BANC on the same kernel, one-hot labels: unshifted, as stage 1
+        # trains it, and under a (1, K) ln(counts) shift row with c > 0
+        for _ in range(100):
+            k = int(rng.integers(2, 6))
+            z = rng.normal(size=k) * 2
+            y = onehot(int(rng.integers(0, k)), k)[None]
+            c, c_pos = rng.uniform(0, 8), rng.uniform(0.1, 8)
+            log_counts = np.log(rng.uniform(0.5, 50, size=(1, k)))
+            for name, shift, c_row in (("banc_kernel", 0.0, c),
+                                       ("banc_kernel_shifted", log_counts, c_pos)):
+                def fn(v, shift=shift, c_row=c_row):
+                    return softmax_ce(v[None, None], y, shift, c_row)
                 num = finite_diff_grad(lambda v: fn(v)[0][0], z)
                 worst[name] = max(worst[name], _max_rel_err(fn(z)[1][0, 0], num))
 
@@ -286,39 +303,47 @@ def benchmark_rows():
     return rows
 
 
-def _median(rows, key):
-    return float(np.median([r[key] for r in rows]))
+def _check_margins(number, rows, checks):
+    """Assert each check (quantity, bound, strict): the quantity's 3-seed
+    median is >= the bound (> when strict), a number or the median of
+    another quantity.  A table of every check, each side's median and
+    per-seed values and the margin (median minus bound), is printed, for
+    `pytest -s`, and is the assertion message when a check fails."""
+    def side(key):
+        values = [r[key] for r in rows]
+        median = float(np.median(values))
+        seeds = ", ".join(f"{s}: {v:.4f}" for s, v in zip(BENCH_SEEDS, values))
+        return median, f"{key} {median:.4f} (seed {seeds})"
+
+    lines, failed = [], False
+    for key, bound, strict in checks:
+        median, left = side(key)
+        limit, right = side(bound) if isinstance(bound, str) else (bound, f"{bound:.4f}")
+        ok = median > limit if strict else median >= limit
+        failed |= not ok
+        lines.append(f"  {'ok  ' if ok else 'FAIL'} {left} {'>' if strict else '>='} "
+                     f"{right}: margin {median - limit:+.4f}")
+    table = "\n".join([f"[acceptance] criterion {number} margins:"] + lines)
+    print(table)
+    assert not failed, table
 
 
 def test_criterion_7_directional_ablation(benchmark_rows):
     with criterion(7, "directional ablation"):
-        noise_rate = default_config().noise.rate
-        s1 = _median(benchmark_rows, "stage1_vs_true")
-        assert s1 > 1.0 - noise_rate, \
-            f"stage-1 accuracy vs true {s1:.4f} <= {1 - noise_rate}"
-
-        full = _median(benchmark_rows, "full")
-        norelabel = _median(benchmark_rows, "norelabel")
-        assert full >= norelabel, f"{full:.4f} < no-relabel {norelabel:.4f}"
-
-        ce = _median(benchmark_rows, "ce")
-        assert full >= ce, f"{full:.4f} < plain-CE baseline {ce:.4f}"
+        _check_margins(7, benchmark_rows, [
+            ("stage1_vs_true", 1.0 - default_config().noise.rate, True),
+            ("full", "norelabel", False),
+            ("full", "ce", False),
+        ])
 
 
 def test_criterion_8_expert_specialization(benchmark_rows):
     with criterion(8, "expert specialization"):
-        e1_many = _median(benchmark_rows, "e1_many")
-        e3_many = _median(benchmark_rows, "e3_many")
-        assert e1_many >= e3_many, f"E1 many {e1_many:.4f} < E3 many {e3_many:.4f}"
-
-        e3_few = _median(benchmark_rows, "e3_few")
-        e1_few = _median(benchmark_rows, "e1_few")
-        assert e3_few >= e1_few, f"E3 few {e3_few:.4f} < E1 few {e1_few:.4f}"
-
-        ens = _median(benchmark_rows, "full")
-        best_single = _median(benchmark_rows, "max_single")
-        assert ens >= best_single, \
-            f"ensemble {ens:.4f} < best single expert {best_single:.4f}"
+        _check_margins(8, benchmark_rows, [
+            ("e1_many", "e3_many", False),
+            ("e3_few", "e1_few", False),
+            ("full", "max_single", False),
+        ])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from noisytail.datagen import Dataset, LongTailSpec, MixtureSpec, synth_dataset
 from noisytail.ensemble import (
     COUNT_FLOOR,
     EnsembleModel,
-    _expert_batch,
     Stage2Config,
     SubgroupThresholds,
     backbone_hash,
@@ -34,6 +33,7 @@ from noisytail.numerics import (
     make_rng,
     relative_error,
     sgd_epochs,
+    softmax_ce,
     softmax_rows,
 )
 from noisytail.refurbish import ClassStats
@@ -46,12 +46,12 @@ def random_softlabels(rng, n, k):
 
 
 def experts_on_row(z, y, counts):
-    """`_expert_batch` on one sample whose three expert logit rows all equal
+    """`softmax_ce` on one sample whose three expert logit rows all equal
     z, under the shift table of `counts`: the (3,) losses and (3, K) logit
     gradients of E1, E2 and E3."""
     z = np.asarray(z, dtype=np.float64)
-    losses, grad = _expert_batch(np.tile(z, (1, 3, 1)), np.asarray(y, dtype=np.float64)[None],
-                                 expert_shifts(counts))
+    losses, grad = softmax_ce(np.tile(z, (1, 3, 1)), np.asarray(y, dtype=np.float64)[None],
+                              expert_shifts(counts))
     return losses, grad[0]
 
 
@@ -84,7 +84,7 @@ class TestSoftClassCounts:
 
 
 class TestExpertLosses:
-    """Each expert's loss and gradient from `_expert_batch` on one row, under
+    """Each expert's loss and gradient from `softmax_ce` on one row, under
     the shift table `expert_shifts` builds for training."""
 
     def test_e1_uniform_logits(self):
@@ -154,8 +154,8 @@ class TestExpertLosses:
             shifts = expert_shifts(ClassStats(rng.uniform(0.5, 50, size=k)))
             for e in range(3):
                 def loss(v, e=e):
-                    return _expert_batch(v[None, None], y, shifts[e:e + 1])[0][0]
-                grad = _expert_batch(z[None, None], y, shifts[e:e + 1])[1][0, 0]
+                    return softmax_ce(v[None, None], y, shifts[e:e + 1])[0][0]
+                grad = softmax_ce(z[None, None], y, shifts[e:e + 1])[1][0, 0]
                 num = finite_diff_grad(loss, z)
                 for a, b in zip(grad, num):
                     worst = max(worst, relative_error(a, b))
@@ -187,10 +187,10 @@ class TestExpertBatchGradient:
         head = init_mlp([d, 3 * k], rng)
 
         def loss(flat_logits):
-            return _expert_batch(flat_logits.reshape(b, 3, k), Y, shifts)[0][power]
+            return softmax_ce(flat_logits.reshape(b, 3, k), Y, shifts)[0][power]
 
         logits, cache = forward_batch(head, V)
-        _, g_sum = _expert_batch(logits.reshape(b, 3, k), Y, shifts)
+        _, g_sum = softmax_ce(logits.reshape(b, 3, k), Y, shifts)
         # the kernel's gradient of the sum is each expert's gradient on its own slice
         g_logits = np.zeros_like(g_sum)
         g_logits[:, power] = g_sum[:, power]
@@ -215,7 +215,7 @@ class TestExpertBatchGradient:
         z = rng.normal(size=(1, 3, k))
         y = softmax_rows(rng.normal(size=k))
         n = rng.uniform(0.5, 50, size=k)
-        losses, grad = _expert_batch(z, y[None, :], expert_shifts(ClassStats(n)))
+        losses, grad = softmax_ce(z, y[None, :], expert_shifts(ClassStats(n)))
         for e in range(3):
             shifted = np.exp(z[0, e] + e * np.log(n))
             q = shifted / shifted.sum()

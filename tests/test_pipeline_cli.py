@@ -43,6 +43,19 @@ TINY_CONFIG = {
 
 
 STAGES = ("simulate", "stage1", "refurbish", "stage2", "evaluate")
+WIDTH_FIELDS = ("embed_dim", "repr_dim", "encoder_hidden", "proj_hidden")
+# one past each size bound, and a size no array could have
+OVERSIZED = [
+    ("longtail.num_classes", datagen.MAX_CLASSES + 1),
+    ("longtail.head_count", datagen.MAX_ROWS + 1),
+    ("test_per_class", datagen.MAX_ROWS + 1),
+    ("mixture.feature_dim", datagen.MAX_WIDTH + 1),
+    ("mixture.feature_dim", 10**30),
+    ("stage1.queue_capacity", datagen.MAX_ROWS + 1),
+    *((f"stage1.{f}", datagen.MAX_WIDTH + 1) for f in WIDTH_FIELDS),
+    ("stage1.epochs", datagen.MAX_EPOCHS + 1),
+    ("stage2.epochs", datagen.MAX_EPOCHS + 1),
+]
 
 
 def assert_manifests_match_files(out, commands):
@@ -146,6 +159,21 @@ class TestConfig:
         assert cfg.noise.flip_map == [(0, 1), (2, 3)]
         back = config_from_dict(config_to_dict(cfg))
         assert back == cfg
+
+    def test_sizes_at_their_bounds_load(self):
+        # every size bound is inclusive; loading allocates nothing of that size
+        cfg = config_from_dict({
+            "longtail": {"num_classes": datagen.MAX_CLASSES,
+                         "head_count": datagen.MAX_ROWS},
+            "mixture": {"feature_dim": datagen.MAX_WIDTH},
+            "stage1": {"queue_capacity": datagen.MAX_ROWS,
+                       "epochs": datagen.MAX_EPOCHS,
+                       **{f: datagen.MAX_WIDTH for f in WIDTH_FIELDS}},
+            "stage2": {"epochs": datagen.MAX_EPOCHS},
+            "test_per_class": datagen.MAX_ROWS,
+        })
+        assert cfg.longtail.num_classes == datagen.MAX_CLASSES
+        assert cfg.stage1.proj_hidden == datagen.MAX_WIDTH
 
     def test_readme_example_is_the_default_profile(self):
         readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
@@ -657,6 +685,24 @@ class TestCliErrors:
         bad.write_text("{not json")
         assert main(["simulate", "--config", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("where,value", OVERSIZED)
+    def test_oversized_size_exits_2_naming_field(self, tmp_path, capsys, monkeypatch,
+                                                 where, value):
+        # refused while the config loads: nothing is simulated, and
+        # `longtail_counts` never loops over an oversized longtail section
+        def reached(*args):
+            raise AssertionError(f"{where} = {value} got past config loading")
+        monkeypatch.setattr(datagen, "synth_split", reached)
+        if where.startswith("longtail."):
+            monkeypatch.setattr(datagen, "longtail_counts", reached)
+        section, _, field = where.rpartition(".")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({section: {field: value}} if section
+                                       else {field: value}))
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where} must be ")
 
     def test_unwritable_out_exits_3(self, tmp_path):
         cfg_path = write_tiny_config(tmp_path)

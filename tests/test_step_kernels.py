@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from noisytail import stage1
-from noisytail.ensemble import _expert_batch, expert_shifts
+from noisytail.ensemble import expert_shifts
 from noisytail.numerics import (
     _ACTIVATIONS,
     SgdMomentum,
@@ -25,6 +25,7 @@ from noisytail.numerics import (
     init_mlp,
     l2_normalize,
     make_rng,
+    softmax_ce,
     softmax_rows,
 )
 from noisytail.refurbish import ClassStats
@@ -232,15 +233,16 @@ class TestContrastiveBatch:
 
 class TestBancBatch:
     @pytest.mark.parametrize("c", [0.0, 6.0, 0.37])
-    def test_every_batch_size(self, c):
+    @pytest.mark.parametrize("k", [2, 5, 20])
+    def test_every_batch_size(self, k, c):
         rng = make_rng(5)
         for b in range(1, 65):
-            logits = rng.normal(size=(b, 20)) * 3
-            Y = np.eye(20)[rng.integers(0, 20, size=b)]
+            logits = rng.normal(size=(b, k)) * 3
+            Y = np.eye(k)[rng.integers(0, k, size=b)]
             got = stage1._banc_batch(logits, Y, c)
             want = ref_banc_batch(logits, Y, c)
-            assert got[0] == want[0], (b, c)
-            assert np.array_equal(got[1], want[1]), (b, c)
+            assert got[0] == want[0], (b, k, c)
+            assert np.array_equal(got[1], want[1]), (b, k, c)
 
     def test_saturated_rows(self):
         # p_y of exactly 1 and of 0: a zero gradient entry and a floored log
@@ -323,7 +325,7 @@ class TestExpertBatch:
         logits = rng.normal(size=(rows, 3, k)) * 4
         Y = softmax_rows(rng.normal(size=(rows, k)) * 2)
         Y[0] = np.eye(k)[3]  # a one-hot row: zeros times floored logs
-        got, want = _expert_batch(logits, Y, shifts), ref_expert_batch(logits, Y, shifts)
+        got, want = softmax_ce(logits, Y, shifts), ref_expert_batch(logits, Y, shifts)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
@@ -334,7 +336,7 @@ class TestExpertBatch:
         shifts = expert_shifts(ClassStats(rng.uniform(1, 600, size=k)))
         flat = rng.normal(size=(256, 3 * k))
         Y = softmax_rows(rng.normal(size=(256, k)))
-        got = _expert_batch(flat.reshape(256, 3, k), Y, shifts)
+        got = softmax_ce(flat.reshape(256, 3, k), Y, shifts)
         want = ref_expert_batch(flat.reshape(256, 3, k), Y, shifts)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
@@ -441,7 +443,7 @@ class TestInputsUnchanged:
         Y = softmax_rows(rng.normal(size=(16, 20)))
         shifts = expert_shifts(ClassStats(rng.uniform(1, 100, size=20)))
         before = copy.deepcopy((logits, Y, shifts))
-        _expert_batch(logits, Y, shifts)
+        softmax_ce(logits, Y, shifts)
         assert_unchanged(before, (logits, Y, shifts))
 
     def test_queue_read(self):
