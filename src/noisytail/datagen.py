@@ -22,11 +22,12 @@ from .errors import InvalidInputError, InvalidSpecError, ParseError
 # The largest size a config field may ask for.  Each size becomes an array
 # dimension or a loop count, so a larger one would exhaust memory or never
 # finish; a config that asks for more exits 2 naming the field.  Each
-# bound holds for its field alone, not for products of several fields.
+# bound holds for its field alone; MAX_VALUES bounds one product of several.
 MAX_CLASSES = 10_000  # longtail.num_classes
 MAX_ROWS = 100_000  # longtail.head_count, test_per_class, stage1.queue_capacity
 MAX_WIDTH = 10_000  # mixture.feature_dim and the stage-1 layer widths
 MAX_EPOCHS = 100_000  # stage1.epochs and stage2.epochs
+MAX_VALUES = 10**8  # entries of the simulated train and test feature matrices
 
 
 @dataclass
@@ -79,25 +80,6 @@ class Dataset:
     @property
     def feature_dim(self) -> int:
         return self.X.shape[1]
-
-
-def align_ids(ids: np.ndarray, target: np.ndarray, what: str) -> np.ndarray:
-    """The permutation `perm` with ids[perm] == target, for rows keyed by
-    `ids` that must correspond 1:1 with the unique ids in `target`."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size != target.size:
-        raise InvalidInputError(
-            f"{what} count {ids.size} != dataset size {target.size}")
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    dup = sorted_ids[1:] == sorted_ids[:-1]
-    if dup.any():
-        raise InvalidInputError(f"duplicate {what} id {sorted_ids[1:][dup][0]}")
-    pos = np.minimum(np.searchsorted(sorted_ids, target), ids.size - 1)
-    missing = sorted_ids[pos] != target
-    if missing.any():
-        raise InvalidInputError(f"no {what} for sample id {target[missing][0]}")
-    return order[pos]
 
 
 @dataclass

@@ -8,6 +8,10 @@ command writes a JSON manifest recording the config hash, the seed, the
 SHA-256 and write time of each of its artifacts, and the process's peak
 memory when the stage finished.  Every artifact is saved, by the saver of
 the module that owns its format, in a forked writer of its own.
+
+No file holds stage 1's predictions or the soft labels: the stage-1
+checkpoint and `train.jsonl` determine both, and `refurbish` and `stage2`
+recompute them, `stage2` under its own config's `refurbish.sigma`.
 """
 
 from __future__ import annotations
@@ -46,12 +50,12 @@ TRAIN_FILE = "train.jsonl"
 TEST_FILE = "test.jsonl"
 STAGE1_CKPT = "stage1_checkpoint.json"
 STAGE1_LOG = "stage1_log.json"
-REFURB_FILE = "refurbished.jsonl"
 STAGE2_CKPT = "stage2_checkpoint.json"
 STAGE2_LOG = "stage2_log.json"
 EVAL_JSON = "eval_report.json"
 EVAL_CSV = "eval_report.csv"
-PREDICTIONS = "stage1 predictions"  # a memo key only: no file holds them
+PREDICTIONS = "stage1 predictions"  # memo keys only: no file holds them
+REFURBISHED = "refurbishment records"
 
 
 def _variant_name(name: str, no_relabel: bool) -> str:
@@ -138,14 +142,22 @@ def config_from_dict(data: dict) -> PipelineConfig:
         if not isinstance(section, dict):
             raise InvalidSpecError(f"config section {name!r} must be an object")
         sections[name] = jsonl.build(cls, {**base[name], **section}, f"{name}.")
-    n_train = sum(datagen.longtail_counts(sections["longtail"]))
-    for name in ("stage1", "stage2"):
-        if sections[name].batch_size > n_train:
-            raise InvalidSpecError(
-                f"{name}.batch_size {sections[name].batch_size} exceeds the "
-                f"{n_train} training samples the longtail section simulates")
     scalars = {k: v for k, v in {**base, **data}.items() if k not in sections}
-    return jsonl.build(PipelineConfig, scalars, **sections)
+    cfg = jsonl.build(PipelineConfig, scalars, **sections)
+    n_train = sum(datagen.longtail_counts(cfg.longtail))
+    for name in ("stage1", "stage2"):
+        if getattr(cfg, name).batch_size > n_train:
+            raise InvalidSpecError(
+                f"{name}.batch_size {getattr(cfg, name).batch_size} exceeds the "
+                f"{n_train} training samples the longtail section simulates")
+    n_rows = n_train + cfg.test_per_class * cfg.longtail.num_classes
+    if n_rows * cfg.mixture.feature_dim > datagen.MAX_VALUES:
+        raise InvalidSpecError(
+            f"the simulated features would hold {n_rows} rows x "
+            f"{cfg.mixture.feature_dim} = {n_rows * cfg.mixture.feature_dim} values, "
+            f"over {datagen.MAX_VALUES}: lower longtail.head_count, "
+            f"longtail.num_classes, test_per_class or mixture.feature_dim")
+    return cfg
 
 
 def load_config(path) -> PipelineConfig:
@@ -207,10 +219,11 @@ def _peak_rss_mb(who: int) -> float:
 
 class Workspace:
     """A run's directory plus, in `memo`, the artifacts the run wrote there
-    and stage 1's predictions, which no file holds.  A later stage takes a
-    kept value, else loads the file: floats are written with `repr` and
-    rows in id order, so the two are equal.  A single-stage command starts
-    with an empty memo; `run_pipeline` hands one workspace down the chain.
+    and the values no file holds (`PREDICTIONS`, `REFURBISHED`).  A later
+    stage takes a kept value, else loads the file: floats are written with
+    `repr` and rows in id order, so the two are equal.  A single-stage
+    command starts with an empty memo; `run_pipeline` hands one workspace
+    down the chain.
 
     Each artifact is written by a forked writer of its own while the next
     stage runs; leaving the workspace's `with` block joins them on every
@@ -357,22 +370,58 @@ def run_stage1(cfg: PipelineConfig, ws: Workspace) -> dict:
     return metrics
 
 
+def _stage1_model(ws: Workspace) -> stage1.Stage1Model:
+    return ws.get(STAGE1_CKPT, "stage1", lambda p: stage1.load_stage1_checkpoint(p)[0])
+
+
+def _refurbished(cfg: PipelineConfig, ws: Workspace, train: Dataset,
+                 model: stage1.Stage1Model) -> refurbish.RefurbishRecords:
+    """The refurbishment records kept in the memo, else those of stage 1's
+    predictions on `train` under `cfg.refurbish`: the kept predictions,
+    which no later stage reads, or `model`'s, recomputed bit for bit."""
+    if REFURBISHED not in ws.memo:
+        preds = ws.memo.pop(PREDICTIONS, None)
+        if preds is None:
+            preds = stage1.predict_all(model, train)
+        ws.memo[REFURBISHED] = refurbish.refurbish_dataset(train, preds, cfg.refurbish)[1]
+    return ws.memo[REFURBISHED]
+
+
 def run_refurbish(cfg: PipelineConfig, ws: Workspace) -> dict:
     t0 = time.perf_counter()
     train = ws.dataset(TRAIN_FILE, cfg)
-    preds = ws.memo.pop(PREDICTIONS, None)  # no later stage reads them
-    if preds is None:  # the checkpoint and train.jsonl determine them bit for bit
-        model = ws.get(STAGE1_CKPT, "stage1", lambda p: stage1.load_stage1_checkpoint(p)[0])
-        preds = stage1.predict_all(model, train)
-    soft, records = refurbish.refurbish_dataset(train, preds, cfg.refurbish)
-    del preds  # free the memory before the writer forks
-    ws.write(REFURB_FILE, records, lambda p: refurbish.save_records(records, p))
-    metrics = refurbish.summarize_records(records)
+    records = _refurbished(cfg, ws, train, _stage1_model(ws))
+    metrics = {**refurbish.summarize_records(records),
+               **changed_rho_weight(train, records, cfg.thresholds)}
     if train.true is not None:
-        metrics.update(refurbish_quality(train, soft, records.changed,
+        metrics.update(refurbish_quality(train, records.soft, records.changed,
                                          cfg.thresholds))
     ws.finish("refurbish", cfg, t0, metrics)
     return metrics
+
+
+def _group_masks(train: Dataset, labels: np.ndarray,
+                 thresholds: SubgroupThresholds) -> dict:
+    """A mask over the samples for "overall" (every sample) and for each
+    shot group (the samples whose class in `labels` is in it), the classes
+    grouped by their `train_counts_for_eval` sizes."""
+    group = ensemble.class_subgroups(train_counts_for_eval(train).counts,
+                                     thresholds)[labels]
+    return {"overall": np.ones(len(train), dtype=bool),
+            **{g: group == g for g in ensemble.SUBGROUPS}}
+
+
+def changed_rho_weight(train: Dataset, records: refurbish.RefurbishRecords,
+                       thresholds: SubgroupThresholds) -> dict:
+    """Mean rho, stage 1's probability of the observed label, and mean
+    weight w = rho * gamma over the changed rows, overall and per shot group
+    of each sample's observed class; None where a group has no changed row.
+    Neither needs the true labels."""
+    masks = _group_masks(train, train.observed, thresholds)
+    return {name: {g: ensemble.masked_mean(values, records.changed & m)
+                   for g, m in masks.items()}
+            for name, values in (("rho_changed", records.rho),
+                                 ("weight_changed", records.weight))}
 
 
 def refurbish_quality(train: Dataset, soft: np.ndarray, changed: np.ndarray,
@@ -383,10 +432,7 @@ def refurbish_quality(train: Dataset, soft: np.ndarray, changed: np.ndarray,
     whose argmax is the true label, and the label mass on the true class
     before (the one-hot observed label) and after refurbishment.  None
     where a group is empty."""
-    group = ensemble.class_subgroups(train_counts_for_eval(train).counts,
-                                     thresholds)[train.true]
-    masks = {"overall": np.ones(len(train), dtype=bool),
-             **{g: group == g for g in ensemble.SUBGROUPS}}
+    masks = _group_masks(train, train.true, thresholds)
     corrupted = train.observed != train.true
     soft_right = np.argmax(soft, axis=1) == train.true
     metrics = {"noise_precision": (corrupted, changed), "noise_recall": (changed, corrupted),
@@ -400,14 +446,12 @@ def refurbish_quality(train: Dataset, soft: np.ndarray, changed: np.ndarray,
 def run_stage2(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -> dict:
     t0 = time.perf_counter()
     train = ws.dataset(TRAIN_FILE, cfg)
-    s1_model = ws.get(STAGE1_CKPT, "stage1",
-                      lambda p: stage1.load_stage1_checkpoint(p)[0])
+    s1_model = _stage1_model(ws)
     if no_relabel:
         softs = np.eye(train.num_classes)[train.observed]
     else:
-        softs = ws.get(REFURB_FILE, "refurbish", lambda p: refurbish.align_records(
-            train, refurbish.load_records(p))).soft
-    ws.memo.pop(REFURB_FILE, None)  # no later stage reads the records: free them
+        softs = _refurbished(cfg, ws, train, s1_model).soft
+    ws.memo.pop(REFURBISHED, None)  # no later stage reads the records: free them
     s2_cfg = _seeded(cfg, "stage2")
     model, log = ensemble.train_stage2(train, softs, s1_model, s2_cfg)
     ckpt_name = _variant_name(STAGE2_CKPT, no_relabel)
@@ -432,8 +476,7 @@ def run_evaluate(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -
     t0 = time.perf_counter()
     train = ws.dataset(TRAIN_FILE, cfg)
     test = ws.dataset(TEST_FILE, cfg)
-    s1_model = ws.get(STAGE1_CKPT, "stage1",
-                      lambda p: stage1.load_stage1_checkpoint(p)[0])
+    s1_model = _stage1_model(ws)
     ckpt_name = _variant_name(STAGE2_CKPT, no_relabel)
     producer = "stage2 --no-relabel" if no_relabel else "stage2"
     model, s2_cfg = ws.get(ckpt_name, producer, lambda p: ensemble.load_stage2_checkpoint(
@@ -527,7 +570,7 @@ def run_in_memory(cfg: PipelineConfig, no_relabel: bool = False) -> PipelineResu
     ws = copy.deepcopy(_stage1_memo[key])
     preds = ws.memo[PREDICTIONS]  # run_refurbish drops them from the memo,
     run_refurbish(cfg, ws)
-    records = ws.memo[REFURB_FILE]  # and run_stage2 these
+    records = ws.memo[REFURBISHED]  # and run_stage2 these
     run_stage2(cfg, ws, no_relabel)
     run_evaluate(cfg, ws, no_relabel)
     train, report = ws.memo[TRAIN_FILE], ws.memo[_variant_name(EVAL_JSON, no_relabel)]

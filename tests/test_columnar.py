@@ -25,7 +25,6 @@ from hypothesis.extra import numpy as hnp
 from noisytail import jsonl
 from noisytail.datagen import (
     Dataset,
-    align_ids,
     import_embeddings,
     inject_asymmetric,
     inject_symmetric,
@@ -37,7 +36,6 @@ from noisytail.errors import InvalidInputError, ParseError
 from noisytail.numerics import make_rng, softmax_rows
 from noisytail.refurbish import (
     RefurbishConfig,
-    align_records,
     class_proportions,
     load_records,
     refurbish_dataset,
@@ -621,7 +619,7 @@ class TestPredictionLoader:
                      (preds.predicted, got.predicted)):
             assert a.tobytes() == b.tobytes()
 
-    def test_alignment_follows_ids_not_file_order(self, tmp_path):
+    def test_loaders_keep_file_order(self, tmp_path):
         rng = make_rng(7)
         ds = random_dataset(rng, 60, 4)
         preds = Predictions(rng.normal(size=(60, 4)))
@@ -629,26 +627,14 @@ class TestPredictionLoader:
         save_predictions(ds.ids[order], Predictions(preds.logits[order]),
                          tmp_path / "p.jsonl")
         ids, loaded = load_predictions(tmp_path / "p.jsonl")
-        aligned = Predictions(loaded.logits[align_ids(ids, ds.ids, "prediction")])
-        assert aligned.logits.tobytes() == preds.logits.tobytes()
-        assert aligned.predicted.tolist() == preds.predicted.tolist()
+        assert ids.tolist() == ds.ids[order].tolist()
+        assert loaded.logits.tobytes() == preds.logits[order].tobytes()
+        assert loaded.predicted.tolist() == preds.predicted[order].tolist()
         _, records = refurbish_dataset(ds, preds, RefurbishConfig())
-        save_records(records.take(order), tmp_path / "r.jsonl")
-        back = align_records(ds, load_records(tmp_path / "r.jsonl"))
+        save_records(records, tmp_path / "r.jsonl")
+        back = load_records(tmp_path / "r.jsonl")
         assert back.ids.tolist() == ds.ids.tolist()
         assert back.soft.tobytes() == records.soft.tobytes()
-
-    @pytest.mark.parametrize("edit, match", [
-        (lambda ids: np.concatenate([ids[:1], ids[:-1]]), "duplicate prediction id"),
-        (lambda ids: np.where(ids == ids[3], -5, ids), "no prediction for sample id"),
-        (lambda ids: ids[:-1], "prediction count"),
-    ])
-    def test_alignment_rejects_bad_ids(self, edit, match):
-        rng = make_rng(8)
-        ds = random_dataset(rng, 10, 3)
-        ids = edit(ds.ids.copy())
-        with pytest.raises(InvalidInputError, match=match):
-            align_ids(ids, ds.ids, "prediction")
 
     def test_nan_logit_names_line(self, tmp_path):
         path = tmp_path / "p.jsonl"

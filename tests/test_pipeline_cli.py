@@ -60,10 +60,11 @@ OVERSIZED = [
 
 def assert_manifests_match_files(out, commands):
     """Each command's manifest lists SHA-256 digests that match its files
-    as read back here, a write time for each of them, and peak RSS figures."""
+    as read back here, a write time for each of them, and peak RSS figures.
+    Every command but `refurbish`, which writes no file, lists some."""
     for command in commands:
         manifest = json.loads((out / f"manifest_{command}.json").read_text())
-        assert manifest["artifacts"], command
+        assert bool(manifest["artifacts"]) == (command != "refurbish"), command
         for name, digest in manifest["artifacts"].items():
             assert file_sha256(out / name) == digest, name
         assert manifest["write_s"].keys() == manifest["artifacts"].keys(), command
@@ -116,6 +117,26 @@ def train_noise_mask(out) -> list[bool]:
     return [r["observed_label"] != r["true_label"] for r in rows]
 
 
+def assert_stale_file_changes_nothing(tmp_path, stale, text):
+    """With `stale` holding `text` in a workspace that `simulate` and
+    `stage1` wrote, `refurbish`, `stage2` and `evaluate` report the
+    metrics and write the files of `pipeline`."""
+    cfg_path = write_tiny_config(tmp_path)
+    ref, out = tmp_path / "ref", tmp_path / "ws"
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(ref)]) == 0
+    for command in ("simulate", "stage1"):
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    (out / stale).write_text(text)
+    for command in ("refurbish", "stage2", "evaluate"):
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        metrics = [json.loads((d / f"manifest_{command}.json").read_text())["metrics"]
+                   for d in (ref, out)]
+        assert metrics[0] == metrics[1], command
+    for name in os.listdir(ref):
+        if not name.startswith("manifest_"):
+            assert file_sha256(out / name) == file_sha256(ref / name), name
+
+
 def write_tiny_config(tmp_path, **extra):
     cfg = json.loads(json.dumps(TINY_CONFIG))
     cfg.update(extra)
@@ -161,19 +182,33 @@ class TestConfig:
         assert back == cfg
 
     def test_sizes_at_their_bounds_load(self):
-        # every size bound is inclusive; loading allocates nothing of that size
+        # every size bound is inclusive; loading allocates nothing of that
+        # size.  The four data sizes load one at a time: at their bounds
+        # together the simulated features would pass MAX_VALUES.
         cfg = config_from_dict({
-            "longtail": {"num_classes": datagen.MAX_CLASSES,
-                         "head_count": datagen.MAX_ROWS},
-            "mixture": {"feature_dim": datagen.MAX_WIDTH},
+            "longtail": {"num_classes": datagen.MAX_CLASSES},
             "stage1": {"queue_capacity": datagen.MAX_ROWS,
                        "epochs": datagen.MAX_EPOCHS,
                        **{f: datagen.MAX_WIDTH for f in WIDTH_FIELDS}},
             "stage2": {"epochs": datagen.MAX_EPOCHS},
-            "test_per_class": datagen.MAX_ROWS,
         })
         assert cfg.longtail.num_classes == datagen.MAX_CLASSES
         assert cfg.stage1.proj_hidden == datagen.MAX_WIDTH
+        for data in ({"longtail": {"head_count": datagen.MAX_ROWS}},
+                     {"mixture": {"feature_dim": datagen.MAX_WIDTH}},
+                     {"test_per_class": datagen.MAX_ROWS}):
+            config_from_dict(data)
+
+    def test_feature_matrix_bound_is_inclusive(self):
+        # two classes of n train and n test rows each, MAX_WIDTH features
+        n = datagen.MAX_VALUES // (4 * datagen.MAX_WIDTH)
+        assert 4 * n * datagen.MAX_WIDTH == datagen.MAX_VALUES
+        data = {"longtail": {"num_classes": 2, "head_count": n, "imbalance_ratio": 1.0},
+                "mixture": {"feature_dim": datagen.MAX_WIDTH}, "test_per_class": n}
+        assert config_from_dict(data).test_per_class == n
+        data["test_per_class"] = n + 1
+        with pytest.raises(InvalidSpecError, match=f"over {datagen.MAX_VALUES}"):
+            config_from_dict(data)
 
     def test_readme_example_is_the_default_profile(self):
         readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
@@ -265,7 +300,8 @@ class TestCliPipeline:
         # commands reload them: every artifact must come out the same
         names = sorted(p.name for p in out1.iterdir())
         assert names == sorted(p.name for p in out2.iterdir())
-        assert len(names) == 14
+        assert len(names) == 13
+        assert "refurbished.jsonl" not in names
         for name in names:
             if name.startswith("manifest_"):
                 m1, m2 = (json.loads((d / name).read_text()) for d in (out1, out2))
@@ -278,8 +314,9 @@ class TestCliPipeline:
 
     def test_pipeline_reads_back_nothing(self, tmp_path, monkeypatch):
         """No loader runs and no file the run wrote is opened for reading,
-        and the predictions are computed once, after `train_stage1`:
-        refurbish takes them from memory."""
+        the predictions are computed once, after `train_stage1`, and the
+        soft labels once: refurbish takes the predictions from memory, and
+        stage 2 the soft labels."""
         def refuse(*args, **kwargs):
             raise AssertionError("pipeline read back an artifact it wrote")
 
@@ -301,14 +338,21 @@ class TestCliPipeline:
         def counted_predict(*args, **kwargs):
             predict_calls.append(bool(training))
             return predict_all(*args, **kwargs)
+        refurbish_calls, refurbish_dataset = [], refurbish.refurbish_dataset
+
+        def counted_refurbish(*args, **kwargs):
+            refurbish_calls.append(True)
+            return refurbish_dataset(*args, **kwargs)
         monkeypatch.setattr(stage1, "train_stage1", counted_train)
         monkeypatch.setattr(stage1, "predict_all", counted_predict)
+        monkeypatch.setattr(refurbish, "refurbish_dataset", counted_refurbish)
         cfg = config_from_dict(TINY_CONFIG)
         out = tmp_path / "ws"
         with no_read_back(out):
             metrics = pipeline.run_pipeline(cfg, out)
         assert 0.0 <= metrics["overall_accuracy"] <= 1.0
         assert predict_calls == [False]
+        assert refurbish_calls == [True]
         assert_manifests_match_files(out, STAGES)
 
     def test_stage_commands_hash_without_reading_back(self, tmp_path):
@@ -348,9 +392,9 @@ class TestCliPipeline:
 
     def test_refurbish_recomputes_multi_block_predictions(self, tmp_path):
         """Above FORWARD_ROWS training rows `forward` runs the stage-1
-        predictions in several row blocks: `refurbish` on the pipeline's
-        train.jsonl and checkpoint alone still writes its records byte for
-        byte."""
+        predictions in several row blocks: `refurbish` and `stage2` on the
+        pipeline's train.jsonl and checkpoint alone still report the same
+        metrics and write the same stage-2 bytes."""
         cfg_path = write_tiny_config(
             tmp_path,
             longtail={"num_classes": 5, "head_count": 1500, "imbalance_ratio": 3.0},
@@ -363,25 +407,63 @@ class TestCliPipeline:
         out.mkdir()
         for name in (pipeline.TRAIN_FILE, pipeline.STAGE1_CKPT):
             (out / name).write_bytes((ref / name).read_bytes())
-        assert main(["refurbish", "--config", str(cfg_path), "--out", str(out)]) == 0
-        name = pipeline.REFURB_FILE
-        assert (out / name).read_bytes() == (ref / name).read_bytes()
-        metrics = [json.loads((d / "manifest_refurbish.json").read_text())["metrics"]
-                   for d in (ref, out)]
-        assert metrics[0] == metrics[1]
+        for command in ("refurbish", "stage2"):
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+            metrics = [json.loads((d / f"manifest_{command}.json").read_text())["metrics"]
+                       for d in (ref, out)]
+            assert metrics[0] == metrics[1], command
+        for name in (pipeline.STAGE2_CKPT, pipeline.STAGE2_LOG):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
     def test_refurbish_ignores_a_stale_predictions_file(self, tmp_path):
         """A workspace from an older version may hold stage1_predictions.jsonl:
         nothing reads it, so a corrupt one changes nothing."""
+        assert_stale_file_changes_nothing(tmp_path, "stage1_predictions.jsonl",
+                                          '{"id": 0, "logits": [NaN\n')
+
+    def test_stage_commands_ignore_a_stale_refurbished_file(self, tmp_path):
+        """A workspace from an older version may hold refurbished.jsonl:
+        nothing reads it, so a corrupt one changes nothing."""
+        assert_stale_file_changes_nothing(tmp_path, "refurbished.jsonl",
+                                          '{"id": 0, "soft_label": [NaN\n')
+
+    def test_stage2_needs_only_the_training_set_and_checkpoint(self, tmp_path):
+        """`stage2` on a workspace that holds only train.jsonl and the
+        stage-1 checkpoint derives the soft labels and writes the
+        pipeline's stage-2 bytes."""
         cfg_path = write_tiny_config(tmp_path)
         ref, out = tmp_path / "ref", tmp_path / "ws"
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(ref)]) == 0
+        out.mkdir()
+        for name in (pipeline.TRAIN_FILE, pipeline.STAGE1_CKPT):
+            (out / name).write_bytes((ref / name).read_bytes())
+        assert main(["stage2", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == sorted(
+            [pipeline.TRAIN_FILE, pipeline.STAGE1_CKPT, pipeline.STAGE2_CKPT,
+             pipeline.STAGE2_LOG, "manifest_stage2.json"])
+        for name in (pipeline.STAGE2_CKPT, pipeline.STAGE2_LOG):
+            assert file_sha256(out / name) == file_sha256(ref / name), name
+        assert_manifests_match_files(out, ["stage2"])
+
+    def test_stage2_soft_labels_follow_its_own_sigma(self, tmp_path):
+        """Single-stage `stage2` refurbishes under the sigma of its own
+        config, which its manifest records: another sigma trains on the
+        soft labels of a pipeline with that sigma."""
+        cfg_path = write_tiny_config(tmp_path)
+        (tmp_path / "other").mkdir()
+        other = write_tiny_config(tmp_path / "other", refurbish={"sigma": 0.01})
+        ref, out = tmp_path / "ref", tmp_path / "ws"
+        assert main(["pipeline", "--config", str(other), "--out", str(ref)]) == 0
         for command in ("simulate", "stage1"):
             assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
-        (out / "stage1_predictions.jsonl").write_text('{"id": 0, "logits": [NaN\n')
-        assert main(["refurbish", "--config", str(cfg_path), "--out", str(out)]) == 0
-        name = pipeline.REFURB_FILE
-        assert (out / name).read_bytes() == (ref / name).read_bytes()
+        assert main(["stage2", "--config", str(other), "--out", str(out)]) == 0
+        assert file_sha256(out / pipeline.STAGE2_CKPT) == file_sha256(
+            ref / pipeline.STAGE2_CKPT)
+        manifest = json.loads((out / "manifest_stage2.json").read_text())
+        assert manifest["config"]["refurbish"]["sigma"] == 0.01
+        assert main(["stage2", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert file_sha256(out / pipeline.STAGE2_CKPT) != file_sha256(
+            ref / pipeline.STAGE2_CKPT)
 
     def test_writer_encodes_a_snapshot(self, tmp_path, monkeypatch):
         """Arrays and weights changed in place after `write` returns do not
@@ -461,20 +543,24 @@ class TestCliPipeline:
             os.waitpid(sibling, os.WNOHANG)
         assert os.listdir(out) == []  # no partial file, no manifest
 
-    @pytest.mark.parametrize("before, command, name, stage", [
-        pytest.param((), "pipeline", pipeline.REFURB_FILE, "refurbish", id="pipeline"),
-        pytest.param(("simulate", "stage1"), "refurbish", pipeline.REFURB_FILE,
-                     "refurbish", id="stage1"),
+    @pytest.mark.parametrize("before, command, name, stage, kept", [
+        pytest.param((), "pipeline", pipeline.TRAIN_FILE, "simulate", ["refurbish"],
+                     id="pipeline"),
+        pytest.param(("simulate", "stage1"), "simulate", pipeline.TRAIN_FILE,
+                     "simulate", ["stage1"], id="stage1"),
         pytest.param(("simulate",), "stage1", pipeline.STAGE1_CKPT, "stage1",
-                     id="stage1-checkpoint")])
+                     ["simulate"], id="stage1-checkpoint")])
     def test_failed_writer_exits_3_naming_the_file(self, tmp_path, monkeypatch, capsys,
-                                                   before, command, name, stage):
+                                                   before, command, name, stage, kept):
         """The JSONL encoder raises, or the checkpoint write fails halfway,
         inside a forked writer: exit 3 naming the file, the file deleted,
         every writer reaped, and no manifest for the stage that wrote it;
-        every manifest left matches its files.  The JSONL encoder fails in
-        `pipeline`, and in `refurbish` on a workspace that the commands up
-        to `stage1` wrote."""
+        the manifests `kept` are left, and match their files.  The JSONL
+        encoder fails for the datasets in `pipeline`, which kills the later
+        stages' writers and keeps only the manifest of `refurbish`, which
+        writes no file; and in `simulate` run again on a workspace that the
+        commands up to `stage1` wrote, whose manifest of `simulate` it
+        deletes."""
         cfg_path = write_tiny_config(tmp_path)
         out = tmp_path / "ws"
         for earlier in before:
@@ -482,7 +568,7 @@ class TestCliPipeline:
         encode_rows, write_text = jsonl.encode_rows, jsonl.write_text
 
         def failing_encoder(write, keys, columns):
-            if "soft_label" in keys:
+            if "features" in keys:
                 raise RuntimeError("encoder broke")
             encode_rows(write, keys, columns)
 
@@ -491,7 +577,7 @@ class TestCliPipeline:
                 write_text(path, text[:len(text) // 2])
                 raise OSError("disk full")
             return write_text(path, text)
-        if name == pipeline.REFURB_FILE:
+        if name.endswith(".jsonl"):
             monkeypatch.setattr(jsonl, "encode_rows", failing_encoder)
         else:
             monkeypatch.setattr(jsonl, "write_text", failing_text)
@@ -504,7 +590,7 @@ class TestCliPipeline:
             os.waitpid(-1, os.WNOHANG)
         monkeypatch.undo()
         left = [p.name[len("manifest_"):-len(".json")] for p in out.glob("manifest_*")]
-        assert "simulate" in left
+        assert sorted(left) == kept
         assert_manifests_match_files(out, left)
 
     def test_no_relabel_variant(self, tmp_path):
@@ -532,6 +618,12 @@ class TestCliPipeline:
         assert main(["refurbish", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert pipeline.STAGE1_CKPT in err and "`stage1`" in err
+        # and so does stage2, which derives the soft labels from it
+        for flags in ([], ["--no-relabel"]):
+            assert main(["stage2", "--config", str(cfg_path), "--out", str(out),
+                         *flags]) == 2
+            err = capsys.readouterr().err
+            assert pipeline.STAGE1_CKPT in err and "`stage1`" in err
 
     def test_in_memory_matches_cli_metrics(self, tmp_path):
         """`run_in_memory(cfg).stages` holds exactly the metrics of the
@@ -703,6 +795,27 @@ class TestCliErrors:
         assert main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {where} must be ")
+
+    def test_oversized_feature_matrix_exits_2_naming_fields(self, tmp_path, capsys,
+                                                            monkeypatch):
+        """Every size within its own bound, but 10^9 training rows of
+        simulated features: refused while the config loads, naming the
+        fields that size the matrix; nothing is simulated."""
+        def reached(*args):
+            raise AssertionError("an oversized feature matrix got past config loading")
+        monkeypatch.setattr(datagen, "synth_split", reached)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"longtail": {
+            "num_classes": datagen.MAX_CLASSES, "head_count": datagen.MAX_ROWS,
+            "imbalance_ratio": 1.0}}))
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"over {datagen.MAX_VALUES}" in err
+        for field in ("longtail.head_count", "longtail.num_classes", "test_per_class",
+                      "mixture.feature_dim"):
+            assert field in err
+        assert not (tmp_path / "o").exists()
 
     def test_unwritable_out_exits_3(self, tmp_path):
         cfg_path = write_tiny_config(tmp_path)
@@ -991,6 +1104,17 @@ class TestMalformedCheckpoints:
         assert err.startswith("error: ") and name in err
 
 
+def recomputed_records(out, sigma=0.2) -> dict:
+    """Sample id -> its refurbishment record, derived from `out`'s
+    train.jsonl and stage-1 checkpoint as the README's recipe does."""
+    ds = datagen.load_dataset(out / pipeline.TRAIN_FILE,
+                              TINY_CONFIG["longtail"]["num_classes"])
+    model = stage1.load_stage1_checkpoint(out / pipeline.STAGE1_CKPT)[0]
+    _, records = refurbish.refurbish_dataset(ds, stage1.predict_all(model, ds),
+                                             refurbish.RefurbishConfig(sigma))
+    return {r.id: r for r in records}
+
+
 class TestRefurbishMetrics:
     GROUPS = {"overall", "many", "medium", "few"}
 
@@ -1001,19 +1125,18 @@ class TestRefurbishMetrics:
             assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
         metrics = json.loads((out / "manifest_refurbish.json").read_text())["metrics"]
         train = [json.loads(l) for l in (out / "train.jsonl").read_text().splitlines()]
-        recs = {r["id"]: r for r in (json.loads(l) for l in
-                                     (out / "refurbished.jsonl").read_text().splitlines())}
+        recs = recomputed_records(out)
         corrupted = [t["observed_label"] != t["true_label"] for t in train]
-        changed = [recs[t["id"]]["changed"] for t in train]
+        changed = [recs[t["id"]].changed for t in train]
         hits = sum(c and m for c, m in zip(changed, corrupted))
         overall = {"noise_precision": hits / sum(changed),
                    "noise_recall": hits / sum(corrupted),
                    "soft_label_accuracy": sum(
-                       int(np.argmax(recs[t["id"]]["soft_label"])) == t["true_label"]
+                       int(np.argmax(recs[t["id"]].soft)) == t["true_label"]
                        for t in train) / len(train),
                    "true_class_mass_before": 1 - sum(corrupted) / len(train),
                    "true_class_mass_after": sum(
-                       recs[t["id"]]["soft_label"][t["true_label"]]
+                       recs[t["id"]].soft[t["true_label"]]
                        for t in train) / len(train)}
         for name, value in overall.items():
             assert set(metrics[name]) == self.GROUPS
@@ -1021,6 +1144,39 @@ class TestRefurbishMetrics:
             for g in ("many", "medium", "few"):
                 v = metrics[name][g]
                 assert v is None or 0.0 <= v <= 1.0
+
+    def test_rho_and_weight_of_changed_rows_by_observed_group(self, tmp_path):
+        """Mean rho and mean w over the changed rows, overall and per shot
+        group of the observed class (classes grouped by their clean
+        sizes), against means taken here row by row."""
+        cfg_path = write_tiny_config(tmp_path)
+        out = tmp_path / "ws"
+        for cmd in ("simulate", "stage1", "refurbish"):
+            assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
+        metrics = json.loads((out / "manifest_refurbish.json").read_text())["metrics"]
+        train = [json.loads(l) for l in (out / "train.jsonl").read_text().splitlines()]
+        recs = recomputed_records(out)
+        sizes = {}
+        for t in train:
+            sizes[t["true_label"]] = sizes.get(t["true_label"], 0) + 1
+        limits = TINY_CONFIG["thresholds"]
+
+        def group(k):
+            n = sizes.get(k, 0)
+            return "many" if n > limits["many_min"] else \
+                "few" if n < limits["few_max"] else "medium"
+        rows = {g: [recs[t["id"]] for t in train if recs[t["id"]].changed
+                    and g in ("overall", group(t["observed_label"]))]
+                for g in self.GROUPS}
+        assert all(rows.values())  # on this config each group has a changed row
+        for name, field in (("rho_changed", "rho"), ("weight_changed", "weight")):
+            assert set(metrics[name]) == self.GROUPS
+            for g, changed in rows.items():
+                mean = sum(getattr(r, field) for r in changed) / len(changed)
+                assert abs(metrics[name][g] - mean) < 1e-12, (name, g)
+        assert metrics["weight_changed"]["overall"] == metrics["mean_weight_changed"]
+        for g in self.GROUPS:  # w = rho * gamma with gamma <= 1
+            assert metrics["weight_changed"][g] <= metrics["rho_changed"][g]
 
     def test_real_data_mode_omits_them(self, tmp_path):
         cfg_path = write_tiny_config(tmp_path)
@@ -1034,6 +1190,10 @@ class TestRefurbishMetrics:
         assert main(["refurbish", "--config", str(cfg_path), "--out", str(out)]) == 0
         metrics = json.loads((out / "manifest_refurbish.json").read_text())["metrics"]
         assert "fraction_changed" in metrics
+        for name in ("rho_changed", "weight_changed"):  # these need no true labels
+            assert set(metrics[name]) == self.GROUPS
+            assert 0.0 < metrics[name]["overall"] < 1.0
+        assert metrics["weight_changed"]["overall"] == metrics["mean_weight_changed"]
         assert not {"noise_precision", "noise_recall", "soft_label_accuracy",
                     "true_class_mass_before", "true_class_mass_after"} & set(metrics)
 

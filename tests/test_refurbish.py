@@ -11,7 +11,6 @@ from noisytail.refurbish import (
     ClassStats,
     RefurbishConfig,
     RefurbishRecords,
-    align_records,
     class_proportions,
     load_records,
     rarity,
@@ -235,7 +234,7 @@ class TestRefurbishDataset:
 
 
 class TestRecordPersistence:
-    def test_roundtrip_and_alignment(self, tmp_path):
+    def test_roundtrip(self, tmp_path):
         rng = make_rng(2)
         ds = make_ds(rng.integers(0, 3, size=10), 3)
         preds = Predictions(rng.normal(size=(10, 3)))
@@ -243,20 +242,12 @@ class TestRecordPersistence:
         path = tmp_path / "refurb.jsonl"
         save_records(records, path)
         back = load_records(path)
-        aligned = align_records(ds, back)
-        for a, b in zip(records, aligned):
+        assert len(back) == len(records)
+        for a, b in zip(records, back):
             assert (a.id, a.changed) == (b.id, b.changed)
             assert abs(a.rho - b.rho) < 1e-15
             assert abs(a.gamma - b.gamma) < 1e-15
             np.testing.assert_array_equal(a.soft, b.soft)
-
-    def test_alignment_rejects_wrong_count(self, tmp_path):
-        rng = make_rng(3)
-        ds = make_ds(rng.integers(0, 2, size=5), 2)
-        preds = Predictions(rng.normal(size=(5, 2)))
-        _, records = refurbish_dataset(ds, preds, RefurbishConfig())
-        with pytest.raises(InvalidInputError):
-            align_records(ds, records.take(slice(0, -1)))
 
 
 class TestSoftLabelValidation:

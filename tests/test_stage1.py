@@ -10,7 +10,6 @@ from noisytail import stage1
 from noisytail.datagen import (
     LongTailSpec,
     MixtureSpec,
-    align_ids,
     inject_symmetric,
     synth_dataset,
 )
@@ -595,7 +594,7 @@ class TestPersistence:
         assert again.logits.tobytes() == preds.logits.tobytes()
         assert again.predicted.tobytes() == preds.predicted.tobytes()
 
-    def test_predictions_roundtrip_and_alignment(self, tmp_path):
+    def test_predictions_roundtrip(self, tmp_path):
         ds = tiny_dataset()
         cfg = Stage1Config(seed=7, **TINY)
         model, _ = train_stage1(ds, cfg)
@@ -603,14 +602,6 @@ class TestPersistence:
         path = tmp_path / "preds.jsonl"
         save_predictions(ds.ids, preds, path)
         ids, loaded = load_predictions(path)
-        aligned = Predictions(loaded.logits[align_ids(ids, ds.ids, "prediction")])
-        np.testing.assert_array_equal(preds.logits, aligned.logits)
-        np.testing.assert_array_equal(preds.predicted, aligned.predicted)
-
-    def test_alignment_rejects_missing_id(self):
-        ds = tiny_dataset()
-        # the first sample's prediction is missing and another id stands in
-        ids = ds.ids.copy()
-        ids[0] = ds.ids.max() + 1
-        with pytest.raises(InvalidInputError, match=f"sample id {ds.ids[0]}"):
-            align_ids(ids, ds.ids, "prediction")
+        np.testing.assert_array_equal(ids, ds.ids)
+        np.testing.assert_array_equal(preds.logits, loaded.logits)
+        np.testing.assert_array_equal(preds.predicted, loaded.predicted)
