@@ -1,4 +1,5 @@
-"""Stage-2 training: three expert heads over a frozen backbone.
+"""Stage-2 training: three expert heads over a frozen backbone, held in
+training, inference and the checkpoint alike as one (3K x repr) layer.
 
 Each expert optimizes a soft cross-entropy whose logits are shifted by an
 increasing power of the (soft) class counts: no shift for the head expert,
@@ -96,7 +97,8 @@ class EnsembleModel:
 
     def __post_init__(self):
         if len(self.head.layer_dims) != 2 or self.head.out_dim % 3:
-            raise InvalidInputError("the head must be one linear layer of 3K outputs")
+            raise InvalidInputError("the head must be one linear layer of 3K outputs, "
+                                    f"got layer dims {self.head.layer_dims}")
         if self.head.in_dim != self.backbone.out_dim:
             raise InvalidInputError("head input dim must match backbone output")
 
@@ -270,17 +272,15 @@ def backbone_hash(net: Mlp) -> str:
 
 def save_stage2_checkpoint(model: EnsembleModel, cfg: Stage2Config,
                            stage1_checkpoint_name: str, path) -> str:
-    """The head goes to disk as three per-expert (K x repr) layers.
-    Returns the file's SHA-256."""
-    head = model.head
-    experts = [Mlp([head.in_dim, w.shape[0]], [w], [b], head.activation)
-               for w, b in zip(np.split(head.weights[0], 3), np.split(head.biases[0], 3))]
+    """The (3K x repr) head goes to disk as the one linear layer it is:
+    expert e is rows [eK, (e+1)K) of `head`'s weights and biases.  Returns
+    the file's SHA-256."""
     return jsonl.write_json(path, {
         "kind": "stage2",
         "config": asdict(cfg),
         "backbone_hash": backbone_hash(model.backbone),
         "stage1_checkpoint": stage1_checkpoint_name,
-        "experts": [jsonl.mlp_state(e) for e in experts],
+        "head": jsonl.mlp_state(model.head),
     })
 
 
@@ -288,24 +288,12 @@ def load_stage2_checkpoint(path, backbone: Mlp
                            ) -> tuple[EnsembleModel, Stage2Config]:
     """Rebuild the ensemble from its checkpoint plus the referenced backbone.
 
-    The three stored experts, one-layer heads of one shape, are stacked
-    into the 3K head.  The stored hash must match the supplied backbone's
-    weights.
+    `EnsembleModel` checks the stored head's shape.  The stored hash must
+    match the supplied backbone's weights.
     """
     with jsonl.read_checkpoint(path, "stage2") as state:
         stored_hash = state["backbone_hash"]
-        experts = [jsonl.mlp_from_state(s) for s in state["experts"]]
-        if (len(experts) != 3 or len(experts[0].layer_dims) != 2
-                or any(e.layer_dims != experts[0].layer_dims for e in experts)):
-            raise InvalidInputError(
-                "experts must be three one-layer heads of one shape, got layer dims "
-                f"{[e.layer_dims for e in experts]}")
-        in_dim, k = experts[0].layer_dims
-        head = Mlp([in_dim, 3 * k],
-                   [np.concatenate([e.weights[0] for e in experts])],
-                   [np.concatenate([e.biases[0] for e in experts])],
-                   experts[0].activation)
-        model = EnsembleModel(backbone.copy(), head)
+        model = EnsembleModel(backbone.copy(), jsonl.mlp_from_state(state["head"]))
         cfg = jsonl.build(Stage2Config, state["config"], "config.")
     if backbone_hash(backbone) != stored_hash:
         raise InvalidInputError(

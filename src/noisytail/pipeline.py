@@ -150,7 +150,13 @@ def config_from_dict(data: dict) -> PipelineConfig:
             raise InvalidSpecError(
                 f"{name}.batch_size {getattr(cfg, name).batch_size} exceeds the "
                 f"{n_train} training samples the longtail section simulates")
-    n_rows = n_train + cfg.test_per_class * cfg.longtail.num_classes
+    k = cfg.longtail.num_classes
+    for src, dst in cfg.noise.flip_map or ():
+        if not (0 <= src < k and 0 <= dst < k):
+            raise InvalidSpecError(
+                f"noise.flip_map pair {src}->{dst} names a class outside "
+                f"[0, {k}), the classes of longtail.num_classes")
+    n_rows = n_train + cfg.test_per_class * k
     if n_rows * cfg.mixture.feature_dim > datagen.MAX_VALUES:
         raise InvalidSpecError(
             f"the simulated features would hold {n_rows} rows x "
@@ -228,8 +234,9 @@ class Workspace:
     Each artifact is written by a forked writer of its own while the next
     stage runs; leaving the workspace's `with` block joins them on every
     path, then writes the manifest of each stage that finished, from the
-    digests the writers sent back.  A workspace with no directory only
-    keeps the values and metrics: it forks and writes nothing."""
+    digests the writers sent back, while every stage up to it wrote all of
+    its artifacts.  A workspace with no directory only keeps the values
+    and metrics: it forks and writes nothing."""
 
     def __init__(self, out_dir=None):
         self.out_dir = None if out_dir is None else Path(out_dir)
@@ -298,10 +305,11 @@ class Workspace:
 
     def join(self) -> None:
         """Wait for every writer, then write the manifest of each finished
-        stage whose artifacts were all written, and delete that of any
-        other.  A writer that failed raises OSError naming its file, after
-        the other writers are killed and reaped and every file not fully
-        written is deleted."""
+        stage while that stage and every earlier one wrote all of their
+        artifacts; from the first stage that did not, delete the manifests
+        of it and of every later stage.  A writer that failed raises
+        OSError naming its file, after the other writers are killed and
+        reaped and every file not fully written is deleted."""
         try:
             for pid, name in list(self._writing.items()):
                 digest, seconds = self._writers.wait(pid).split()
@@ -315,8 +323,10 @@ class Workspace:
             raise
         finally:
             writers_peak_rss = _peak_rss_mb(resource.RUSAGE_CHILDREN)
+            complete = True  # this stage and every earlier one wrote all their files
             for command, cfg, wall_time_s, peak_rss, metrics, names in self._finished:
-                if all(name in self.written for name in names):
+                complete = complete and all(name in self.written for name in names)
+                if complete:
                     write_manifest(self.out_dir, command, cfg, wall_time_s, peak_rss,
                                    metrics, {name: self.written[name] for name in names},
                                    writers_peak_rss)

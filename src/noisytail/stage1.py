@@ -138,26 +138,20 @@ class Stage1Model:
 class FeatureQueue:
     """FIFO queue of unit-norm embeddings used as extra negatives.
 
-    Storage is a preallocated (capacity, d) float64 ring buffer with a
-    write pointer, as in the MoCo queue; d is fixed by the first push.
-    Once full, each push overwrites the oldest rows.  Reads return the
-    rows oldest to newest, the order the contrastive kernel sees them in.
+    Storage is one (n, d) float64 array of the newest n <= capacity rows,
+    oldest first, the order the contrastive kernel sees them in; d is fixed
+    by the first push.  Each push appends its rows and drops the oldest
+    past capacity.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise InvalidSpecError("queue capacity must be >= 1")
-        self._capacity = capacity
-        self._buf: Optional[np.ndarray] = None
-        self._head = 0  # next row to write; the oldest row once full
-        self._len = 0
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
+        self.capacity = capacity
+        self._rows: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        return self._len
+        return 0 if self._rows is None else len(self._rows)
 
     def push_batch(self, Z: np.ndarray) -> None:
         """Enqueue the rows of Z, L2-normalised, evicting the oldest."""
@@ -166,26 +160,17 @@ class FeatureQueue:
             raise InvalidInputError(f"embedding batch must be 2-D, got shape {Z.shape}")
         if not np.isfinite(Z).all():
             raise InvalidInputError("embedding contains non-finite entries")
-        if self._buf is None:
-            self._buf = np.empty((self._capacity, Z.shape[1]))
-        elif Z.shape[1] != self._buf.shape[1]:
+        if self._rows is None:
+            self._rows = np.empty((0, Z.shape[1]))
+        elif Z.shape[1] != self._rows.shape[1]:
             raise InvalidInputError(
-                f"embedding dim {Z.shape[1]} != queue dim {self._buf.shape[1]}")
-        rows = l2_normalize(Z[-self._capacity:])  # only the newest can survive
-        n = rows.shape[0]
-        first = min(n, self._capacity - self._head)
-        self._buf[self._head:self._head + first] = rows[:first]
-        self._buf[:n - first] = rows[first:]
-        self._head = (self._head + n) % self._capacity
-        self._len = min(self._len + n, self._capacity)
+                f"embedding dim {Z.shape[1]} != queue dim {self._rows.shape[1]}")
+        rows = l2_normalize(Z[-self.capacity:])  # only the newest can survive
+        self._rows = np.concatenate((self._rows, rows))[-self.capacity:]
 
     def as_matrix(self) -> Optional[np.ndarray]:
         """Oldest-to-newest copy of the queued rows, or None when empty."""
-        if self._len == 0:
-            return None
-        if self._len < self._capacity or self._head == 0:  # stored in order
-            return self._buf[:self._len].copy()
-        return np.concatenate((self._buf[self._head:], self._buf[:self._head]))
+        return self._rows.copy() if len(self) else None
 
 
 # ---------------------------------------------------------------------------

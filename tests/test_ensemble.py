@@ -501,7 +501,7 @@ class TestCheckpoint:
         for a, b in zip(model.head.params(), back.head.params()):
             np.testing.assert_array_equal(a, b)
 
-    def test_file_stores_three_expert_heads(self, tmp_path):
+    def test_file_stores_the_head_as_one_layer(self, tmp_path):
         ds, softs = tiny_train_setup()
         s1 = tiny_stage1_model()
         cfg = Stage2Config(epochs=1, batch_size=16, seed=9)
@@ -510,19 +510,25 @@ class TestCheckpoint:
         save_stage2_checkpoint(model, cfg, "stage1_checkpoint.json", path)
         state = json.loads(path.read_text())
         k, repr_dim = ds.num_classes, s1.encoder.out_dim
-        assert [e["layer_dims"] for e in state["experts"]] == [[repr_dim, k]] * 3
-        for e, expert in enumerate(state["experts"]):
+        assert "experts" not in state
+        head = state["head"]
+        assert head["layer_dims"] == [repr_dim, 3 * k]
+        (weights,), (biases,) = head["weights"], head["biases"]
+        for e in range(3):  # expert e is rows [eK, (e+1)K)
             rows = slice(e * k, (e + 1) * k)
-            assert expert["weights"] == [model.head.weights[0][rows].ravel().tolist()]
-            assert expert["biases"] == [model.head.biases[0][rows].tolist()]
+            assert (weights[e * k * repr_dim:(e + 1) * k * repr_dim]
+                    == model.head.weights[0][rows].ravel().tolist())
+            assert biases[rows] == model.head.biases[0][rows].tolist()
 
-    @pytest.mark.parametrize("experts", [
-        lambda ex: ex[:2],
-        lambda ex: [ex[0], ex[1], {**ex[2], "layer_dims": [ex[2]["layer_dims"][0], 2],
-                                   "weights": [ex[2]["weights"][0][:12]],
-                                   "biases": [ex[2]["biases"][0][:2]]}],
-    ], ids=["two_experts", "mixed_shapes"])
-    def test_expert_layout_rejected(self, tmp_path, experts):
+    @pytest.mark.parametrize("corrupt", [
+        lambda head: {**head, "layer_dims": [head["layer_dims"][0], head["layer_dims"][1] - 1],
+                      "weights": [head["weights"][0][:-head["layer_dims"][0]]],
+                      "biases": [head["biases"][0][:-1]]},
+        lambda head: {**head, "layer_dims": head["layer_dims"] + [head["layer_dims"][1]],
+                      "weights": head["weights"] + [[0.0] * head["layer_dims"][1] ** 2],
+                      "biases": head["biases"] + [[0.0] * head["layer_dims"][1]]},
+    ], ids=["short_head", "two_layer_head"])
+    def test_head_layout_rejected(self, tmp_path, corrupt):
         ds, softs = tiny_train_setup()
         s1 = tiny_stage1_model()
         cfg = Stage2Config(epochs=1, batch_size=16, seed=9)
@@ -530,9 +536,9 @@ class TestCheckpoint:
         path = tmp_path / "stage2.json"
         save_stage2_checkpoint(model, cfg, "stage1_checkpoint.json", path)
         state = json.loads(path.read_text())
-        state["experts"] = experts(state["experts"])
+        state["head"] = corrupt(state["head"])
         path.write_text(json.dumps(state))
-        with pytest.raises(ParseError, match="three one-layer heads of one shape"):
+        with pytest.raises(ParseError, match="one linear layer of 3K outputs"):
             load_stage2_checkpoint(path, model.backbone)
 
     def test_backbone_hash_mismatch(self, tmp_path):

@@ -544,7 +544,7 @@ class TestCliPipeline:
         assert os.listdir(out) == []  # no partial file, no manifest
 
     @pytest.mark.parametrize("before, command, name, stage, kept", [
-        pytest.param((), "pipeline", pipeline.TRAIN_FILE, "simulate", ["refurbish"],
+        pytest.param((), "pipeline", pipeline.TRAIN_FILE, "simulate", [],
                      id="pipeline"),
         pytest.param(("simulate", "stage1"), "simulate", pipeline.TRAIN_FILE,
                      "simulate", ["stage1"], id="stage1"),
@@ -557,10 +557,10 @@ class TestCliPipeline:
         every writer reaped, and no manifest for the stage that wrote it;
         the manifests `kept` are left, and match their files.  The JSONL
         encoder fails for the datasets in `pipeline`, which kills the later
-        stages' writers and keeps only the manifest of `refurbish`, which
-        writes no file; and in `simulate` run again on a workspace that the
-        commands up to `stage1` wrote, whose manifest of `simulate` it
-        deletes."""
+        stages' writers and keeps no manifest, not even that of `refurbish`,
+        which writes no file but follows a stage that failed; and in
+        `simulate` run again on a workspace that the commands up to `stage1`
+        wrote, whose manifest of `simulate` it deletes."""
         cfg_path = write_tiny_config(tmp_path)
         out = tmp_path / "ws"
         for earlier in before:
@@ -883,6 +883,8 @@ class TestCliErrors:
          "flip_map"),
         ({"noise": {"kind": "asymmetric", "rate": 0.4, "flip_map": [[0, 1.5]]}},
          "noise.flip_map"),
+        ({"noise": {"kind": "asymmetric", "rate": 0.4, "flip_map": [[0, 25]]}},
+         "noise.flip_map pair 0->25"),
         ({"refurbish": {"sigma": 10**400}}, "refurbish.sigma must be a finite number"),
     ])
     def test_mistyped_config_exits_2_naming_field(self, tmp_path, capsys,
@@ -998,8 +1000,19 @@ class TestCliErrors:
 HUGE_INT = "9" * 5000  # past CPython's 4,300-digit int-string limit
 
 
-def _drop_experts(state):
-    del state["experts"]
+def _drop_head(state):
+    del state["head"]
+
+
+def _old_layout(state):
+    """The layout before the head was stored whole: three per-expert
+    (K x repr) layers under `experts`."""
+    head = state.pop("head")
+    (weights,), (biases,) = head["weights"], head["biases"]
+    repr_dim, k = head["layer_dims"][0], head["layer_dims"][1] // 3
+    state["experts"] = [{**head, "layer_dims": [repr_dim, k],
+                         "weights": [weights[e * k * repr_dim:(e + 1) * k * repr_dim]],
+                         "biases": [biases[e * k:(e + 1) * k]]} for e in range(3)]
 
 
 def _unknown_config_key(state):
@@ -1007,18 +1020,23 @@ def _unknown_config_key(state):
 
 
 def _truncated_weights(state):
-    state["experts"][1]["weights"][0] = state["experts"][1]["weights"][0][:-1]
+    state["head"]["weights"][0] = state["head"]["weights"][0][:-1]
 
 
-def _two_experts(state):
-    state["experts"] = state["experts"][:2]
+def _short_head(state):
+    """3K - 1 outputs: no whole number of classes per expert."""
+    head = state["head"]
+    head["layer_dims"][1] -= 1
+    head["weights"][0] = head["weights"][0][:-head["layer_dims"][0]]
+    head["biases"][0] = head["biases"][0][:-1]
 
 
-def _mixed_shapes(state):
-    expert = state["experts"][2]
-    expert["layer_dims"][1] -= 1
-    expert["weights"][0] = expert["weights"][0][:-expert["layer_dims"][0]]
-    expert["biases"][0] = expert["biases"][0][:-1]
+def _two_layer_head(state):
+    head = state["head"]
+    width = head["layer_dims"][1]
+    head["layer_dims"].append(width)
+    head["weights"].append([0.0] * width * width)
+    head["biases"].append([0.0] * width)
 
 
 def _drop_stage1_config(state):
@@ -1026,7 +1044,7 @@ def _drop_stage1_config(state):
 
 
 def _first_net(state):
-    return state["encoder"] if state["kind"] == "stage1" else state["experts"][0]
+    return state["encoder"] if state["kind"] == "stage1" else state["head"]
 
 
 def _bool_weight(state):
@@ -1061,11 +1079,12 @@ def pipeline_out(tmp_path_factory):
 
 class TestMalformedCheckpoints:
     @pytest.mark.parametrize("command, name, corrupt", [
-        ("evaluate", "stage2_checkpoint.json", _drop_experts),
+        ("evaluate", "stage2_checkpoint.json", _drop_head),
+        ("evaluate", "stage2_checkpoint.json", _old_layout),
         ("evaluate", "stage2_checkpoint.json", _unknown_config_key),
         ("evaluate", "stage2_checkpoint.json", _truncated_weights),
-        ("evaluate", "stage2_checkpoint.json", _two_experts),
-        ("evaluate", "stage2_checkpoint.json", _mixed_shapes),
+        ("evaluate", "stage2_checkpoint.json", _short_head),
+        ("evaluate", "stage2_checkpoint.json", _two_layer_head),
         ("stage2", "stage1_checkpoint.json", _drop_stage1_config),
         *[(command, name, corrupt)
           for command, name in (("evaluate", "stage2_checkpoint.json"),

@@ -471,7 +471,7 @@ class TestTrainStage1:
                                       predict_all(m2, ds).logits)
 
     def test_matches_deque_queue_bitwise(self, monkeypatch):
-        # the ring buffer must train exactly as the per-row deque queue did
+        # the batched queue must train exactly as the per-row deque queue did
         ds = tiny_dataset()
         cfg = Stage1Config(seed=5, **TINY)
         m1, l1 = train_stage1(ds, cfg)
