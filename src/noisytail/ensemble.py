@@ -25,6 +25,7 @@ from .errors import InvalidInputError, InvalidSpecError
 from .numerics import (
     Mlp,
     backward_batch,
+    flatten_params,
     forward,
     forward_batch,
     init_mlp,
@@ -103,6 +104,13 @@ class EnsembleModel:
             raise InvalidInputError("head input dim must match backbone output")
 
 
+def check_classes(model: EnsembleModel, num_classes: int) -> None:
+    """InvalidInputError naming the head unless it has 3 x num_classes outputs."""
+    if model.head.out_dim != 3 * num_classes:
+        raise InvalidInputError(f"head has {model.head.out_dim} outputs, not "
+                                f"3 x {num_classes} for {num_classes} classes")
+
+
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -134,20 +142,25 @@ def train_stage2(ds: Dataset, soft_labels: np.ndarray,
     rng = make_rng(cfg.seed)
     backbone = stage1_model.encoder.copy()
     model = EnsembleModel(backbone, init_mlp([backbone.out_dim, 3 * k], rng))
+    params, grads, (g_head,) = flatten_params(model.head)
 
     shifts = expert_shifts(soft_class_counts(Y))
 
     # frozen backbone: features can be precomputed once
     V = forward(backbone, ds.X)
 
-    def step(idx):
-        logits, cache = forward_batch(model.head, V[idx])
-        losses, g_logits = softmax_ce(logits.reshape(idx.size, 3, k), Y[idx], shifts)
-        grads, _ = backward_batch(model.head, cache, g_logits.reshape(logits.shape),
-                                  input_grad=False)
-        return grads, dict(zip(("e1", "e2", "e3"), losses.tolist()))
+    def batch(idx):
+        return V[idx], Y[idx]
 
-    return model, sgd_epochs("stage 2", model.head.params(), cfg, n, rng, step)
+    def step(V_rows, Y_rows):
+        logits, cache = forward_batch(model.head, V_rows)
+        losses, g_logits = softmax_ce(logits.reshape(len(V_rows), 3, k), Y_rows, shifts)
+        backward_batch(model.head, cache, g_logits.reshape(logits.shape),
+                       input_grad=False, out=g_head)
+        return dict(zip(("e1", "e2", "e3"), losses.tolist()))
+
+    layout = ((1, backbone.out_dim), (1, k))
+    return model, sgd_epochs("stage 2", params, grads, cfg, n, rng, batch, layout, step)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +235,7 @@ def evaluate(model: EnsembleModel, test_ds: Dataset, train_counts: ClassStats,
     k = test_ds.num_classes
     if train_counts.num_classes != k:
         raise InvalidInputError("training counts do not match test num_classes")
+    check_classes(model, k)
     labels = test_ds.observed
     present = np.unique(labels)
     absent = [int(c) for c in present if train_counts.counts[c] == 0]
@@ -284,16 +298,19 @@ def save_stage2_checkpoint(model: EnsembleModel, cfg: Stage2Config,
     })
 
 
-def load_stage2_checkpoint(path, backbone: Mlp
+def load_stage2_checkpoint(path, backbone: Mlp, num_classes: int
                            ) -> tuple[EnsembleModel, Stage2Config]:
-    """Rebuild the ensemble from its checkpoint plus the referenced backbone.
+    """Rebuild the ensemble of a `num_classes`-class run from its checkpoint
+    plus the referenced backbone.
 
-    `EnsembleModel` checks the stored head's shape.  The stored hash must
-    match the supplied backbone's weights.
+    `EnsembleModel` checks the stored head's shape, and its outputs must
+    be 3 x num_classes.  The stored hash must match the supplied
+    backbone's weights.
     """
     with jsonl.read_checkpoint(path, "stage2") as state:
         stored_hash = state["backbone_hash"]
         model = EnsembleModel(backbone.copy(), jsonl.mlp_from_state(state["head"]))
+        check_classes(model, num_classes)
         cfg = jsonl.build(Stage2Config, state["config"], "config.")
     if backbone_hash(backbone) != stored_hash:
         raise InvalidInputError(

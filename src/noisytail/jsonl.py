@@ -115,8 +115,10 @@ def encode_rows(write, keys, columns) -> None:
 
 class Forks:
     """Forked children, each running one function whose str result comes
-    back through a pipe; the one place this package forks.  No child
-    forks a child of its own.
+    back through a pipe; the one place this package forks, for the
+    pipeline's writers (`pipeline.Workspace`) and each training loop's
+    batch loader (`numerics.sgd_epochs`).  No child forks a child of its
+    own.
 
     A child leaves through `os._exit`, so it runs no exit handler and
     flushes no buffer it inherited.  One that raises prints `label
@@ -125,11 +127,18 @@ class Forks:
     signal handler it inherited, and reaps it.
 
     Forking is safe here although BLAS may hold threads: the children of
-    this package run only the savers, that is `tolist`, `np.where`, `%`
-    formatting, the JSON encoder, hashlib and `isfinite`, plus, for the
-    checkpoints, `mlp_state` (here), `np.split` and the `isfinite` checks
-    in `Mlp.__post_init__`.  None takes a lock another thread could hold
-    or makes a BLAS call.  Tested on CPython 3.11 only: from 3.12
+    this package run only
+    - the savers, that is `tolist`, `np.where`, `%` formatting, the JSON
+      encoder, hashlib and `isfinite`, plus, for the checkpoints,
+      `mlp_state` (here), `np.split` and the `isfinite` checks in
+      `Mlp.__post_init__`;
+    - the loaders, that is the generator's draws (`permutation`, and
+      `normal` and `random` in `stage1.augment`), row gathers, `concatenate`,
+      elementwise ufuncs, copies into the shared ring, one-byte pipe
+      reads and writes, and the JSON encoder.
+    None takes a lock another thread could hold (the generator's lock is
+    taken only by the thread that forks) or makes a BLAS call.  Tested on
+    CPython 3.11 only: from 3.12
     `os.fork` in a process with live threads also emits a
     DeprecationWarning, hidden by the default warning filters but shown
     by pytest or `-W error`.

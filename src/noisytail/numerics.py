@@ -3,12 +3,16 @@
 Vectors are plain 1-D float64 numpy arrays.  The multilayer perceptron
 carries hand-coded gradients (no autodiff graph), and `finite_diff_grad`
 is the independent oracle every analytic gradient in the package is
-tested against.  All arithmetic is 64-bit.
+tested against.  All arithmetic is 64-bit.  `sgd_epochs` is the one
+training loop; its batches come from a forked loader (see there).
 """
 
 from __future__ import annotations
 
+import json
 import math
+import mmap
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -223,34 +227,44 @@ def forward_rows(nets) -> int:
     the largest B whose every layer product, B x in x out, stays below
     BLAS_TWO_THREADS, raised until a block of (B + 1) // 2 rows has more
     than KERNEL_FLOOR outputs in the narrowest layer, capped at
-    FORWARD_ROWS.  The default profile's nets get 255 rows; a K = 2 head
-    gets 1,201, and its widest products run on two threads, as they must
-    to keep their bits."""
+    FORWARD_ROWS.  The default profile's chains get 255 rows; a chain
+    ending in a K = 2 head 1,201, and its encoder alone 255."""
     shapes = [w.shape for m in nets for w in m.weights]
     rows = max(1, (BLAS_TWO_THREADS - 1) // max(o * i for o, i in shapes))
     rows = max(rows, 2 * (KERNEL_FLOOR // min(o for o, _ in shapes)) + 1)
     return min(rows, FORWARD_ROWS)
 
 
+def _row_blocks(n: int, most: int) -> list[slice]:
+    """n rows as the fewest blocks of at most `most` rows, of equal size to
+    one row: past `most` rows, each has at least (most + 1) // 2."""
+    blocks = max(1, -(-n // most))
+    return [slice(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
+
+
 def forward(net: Mlp, X: np.ndarray, *then: Mlp) -> np.ndarray:
     """Inference: the outputs of `forward_batch(net, X)`, bit for bit, with
     no cache; with nets in `then`, those outputs go on through each of
-    them in order, as nested calls would.  The rows go through
-    `forward_batch` in blocks of at most `forward_rows(nets)`, each block
-    through every net before the next block starts, and only the last
-    net's output is kept, so the activations held at once do not grow
-    with N.  The widths of the chain are checked before any block runs.
+    them in order, as nested calls would.  The rows go in chunks of at
+    most `forward_rows(nets)`, each chunk through every net before the
+    next chunk starts, and each net runs `forward_batch` over a chunk in
+    blocks of at most its own `forward_rows([net])`.  Only the last net's
+    output is kept, so the activations held at once do not grow with N.
+    The widths of the chain are checked before any block runs.
 
     Small blocks keep every layer product on one BLAS thread, so OpenBLAS
     never wakes the helper thread that would then spin on the core the
-    forked writers use, and each block's activations stay in cache.  Each
-    output row depends only on its input row, except that a product of at
-    most KERNEL_FLOOR outputs rounds differently.  So the blocks are of
-    equal size, to one row, never a short remainder: past B rows, each
-    block has at least (B + 1) // 2, which `forward_rows` puts above the
-    floor in every layer.  Then every row has the bits it has in one
-    product over all N rows, so a chained call, nested calls and
-    `forward_batch` agree although their block sizes differ.
+    forked writers use, and each block's activations stay in cache.  A
+    narrow head sizes the chunks, not the encoder's blocks: after a K = 2
+    head raises the chunk to 1,201 rows, the encoder still runs 255 at
+    most.  Each output row depends only on its input row, except that a
+    product of at most KERNEL_FLOOR outputs rounds differently.  So chunks
+    and blocks are of equal size, to one row, never a short remainder:
+    past N rows, each has at least half of its own bound, which
+    `forward_rows` puts above the floor of every net it covers.  Then
+    every row has the bits it has in one product over all N rows, so a
+    chained call, nested calls and `forward_batch` agree although their
+    block sizes differ.
     """
     X = _net_input(net, X)
     nets = (net, *then)
@@ -258,26 +272,29 @@ def forward(net: Mlp, X: np.ndarray, *then: Mlp) -> np.ndarray:
         if nxt.in_dim != prev.out_dim:
             raise InvalidInputError(f"chained net input dim {nxt.in_dim} does not "
                                     f"match the previous output dim {prev.out_dim}")
-    n = len(X)
-    blocks = max(1, -(-n // forward_rows(nets)))
-    out = np.empty((n, nets[-1].out_dim))
-    for i in range(blocks):
-        rows = slice(n * i // blocks, n * (i + 1) // blocks)
-        a = X[rows]
-        for m in nets:
-            a = forward_batch(m, a)[0]
-        out[rows] = a
+    rows = [forward_rows([m]) for m in nets]
+    out = np.empty((len(X), nets[-1].out_dim))
+    for chunk in _row_blocks(len(X), forward_rows(nets)):
+        a = X[chunk]
+        for m, most in zip(nets, rows):
+            if len(a) <= most:
+                a = forward_batch(m, a)[0]
+            else:
+                a = np.concatenate([forward_batch(m, a[block])[0]
+                                    for block in _row_blocks(len(a), most)])
+        out[chunk] = a
     return out
 
 
 def backward_batch(net: Mlp, cache: list[np.ndarray], upstream: np.ndarray,
-                   input_grad: bool = True
+                   input_grad: bool = True, out: Optional[list[np.ndarray]] = None
                    ) -> tuple[list[np.ndarray], Optional[np.ndarray]]:
     """Gradients of sum_n (output_n . upstream_n) from a forward cache.
 
     The parameter gradients, summed over the batch, come as one list in
-    `net.params()` order (weight then bias per layer), so a trainer hands
-    them to the optimizer as they are.  Also returns the gradient with
+    `net.params()` order (weight then bias per layer): the arrays of `out`,
+    written in place, such as a trainer's views of its gradient buffer
+    (`flatten_params`), or new ones.  Also returns the gradient with
     respect to the input matrix, or None with `input_grad=False`, which
     skips its matrix product.  Neither the cache nor `upstream` is written:
     each layer's delta is a new array, scaled by the activation derivative
@@ -289,11 +306,11 @@ def backward_batch(net: Mlp, cache: list[np.ndarray], upstream: np.ndarray,
             f"upstream shape {upstream.shape} incompatible with output dim {net.out_dim}"
         )
     _, dact = _ACTIVATIONS[net.activation]
-    grads = [np.empty(0)] * (2 * len(net.weights))
+    grads = [np.empty_like(p) for p in net.params()] if out is None else out
     delta = upstream
     for l in range(len(net.weights) - 1, -1, -1):
-        grads[2 * l] = delta.T @ cache[l]
-        grads[2 * l + 1] = delta.sum(axis=0)
+        np.matmul(delta.T, cache[l], out=grads[2 * l])
+        delta.sum(axis=0, out=grads[2 * l + 1])
         if l > 0:
             delta = delta @ net.weights[l]
             delta *= dact(cache[l])
@@ -343,70 +360,200 @@ def gradient_check(f, x: Vec, analytic_grad: Vec, eps: float = 1e-5,
 
 
 # ---------------------------------------------------------------------------
-# SGD with momentum + weight decay
+# SGD with momentum + weight decay, over one flat buffer per trainer
 # ---------------------------------------------------------------------------
+
+def flatten_params(*nets: Mlp) -> tuple[np.ndarray, np.ndarray, list[list[np.ndarray]]]:
+    """Move the parameters of `nets` into one float64 buffer, net after
+    net, each in `params()` order, and rebind every weight and bias as a
+    view of it, so `params()`, `mlp_state` and the checkpoints read what
+    they read before.  Returns that buffer, a zeroed gradient buffer of
+    the same layout, and per net the views of the gradient buffer in its
+    `params()` order, for `backward_batch(..., out=...)`."""
+    params = np.concatenate([p.ravel() for net in nets for p in net.params()])
+    grads = np.zeros_like(params)
+    views, at = [], 0
+    for net in nets:
+        views.append([])
+        for l in range(len(net.weights)):
+            for arrays in (net.weights, net.biases):
+                shape, end = arrays[l].shape, at + arrays[l].size
+                arrays[l] = params[at:end].reshape(shape)
+                views[-1].append(grads[at:end].reshape(shape))
+                at = end
+    return params, grads, views
+
 
 @dataclass
 class SgdMomentum:
-    """In-place SGD over a fixed parameter list: v = mu*v + (g + wd*p); p -= lr*v.
+    """In-place SGD over one parameter buffer: v = mu*v + (g + wd*p);
+    p -= lr*v.  The update is elementwise, so over a trainer's flat buffer
+    it has the bits of the same update run array by array.
 
-    Each parameter has one scratch array of its shape, which holds
-    g + wd*p and then lr*v, so a step allocates nothing and never writes
-    into the gradients it is given."""
+    One scratch buffer holds g + wd*p and then lr*v, so a step makes six
+    ufunc calls, allocates nothing and never writes into the gradients it
+    is given."""
 
-    params: list[np.ndarray]
+    params: np.ndarray
     lr: float
     momentum: float = 0.9
     weight_decay: float = 0.0
-    velocity: list[np.ndarray] = field(default_factory=list)
-    _scratch: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    velocity: Optional[np.ndarray] = None
+    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lr <= 0:
             raise InvalidInputError("lr must be positive")
-        if not self.velocity:
-            self.velocity = [np.zeros_like(p) for p in self.params]
-        self._scratch = [np.empty_like(p) for p in self.params]
+        if self.velocity is None:
+            self.velocity = np.zeros_like(self.params)
+        self._scratch = np.empty_like(self.params)
 
-    def step(self, grads: list[np.ndarray]) -> None:
-        if len(grads) != len(self.params):
-            raise InvalidInputError("gradient list does not match parameter list")
-        lr, mu, wd = self.lr, self.momentum, self.weight_decay
-        for p, v, g, s in zip(self.params, self.velocity, grads, self._scratch):
-            v *= mu
-            np.multiply(p, wd, out=s)
-            s += g
-            v += s
-            np.multiply(v, lr, out=s)
-            p -= s
+    def step(self, grads: np.ndarray) -> None:
+        if grads.shape != self.params.shape:
+            raise InvalidInputError("gradient buffer does not match parameter buffer")
+        p, v, s = self.params, self.velocity, self._scratch
+        v *= self.momentum
+        np.multiply(p, self.weight_decay, out=s)
+        s += grads
+        v += s
+        np.multiply(v, self.lr, out=s)
+        p -= s
 
 
-def sgd_epochs(stage: str, params: list[np.ndarray], cfg, n: int,
-               rng: np.random.Generator, step) -> list[dict]:
+RING_SLOTS = 4  # batches the loader may have filled ahead of the step
+
+
+def _loaded_batches(stage: str, rng: np.random.Generator, epochs: int, n: int,
+                    batch_size: int, batch, layout):
+    """Every step's batch arrays, in step order, as views of a slot of a
+    ring in one anonymous shared `mmap`, filled by a loader child forked
+    through `jsonl.Forks` when the first batch is asked for.
+
+    The child takes `rng` over: per epoch it draws the permutation of the
+    n samples, and per step runs `batch(idx)` on the step's indices and
+    copies the arrays into the step's slot (`layout` gives each array's
+    rows per sample and columns), then writes one byte to a pipe.  The
+    parent reads a byte before it hands out a slot, and gives the slot
+    back, one byte on a second pipe, when the next batch is asked for: the
+    step has returned by then, and its forward cache, which holds views of
+    the slot, is gone.  At the end the child sends back the rng's
+    `bit_generator.state` as JSON and the parent sets it, so `rng` ends as
+    if the draws had been made here.  A child that dies ends the byte
+    pipe, and `Forks.wait` raises OSError naming the stage's loader; an
+    exception here, or closing the generator early, kills and reaps the
+    child.  `batch` must make no BLAS call and take no lock (see `Forks`).
+    """
+    from .jsonl import Forks  # jsonl imports this module
+
+    if not epochs:
+        return
+    starts = range(0, n, batch_size)
+    rows = [min(batch_size, n - start) for start in starts] * epochs
+    # each array starts on a 64-byte line, so no two slots share one
+    sizes = [-(-rows_per * cols * batch_size * 8 // 64) * 64
+             for rows_per, cols in layout]
+    slot = sum(sizes)
+    ring = mmap.mmap(-1, RING_SLOTS * slot)
+
+    def views(k: int) -> list[np.ndarray]:
+        at = k % RING_SLOTS * slot
+        out = []
+        for (rows_per, cols), size in zip(layout, sizes):
+            out.append(np.ndarray((rows_per * rows[k], cols), np.float64, ring, at))
+            at += size
+        return out
+
+    filled_r, filled_w = os.pipe()
+    freed_r, freed_w = os.pipe()
+
+    def load() -> str:
+        os.close(filled_r)
+        os.close(freed_w)
+        free, k = RING_SLOTS, 0
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for start in starts:
+                if not free:
+                    free = len(os.read(freed_r, RING_SLOTS))
+                    if not free:
+                        raise EOFError("the training loop closed the ring")
+                for view, array in zip(views(k), batch(order[start:start + batch_size]),
+                                       strict=True):
+                    view[...] = array
+                os.write(filled_w, b"\0")
+                free -= 1
+                k += 1
+        return json.dumps(rng.bit_generator.state)
+
+    forks = Forks()
+    try:
+        try:
+            pid = forks.start(f"{stage} loader", load)
+        finally:
+            os.close(filled_w)  # the child's ends
+            os.close(freed_r)
+
+        def ended(k: int) -> OSError:
+            forks.wait(pid)  # raises, naming the loader, if it failed
+            return OSError(f"{stage} loader ended before step {k}")
+
+        ready = 0
+        for k in range(len(rows)):
+            if not ready:
+                ready = len(os.read(filled_r, RING_SLOTS))
+                if not ready:
+                    raise ended(k)
+            ready -= 1
+            yield views(k)
+            if k + RING_SLOTS < len(rows):  # the child still needs the slot
+                try:
+                    os.write(freed_w, b"\0")
+                except BrokenPipeError:
+                    raise ended(k + 1) from None
+        rng.bit_generator.state = json.loads(forks.wait(pid))
+    finally:
+        forks.kill()
+        os.close(filled_r)
+        os.close(freed_w)
+
+
+def sgd_epochs(stage: str, params: np.ndarray, grads: np.ndarray, cfg, n: int,
+               rng: np.random.Generator, batch, layout, step) -> list[dict]:
     """The permute/batch/update loop of every trainer; returns each epoch's
-    mean losses.  It trains `params` in place with an `SgdMomentum` built
-    from `cfg.lr`, `cfg.momentum` and `cfg.weight_decay`, over `cfg.epochs`
-    epochs of `cfg.batch_size`-row batches of the n samples.  `step(idx)`
-    gives a batch's gradients, a list in `params` order, and its named
+    mean losses.  It trains the buffer `params` in place with an
+    `SgdMomentum` built from `cfg.lr`, `cfg.momentum` and
+    `cfg.weight_decay`, over `cfg.epochs` epochs of `cfg.batch_size`-row
+    batches of the n samples.
+
+    A step has two parts.  `batch(idx)` is the part that does not depend
+    on the weights: it draws from `rng` and returns the step's arrays,
+    each of `layout`'s (rows per sample, columns) shape.  It runs ahead in
+    a forked loader (`_loaded_batches`), which leaves `rng` as serial draws
+    would.  `step(*arrays)` writes the gradients into `grads`, the buffer
+    of `flatten_params` that `params` came with, and returns the named
     losses.  A non-finite loss raises NumericError naming the stage, epoch
-    and step, before the update."""
+    and step, before the update.  With no epochs nothing is forked."""
     batch_size = cfg.batch_size
     if batch_size > n:
         raise InvalidSpecError(f"batch_size {batch_size} exceeds dataset size {n}")
     opt = SgdMomentum(params, lr=cfg.lr, momentum=cfg.momentum,
                       weight_decay=cfg.weight_decay)
+    steps = -(-n // batch_size)
+    batches = _loaded_batches(stage, rng, cfg.epochs, n, batch_size, batch, layout)
     log = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        starts = range(0, n, batch_size)
-        sums: dict[str, float] = {}
-        for i, start in enumerate(starts):
-            grads, losses = step(order[start:start + batch_size])
-            if not all(map(math.isfinite, losses.values())):
-                raise NumericError(
-                    f"{stage} diverged: non-finite loss at epoch {epoch}, step {i}")
-            opt.step(grads)
-            for name, value in losses.items():
-                sums[name] = sums.get(name, 0.0) + value
-        log.append({"epoch": epoch, **{k: v / len(starts) for k, v in sums.items()}})
+    try:
+        for epoch in range(cfg.epochs):
+            sums: dict[str, float] = {}
+            for i, arrays in zip(range(steps), batches):
+                losses = step(*arrays)
+                if not all(map(math.isfinite, losses.values())):
+                    raise NumericError(
+                        f"{stage} diverged: non-finite loss at epoch {epoch}, step {i}")
+                opt.step(grads)
+                for name, value in losses.items():
+                    sums[name] = sums.get(name, 0.0) + value
+            log.append({"epoch": epoch, **{k: v / steps for k, v in sums.items()}})
+        next(batches, None)  # hands the last slot back and takes the rng's state
+    finally:
+        batches.close()
     return log

@@ -35,6 +35,7 @@ from .ensemble import Stage2Config, SubgroupThresholds
 from .errors import InvalidInputError, InvalidSpecError
 from .numerics import (
     backward_batch,
+    flatten_params,
     forward,
     forward_batch,
     init_mlp,
@@ -199,8 +200,8 @@ def write_manifest(out_dir: Path, command: str, cfg: PipelineConfig,
     the digests come from the writers, so no artifact is read back.
     `peak_rss` is the process's peak resident set size in MB (10^6 bytes)
     when the stage finished; `writers_peak_rss` is the largest peak of the
-    process's reaped children (the forked writers) when it wrote the
-    manifest."""
+    process's reaped children (the forked writers and batch loaders) when
+    it wrote the manifest."""
     manifest = {
         "command": command,
         "config": config_to_dict(cfg),
@@ -236,7 +237,8 @@ class Workspace:
     path, then writes the manifest of each stage that finished, from the
     digests the writers sent back, while every stage up to it wrote all of
     its artifacts.  A workspace with no directory only keeps the values
-    and metrics: it forks and writes nothing."""
+    and metrics: it starts no writer and writes nothing (the trainers
+    still fork their batch loaders, see `numerics.sgd_epochs`)."""
 
     def __init__(self, out_dir=None):
         self.out_dir = None if out_dir is None else Path(out_dir)
@@ -490,7 +492,7 @@ def run_evaluate(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -
     ckpt_name = _variant_name(STAGE2_CKPT, no_relabel)
     producer = "stage2 --no-relabel" if no_relabel else "stage2"
     model, s2_cfg = ws.get(ckpt_name, producer, lambda p: ensemble.load_stage2_checkpoint(
-        p, s1_model.encoder))
+        p, s1_model.encoder, train.num_classes))
     report = ensemble.evaluate(model, test, train_counts_for_eval(train),
                                cfg.thresholds, fusion=s2_cfg.fusion)
     label = "w/o re-label" if no_relabel else "refurbished"
@@ -606,19 +608,22 @@ def train_ce_baseline(train: Dataset, cfg: Stage1Config, seed: int):
     encoder = init_mlp([train.feature_dim, cfg.encoder_hidden, cfg.repr_dim],
                        rng, cfg.activation, cfg.init_scale)
     head = init_mlp([cfg.repr_dim, k], rng, cfg.activation, cfg.init_scale)
+    params, grads, (g_encoder, g_head) = flatten_params(encoder, head)
     onehot = np.eye(k)  # row k is class k's label
 
-    def step(idx):
-        v, enc_cache = forward_batch(encoder, train.X[idx])
-        logits, head_cache = forward_batch(head, v)
-        y = onehot[train.observed[idx]]
-        losses, g_logits = softmax_ce(logits[:, None], y)  # c = 0: plain CE
-        g_head, g_v = backward_batch(head, head_cache, g_logits[:, 0])
-        g_encoder, _ = backward_batch(encoder, enc_cache, g_v, input_grad=False)
-        return g_encoder + g_head, {"ce": float(losses[0])}
+    def batch(idx):
+        return train.X[idx], onehot[train.observed[idx]]
 
-    sgd_epochs("CE baseline", encoder.params() + head.params(), cfg, len(train),
-               rng, step)
+    def step(X, y):
+        v, enc_cache = forward_batch(encoder, X)
+        logits, head_cache = forward_batch(head, v)
+        losses, g_logits = softmax_ce(logits[:, None], y)  # c = 0: plain CE
+        _, g_v = backward_batch(head, head_cache, g_logits[:, 0], out=g_head)
+        backward_batch(encoder, enc_cache, g_v, input_grad=False, out=g_encoder)
+        return {"ce": float(losses[0])}
+
+    sgd_epochs("CE baseline", params, grads, cfg, len(train), rng, batch,
+               ((1, train.feature_dim), (1, k)), step)
     return encoder, head
 
 

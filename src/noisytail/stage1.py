@@ -30,6 +30,7 @@ from .numerics import (
     Mlp,
     as_vec,
     backward_batch,
+    flatten_params,
     forward,
     forward_batch,
     init_mlp,
@@ -184,6 +185,14 @@ def augment(features: np.ndarray, cfg: Stage1Config,
     out = x + rng.normal(0.0, cfg.aug_noise_stddev, size=x.shape)
     keep = rng.random(x.shape) >= cfg.aug_dropout_prob
     return out * keep
+
+
+def augmented_rows(X: np.ndarray, cfg: Stage1Config,
+                   rng: np.random.Generator) -> np.ndarray:
+    """The (3b, d) rows of one step's encoder forward for the b rows of X:
+    the query view, the key view (each an `augment` draw, in that order)
+    and X itself."""
+    return np.concatenate((augment(X, cfg, rng), augment(X, cfg, rng), X))
 
 
 # ---------------------------------------------------------------------------
@@ -352,26 +361,27 @@ def _normalize_backward(norms: np.ndarray, unit: np.ndarray,
     return g
 
 
-def stage1_batch_gradients(model: Stage1Model, X: np.ndarray, Y: np.ndarray,
+def stage1_batch_gradients(model: Stage1Model, XS: np.ndarray, Y: np.ndarray,
                            queue_mat: Optional[np.ndarray], cfg: Stage1Config,
-                           rng: np.random.Generator):
-    """One training step's gradients, without applying them.
+                           out: Optional[tuple[list, list, list]] = None):
+    """One training step's gradients, without applying them, for the
+    stacked rows XS of `augmented_rows` and the one-hot labels Y.
 
     Returns (gradients, metrics dict, detached unit-norm keys).  The
     gradients are one list in the optimizer's order: encoder, projection,
-    classifier, each in its `params()` order.
+    classifier, each in its `params()` order; with `out`, the three nets'
+    gradient views of `flatten_params`, they are written there.
 
     The query, key and raw rows share one encoder forward, and the query
     and key rows one projection forward.  The query rows are used for
     their values only (stop-gradient): backprop reads only the key rows'
     slices of those caches.
     """
-    b = X.shape[0]
-    X_q = augment(X, cfg, rng)
-    X_k = augment(X, cfg, rng)
+    b = len(XS) // 3
+    g_enc, g_proj, g_clf = out or (None, None, None)
 
     # row layout of the stacked forwards: query rows, key rows, raw rows
-    v, enc_cache = forward_batch(model.encoder, np.concatenate((X_q, X_k, X)))
+    v, enc_cache = forward_batch(model.encoder, XS)
     z_raw, proj_cache = forward_batch(model.projection, v[:2 * b])
 
     # one normalization of the query and key rows
@@ -385,16 +395,17 @@ def stage1_batch_gradients(model: Stage1Model, X: np.ndarray, Y: np.ndarray,
     g_Zk *= 1.0 - cfg.alpha
     g_zk_raw = _normalize_backward(norms[b:], Zk, g_Zk)
     proj_grads, g_vk = backward_batch(
-        model.projection, [c[b:] for c in proj_cache], g_zk_raw)
+        model.projection, [c[b:] for c in proj_cache], g_zk_raw, out=g_proj)
     enc_grads, _ = backward_batch(
-        model.encoder, [c[b:2 * b] for c in enc_cache], g_vk, input_grad=False)
+        model.encoder, [c[b:2 * b] for c in enc_cache], g_vk, input_grad=False,
+        out=g_enc)
 
     # classifier on detached features of the raw inputs
     logits, clf_cache = forward_batch(model.classifier, v[2 * b:])
     banc_mean, g_logits = _banc_batch(logits, Y, cfg.c)
     g_logits *= cfg.alpha
     clf_grads, _ = backward_batch(model.classifier, clf_cache, g_logits,
-                                  input_grad=False)
+                                  input_grad=False, out=g_clf)
 
     metrics = {
         "con": con_loss,
@@ -430,11 +441,13 @@ def predict_all(model: Stage1Model, ds: Dataset) -> Predictions:
 def train_stage1(ds: Dataset, cfg: Stage1Config) -> tuple[Stage1Model, list[dict]]:
     """Joint contrastive + classifier training over the noisy dataset.
 
-    Per batch: two augmented views are formed; the query side is evaluated
+    Per batch: two augmented views are formed (`augmented_rows`, drawn
+    ahead by the loader of `sgd_epochs`); the query side is evaluated
     under stop-gradient; key embeddings receive the contrastive gradient
     and are enqueued when the next step starts, so every step reads the
     queue as the previous update left it.  The classifier head sees
-    detached features only.  Returns the model and a per-epoch loss log;
+    detached features only.  The three nets train in one flat buffer
+    (`flatten_params`).  Returns the model and a per-epoch loss log;
     `predict_all` gives the model's predictions.
     """
     n = len(ds)
@@ -442,23 +455,27 @@ def train_stage1(ds: Dataset, cfg: Stage1Config) -> tuple[Stage1Model, list[dict
         raise InvalidSpecError("training requires at least 2 samples")
     rng = make_rng(cfg.seed)
     model = build_stage1_model(ds.feature_dim, ds.num_classes, cfg, rng)
+    params, grads, views = flatten_params(model.encoder, model.projection,
+                                          model.classifier)
     X, observed = ds.X, ds.observed
     onehot = np.eye(ds.num_classes)  # row k is class k's label
     queue = FeatureQueue(cfg.queue_capacity)
     keys = None  # the previous step's key embeddings
 
-    def step(idx):
+    def batch(idx):
+        return (augmented_rows(X.take(idx, axis=0), cfg, rng),
+                onehot.take(observed.take(idx), axis=0))
+
+    def step(XS, Y):
         nonlocal keys
         if keys is not None:
             queue.push_batch(keys)
-        grads, metrics, keys = stage1_batch_gradients(
-            model, X.take(idx, axis=0), onehot.take(observed.take(idx), axis=0),
-            queue.as_matrix(), cfg, rng)
-        return grads, metrics
+        _, metrics, keys = stage1_batch_gradients(model, XS, Y, queue.as_matrix(),
+                                                  cfg, views)
+        return metrics
 
-    params = (model.encoder.params() + model.projection.params()
-              + model.classifier.params())
-    return model, sgd_epochs("stage 1", params, cfg, n, rng, step)
+    layout = ((3, ds.feature_dim), (1, ds.num_classes))
+    return model, sgd_epochs("stage 1", params, grads, cfg, n, rng, batch, layout, step)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from noisytail.numerics import (
     Mlp,
     backward_batch,
     finite_diff_grad,
+    flatten_params,
     forward_batch,
     init_mlp,
     make_rng,
@@ -311,19 +312,24 @@ def reference_train_stage2(ds, softs, s1, cfg):
     experts = [init_mlp([s1.encoder.out_dim, ds.num_classes], rng) for _ in range(3)]
     log_n = np.log(np.maximum(soft_class_counts(softs).counts, COUNT_FLOOR))
     V, _ = forward_batch(s1.encoder, ds.X)
+    params, grads, views = flatten_params(*experts)
 
-    def step(idx):
-        grads, losses = [], {}
-        for name, expert, power in zip(("e1", "e2", "e3"), experts, (0.0, 1.0, 2.0)):
-            logits, cache = forward_batch(expert, V[idx])
+    def batch(idx):
+        return V[idx], softs[idx]
+
+    def step(V_rows, Y_rows):
+        losses = {}
+        for name, expert, power, out in zip(("e1", "e2", "e3"), experts, (0.0, 1.0, 2.0),
+                                            views):
+            logits, cache = forward_batch(expert, V_rows)
             q = softmax_rows(logits + power * log_n)
-            losses[name] = float(np.mean(-np.sum(softs[idx] * np.log(q), axis=1)))
-            g_logits = (q - softs[idx]) / idx.size
-            grads.extend(backward_batch(expert, cache, g_logits)[0])
-        return grads, losses
+            losses[name] = float(np.mean(-np.sum(Y_rows * np.log(q), axis=1)))
+            g_logits = (q - Y_rows) / len(V_rows)
+            backward_batch(expert, cache, g_logits, out=out)
+        return losses
 
-    log = sgd_epochs("reference", [p for e in experts for p in e.params()], cfg,
-                     len(ds), rng, step)
+    log = sgd_epochs("reference", params, grads, cfg, len(ds), rng, batch,
+                     ((1, V.shape[1]), (1, ds.num_classes)), step)
     return experts, log
 
 
@@ -496,7 +502,7 @@ class TestCheckpoint:
         model, _ = train_stage2(ds, softs, s1, cfg)
         path = tmp_path / "stage2.json"
         save_stage2_checkpoint(model, cfg, "stage1_checkpoint.json", path)
-        back, back_cfg = load_stage2_checkpoint(path, model.backbone)
+        back, back_cfg = load_stage2_checkpoint(path, model.backbone, ds.num_classes)
         assert back_cfg == cfg
         for a, b in zip(model.head.params(), back.head.params()):
             np.testing.assert_array_equal(a, b)
@@ -539,7 +545,19 @@ class TestCheckpoint:
         state["head"] = corrupt(state["head"])
         path.write_text(json.dumps(state))
         with pytest.raises(ParseError, match="one linear layer of 3K outputs"):
-            load_stage2_checkpoint(path, model.backbone)
+            load_stage2_checkpoint(path, model.backbone, ds.num_classes)
+
+    def test_head_of_another_class_count_rejected(self, tmp_path):
+        # 3 more rows: a whole 3K' head, but K' is not the run's K
+        ds, softs = tiny_train_setup()
+        s1 = tiny_stage1_model()
+        cfg = Stage2Config(epochs=1, batch_size=16, seed=9)
+        model, _ = train_stage2(ds, softs, s1, cfg)
+        path = tmp_path / "stage2.json"
+        save_stage2_checkpoint(model, cfg, "stage1_checkpoint.json", path)
+        load_stage2_checkpoint(path, model.backbone, ds.num_classes)
+        with pytest.raises(ParseError, match=r"head has \d+ outputs, not 3 x"):
+            load_stage2_checkpoint(path, model.backbone, ds.num_classes + 1)
 
     def test_backbone_hash_mismatch(self, tmp_path):
         ds, softs = tiny_train_setup()
@@ -551,7 +569,7 @@ class TestCheckpoint:
         wrong = model.backbone.copy()
         wrong.weights[0][0, 0] += 1.0
         with pytest.raises(InvalidInputError, match="backbone"):
-            load_stage2_checkpoint(path, wrong)
+            load_stage2_checkpoint(path, wrong, ds.num_classes)
 
     def test_hash_is_weight_sensitive(self):
         net = tiny_stage1_model().encoder

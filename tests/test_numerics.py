@@ -1,10 +1,12 @@
 import math
+import time
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisytail import numerics
+from noisytail import jsonl, numerics
 from noisytail.errors import InvalidInputError, NumericError
 from noisytail.numerics import (
     BLAS_TWO_THREADS,
@@ -20,6 +22,7 @@ from noisytail.numerics import (
     init_mlp,
     make_rng,
     relative_error,
+    sgd_epochs,
     softmax_rows,
 )
 from noisytail.pipeline import default_config
@@ -241,14 +244,14 @@ class TestRng:
 class TestSgdMomentum:
     def test_single_step_hand_computed(self):
         p = np.array([1.0, -2.0])
-        opt = SgdMomentum([p], lr=0.1, momentum=0.5, weight_decay=0.01)
+        opt = SgdMomentum(p, lr=0.1, momentum=0.5, weight_decay=0.01)
         g = np.array([0.3, 0.4])
         # v = 0.5*0 + (g + 0.01*p); p -= 0.1*v
         expected_v = g + 0.01 * np.array([1.0, -2.0])
         expected_p = np.array([1.0, -2.0]) - 0.1 * expected_v
-        opt.step([g])
+        opt.step(g)
         np.testing.assert_allclose(p, expected_p, atol=1e-15)
-        opt.step([np.zeros(2)])
+        opt.step(np.zeros(2))
         expected_v2 = 0.5 * expected_v + 0.01 * expected_p
         np.testing.assert_allclose(p, expected_p - 0.1 * expected_v2, atol=1e-15)
 
@@ -266,22 +269,26 @@ class TestBatchedForward:
 
 # Chains for `forward`: the stage-1 encoder and classifier shapes (255-row
 # blocks); narrow heads, K = 2 and K = 5, whose blocks the kernel floor
-# sizes (1,201 and 481 rows); a wide hidden layer, in = 256, whose products
-# the two-thread line sizes (121 rows).
+# sizes (1,201 and 481 rows; chained after an encoder, they size the chunks,
+# and the encoder runs 255-row blocks inside them); a wide hidden layer,
+# in = 256, whose products the two-thread line sizes (121 rows).
 FORWARD_CHAINS = {"": [32, 64, 32, 20], "K2": [32, 64, 32, 2],
                   "K5": [32, 64, 32, 5], "wide": [32, 256, 32, 20]}
 
 
 def forward_cases():
-    """(dims, n) for each chain at 0 and 1 rows, either side of its block
-    size B and of FORWARD_ROWS, and past three blocks of each.  A short
-    last block of 1 or 17 rows, or a block under the kernel floor, would
-    round differently in BLAS."""
+    """(dims, n) for each chain at 0 and 1 rows, either side of FORWARD_ROWS
+    and of each block size B: the chain's as one net, and its encoder's and
+    head's alone, which a chained call uses inside its chunks; and past
+    three blocks of each.  A short last block of 1 or 17 rows, or a block
+    under the kernel floor, would round differently in BLAS."""
     cases = []
     for name, dims in FORWARD_CHAINS.items():
-        b = forward_rows([init_mlp(dims, make_rng(0))])
-        for n in dict.fromkeys([0, 1, FORWARD_ROWS - 1, FORWARD_ROWS, FORWARD_ROWS + 1,
-                                3 * FORWARD_ROWS + 17, b - 1, b, b + 1, 3 * b + 17]):
+        sizes = [0, 1]
+        for part in (dims, dims[:-1], dims[-2:]):
+            for b in (FORWARD_ROWS, forward_rows([init_mlp(part, make_rng(0))])):
+                sizes += [b - 1, b, b + 1, 3 * b + 17]
+        for n in dict.fromkeys(sizes):
             cases.append(pytest.param(dims, n, id="-".join(filter(None, [name, str(n)]))))
     return cases
 
@@ -339,6 +346,26 @@ class TestForward:
                 for w in m.weights:
                     assert rows * w.size < BLAS_TWO_THREADS
 
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_narrow_head_blocks_stay_on_one_blas_thread(self, k, monkeypatch):
+        """With a two- or five-class head, the chains of the default
+        profile's widths call `forward_batch` only on blocks whose layer
+        products stay below the two-thread line: the head sizes the
+        chunks, and the encoder splits them."""
+        cfg = default_config()
+        s1 = cfg.stage1
+        model = build_stage1_model(cfg.mixture.feature_dim, k, s1, make_rng(0))
+        blocks = []
+
+        def counted(net, X):
+            blocks.append(len(X) * max(w.size for w in net.weights))
+            return forward_batch(net, X)
+        monkeypatch.setattr(numerics, "forward_batch", counted)
+        X = make_rng(1).normal(size=(47_913, cfg.mixture.feature_dim))
+        for head in (model.classifier, init_mlp([s1.repr_dim, 3 * k], make_rng(0))):
+            forward(model.encoder, X, head)
+        assert blocks and max(blocks) < BLAS_TWO_THREADS
+
     def test_chain_width_mismatch_raises_before_any_block(self, monkeypatch):
         rng = make_rng(0)
         nets = [init_mlp([6, 4], rng), init_mlp([4, 5], rng), init_mlp([3, 2], rng)]
@@ -348,3 +375,98 @@ class TestForward:
         with pytest.raises(InvalidInputError, match="input dim 3"):
             forward(nets[0], np.ones((2 * FORWARD_ROWS + 1, 6)), *nets[1:])
         assert calls == []
+
+
+class TestLoader:
+    """`sgd_epochs` takes each step's `batch(idx)` from a forked loader."""
+
+    CFG = types.SimpleNamespace(epochs=3, batch_size=4, lr=0.1, momentum=0.9,
+                                weight_decay=0.0)
+    N = 10  # three steps per epoch, the last of 2 rows
+
+    def _toy(self, rng, fail_at=None):
+        """A toy trainer: each batch draws noise from `rng`, as stage 1's
+        augmentation does; `step` keeps copies of the arrays it gets."""
+        X = np.arange(2.0 * self.N).reshape(self.N, 2)
+        calls, seen = [], []
+
+        def batch(idx):
+            calls.append(len(idx))
+            if len(calls) == fail_at:
+                raise ValueError("bad batch")
+            rows = X[idx]
+            return rows + rng.normal(size=rows.shape), np.concatenate([rows] * 3)
+
+        def step(noisy, rows):
+            seen.append((noisy.copy(), rows.copy()))
+            time.sleep(0.001)  # a slot handed back too early is refilled meanwhile
+            assert np.array_equal(noisy, seen[-1][0]) and np.array_equal(rows, seen[-1][1])
+            return {"loss": float(noisy.sum())}
+
+        return batch, step, seen
+
+    def _train(self, rng, batch, step, cfg=CFG):
+        return sgd_epochs("toy", np.zeros(3), np.zeros(3), cfg, self.N, rng, batch,
+                          ((1, 2), (3, 2)), step)
+
+    def test_batches_and_rng_state_match_serial_draws(self):
+        rng = make_rng(3)
+        batch, step, seen = self._toy(rng)
+        log = self._train(rng, batch, step)
+        ref_rng = make_rng(3)
+        ref_batch, _, _ = self._toy(ref_rng)
+        want = []
+        for _ in range(self.CFG.epochs):
+            order = ref_rng.permutation(self.N)
+            for start in range(0, self.N, self.CFG.batch_size):
+                want.append(ref_batch(order[start:start + self.CFG.batch_size]))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert len(seen) == len(want) == 9
+        for (got_noisy, got_rows), (noisy, rows) in zip(seen, want):
+            assert got_noisy.tobytes() == noisy.tobytes()
+            assert got_rows.tobytes() == rows.tobytes()
+        assert [row["loss"] for row in log] == [
+            sum(float(noisy.sum()) for noisy, _ in want[e * 3:e * 3 + 3]) / 3
+            for e in range(3)]
+        assert rng.random() == ref_rng.random()  # the parent's stream goes on
+
+    def test_failing_batch_raises_naming_the_stage(self, capfd):
+        rng = make_rng(4)
+        batch, step, seen = self._toy(rng, fail_at=6)
+        with pytest.raises(OSError, match="toy loader exited with status 1"):
+            self._train(rng, batch, step)
+        assert len(seen) <= 5  # the steps whose batches the child filled
+        assert "toy loader failed: ValueError('bad batch')" in capfd.readouterr().err
+
+    def test_divergence_kills_and_reaps_the_loader(self):
+        rng = make_rng(5)
+        batch, _, _ = self._toy(rng)
+        steps = []
+
+        def step(noisy, rows):
+            steps.append(1)
+            return {"loss": math.inf if len(steps) == 2 else 0.0}
+
+        with pytest.raises(NumericError, match="toy diverged: .* epoch 0, step 1"):
+            self._train(rng, batch, step)
+
+    def test_step_exception_kills_and_reaps_the_loader(self):
+        rng = make_rng(6)
+        batch, _, _ = self._toy(rng)
+
+        def step(noisy, rows):
+            raise KeyError("in the step")
+
+        with pytest.raises(KeyError):
+            self._train(rng, batch, step)
+
+    def test_no_epochs_forks_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("forked with no epochs")
+        monkeypatch.setattr(jsonl.Forks, "start", refuse)
+        rng = make_rng(7)
+        state = rng.bit_generator.state
+        batch, step, seen = self._toy(rng)
+        cfg = types.SimpleNamespace(**{**vars(self.CFG), "epochs": 0})
+        assert self._train(rng, batch, step, cfg=cfg) == []
+        assert seen == [] and rng.bit_generator.state == state

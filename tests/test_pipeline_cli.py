@@ -722,12 +722,20 @@ class TestInMemoryMemo:
         pipeline._stage1_memo.clear()
         assert _result_bits(changed) == _result_bits(run_in_memory(config_from_dict(data)))
 
-    def test_forks_nothing_and_creates_no_directory(self, stage1_calls, monkeypatch):
+    def test_forks_only_loaders_and_creates_no_directory(self, stage1_calls,
+                                                           monkeypatch):
         """Cold and on a memo hit, in both variants, an in-memory run
-        starts no writer and makes no directory."""
+        starts no writer and makes no directory: it forks only the batch
+        loader of each training it runs."""
         def refuse(*args, **kwargs):
-            raise AssertionError("an in-memory run forked or made a directory")
-        monkeypatch.setattr(jsonl.Forks, "start", refuse)
+            raise AssertionError("an in-memory run made a directory")
+        start = jsonl.Forks.start
+        started = []
+
+        def loader_only(forks, label, fn):
+            started.append(label)
+            return start(forks, label, fn)
+        monkeypatch.setattr(jsonl.Forks, "start", loader_only)
         monkeypatch.setattr(pathlib.Path, "mkdir", refuse)
         cfg = config_from_dict(TINY_CONFIG)
         for no_relabel in (False, True):
@@ -735,6 +743,7 @@ class TestInMemoryMemo:
             run_in_memory(cfg, no_relabel=no_relabel)
             run_in_memory(cfg, no_relabel=no_relabel)
         assert len(stage1_calls) == 2  # one cold run and one hit per variant
+        assert started == ["stage 1 loader", "stage 2 loader", "stage 2 loader"] * 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_stage1_leaves_memo_empty(self):
@@ -1031,6 +1040,14 @@ def _short_head(state):
     head["biases"][0] = head["biases"][0][:-1]
 
 
+def _three_more_rows(state):
+    """3(K + 1) outputs: a whole head of another class count."""
+    head = state["head"]
+    head["layer_dims"][1] += 3
+    head["weights"][0] += [0.0] * 3 * head["layer_dims"][0]
+    head["biases"][0] += [0.0] * 3
+
+
 def _two_layer_head(state):
     head = state["head"]
     width = head["layer_dims"][1]
@@ -1105,6 +1122,21 @@ class TestMalformedCheckpoints:
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err
+
+    def test_head_of_another_class_count_exits_2_naming_it(self, tmp_path, capsys,
+                                                            pipeline_out):
+        cfg_path, src = pipeline_out
+        out = tmp_path / "ws"
+        out.mkdir()
+        for path in src.iterdir():
+            (out / path.name).write_bytes(path.read_bytes())
+        name = "stage2_checkpoint.json"
+        state = json.loads((out / name).read_text())
+        _three_more_rows(state)
+        (out / name).write_text(json.dumps(state))
+        assert main(["evaluate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "head has" in err
 
     @pytest.mark.parametrize("command, name", [("evaluate", "stage2_checkpoint.json"),
                                                ("stage2", "stage1_checkpoint.json")])

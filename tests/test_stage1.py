@@ -27,6 +27,7 @@ from noisytail.stage1 import (
     Predictions,
     Stage1Config,
     augment,
+    augmented_rows,
     banc_loss,
     build_stage1_model,
     contrastive_loss,
@@ -388,7 +389,8 @@ class TestStage1Loss:
 
     def _metrics(self, alpha):
         model, X, Y, queue, cfg = step_setup(alpha=alpha)
-        return stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(6))[1]
+        return stage1_batch_gradients(model, augmented_rows(X, cfg, make_rng(6)), Y,
+                                      queue, cfg)[1]
 
     def test_endpoints(self):
         m = self._metrics(0.0)
@@ -511,8 +513,8 @@ class TestStopGradientAndIsolation:
         # alpha*banc for the classifier on fixed features; the two
         # augmentations are drawn as the step draws them
         model, X, Y, queue, cfg = step_setup()
-        grads = by_part(model, stage1_batch_gradients(model, X, Y, queue, cfg,
-                                                      make_rng(6))[0])
+        grads = by_part(model, stage1_batch_gradients(
+            model, augmented_rows(X, cfg, make_rng(6)), Y, queue, cfg)[0])
         rng = make_rng(6)
         X_q, X_k = augment(X, cfg, rng), augment(X, cfg, rng)
         frozen = copy.deepcopy(model)
@@ -548,8 +550,8 @@ class TestStopGradientAndIsolation:
         # labels must not influence encoder/projection gradients
         model, X, Y, queue, cfg = step_setup()
         Y2 = np.roll(Y, 1, axis=1)  # different labels
-        g1, g2 = (by_part(model, stage1_batch_gradients(model, X, labels, queue, cfg,
-                                                        make_rng(7))[0])
+        g1, g2 = (by_part(model, stage1_batch_gradients(
+                      model, augmented_rows(X, cfg, make_rng(7)), labels, queue, cfg)[0])
                   for labels in (Y, Y2))
         for part in ("encoder", "projection"):
             for a, b in zip(g1[part], g2[part]):
@@ -560,7 +562,8 @@ class TestStopGradientAndIsolation:
     def test_alpha_one_zeroes_contrastive_path(self):
         model, X, Y, queue, cfg = step_setup()
         cfg = Stage1Config(**{**cfg.__dict__, "alpha": 1.0})
-        g = by_part(model, stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(8))[0])
+        g = by_part(model, stage1_batch_gradients(
+            model, augmented_rows(X, cfg, make_rng(8)), Y, queue, cfg)[0])
         for part in ("encoder", "projection"):
             for a in g[part]:
                 assert np.all(a == 0.0)
@@ -568,7 +571,8 @@ class TestStopGradientAndIsolation:
     def test_alpha_zero_zeroes_classifier(self):
         model, X, Y, queue, cfg = step_setup()
         cfg = Stage1Config(**{**cfg.__dict__, "alpha": 0.0})
-        g = by_part(model, stage1_batch_gradients(model, X, Y, queue, cfg, make_rng(9))[0])
+        g = by_part(model, stage1_batch_gradients(
+            model, augmented_rows(X, cfg, make_rng(9)), Y, queue, cfg)[0])
         for a in g["classifier"]:
             assert np.all(a == 0.0)
 

@@ -21,6 +21,7 @@ from noisytail.numerics import (
     _ACTIVATIONS,
     SgdMomentum,
     backward_batch,
+    flatten_params,
     forward_batch,
     init_mlp,
     l2_normalize,
@@ -33,6 +34,7 @@ from noisytail.stage1 import (
     FeatureQueue,
     Stage1Config,
     augment,
+    augmented_rows,
     build_stage1_model,
     stage1_batch_gradients,
 )
@@ -299,21 +301,42 @@ class TestBackwardBatch:
 class TestSgdStep:
     @pytest.mark.parametrize("momentum,weight_decay", [(0.9, 5e-4), (0.0, 0.0),
                                                         (0.5, 0.01)])
-    def test_many_steps(self, momentum, weight_decay):
+    def test_flat_buffer_matches_per_array_update(self, momentum, weight_decay):
+        """One update over the flat buffer of `flatten_params` has the bits
+        of the update run array by array, over 50 steps at stage 1's ten
+        parameter shapes, and the gradients reach it through the views."""
         rng = make_rng(9)
-        shapes = [(64, 16), (64,), (32, 64), (32,), (20, 32), (20,)]
-        params = [rng.normal(size=s) for s in shapes]
-        ref_params = [p.copy() for p in params]
-        ref_velocity = [np.zeros_like(p) for p in params]
+        model = build_stage1_model(16, 20, Stage1Config(), rng)
+        nets = (model.encoder, model.projection, model.classifier)
+        ref_params = [p.copy() for net in nets for p in net.params()]
+        ref_velocity = [np.zeros_like(p) for p in ref_params]
+        params, grads, views = flatten_params(*nets)
+        assert len(ref_params) == 10
         opt = SgdMomentum(params, lr=0.02, momentum=momentum, weight_decay=weight_decay)
-        for _ in range(20):
-            grads = [rng.normal(size=s) for s in shapes]
+        for _ in range(50):
+            step_grads = [rng.normal(size=p.shape) for p in ref_params]
+            for view, g in zip([v for net_views in views for v in net_views], step_grads):
+                view[...] = g
             opt.step(grads)
-            ref_sgd_step(ref_params, ref_velocity, grads, 0.02, momentum, weight_decay)
-        for p, q in zip(params, ref_params):
+            ref_sgd_step(ref_params, ref_velocity, step_grads, 0.02, momentum,
+                         weight_decay)
+        for p, q in zip([p for net in nets for p in net.params()], ref_params):
             assert np.array_equal(p, q)
-        for v, w in zip(opt.velocity, ref_velocity):
-            assert np.array_equal(v, w)
+        assert np.array_equal(opt.velocity,
+                              np.concatenate([v.ravel() for v in ref_velocity]))
+
+    def test_flatten_keeps_values_and_views(self):
+        rng = make_rng(19)
+        nets = [init_mlp([16, 64, 32], rng), init_mlp([32, 20], rng)]
+        before = [p.copy() for net in nets for p in net.params()]
+        params, grads, views = flatten_params(*nets)
+        after = [p for net in nets for p in net.params()]
+        assert params.size == grads.size == sum(p.size for p in before)
+        for p, q, g in zip(after, before, [v for net_views in views for v in net_views]):
+            assert np.array_equal(p, q) and p.shape == q.shape == g.shape
+            assert np.shares_memory(p, params) and np.shares_memory(g, grads)
+        params += 1.0
+        assert np.array_equal(nets[1].biases[0], before[-1] + 1.0)
 
 
 class TestExpertBatch:
@@ -357,11 +380,29 @@ class TestStage1Step:
             X = rng.normal(size=(b, 16))
             Y = np.eye(20)[rng.integers(0, 20, size=b)]
             seed = int(rng.integers(1 << 31))
-            got = stage1_batch_gradients(model, X, Y, Q, cfg, make_rng(seed))
+            got = stage1_batch_gradients(model, augmented_rows(X, cfg, make_rng(seed)),
+                                         Y, Q, cfg)
             want = ref_stage1_batch_gradients(model, X, Y, Q, cfg, make_rng(seed))
             assert_grads_equal(got[0], want[0])
             assert got[1] == want[1]
             assert np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("b", [1, 2, 17, 41, 56, 64])
+    def test_gradients_into_the_flat_buffer(self, b):
+        """With `out`, the step writes the gradients it returns into the
+        views of `flatten_params`: the bits of the allocating form."""
+        cfg = Stage1Config()
+        rng = make_rng(14)
+        model = build_stage1_model(16, 20, cfg, rng)
+        XS = augmented_rows(rng.normal(size=(b, 16)), cfg, rng)
+        Y = np.eye(20)[rng.integers(0, 20, size=b)]
+        want = stage1_batch_gradients(model, XS, Y, QUEUES["wrapped"], cfg)
+        _, grads, views = flatten_params(model.encoder, model.projection,
+                                         model.classifier)
+        got = stage1_batch_gradients(model, XS, Y, QUEUES["wrapped"], cfg, views)
+        assert_grads_equal(got[0], want[0])
+        assert got[1] == want[1]
+        assert np.array_equal(grads, np.concatenate([g.ravel() for g in want[0]]))
 
     def test_c_zero(self):
         cfg = Stage1Config(c=0.0)
@@ -369,7 +410,8 @@ class TestStage1Step:
         model = build_stage1_model(16, 20, cfg, rng)
         X = rng.normal(size=(64, 16))
         Y = np.eye(20)[rng.integers(0, 20, size=64)]
-        got = stage1_batch_gradients(model, X, Y, QUEUES["wrapped"], cfg, make_rng(1))
+        got = stage1_batch_gradients(model, augmented_rows(X, cfg, make_rng(1)), Y,
+                                     QUEUES["wrapped"], cfg)
         want = ref_stage1_batch_gradients(model, X, Y, QUEUES["wrapped"], cfg,
                                           make_rng(1))
         assert_grads_equal(got[0], want[0])
@@ -429,8 +471,8 @@ class TestInputsUnchanged:
 
     def test_sgd_step_grads(self):
         rng = make_rng(25)
-        params = [rng.normal(size=(8, 4)), rng.normal(size=4)]
-        grads = [rng.normal(size=(8, 4)), rng.normal(size=4)]
+        params = rng.normal(size=36)
+        grads = rng.normal(size=36)
         opt = SgdMomentum(params, lr=0.1, weight_decay=1e-3)
         before = copy.deepcopy(grads)
         for _ in range(3):
@@ -462,9 +504,10 @@ class TestInputsUnchanged:
         Q = QUEUES["wrapped"].copy()
         weights = [p.copy() for part in (model.encoder, model.projection,
                                          model.classifier) for p in part.params()]
-        before = copy.deepcopy((X, Y, Q))
-        stage1_batch_gradients(model, X, Y, Q, cfg, make_rng(1))
-        assert_unchanged(before, (X, Y, Q))
+        XS = augmented_rows(X, cfg, make_rng(1))
+        before = copy.deepcopy((X, XS, Y, Q))
+        stage1_batch_gradients(model, XS, Y, Q, cfg)
+        assert_unchanged(before, (X, XS, Y, Q))
         assert_unchanged(weights, [p for part in (model.encoder, model.projection,
                                                   model.classifier)
                                    for p in part.params()])
