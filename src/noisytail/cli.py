@@ -2,7 +2,9 @@
 
 Commands write their artifacts plus a JSON manifest to a workspace
 directory (--out).  A single-stage command reads its inputs from there;
-`pipeline` hands each stage's outputs to the next in memory.  Exit codes:
+`pipeline` runs the four stages (simulate, stage1, stage2, which
+refurbishes the labels first unless --no-relabel, and evaluate), handing
+each stage's outputs to the next in memory.  Exit codes:
 0 success, 2 config/validation error, 3 I/O error, 4 numeric failure.
 """
 
@@ -48,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, desc in [
         ("simulate", "generate the long-tailed noisy train split and clean test split"),
         ("stage1", "contrastive + pre-screening classifier training"),
-        ("refurbish", "soft labels from observed labels and the stage-1 checkpoint"),
-        ("stage2", "train the three-expert ensemble over the frozen backbone"),
+        ("stage2", "refurbish the labels from the stage-1 checkpoint, then train "
+                   "the three-expert ensemble over the frozen backbone"),
         ("evaluate", "score the ensemble on the test split with shot subgroups"),
         ("pipeline", "run all stages in order"),
     ]:

@@ -1,6 +1,8 @@
 """End-to-end orchestration: configuration, seeding, manifests, and the
-simulate -> stage1 -> refurbish -> stage2 -> evaluate chain, which the CLI
-and `run_in_memory` both run through the five stage runners.
+simulate -> stage1 -> stage2 -> evaluate chain, which the CLI and
+`run_in_memory` both run through the four stage runners.  Stage 2's first
+step refurbishes the labels (`run_refurbish`), except in the no-relabel
+ablation.
 
 Every command is reproducible from (config, seed) alone; per-stage seeds
 are derived by hashing the global seed with the stage name, and each
@@ -10,8 +12,8 @@ memory when the stage finished.  Every artifact is saved, by the saver of
 the module that owns its format, in a forked writer of its own.
 
 No file holds stage 1's predictions or the soft labels: the stage-1
-checkpoint and `train.jsonl` determine both, and `refurbish` and `stage2`
-recompute them, `stage2` under its own config's `refurbish.sigma`.
+checkpoint and `train.jsonl` determine both, and `stage2` recomputes them,
+under its own config's `refurbish.sigma`.
 """
 
 from __future__ import annotations
@@ -55,8 +57,7 @@ STAGE2_CKPT = "stage2_checkpoint.json"
 STAGE2_LOG = "stage2_log.json"
 EVAL_JSON = "eval_report.json"
 EVAL_CSV = "eval_report.csv"
-PREDICTIONS = "stage1 predictions"  # memo keys only: no file holds them
-REFURBISHED = "refurbishment records"
+PREDICTIONS = "stage1 predictions"  # a memo key only: no file holds them
 
 
 def _variant_name(name: str, no_relabel: bool) -> str:
@@ -226,19 +227,18 @@ def _peak_rss_mb(who: int) -> float:
 
 class Workspace:
     """A run's directory plus, in `memo`, the artifacts the run wrote there
-    and the values no file holds (`PREDICTIONS`, `REFURBISHED`).  A later
-    stage takes a kept value, else loads the file: floats are written with
-    `repr` and rows in id order, so the two are equal.  A single-stage
-    command starts with an empty memo; `run_pipeline` hands one workspace
-    down the chain.
+    and the one value no file holds, `PREDICTIONS`.  A later stage takes a
+    kept value, else loads the file: floats are written with `repr` and
+    rows in id order, so the two are equal.  A single-stage command starts
+    with an empty memo; `run_pipeline` hands one workspace down the chain.
 
     Each artifact is written by a forked writer of its own while the next
     stage runs; leaving the workspace's `with` block joins them on every
-    path, then writes the manifest of each stage that finished, from the
-    digests the writers sent back, while every stage up to it wrote all of
-    its artifacts.  A workspace with no directory only keeps the values
-    and metrics: it starts no writer and writes nothing (the trainers
-    still fork their batch loaders, see `numerics.sgd_epochs`)."""
+    path, then writes the manifest of each stage that finished and wrote
+    all of its artifacts, from the digests the writers sent back.  A
+    workspace with no directory only keeps the values and metrics: it
+    starts no writer and writes nothing (the trainers still fork their
+    batch loaders, see `numerics.sgd_epochs`)."""
 
     def __init__(self, out_dir=None):
         self.out_dir = None if out_dir is None else Path(out_dir)
@@ -306,12 +306,13 @@ class Workspace:
         self._unclaimed = []
 
     def join(self) -> None:
-        """Wait for every writer, then write the manifest of each finished
-        stage while that stage and every earlier one wrote all of their
-        artifacts; from the first stage that did not, delete the manifests
-        of it and of every later stage.  A writer that failed raises
-        OSError naming its file, after the other writers are killed and
-        reaped and every file not fully written is deleted."""
+        """Wait for every writer, in the order they started, then write the
+        manifest of each finished stage that wrote all of its artifacts and
+        delete that of every other: each stage writes at least one file, so
+        from the first stage whose writer failed no later stage has all of
+        its files either.  A writer that failed raises OSError naming its
+        file, after the other writers are killed and reaped and every file
+        not fully written is deleted."""
         try:
             for pid, name in list(self._writing.items()):
                 digest, seconds = self._writers.wait(pid).split()
@@ -325,10 +326,8 @@ class Workspace:
             raise
         finally:
             writers_peak_rss = _peak_rss_mb(resource.RUSAGE_CHILDREN)
-            complete = True  # this stage and every earlier one wrote all their files
             for command, cfg, wall_time_s, peak_rss, metrics, names in self._finished:
-                complete = complete and all(name in self.written for name in names)
-                if complete:
+                if all(name in self.written for name in names):
                     write_manifest(self.out_dir, command, cfg, wall_time_s, peak_rss,
                                    metrics, {name: self.written[name] for name in names},
                                    writers_peak_rss)
@@ -386,30 +385,24 @@ def _stage1_model(ws: Workspace) -> stage1.Stage1Model:
     return ws.get(STAGE1_CKPT, "stage1", lambda p: stage1.load_stage1_checkpoint(p)[0])
 
 
-def _refurbished(cfg: PipelineConfig, ws: Workspace, train: Dataset,
-                 model: stage1.Stage1Model) -> refurbish.RefurbishRecords:
-    """The refurbishment records kept in the memo, else those of stage 1's
-    predictions on `train` under `cfg.refurbish`: the kept predictions,
-    which no later stage reads, or `model`'s, recomputed bit for bit."""
-    if REFURBISHED not in ws.memo:
-        preds = ws.memo.pop(PREDICTIONS, None)
-        if preds is None:
-            preds = stage1.predict_all(model, train)
-        ws.memo[REFURBISHED] = refurbish.refurbish_dataset(train, preds, cfg.refurbish)[1]
-    return ws.memo[REFURBISHED]
-
-
-def run_refurbish(cfg: PipelineConfig, ws: Workspace) -> dict:
-    t0 = time.perf_counter()
-    train = ws.dataset(TRAIN_FILE, cfg)
-    records = _refurbished(cfg, ws, train, _stage1_model(ws))
-    metrics = {**refurbish.summarize_records(records),
+def run_refurbish(cfg: PipelineConfig, ws: Workspace, train: Dataset,
+                  model: stage1.Stage1Model) -> tuple[np.ndarray, dict]:
+    """Stage 2's first step: the (N, K) soft labels of stage 1's predictions
+    on `train` under `cfg.refurbish`, and the metrics `manifest_stage2.json`
+    records under `refurbish`.  The predictions are the kept ones, which no
+    later stage reads, or `model`'s, recomputed bit for bit; either way
+    they are freed before the metrics are taken."""
+    preds = ws.memo.pop(PREDICTIONS, None)
+    if preds is None:
+        preds = stage1.predict_all(model, train)
+    _, records = refurbish.refurbish_dataset(train, preds, cfg.refurbish)
+    del preds
+    metrics = {"fraction_changed": float(records.changed.mean()),
                **changed_rho_weight(train, records, cfg.thresholds)}
     if train.true is not None:
         metrics.update(refurbish_quality(train, records.soft, records.changed,
                                          cfg.thresholds))
-    ws.finish("refurbish", cfg, t0, metrics)
-    return metrics
+    return records.soft, metrics
 
 
 def _group_masks(train: Dataset, labels: np.ndarray,
@@ -459,11 +452,11 @@ def run_stage2(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -> 
     t0 = time.perf_counter()
     train = ws.dataset(TRAIN_FILE, cfg)
     s1_model = _stage1_model(ws)
+    metrics = {"variant": "w/o re-label" if no_relabel else "refurbished"}
     if no_relabel:
         softs = np.eye(train.num_classes)[train.observed]
     else:
-        softs = _refurbished(cfg, ws, train, s1_model).soft
-    ws.memo.pop(REFURBISHED, None)  # no later stage reads the records: free them
+        softs, metrics["refurbish"] = run_refurbish(cfg, ws, train, s1_model)
     s2_cfg = _seeded(cfg, "stage2")
     model, log = ensemble.train_stage2(train, softs, s1_model, s2_cfg)
     ckpt_name = _variant_name(STAGE2_CKPT, no_relabel)
@@ -471,8 +464,7 @@ def run_stage2(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -> 
     ws.write(ckpt_name, (model, s2_cfg), lambda p: ensemble.save_stage2_checkpoint(
         model, s2_cfg, STAGE1_CKPT, p))
     ws.write(log_name, log, lambda p: jsonl.write_json(p, log))
-    metrics = {"variant": "w/o re-label" if no_relabel else "refurbished",
-               "final_losses": log[-1] if log else None}
+    metrics["final_losses"] = log[-1] if log else None
     ws.finish("stage2_norelabel" if no_relabel else "stage2", cfg, t0, metrics)
     return metrics
 
@@ -511,13 +503,12 @@ def run_evaluate(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
-    """simulate -> stage1 -> refurbish -> stage2 -> evaluate over one
-    workspace, each stage taking its inputs from memory while the files of
-    the stages before it are still being written."""
+    """simulate -> stage1 -> stage2 -> evaluate over one workspace, each
+    stage taking its inputs from memory while the files of the stages
+    before it are still being written."""
     with Workspace(out_dir) as ws:
         run_simulate(cfg, ws)
         run_stage1(cfg, ws)
-        run_refurbish(cfg, ws)
         run_stage2(cfg, ws)
         return run_evaluate(cfg, ws)
 
@@ -533,7 +524,6 @@ class PipelineResult:
     stage1_model: stage1.Stage1Model
     predictions: stage1.Predictions
     stage1_log: list[dict]
-    records: refurbish.RefurbishRecords
     stage2_model: ensemble.EnsembleModel
     report: ensemble.EvalReport
     metrics: dict = field(default_factory=dict)
@@ -561,7 +551,7 @@ def _stage1_key(cfg: PipelineConfig) -> str:
 
 
 def run_in_memory(cfg: PipelineConfig, no_relabel: bool = False) -> PipelineResult:
-    """The five stage runners on a workspace with no directory: the chain
+    """The four stage runners on a workspace with no directory: the chain
     and seeding of the file-based commands, without touching disk.
     `stages` maps each command to the metrics its manifest would record.
 
@@ -570,8 +560,8 @@ def run_in_memory(cfg: PipelineConfig, no_relabel: bool = False) -> PipelineResu
     chain: the workspace after simulate and stage 1, with their outputs
     and metrics, is memoized for the last config seen, keyed on every
     section but `refurbish`, `stage2`, `thresholds` and `out_dir`.
-    Refurbishment, stage 2 and evaluation run on every call, and each
-    result holds its own copies of the arrays."""
+    Stage 2 (with its refurbishment, unless `no_relabel`) and evaluation
+    run on every call, and each result holds its own copies of the arrays."""
     key = _stage1_key(cfg)
     if key not in _stage1_memo:
         _stage1_memo.clear()  # a call that raises leaves no entry
@@ -580,16 +570,14 @@ def run_in_memory(cfg: PipelineConfig, no_relabel: bool = False) -> PipelineResu
         run_stage1(cfg, ws)
         _stage1_memo[key] = ws
     ws = copy.deepcopy(_stage1_memo[key])
-    preds = ws.memo[PREDICTIONS]  # run_refurbish drops them from the memo,
-    run_refurbish(cfg, ws)
-    records = ws.memo[REFURBISHED]  # and run_stage2 these
+    preds = ws.memo[PREDICTIONS]  # before run_refurbish drops them
     run_stage2(cfg, ws, no_relabel)
     run_evaluate(cfg, ws, no_relabel)
     train, report = ws.memo[TRAIN_FILE], ws.memo[_variant_name(EVAL_JSON, no_relabel)]
     metrics = {"overall_accuracy": report.overall_accuracy,
                **_accuracy("stage1_accuracy", preds.predicted, train)}
     return PipelineResult(train, ws.memo[TEST_FILE], ws.memo[STAGE1_CKPT], preds,
-                          ws.memo[STAGE1_LOG], records,
+                          ws.memo[STAGE1_LOG],
                           ws.memo[_variant_name(STAGE2_CKPT, no_relabel)][0], report,
                           metrics, ws.metrics)
 
@@ -673,10 +661,12 @@ def run_sweep(cfg: PipelineConfig, sweep: SweepSpec, out_dir: Path) -> list[dict
     points are independent yet reproducible.  Returns rows sorted by value.
     """
     t0 = time.perf_counter()
+    # every grid point's config is checked before the directory is made
+    points = [(value, _with_sweep_value(cfg, sweep.parameter, value))
+              for value in sweep.grid]
     with Workspace(out_dir) as ws:
         rows = []
-        for value in sweep.grid:
-            cfg_v = _with_sweep_value(cfg, sweep.parameter, value)
+        for value, cfg_v in points:
             seed_v = int.from_bytes(
                 hashlib.sha256(config_hash(cfg_v).encode()).digest()[:8], "little")
             cfg_v = dataclasses.replace(cfg_v, seed=seed_v)

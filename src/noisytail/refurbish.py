@@ -48,8 +48,15 @@ class RefurbishConfig:
     sigma: float = 0.2
 
     def __post_init__(self):
-        if not math.isfinite(self.sigma) or self.sigma <= 0:
-            raise InvalidSpecError(f"sigma must be positive and finite, got {self.sigma!r}")
+        _check_sigma(self.sigma)
+
+
+def _check_sigma(sigma: float) -> None:
+    """Refuse a sigma that is not positive and finite, or whose square,
+    rarity's denominator, underflows to 0 (sigma below about 1.6e-162)."""
+    if not (math.isfinite(sigma) and sigma > 0 and sigma * sigma > 0):
+        raise InvalidSpecError(
+            f"sigma must be positive and finite, with a nonzero square, got {sigma!r}")
 
 
 @dataclass
@@ -95,8 +102,7 @@ def rarity(h: float, sigma: float) -> float:
     """
     if not (0.0 <= h <= 1.0):
         raise InvalidInputError(f"proportion h={h} outside [0, 1]")
-    if not math.isfinite(sigma) or sigma <= 0:
-        raise InvalidSpecError(f"sigma must be positive and finite, got {sigma!r}")
+    _check_sigma(sigma)
     return math.exp(-(h * h) / (sigma * sigma))
 
 
@@ -143,13 +149,6 @@ def refurbish_dataset(ds: Dataset, preds: Predictions, cfg: RefurbishConfig
             f"prediction count {len(preds)} != dataset size {len(ds)}")
     records = refurbish_batch(ds.ids, preds, ds.observed, class_proportions(ds), cfg)
     return records.soft, records
-
-
-def summarize_records(records: RefurbishRecords) -> dict:
-    n_changed = int(np.count_nonzero(records.changed))
-    frac = n_changed / len(records) if len(records) else 0.0
-    mean_w = float(records.weight[records.changed].mean()) if n_changed else 0.0
-    return {"fraction_changed": frac, "mean_weight_changed": mean_w}
 
 
 # ---------------------------------------------------------------------------

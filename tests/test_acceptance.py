@@ -374,7 +374,8 @@ def test_criterion_9_determinism(tmp_path):
         for name in names:
             if not name.startswith("manifest_"):
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-        for cmd in ("simulate", "stage1", "refurbish", "stage2", "evaluate"):
+        assert "manifest_refurbish.json" not in names
+        for cmd in ("simulate", "stage1", "stage2", "evaluate"):
             m1 = json.loads((out1 / f"manifest_{cmd}.json").read_text())
             m2 = json.loads((out2 / f"manifest_{cmd}.json").read_text())
             for measured in ("wall_time_s", "write_s", "peak_rss_mb",

@@ -42,7 +42,7 @@ TINY_CONFIG = {
 }
 
 
-STAGES = ("simulate", "stage1", "refurbish", "stage2", "evaluate")
+STAGES = ("simulate", "stage1", "stage2", "evaluate")
 WIDTH_FIELDS = ("embed_dim", "repr_dim", "encoder_hidden", "proj_hidden")
 # one past each size bound, and a size no array could have
 OVERSIZED = [
@@ -61,10 +61,10 @@ OVERSIZED = [
 def assert_manifests_match_files(out, commands):
     """Each command's manifest lists SHA-256 digests that match its files
     as read back here, a write time for each of them, and peak RSS figures.
-    Every command but `refurbish`, which writes no file, lists some."""
+    Every command lists some."""
     for command in commands:
         manifest = json.loads((out / f"manifest_{command}.json").read_text())
-        assert bool(manifest["artifacts"]) == (command != "refurbish"), command
+        assert manifest["artifacts"], command
         for name, digest in manifest["artifacts"].items():
             assert file_sha256(out / name) == digest, name
         assert manifest["write_s"].keys() == manifest["artifacts"].keys(), command
@@ -119,15 +119,15 @@ def train_noise_mask(out) -> list[bool]:
 
 def assert_stale_file_changes_nothing(tmp_path, stale, text):
     """With `stale` holding `text` in a workspace that `simulate` and
-    `stage1` wrote, `refurbish`, `stage2` and `evaluate` report the
-    metrics and write the files of `pipeline`."""
+    `stage1` wrote, `stage2` and `evaluate` report the metrics and write
+    the files of `pipeline`."""
     cfg_path = write_tiny_config(tmp_path)
     ref, out = tmp_path / "ref", tmp_path / "ws"
     assert main(["pipeline", "--config", str(cfg_path), "--out", str(ref)]) == 0
     for command in ("simulate", "stage1"):
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
     (out / stale).write_text(text)
-    for command in ("refurbish", "stage2", "evaluate"):
+    for command in ("stage2", "evaluate"):
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
         metrics = [json.loads((d / f"manifest_{command}.json").read_text())["metrics"]
                    for d in (ref, out)]
@@ -279,10 +279,11 @@ class TestCliPipeline:
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out2)]) == 0
         names = sorted(p.name for p in out1.iterdir())
         assert names == sorted(p.name for p in out2.iterdir())
+        assert "manifest_refurbish.json" not in names
         for name in names:
             if not name.startswith("manifest_"):
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-        for cmd in ("simulate", "stage1", "refurbish", "stage2", "evaluate"):
+        for cmd in STAGES:
             m1 = json.loads((out1 / f"manifest_{cmd}.json").read_text())
             m2 = json.loads((out2 / f"manifest_{cmd}.json").read_text())
             for measured in ("wall_time_s", "write_s", "peak_rss_mb",
@@ -294,14 +295,15 @@ class TestCliPipeline:
         cfg_path = write_tiny_config(tmp_path)
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
         main(["pipeline", "--config", str(cfg_path), "--out", str(out1)])
-        for cmd in ("simulate", "stage1", "refurbish", "stage2", "evaluate"):
+        for cmd in STAGES:
             assert main([cmd, "--config", str(cfg_path), "--out", str(out2)]) == 0
         # the pipeline hands stage outputs over in memory and the single
         # commands reload them: every artifact must come out the same
         names = sorted(p.name for p in out1.iterdir())
         assert names == sorted(p.name for p in out2.iterdir())
-        assert len(names) == 13
+        assert len(names) == 12
         assert "refurbished.jsonl" not in names
+        assert "manifest_refurbish.json" not in names
         for name in names:
             if name.startswith("manifest_"):
                 m1, m2 = (json.loads((d / name).read_text()) for d in (out1, out2))
@@ -315,8 +317,8 @@ class TestCliPipeline:
     def test_pipeline_reads_back_nothing(self, tmp_path, monkeypatch):
         """No loader runs and no file the run wrote is opened for reading,
         the predictions are computed once, after `train_stage1`, and the
-        soft labels once: refurbish takes the predictions from memory, and
-        stage 2 the soft labels."""
+        soft labels once: stage 2 refurbishes from the predictions in
+        memory."""
         def refuse(*args, **kwargs):
             raise AssertionError("pipeline read back an artifact it wrote")
 
@@ -356,7 +358,7 @@ class TestCliPipeline:
         assert_manifests_match_files(out, STAGES)
 
     def test_stage_commands_hash_without_reading_back(self, tmp_path):
-        """The five single-stage commands take their manifests' digests from
+        """The four single-stage commands take their manifests' digests from
         the writers too: none opens a file it wrote for reading.  The files
         equal those of `pipeline`."""
         cfg_path = write_tiny_config(tmp_path)
@@ -392,9 +394,9 @@ class TestCliPipeline:
 
     def test_refurbish_recomputes_multi_block_predictions(self, tmp_path):
         """Above FORWARD_ROWS training rows `forward` runs the stage-1
-        predictions in several row blocks: `refurbish` and `stage2` on the
-        pipeline's train.jsonl and checkpoint alone still report the same
-        metrics and write the same stage-2 bytes."""
+        predictions in several row blocks: `stage2` on the pipeline's
+        train.jsonl and checkpoint alone still reports the same metrics,
+        its refurbishment's among them, and writes the same stage-2 bytes."""
         cfg_path = write_tiny_config(
             tmp_path,
             longtail={"num_classes": 5, "head_count": 1500, "imbalance_ratio": 3.0},
@@ -407,11 +409,10 @@ class TestCliPipeline:
         out.mkdir()
         for name in (pipeline.TRAIN_FILE, pipeline.STAGE1_CKPT):
             (out / name).write_bytes((ref / name).read_bytes())
-        for command in ("refurbish", "stage2"):
-            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
-            metrics = [json.loads((d / f"manifest_{command}.json").read_text())["metrics"]
-                       for d in (ref, out)]
-            assert metrics[0] == metrics[1], command
+        assert main(["stage2", "--config", str(cfg_path), "--out", str(out)]) == 0
+        metrics = [json.loads((d / "manifest_stage2.json").read_text())["metrics"]
+                   for d in (ref, out)]
+        assert "refurbish" in metrics[0] and metrics[0] == metrics[1]
         for name in (pipeline.STAGE2_CKPT, pipeline.STAGE2_LOG):
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
@@ -557,10 +558,9 @@ class TestCliPipeline:
         every writer reaped, and no manifest for the stage that wrote it;
         the manifests `kept` are left, and match their files.  The JSONL
         encoder fails for the datasets in `pipeline`, which kills the later
-        stages' writers and keeps no manifest, not even that of `refurbish`,
-        which writes no file but follows a stage that failed; and in
-        `simulate` run again on a workspace that the commands up to `stage1`
-        wrote, whose manifest of `simulate` it deletes."""
+        stages' writers and keeps no manifest; and in `simulate` run again
+        on a workspace that the commands up to `stage1` wrote, whose
+        manifest of `simulate` it deletes."""
         cfg_path = write_tiny_config(tmp_path)
         out = tmp_path / "ws"
         for earlier in before:
@@ -613,12 +613,9 @@ class TestCliPipeline:
         code = main(["stage1", "--config", str(cfg_path), "--out", str(out)])
         assert code == 2
         assert "simulate" in capsys.readouterr().err
-        # refurbish reads the checkpoint, not a predictions file
+        # stage2 reads the checkpoint, from which it derives the soft labels,
+        # not a predictions file
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert main(["refurbish", "--config", str(cfg_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert pipeline.STAGE1_CKPT in err and "`stage1`" in err
-        # and so does stage2, which derives the soft labels from it
         for flags in ([], ["--no-relabel"]):
             assert main(["stage2", "--config", str(cfg_path), "--out", str(out),
                          *flags]) == 2
@@ -627,7 +624,8 @@ class TestCliPipeline:
 
     def test_in_memory_matches_cli_metrics(self, tmp_path):
         """`run_in_memory(cfg).stages` holds exactly the metrics of the
-        CLI's manifests, command by command, in both variants."""
+        CLI's manifests, command by command, in both variants; only the
+        full chain's stage 2 refurbishes."""
         cfg_path = write_tiny_config(tmp_path)
         out = tmp_path / "ws"
         args = ["--config", str(cfg_path), "--out", str(out)]
@@ -637,12 +635,12 @@ class TestCliPipeline:
         cfg = config_from_dict(json.loads(cfg_path.read_text()))
         for no_relabel, suffix in ((False, ""), (True, "_norelabel")):
             stages = run_in_memory(cfg, no_relabel=no_relabel).stages
-            commands = ["simulate", "stage1", "refurbish", f"stage2{suffix}",
-                        f"evaluate{suffix}"]
+            commands = ["simulate", "stage1", f"stage2{suffix}", f"evaluate{suffix}"]
             assert list(stages) == commands
             for command in commands:
                 manifest = json.loads((out / f"manifest_{command}.json").read_text())
                 assert stages[command] == manifest["metrics"], command
+            assert ("refurbish" in stages[f"stage2{suffix}"]) == (not no_relabel)
 
 
 def _result_bits(res) -> tuple:
@@ -650,10 +648,9 @@ def _result_bits(res) -> tuple:
     nets = (res.stage1_model.encoder, res.stage1_model.projection,
             res.stage1_model.classifier, res.stage2_model.head)
     arrays = [p for net in nets for p in net.params()]
-    arrays += [res.train.X, res.test.X, res.noise_mask, res.predictions.logits,
-               res.records.soft]
-    return (json.dumps([res.report.to_json_dict(), res.metrics, res.stage1_log],
-                       sort_keys=True),
+    arrays += [res.train.X, res.test.X, res.noise_mask, res.predictions.logits]
+    return (json.dumps([res.report.to_json_dict(), res.metrics, res.stage1_log,
+                        res.stages], sort_keys=True),
             [a.tobytes() for a in arrays])
 
 
@@ -826,6 +823,14 @@ class TestCliErrors:
             assert field in err
         assert not (tmp_path / "o").exists()
 
+    def test_refurbish_is_no_command(self, tmp_path, capsys):
+        """Refurbishment is stage 2's first step, not a command of its own."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["refurbish", "--out", str(tmp_path / "o")])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'refurbish'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unwritable_out_exits_3(self, tmp_path):
         cfg_path = write_tiny_config(tmp_path)
         blocker = tmp_path / "blocker"
@@ -871,7 +876,7 @@ class TestCliErrors:
             assert "NaN" not in text and "Infinity" not in text, path.name
         # the stages that finished before the divergence keep their
         # manifests, written once their writers were joined
-        assert_manifests_match_files(out, ("simulate", "stage1", "refurbish"))
+        assert_manifests_match_files(out, ("simulate", "stage1"))
         assert not (out / "manifest_stage2.json").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -954,8 +959,10 @@ class TestCliErrors:
         ({"mixture": {"within_class_stddev": 0}},
          "mixture.within_class_stddev must be positive, got 0"),
         ({"stage1": {"tau": 0}}, "stage1.tau must be positive, got 0"),
+        ({"refurbish": {"sigma": 1e-300}},
+         "refurbish.sigma must be positive and finite, with a nonzero square, got 1e-300"),
     ], ids=["stage2.momentum", "stage1.aug_dropout_prob", "stage2.epochs",
-            "mixture.within_class_stddev", "stage1.tau"])
+            "mixture.within_class_stddev", "stage1.tau", "refurbish.sigma"])
     def test_out_of_range_value_exits_2_naming_field_and_value(self, tmp_path, capsys,
                                                                overrides, named):
         cfg_path = tmp_path / "config.json"
@@ -1166,19 +1173,25 @@ def recomputed_records(out, sigma=0.2) -> dict:
     return {r.id: r for r in records}
 
 
+def refurbish_metrics(out) -> dict:
+    """The refurbishment block of `out`'s stage-2 manifest."""
+    return json.loads((out / "manifest_stage2.json").read_text())["metrics"]["refurbish"]
+
+
 class TestRefurbishMetrics:
     GROUPS = {"overall", "many", "medium", "few"}
 
     def test_noise_detection_and_soft_label_accuracy(self, tmp_path):
         cfg_path = write_tiny_config(tmp_path)
         out = tmp_path / "ws"
-        for cmd in ("simulate", "stage1", "refurbish"):
+        for cmd in ("simulate", "stage1", "stage2"):
             assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
-        metrics = json.loads((out / "manifest_refurbish.json").read_text())["metrics"]
+        metrics = refurbish_metrics(out)
         train = [json.loads(l) for l in (out / "train.jsonl").read_text().splitlines()]
         recs = recomputed_records(out)
         corrupted = [t["observed_label"] != t["true_label"] for t in train]
         changed = [recs[t["id"]].changed for t in train]
+        assert metrics["fraction_changed"] == sum(changed) / len(train)
         hits = sum(c and m for c, m in zip(changed, corrupted))
         overall = {"noise_precision": hits / sum(changed),
                    "noise_recall": hits / sum(corrupted),
@@ -1202,9 +1215,9 @@ class TestRefurbishMetrics:
         sizes), against means taken here row by row."""
         cfg_path = write_tiny_config(tmp_path)
         out = tmp_path / "ws"
-        for cmd in ("simulate", "stage1", "refurbish"):
+        for cmd in ("simulate", "stage1", "stage2"):
             assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
-        metrics = json.loads((out / "manifest_refurbish.json").read_text())["metrics"]
+        metrics = refurbish_metrics(out)
         train = [json.loads(l) for l in (out / "train.jsonl").read_text().splitlines()]
         recs = recomputed_records(out)
         sizes = {}
@@ -1225,7 +1238,7 @@ class TestRefurbishMetrics:
             for g, changed in rows.items():
                 mean = sum(getattr(r, field) for r in changed) / len(changed)
                 assert abs(metrics[name][g] - mean) < 1e-12, (name, g)
-        assert metrics["weight_changed"]["overall"] == metrics["mean_weight_changed"]
+        assert "mean_weight_changed" not in metrics
         for g in self.GROUPS:  # w = rho * gamma with gamma <= 1
             assert metrics["weight_changed"][g] <= metrics["rho_changed"][g]
 
@@ -1238,13 +1251,15 @@ class TestRefurbishMetrics:
         (out / "train.jsonl").write_text("".join(
             json.dumps({k: v for k, v in r.items() if k != "true_label"}) + "\n"
             for r in rows))
-        assert main(["refurbish", "--config", str(cfg_path), "--out", str(out)]) == 0
-        metrics = json.loads((out / "manifest_refurbish.json").read_text())["metrics"]
-        assert "fraction_changed" in metrics
+        assert main(["stage2", "--config", str(cfg_path), "--out", str(out)]) == 0
+        metrics = refurbish_metrics(out)
+        changed = [r for r in recomputed_records(out).values() if r.changed]
+        assert metrics["fraction_changed"] == len(changed) / len(rows)
         for name in ("rho_changed", "weight_changed"):  # these need no true labels
             assert set(metrics[name]) == self.GROUPS
             assert 0.0 < metrics[name]["overall"] < 1.0
-        assert metrics["weight_changed"]["overall"] == metrics["mean_weight_changed"]
+        assert abs(metrics["weight_changed"]["overall"]
+                   - sum(r.weight for r in changed) / len(changed)) < 1e-12
         assert not {"noise_precision", "noise_recall", "soft_label_accuracy",
                     "true_class_mass_before", "true_class_mass_after"} & set(metrics)
 
@@ -1292,6 +1307,16 @@ class TestSweep:
         with pytest.raises(InvalidSpecError):
             SweepSpec("c", [])
 
+    def test_sigma_whose_square_underflows_exits_2(self, tmp_path, capsys):
+        """sigma^2, rarity's denominator, is 0.0 at 1e-300: refused before
+        any grid point trains or the directory is made."""
+        cfg_path = write_tiny_config(tmp_path)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                     "--param", "sigma", "--grid", "0.2,1e-300"]) == 2
+        assert "nonzero square, got 1e-300" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("param,grid,named", [
         ("sigma", "nan", "nan"), ("sigma", "inf", "inf"),
         ("sigma", "0.1,-inf", "-inf"), ("c", "2,nan", "nan")])
@@ -1325,7 +1350,7 @@ class TestRarityCurve:
         assert float(first[0]) == 0.0 and float(first[1]) == 1.0
         assert (out / "rarity_curve.svg").read_text().startswith("<svg")
 
-    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "0", "-0.5"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "0", "-0.5", "1e-300"])
     def test_bad_sigma_exits_2_naming_value(self, tmp_path, capsys, sigma):
         out = tmp_path / "curve"
         assert main(["rarity-curve", f"--sigma={sigma}", "--out", str(out)]) == 2

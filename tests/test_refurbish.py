@@ -17,7 +17,6 @@ from noisytail.refurbish import (
     refurbish_batch,
     refurbish_dataset,
     save_records,
-    summarize_records,
 )
 from noisytail.stage1 import Predictions
 
@@ -222,16 +221,6 @@ class TestRefurbishDataset:
         with pytest.raises(InvalidInputError):
             refurbish_dataset(ds, Predictions(preds.logits[:-1]), RefurbishConfig())
 
-    def test_summary(self):
-        ds, preds = self._setup()
-        _, records = refurbish_dataset(ds, preds, RefurbishConfig())
-        summary = summarize_records(records)
-        changed = [r for r in records if r.changed]
-        assert summary["fraction_changed"] == len(changed) / len(records)
-        if changed:
-            assert abs(summary["mean_weight_changed"]
-                       - np.mean([r.weight for r in changed])) < 1e-12
-
 
 class TestRecordPersistence:
     def test_roundtrip(self, tmp_path):
@@ -263,6 +252,17 @@ class TestSoftLabelValidation:
     def test_sigma_positive(self):
         with pytest.raises(InvalidSpecError):
             RefurbishConfig(sigma=0.0)
+
+    def test_sigma_whose_square_underflows(self):
+        """rarity divides by sigma^2, which is 0.0 below about 1.6e-162: such
+        a sigma is refused; the smallest ones above keep the formula."""
+        for sigma in (1e-300, 1e-163):
+            with pytest.raises(InvalidSpecError, match=repr(sigma)):
+                RefurbishConfig(sigma=sigma)
+            with pytest.raises(InvalidSpecError, match=repr(sigma)):
+                rarity(0.1, sigma)
+        assert RefurbishConfig(sigma=1e-161).sigma == 1e-161
+        assert rarity(0.0, 1e-161) == 1.0 and rarity(0.5, 1e-161) == 0.0
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
     def test_sigma_finite(self, sigma):
