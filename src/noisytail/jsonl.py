@@ -135,11 +135,18 @@ class Forks:
     - the loaders, that is the generator's draws (`permutation`, and
       `normal` and `random` in `stage1.augment`), row gathers, `concatenate`,
       elementwise ufuncs, copies into the shared ring, one-byte pipe
-      reads and writes, and the JSON encoder.
+      reads and writes, and the JSON encoder; stage 1's loader also trains
+      the classifier head (`numerics.Follower`): its forward and backward
+      products, `softmax_ce` and `SgdMomentum`.
     None takes a lock another thread could hold (the generator's lock is
-    taken only by the thread that forks) or makes a BLAS call.  Tested on
-    CPython 3.11 only: from 3.12
-    `os.fork` in a process with live threads also emits a
+    taken only by the thread that forks).  The head's products are BLAS
+    calls, which are safe in a child: OpenBLAS's fork handler
+    (`pthread_atfork`) shuts its thread pool down in the parent before
+    every fork, so a child starts with no BLAS thread and no BLAS lock
+    held.  At the default widths the head's products, 64 x 32 x 20, are
+    far below BLAS_TWO_THREADS and run on the child's own thread; a larger
+    one starts a pool of the child's own.  Tested on CPython 3.11 only:
+    from 3.12 `os.fork` in a process with live threads also emits a
     DeprecationWarning, hidden by the default warning filters but shown
     by pytest or `-W error`.
     """

@@ -4,7 +4,8 @@ Vectors are plain 1-D float64 numpy arrays.  The multilayer perceptron
 carries hand-coded gradients (no autodiff graph), and `finite_diff_grad`
 is the independent oracle every analytic gradient in the package is
 tested against.  All arithmetic is 64-bit.  `sgd_epochs` is the one
-training loop; its batches come from a forked loader (see there).
+training loop; its batches come from a forked loader, which can also train
+a `Follower` (see there).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import mmap
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -363,14 +364,20 @@ def gradient_check(f, x: Vec, analytic_grad: Vec, eps: float = 1e-5,
 # SGD with momentum + weight decay, over one flat buffer per trainer
 # ---------------------------------------------------------------------------
 
-def flatten_params(*nets: Mlp) -> tuple[np.ndarray, np.ndarray, list[list[np.ndarray]]]:
+def flatten_params(*nets: Mlp, shared: bool = False
+                   ) -> tuple[np.ndarray, np.ndarray, list[list[np.ndarray]]]:
     """Move the parameters of `nets` into one float64 buffer, net after
     net, each in `params()` order, and rebind every weight and bias as a
     view of it, so `params()`, `mlp_state` and the checkpoints read what
     they read before.  Returns that buffer, a zeroed gradient buffer of
     the same layout, and per net the views of the gradient buffer in its
-    `params()` order, for `backward_batch(..., out=...)`."""
-    params = np.concatenate([p.ravel() for net in nets for p in net.params()])
+    `params()` order, for `backward_batch(..., out=...)`.  With `shared`,
+    the parameter buffer is an anonymous shared `mmap`, so the updates a
+    forked child makes to it reach this process (see `Follower`)."""
+    flat = [p.ravel() for net in nets for p in net.params()]
+    size = sum(p.size for p in flat)
+    params = np.ndarray(size, np.float64, mmap.mmap(-1, 8 * size)) if shared else None
+    params = np.concatenate(flat, out=params)
     grads = np.zeros_like(params)
     views, at = [], 0
     for net in nets:
@@ -423,25 +430,82 @@ class SgdMomentum:
 RING_SLOTS = 4  # batches the loader may have filled ahead of the step
 
 
+@dataclass
+class Follower:
+    """A second trainer that `sgd_epochs` runs in its loader, one slot
+    behind the step: the parameters `params` in a shared buffer
+    (`flatten_params(..., shared=True)`) and their gradient buffer
+    `grads`, the (rows per sample, columns) `layout` of the arrays the
+    step writes into its slot for it, after the batch's arrays (0 rows per
+    sample is one row a step), and `step(*arrays)` over the batch's arrays
+    and those, which writes `grads` and returns the named losses that go
+    to the log.  Nothing the step computes may depend on it."""
+
+    params: np.ndarray
+    grads: np.ndarray
+    layout: tuple
+    step: Callable[..., dict]
+
+
+class _Trainer:
+    """The body of `sgd_epochs` for one trainer, called with each step's
+    index k and slot arrays: `step(*arrays)`, a NumericError naming the
+    stage, epoch and step if a loss is not finite, the `SgdMomentum`
+    update of `params` and the epoch's mean losses in `log`."""
+
+    def __init__(self, stage: str, params: np.ndarray, grads: np.ndarray, cfg,
+                 steps: int, step):
+        self.stage, self.grads, self.steps, self.step = stage, grads, steps, step
+        self.opt = SgdMomentum(params, lr=cfg.lr, momentum=cfg.momentum,
+                               weight_decay=cfg.weight_decay)
+        self.log: list[dict] = []
+        self.sums: dict[str, float] = {}
+
+    def __call__(self, k: int, arrays) -> None:
+        epoch, i = divmod(k, self.steps)
+        losses = self.step(*arrays)
+        if not all(map(math.isfinite, losses.values())):
+            raise NumericError(
+                f"{self.stage} diverged: non-finite loss at epoch {epoch}, step {i}")
+        self.opt.step(self.grads)
+        for name, value in losses.items():
+            self.sums[name] = self.sums.get(name, 0.0) + value
+        if i == self.steps - 1:
+            self.log.append({"epoch": epoch, **{name: total / self.steps
+                                                for name, total in self.sums.items()}})
+            self.sums = {}
+
+
 def _loaded_batches(stage: str, rng: np.random.Generator, epochs: int, n: int,
-                    batch_size: int, batch, layout):
-    """Every step's batch arrays, in step order, as views of a slot of a
+                    batch_size: int, batch, layout, extra=(), follow=None):
+    """Every step's slot arrays, in step order, as views of a slot of a
     ring in one anonymous shared `mmap`, filled by a loader child forked
-    through `jsonl.Forks` when the first batch is asked for.
+    through `jsonl.Forks` when the first batch is asked for; then, once,
+    the log of `follow`, or None without one.
 
     The child takes `rng` over: per epoch it draws the permutation of the
     n samples, and per step runs `batch(idx)` on the step's indices and
     copies the arrays into the step's slot (`layout` gives each array's
     rows per sample and columns), then writes one byte to a pipe.  The
-    parent reads a byte before it hands out a slot, and gives the slot
-    back, one byte on a second pipe, when the next batch is asked for: the
-    step has returned by then, and its forward cache, which holds views of
-    the slot, is gone.  At the end the child sends back the rng's
-    `bit_generator.state` as JSON and the parent sets it, so `rng` ends as
-    if the draws had been made here.  A child that dies ends the byte
-    pipe, and `Forks.wait` raises OSError naming the stage's loader; an
-    exception here, or closing the generator early, kills and reaps the
-    child.  `batch` must make no BLAS call and take no lock (see `Forks`).
+    slot also holds the arrays of the `extra` layout, which the step
+    writes for `follow`.  The parent reads a byte before it hands out a
+    slot, and gives the slot back, one byte on a second pipe, when the
+    next batch is asked for: the step has returned by then, and its
+    forward cache, which holds views of the slot, is gone.  The child
+    waits for that byte before it refills the slot and, with a `follow`
+    (a `_Trainer` of a `Follower`), first runs `follow` on it.  At the end
+    the child sends back the rng's `bit_generator.state` and the log of
+    `follow` as JSON, and the parent sets the state, so `rng` ends as if
+    the draws had been made here.
+
+    A child that dies ends the byte pipe, and `Forks.wait` raises OSError
+    naming the stage's loader; an exception here, or closing the
+    generator early, kills and reaps the child.  A NumericError of
+    `follow` is data: the child sends its message back and exits, and the
+    parent raises it.  A NumericError thrown in at step k gives slot k
+    back, closes the ring and waits, so the follower's divergence at an
+    earlier step, or at k, is the one raised.  `batch` must take no lock
+    (see `Forks`).
     """
     from .jsonl import Forks  # jsonl imports this module
 
@@ -449,8 +513,10 @@ def _loaded_batches(stage: str, rng: np.random.Generator, epochs: int, n: int,
         return
     starts = range(0, n, batch_size)
     rows = [min(batch_size, n - start) for start in starts] * epochs
+    filled = len(layout)  # the arrays `batch` fills; the step writes the rest
+    layout = (*layout, *extra)
     # each array starts on a 64-byte line, so no two slots share one
-    sizes = [-(-rows_per * cols * batch_size * 8 // 64) * 64
+    sizes = [-(-(rows_per * batch_size or 1) * cols * 8 // 64) * 64
              for rows_per, cols in layout]
     slot = sum(sizes)
     ring = mmap.mmap(-1, RING_SLOTS * slot)
@@ -459,7 +525,7 @@ def _loaded_batches(stage: str, rng: np.random.Generator, epochs: int, n: int,
         at = k % RING_SLOTS * slot
         out = []
         for (rows_per, cols), size in zip(layout, sizes):
-            out.append(np.ndarray((rows_per * rows[k], cols), np.float64, ring, at))
+            out.append(np.ndarray((rows_per * rows[k] or 1, cols), np.float64, ring, at))
             at += size
         return out
 
@@ -469,21 +535,40 @@ def _loaded_batches(stage: str, rng: np.random.Generator, epochs: int, n: int,
     def load() -> str:
         os.close(filled_r)
         os.close(freed_w)
-        free, k = RING_SLOTS, 0
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            for start in starts:
-                if not free:
-                    free = len(os.read(freed_r, RING_SLOTS))
-                    if not free:
-                        raise EOFError("the training loop closed the ring")
-                for view, array in zip(views(k), batch(order[start:start + batch_size]),
-                                       strict=True):
-                    view[...] = array
-                os.write(filled_w, b"\0")
-                free -= 1
-                k += 1
-        return json.dumps(rng.bit_generator.state)
+        handed = 0  # slots given back and not yet taken
+
+        def take(j: int) -> None:  # step j's slot, once the step gives it back
+            nonlocal handed
+            if not handed:
+                handed = len(os.read(freed_r, RING_SLOTS))
+                if not handed:
+                    raise EOFError("the training loop closed the ring")
+            handed -= 1
+            if follow:
+                follow(j, views(j))
+
+        k = 0
+        try:
+            for _ in range(epochs):
+                order = rng.permutation(n)
+                for start in starts:
+                    if k >= RING_SLOTS:
+                        take(k - RING_SLOTS)
+                    for view, array in zip(views(k)[:filled],
+                                           batch(order[start:start + batch_size]),
+                                           strict=True):
+                        view[...] = array
+                    os.write(filled_w, b"\0")
+                    k += 1
+            if follow:
+                for j in range(max(0, k - RING_SLOTS), k):
+                    take(j)
+        except NumericError as e:
+            return json.dumps({"diverged": str(e)})
+        except EOFError:  # the steps stopped early, and raise their own error
+            return "{}"
+        return json.dumps({"state": rng.bit_generator.state,
+                           "log": follow and follow.log})
 
     forks = Forks()
     try:
@@ -493,9 +578,22 @@ def _loaded_batches(stage: str, rng: np.random.Generator, epochs: int, n: int,
             os.close(filled_w)  # the child's ends
             os.close(freed_r)
 
+        def result() -> dict:
+            out = json.loads(forks.wait(pid))  # raises, naming the loader, if it failed
+            if "diverged" in out:
+                raise NumericError(out["diverged"])
+            return out
+
         def ended(k: int) -> OSError:
-            forks.wait(pid)  # raises, naming the loader, if it failed
+            result()
             return OSError(f"{stage} loader ended before step {k}")
+
+        def give_back() -> bool:  # the step's slot; False if the loader has ended
+            try:
+                os.write(freed_w, b"\0")
+            except BrokenPipeError:
+                return False
+            return True
 
         ready = 0
         for k in range(len(rows)):
@@ -504,21 +602,32 @@ def _loaded_batches(stage: str, rng: np.random.Generator, epochs: int, n: int,
                 if not ready:
                     raise ended(k)
             ready -= 1
-            yield views(k)
-            if k + RING_SLOTS < len(rows):  # the child still needs the slot
-                try:
-                    os.write(freed_w, b"\0")
-                except BrokenPipeError:
-                    raise ended(k + 1) from None
-        rng.bit_generator.state = json.loads(forks.wait(pid))
+            try:
+                yield views(k)
+            except NumericError:
+                if follow is None:
+                    raise
+                give_back()
+                os.close(freed_w)  # the loader follows the steps up to k and ends
+                freed_w = -1
+                result()  # raises the follower's divergence, if it met one first
+                raise
+            # the child still needs the slot, to follow or to refill
+            if (follow or k + RING_SLOTS < len(rows)) and not give_back():
+                raise ended(k + 1)
+        out = result()
+        rng.bit_generator.state = out["state"]
+        yield out["log"]
     finally:
         forks.kill()
         os.close(filled_r)
-        os.close(freed_w)
+        if freed_w >= 0:
+            os.close(freed_w)
 
 
 def sgd_epochs(stage: str, params: np.ndarray, grads: np.ndarray, cfg, n: int,
-               rng: np.random.Generator, batch, layout, step) -> list[dict]:
+               rng: np.random.Generator, batch, layout, step,
+               follower: Optional[Follower] = None) -> list[dict]:
     """The permute/batch/update loop of every trainer; returns each epoch's
     mean losses.  It trains the buffer `params` in place with an
     `SgdMomentum` built from `cfg.lr`, `cfg.momentum` and
@@ -532,28 +641,29 @@ def sgd_epochs(stage: str, params: np.ndarray, grads: np.ndarray, cfg, n: int,
     would.  `step(*arrays)` writes the gradients into `grads`, the buffer
     of `flatten_params` that `params` came with, and returns the named
     losses.  A non-finite loss raises NumericError naming the stage, epoch
-    and step, before the update.  With no epochs nothing is forked."""
+    and step, before the update.  With no epochs nothing is forked.
+
+    With a `follower`, `step` also gets the follower's arrays, and writes
+    them; the loader then trains the follower on each slot after the step
+    has given it back, through the same per-step body (`_Trainer`), and
+    the log is the follower's.  A non-finite loss of either names the
+    first step where one was met."""
     batch_size = cfg.batch_size
     if batch_size > n:
         raise InvalidSpecError(f"batch_size {batch_size} exceeds dataset size {n}")
-    opt = SgdMomentum(params, lr=cfg.lr, momentum=cfg.momentum,
-                      weight_decay=cfg.weight_decay)
     steps = -(-n // batch_size)
-    batches = _loaded_batches(stage, rng, cfg.epochs, n, batch_size, batch, layout)
-    log = []
+    lead = _Trainer(stage, params, grads, cfg, steps, step)
+    follow = follower and _Trainer(stage, follower.params, follower.grads, cfg, steps,
+                                   follower.step)
+    batches = _loaded_batches(stage, rng, cfg.epochs, n, batch_size, batch, layout,
+                              follower.layout if follower else (), follow)
     try:
-        for epoch in range(cfg.epochs):
-            sums: dict[str, float] = {}
-            for i, arrays in zip(range(steps), batches):
-                losses = step(*arrays)
-                if not all(map(math.isfinite, losses.values())):
-                    raise NumericError(
-                        f"{stage} diverged: non-finite loss at epoch {epoch}, step {i}")
-                opt.step(grads)
-                for name, value in losses.items():
-                    sums[name] = sums.get(name, 0.0) + value
-            log.append({"epoch": epoch, **{k: v / steps for k, v in sums.items()}})
-        next(batches, None)  # hands the last slot back and takes the rng's state
+        for k, arrays in zip(range(cfg.epochs * steps), batches):
+            try:
+                lead(k, arrays)
+            except NumericError as e:
+                batches.throw(e)
+        log = next(batches, None)  # hands the last slot back and takes the rng's state
     finally:
         batches.close()
-    return log
+    return lead.log if log is None else log

@@ -8,10 +8,11 @@ through it) while the key branch receives the contrastive gradients.  A
 FIFO feature queue supplies extra negatives.  The classifier head is
 trained on detached encoder features with BANC, a noise-tolerant
 cross-entropy (`numerics.softmax_ce`), so labels never influence the
-representation.  `banc_loss` and `contrastive_loss` are the per-sample
-reference formulas the batched kernels are tested against.  Nothing
-trains with `sce_loss`: it is kept only as the gradient reference that
-acceptance criterion 1 checks.
+representation, and no step waits for the head: it trains in the batch
+loader, one step behind (see `train_stage1`).  `banc_loss` and
+`contrastive_loss` are the per-sample reference formulas the batched
+kernels are tested against.  Nothing trains with `sce_loss`: it is kept
+only as the gradient reference that acceptance criterion 1 checks.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .datagen import MAX_EPOCHS, MAX_ROWS, MAX_WIDTH, Dataset
 from .errors import InvalidInputError, InvalidSpecError
 from .numerics import (
     _ACTIVATIONS,
+    Follower,
     Mlp,
     as_vec,
     backward_batch,
@@ -85,7 +87,9 @@ class Stage1Config:
                 ("repr_dim", not 1 <= self.repr_dim <= MAX_WIDTH, width),
                 ("encoder_hidden", not 1 <= self.encoder_hidden <= MAX_WIDTH, width),
                 ("proj_hidden", not 1 <= self.proj_hidden <= MAX_WIDTH, width),
-                ("batch_size", self.batch_size < 1, ">= 1"),
+                # the first step's queue is empty: its only negatives are
+                # the batch's other keys
+                ("batch_size", self.batch_size < 2, ">= 2"),
                 ("epochs", self.epochs < 0, ">= 0"),
                 ("epochs", self.epochs > MAX_EPOCHS, f"<= {MAX_EPOCHS}"),
                 ("lr", self.lr <= 0, "positive"),
@@ -361,16 +365,19 @@ def _normalize_backward(norms: np.ndarray, unit: np.ndarray,
     return g
 
 
-def stage1_batch_gradients(model: Stage1Model, XS: np.ndarray, Y: np.ndarray,
+def stage1_batch_gradients(model: Stage1Model, XS: np.ndarray,
                            queue_mat: Optional[np.ndarray], cfg: Stage1Config,
-                           out: Optional[tuple[list, list, list]] = None):
-    """One training step's gradients, without applying them, for the
-    stacked rows XS of `augmented_rows` and the one-hot labels Y.
+                           out: Optional[tuple[list, list]] = None):
+    """The encoder and projection part of one training step: their
+    gradients, without applying them, for the stacked rows XS of
+    `augmented_rows`.
 
-    Returns (gradients, metrics dict, detached unit-norm keys).  The
-    gradients are one list in the optimizer's order: encoder, projection,
-    classifier, each in its `params()` order; with `out`, the three nets'
-    gradient views of `flatten_params`, they are written there.
+    Returns (gradients, contrastive loss, detached unit-norm keys, the raw
+    rows' encoder features).  The gradients are one list: encoder then
+    projection, each in its `params()` order; with `out`, the two nets'
+    gradient views of `flatten_params`, they are written there.  The
+    features, rows of the stacked forward, are what `head_batch_gradients`
+    trains the classifier on.
 
     The query, key and raw rows share one encoder forward, and the query
     and key rows one projection forward.  The query rows are used for
@@ -378,7 +385,7 @@ def stage1_batch_gradients(model: Stage1Model, XS: np.ndarray, Y: np.ndarray,
     slices of those caches.
     """
     b = len(XS) // 3
-    g_enc, g_proj, g_clf = out or (None, None, None)
+    g_enc, g_proj = out or (None, None)
 
     # row layout of the stacked forwards: query rows, key rows, raw rows
     v, enc_cache = forward_batch(model.encoder, XS)
@@ -399,20 +406,25 @@ def stage1_batch_gradients(model: Stage1Model, XS: np.ndarray, Y: np.ndarray,
     enc_grads, _ = backward_batch(
         model.encoder, [c[b:2 * b] for c in enc_cache], g_vk, input_grad=False,
         out=g_enc)
+    return enc_grads + proj_grads, con_loss, Zk, v[2 * b:]
 
-    # classifier on detached features of the raw inputs
-    logits, clf_cache = forward_batch(model.classifier, v[2 * b:])
+
+def head_batch_gradients(classifier: Mlp, V: np.ndarray, Y: np.ndarray, con: float,
+                         cfg: Stage1Config, out: Optional[list] = None):
+    """The classifier part of one training step: BANC on the detached
+    features V of the raw rows against their one-hot labels Y.  Returns
+    (gradients, the step's losses), the gradients in `params()` order,
+    written into `out` if given; the losses are the contrastive loss `con`
+    of the step's other part, BANC's batch mean and their blend."""
+    logits, cache = forward_batch(classifier, V)
     banc_mean, g_logits = _banc_batch(logits, Y, cfg.c)
     g_logits *= cfg.alpha
-    clf_grads, _ = backward_batch(model.classifier, clf_cache, g_logits,
-                                  input_grad=False, out=g_clf)
-
-    metrics = {
-        "con": con_loss,
+    grads, _ = backward_batch(classifier, cache, g_logits, input_grad=False, out=out)
+    return grads, {
+        "con": con,
         "banc": banc_mean,
-        "total": (1.0 - cfg.alpha) * con_loss + cfg.alpha * banc_mean,
+        "total": (1.0 - cfg.alpha) * con + cfg.alpha * banc_mean,
     }
-    return enc_grads + proj_grads + clf_grads, metrics, Zk
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +457,22 @@ def train_stage1(ds: Dataset, cfg: Stage1Config) -> tuple[Stage1Model, list[dict
     ahead by the loader of `sgd_epochs`); the query side is evaluated
     under stop-gradient; key embeddings receive the contrastive gradient
     and are enqueued when the next step starts, so every step reads the
-    queue as the previous update left it.  The classifier head sees
-    detached features only.  The three nets train in one flat buffer
-    (`flatten_params`).  Returns the model and a per-epoch loss log;
-    `predict_all` gives the model's predictions.
+    queue as the previous update left it.  The encoder and projection
+    train in one flat buffer (`flatten_params`).  The classifier head sees
+    detached features only, so no step here depends on it: it trains in
+    the loader, as the `Follower` of `sgd_epochs`, on the raw rows'
+    features and the contrastive loss that each step writes into its slot,
+    in a shared buffer of its own that this process reads once the loader
+    has exited.  Returns the model and a per-epoch loss log; `predict_all`
+    gives the model's predictions.
     """
     n = len(ds)
     if n < 2:
         raise InvalidSpecError("training requires at least 2 samples")
     rng = make_rng(cfg.seed)
     model = build_stage1_model(ds.feature_dim, ds.num_classes, cfg, rng)
-    params, grads, views = flatten_params(model.encoder, model.projection,
-                                          model.classifier)
+    params, grads, views = flatten_params(model.encoder, model.projection)
+    head_params, head_grads, (head_views,) = flatten_params(model.classifier, shared=True)
     X, observed = ds.X, ds.observed
     onehot = np.eye(ds.num_classes)  # row k is class k's label
     queue = FeatureQueue(cfg.queue_capacity)
@@ -466,16 +482,24 @@ def train_stage1(ds: Dataset, cfg: Stage1Config) -> tuple[Stage1Model, list[dict
         return (augmented_rows(X.take(idx, axis=0), cfg, rng),
                 onehot.take(observed.take(idx), axis=0))
 
-    def step(XS, Y):
+    def step(XS, Y, V, con):
         nonlocal keys
         if keys is not None:
             queue.push_batch(keys)
-        _, metrics, keys = stage1_batch_gradients(model, XS, Y, queue.as_matrix(),
-                                                  cfg, views)
-        return metrics
+        _, loss, keys, features = stage1_batch_gradients(model, XS, queue.as_matrix(),
+                                                         cfg, views)
+        V[...] = features  # the head's inputs and the log's `con`, for the loader
+        con[0] = loss
+        return {"con": loss}
+
+    def head_step(XS, Y, V, con):
+        return head_batch_gradients(model.classifier, V, Y, float(con[0, 0]), cfg,
+                                    head_views)[1]
 
     layout = ((3, ds.feature_dim), (1, ds.num_classes))
-    return model, sgd_epochs("stage 1", params, grads, cfg, n, rng, batch, layout, step)
+    head = Follower(head_params, head_grads, ((1, cfg.repr_dim), (0, 1)), head_step)
+    return model, sgd_epochs("stage 1", params, grads, cfg, n, rng, batch, layout, step,
+                             head)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +528,7 @@ def load_stage1_checkpoint(path) -> tuple[Stage1Model, Stage1Config]:
 
 def save_predictions(ids: np.ndarray, preds: Predictions, path) -> str:
     """One `{"id", "logits"}` row per sample; the rest derives from the logits.
-    No command writes this file (`refurbish` recomputes the predictions from
+    No command writes this file (`stage2` recomputes the predictions from
     the checkpoint); kept only because the benchmark's tracer names it."""
     return jsonl.write_rows(path, ("id", "logits"), [np.asarray(ids), preds.logits])
 

@@ -1,4 +1,6 @@
 import math
+import os
+import signal
 import time
 import types
 
@@ -11,10 +13,12 @@ from noisytail.errors import InvalidInputError, NumericError
 from noisytail.numerics import (
     BLAS_TWO_THREADS,
     FORWARD_ROWS,
+    Follower,
     Mlp,
     SgdMomentum,
     backward_batch,
     finite_diff_grad,
+    flatten_params,
     forward,
     forward_batch,
     forward_rows,
@@ -470,3 +474,148 @@ class TestLoader:
         cfg = types.SimpleNamespace(**{**vars(self.CFG), "epochs": 0})
         assert self._train(rng, batch, step, cfg=cfg) == []
         assert seen == [] and rng.bit_generator.state == state
+
+
+class TestFollower:
+    """With a `Follower`, the loader trains a second buffer on each slot
+    once the step has given it back, from the arrays the step wrote."""
+
+    CFG = TestLoader.CFG
+    N = TestLoader.N
+    LAYOUT = ((1, 2), (3, 2))
+    EXTRA = ((1, 2), (0, 1))  # per sample: the step's copy of `noisy`; one loss
+
+    def _toy(self, rng, lead_nan_at=None, follow_nan_at=None):
+        """TestLoader's toy trainer, whose step writes `2 * noisy` and its
+        loss into the slot, and a follower over a shared 4-entry buffer
+        whose gradient is the column sums of what the step wrote and its
+        loss."""
+        batch, _, _ = TestLoader()._toy(rng)
+        follower_params = flatten_params(Mlp([1, 2], [np.zeros((2, 1))], [np.zeros(2)]),
+                                         shared=True)[0]
+        follower_grads = np.zeros(4)
+        steps, follows = [], []  # `follows` grows in the loader only
+
+        def step(noisy, rows, doubled, loss):
+            steps.append(len(steps))
+            doubled[...] = 2.0 * noisy
+            loss[0] = math.nan if len(steps) - 1 == lead_nan_at else float(noisy.sum())
+            return {"loss": float(loss[0, 0])}
+
+        def follow(noisy, rows, doubled, loss):
+            follows.append(len(follows))
+            follower_grads[:2] = doubled.sum(axis=0)
+            follower_grads[2:] = loss[0, 0]
+            total = math.inf if len(follows) - 1 == follow_nan_at else float(doubled.sum())
+            return {"loss": float(loss[0, 0]), "follow": total}
+
+        return (batch, step, steps,
+                Follower(follower_params, follower_grads, self.EXTRA, follow), follow)
+
+    def _serial(self, seed, cfg=CFG):
+        """The same two trainers run one after the other, step by step."""
+        rng = make_rng(seed)
+        batch, _, _ = TestLoader()._toy(rng)
+        params = np.zeros(4)
+        grads = np.zeros(4)
+        opt = SgdMomentum(params, lr=cfg.lr, momentum=cfg.momentum,
+                          weight_decay=cfg.weight_decay)
+        log = []
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(self.N)
+            sums = {}
+            for start in range(0, self.N, cfg.batch_size):
+                noisy, _ = batch(order[start:start + cfg.batch_size])
+                doubled = 2.0 * noisy
+                grads[:2] = doubled.sum(axis=0)
+                grads[2:] = float(noisy.sum())
+                opt.step(grads)
+                for name, value in (("loss", float(noisy.sum())),
+                                    ("follow", float(doubled.sum()))):
+                    sums[name] = sums.get(name, 0.0) + value
+            log.append({"epoch": epoch, **{k: v / 3 for k, v in sums.items()}})
+        return params, log, rng
+
+    def _train(self, rng, batch, step, follower, cfg=CFG):
+        return sgd_epochs("toy", np.zeros(3), np.zeros(3), cfg, self.N, rng, batch,
+                          self.LAYOUT, step, follower)
+
+    def test_follower_equals_the_serial_chain(self):
+        rng = make_rng(8)
+        batch, step, steps, follower, _ = self._toy(rng)
+        log = self._train(rng, batch, step, follower)
+        params, want_log, ref_rng = self._serial(8)
+        assert len(steps) == 9
+        assert log == want_log  # the follower's log, bit for bit
+        assert follower.params.tobytes() == params.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_follower_divergence_names_its_step(self):
+        # the follower's loss is not finite at step 4 (epoch 1, step 1);
+        # the steps, which know nothing of it, run on until the verdict
+        rng = make_rng(9)
+        batch, step, steps, follower, _ = self._toy(rng, follow_nan_at=4)
+        with pytest.raises(NumericError, match=r"toy diverged: .* epoch 1, step 1$"):
+            self._train(rng, batch, step, follower)
+        assert len(steps) > 5
+
+    def test_step_divergence_after_the_followers_names_the_earlier_step(self):
+        rng = make_rng(10)
+        # the step meets its own at step 3, before it can learn of the
+        # follower's at step 2, so it is the loader's verdict that names it
+        batch, step, steps, follower, _ = self._toy(rng, lead_nan_at=3, follow_nan_at=2)
+        with pytest.raises(NumericError, match=r"epoch 0, step 2$"):
+            self._train(rng, batch, step, follower)
+
+    def test_step_divergence_names_its_step(self):
+        # the step's loss goes through the slot, so the follower meets it too
+        rng = make_rng(11)
+        batch, step, steps, follower, _ = self._toy(rng, lead_nan_at=5)
+        with pytest.raises(NumericError, match=r"epoch 1, step 2$"):
+            self._train(rng, batch, step, follower)
+        assert len(steps) == 6
+
+    def test_step_divergence_the_follower_does_not_see_names_its_step(self):
+        # a follower that does not report the step's loss: the loader ends
+        # once the ring is closed, and the step's own error stands
+        rng = make_rng(12)
+        batch, step, steps, follower, follow = self._toy(rng, lead_nan_at=5)
+
+        def blind(*arrays):
+            losses = follow(*arrays)
+            del losses["loss"]
+            return losses
+
+        follower.step = blind
+        with pytest.raises(NumericError, match=r"epoch 1, step 2$"):
+            self._train(rng, batch, step, follower)
+
+    def test_killed_loader_raises_naming_it(self, monkeypatch):
+        start = jsonl.Forks.start
+        pids = []
+
+        def recorded(forks, label, fn):
+            pids.append(start(forks, label, fn))
+            return pids[-1]
+
+        monkeypatch.setattr(jsonl.Forks, "start", recorded)
+        rng = make_rng(13)
+        batch, step, steps, follower, _ = self._toy(rng)
+
+        def killing(*arrays):
+            if len(steps) == 3:
+                os.kill(pids[0], signal.SIGKILL)
+            return step(*arrays)
+
+        with pytest.raises(OSError, match="toy loader"):
+            self._train(rng, batch, killing, follower)
+
+    def test_no_epochs_forks_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("forked with no epochs")
+        monkeypatch.setattr(jsonl.Forks, "start", refuse)
+        rng = make_rng(14)
+        batch, step, steps, follower, _ = self._toy(rng)
+        cfg = types.SimpleNamespace(**{**vars(self.CFG), "epochs": 0})
+        assert self._train(rng, batch, step, follower, cfg=cfg) == []
+        assert steps == [] and not follower.params.any()

@@ -862,6 +862,20 @@ class TestCliErrors:
         assert "stage 1" in err and "epoch 0, step 1" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_banc_divergence_exits_4_naming_step(self, tmp_path, capsys):
+        # BANC alone overflows (c near the largest float64) while the
+        # contrastive loss stays finite: the loader, which trains the head,
+        # finds it, and the run names the step the serial loop named
+        cfg_path = write_tiny_config(
+            tmp_path, stage1={**TINY_CONFIG["stage1"], "c": 1e308})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["stage1", "--config", str(cfg_path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "stage 1 diverged" in err and "epoch 0, step 0" in err
+        assert "loader" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stage2_divergence_exits_4_without_nan_artifacts(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"stage1": {"epochs": 1},
@@ -941,6 +955,17 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert f"{section}.batch_size 100000" in err and "4792" in err
         assert not out.exists()
+
+    def test_stage1_batch_of_one_exits_2_at_load(self, tmp_path, capsys):
+        # the first step's contrastive loss has an empty queue, so only the
+        # batch's other keys are negatives; stage 2's batch has no such floor
+        cfg_path = write_tiny_config(tmp_path,
+                                     stage1={**TINY_CONFIG["stage1"], "batch_size": 1})
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "stage1.batch_size must be >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert config_from_dict({"stage2": {"batch_size": 1}}).stage2.batch_size == 1
 
     def test_batch_equal_to_train_split_loads(self):
         n = sum(datagen.longtail_counts(config_from_dict(TINY_CONFIG).longtail))

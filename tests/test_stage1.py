@@ -1,21 +1,32 @@
 import copy
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import types
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisytail import stage1
+from noisytail import jsonl, stage1
 from noisytail.datagen import (
+    Dataset,
     LongTailSpec,
     MixtureSpec,
     inject_symmetric,
     synth_dataset,
 )
-from noisytail.errors import InvalidInputError, InvalidSpecError
+from noisytail.errors import InvalidInputError, InvalidSpecError, NumericError
 from noisytail.numerics import (
+    BLAS_TWO_THREADS,
+    SgdMomentum,
     finite_diff_grad,
+    flatten_params,
     forward,
     l2_normalize,
     make_rng,
@@ -31,6 +42,7 @@ from noisytail.stage1 import (
     banc_loss,
     build_stage1_model,
     contrastive_loss,
+    head_batch_gradients,
     load_predictions,
     load_stage1_checkpoint,
     predict_all,
@@ -383,14 +395,22 @@ def by_part(model, grads):
     return out
 
 
+def whole_step(model, XS, Y, queue, cfg):
+    """A training step's two parts, composed as `train_stage1` runs them:
+    (the gradients of all three parts in the order of `PARTS`, the
+    step's losses, the detached keys)."""
+    grads, con, keys, V = stage1_batch_gradients(model, XS, queue, cfg)
+    head_grads, losses = head_batch_gradients(model.classifier, V, Y, con, cfg)
+    return grads + head_grads, losses, keys
+
+
 class TestStage1Loss:
     """The step's `total` metric blends its two terms as
     (1-alpha)*con + alpha*banc."""
 
     def _metrics(self, alpha):
         model, X, Y, queue, cfg = step_setup(alpha=alpha)
-        return stage1_batch_gradients(model, augmented_rows(X, cfg, make_rng(6)), Y,
-                                      queue, cfg)[1]
+        return whole_step(model, augmented_rows(X, cfg, make_rng(6)), Y, queue, cfg)[1]
 
     def test_endpoints(self):
         m = self._metrics(0.0)
@@ -511,10 +531,14 @@ class TestStopGradientAndIsolation:
         # (1-alpha)*con for encoder and projection, with the query branch
         # computed once by a frozen copy of the model (stop-gradient), and
         # alpha*banc for the classifier on fixed features; the two
-        # augmentations are drawn as the step draws them
+        # augmentations are drawn as the step draws them.  Each of the
+        # step's two parts is checked: the encoder and projection part, and
+        # the head's part on the features the first part hands over
         model, X, Y, queue, cfg = step_setup()
-        grads = by_part(model, stage1_batch_gradients(
-            model, augmented_rows(X, cfg, make_rng(6)), Y, queue, cfg)[0])
+        step_grads, con, _, V_step = stage1_batch_gradients(
+            model, augmented_rows(X, cfg, make_rng(6)), queue, cfg)
+        grads = by_part(model, step_grads
+                        + head_batch_gradients(model.classifier, V_step, Y, con, cfg)[0])
         rng = make_rng(6)
         X_q, X_k = augment(X, cfg, rng), augment(X, cfg, rng)
         frozen = copy.deepcopy(model)
@@ -550,7 +574,7 @@ class TestStopGradientAndIsolation:
         # labels must not influence encoder/projection gradients
         model, X, Y, queue, cfg = step_setup()
         Y2 = np.roll(Y, 1, axis=1)  # different labels
-        g1, g2 = (by_part(model, stage1_batch_gradients(
+        g1, g2 = (by_part(model, whole_step(
                       model, augmented_rows(X, cfg, make_rng(7)), labels, queue, cfg)[0])
                   for labels in (Y, Y2))
         for part in ("encoder", "projection"):
@@ -562,7 +586,7 @@ class TestStopGradientAndIsolation:
     def test_alpha_one_zeroes_contrastive_path(self):
         model, X, Y, queue, cfg = step_setup()
         cfg = Stage1Config(**{**cfg.__dict__, "alpha": 1.0})
-        g = by_part(model, stage1_batch_gradients(
+        g = by_part(model, whole_step(
             model, augmented_rows(X, cfg, make_rng(8)), Y, queue, cfg)[0])
         for part in ("encoder", "projection"):
             for a in g[part]:
@@ -571,10 +595,166 @@ class TestStopGradientAndIsolation:
     def test_alpha_zero_zeroes_classifier(self):
         model, X, Y, queue, cfg = step_setup()
         cfg = Stage1Config(**{**cfg.__dict__, "alpha": 0.0})
-        g = by_part(model, stage1_batch_gradients(
+        g = by_part(model, whole_step(
             model, augmented_rows(X, cfg, make_rng(9)), Y, queue, cfg)[0])
         for a in g["classifier"]:
             assert np.all(a == 0.0)
+
+
+def serial_stage1(ds, cfg, queue=None):
+    """`train_stage1` run serially, with no loader: per step, the encoder
+    and projection part and its update, then the head's part on the
+    features of the stacked forward and its update, in two buffers as
+    `train_stage1` lays them out.  The queue is a `FeatureQueue`, or, if
+    given, a fixed snapshot.  Returns the model, the log and the rng."""
+    rng = make_rng(cfg.seed)
+    model = build_stage1_model(ds.feature_dim, ds.num_classes, cfg, rng)
+    params, grads, views = flatten_params(model.encoder, model.projection)
+    head_params, head_grads, (head_views,) = flatten_params(model.classifier)
+    opts = [SgdMomentum(p, lr=cfg.lr, momentum=cfg.momentum,
+                        weight_decay=cfg.weight_decay) for p in (params, head_params)]
+    fifo, keys = FeatureQueue(cfg.queue_capacity), None
+    onehot = np.eye(ds.num_classes)
+    n = len(ds)
+    steps = -(-n // cfg.batch_size)
+    log = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        sums = {}
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            XS = augmented_rows(ds.X[idx], cfg, rng)
+            if keys is not None:
+                fifo.push_batch(keys)
+            _, con, keys, V = stage1_batch_gradients(
+                model, XS, fifo.as_matrix() if queue is None else queue, cfg, views)
+            opts[0].step(grads)
+            _, losses = head_batch_gradients(model.classifier, V,
+                                             onehot[ds.observed[idx]], con, cfg,
+                                             head_views)
+            opts[1].step(head_grads)
+            for name, value in losses.items():
+                sums[name] = sums.get(name, 0.0) + value
+        log.append({"epoch": epoch, **{k: v / steps for k, v in sums.items()}})
+    return model, log, rng
+
+
+def model_bytes(model):
+    return b"".join(p.tobytes() for part in PARTS for p in getattr(model, part).params())
+
+
+class TestHeadInTheLoader:
+    """The classifier head trains in the batch loader, one slot behind the
+    step, on the features and contrastive loss the step writes into its
+    slot: every bit is the serial chain's."""
+
+    def test_every_batch_size_equals_the_serial_chain(self, monkeypatch):
+        # default widths, a fixed queue snapshot (so a one-row batch has
+        # negatives) and three steps an epoch, the last of one row; the
+        # config bypasses `Stage1Config`, which refuses a batch of one
+        queue = l2_normalize(make_rng(40).normal(size=(128, 32)))
+
+        class Snapshot:
+            def __init__(self, capacity):
+                pass
+
+            def push_batch(self, keys):
+                pass
+
+            def as_matrix(self):
+                return queue
+
+        monkeypatch.setattr(stage1, "FeatureQueue", Snapshot)
+        rng = make_rng(41)
+        for b in range(1, 65):
+            n = 2 * b + 1
+            labels = rng.integers(0, 20, size=n)
+            ds = Dataset(np.arange(n), rng.normal(size=(n, 16)), labels, labels, 20)
+            cfg = types.SimpleNamespace(**{**vars(Stage1Config(seed=b)), "epochs": 2,
+                                           "batch_size": b})
+            got, got_log = train_stage1(ds, cfg)
+            want, want_log, _ = serial_stage1(ds, cfg, queue)
+            assert got_log == want_log, b
+            assert model_bytes(got) == model_bytes(want), b
+
+    @pytest.mark.parametrize("batch_size", [2, 5, 15, 45])
+    def test_train_stage1_equals_the_serial_chain(self, batch_size):
+        # 91 samples: a last batch of one row at each of these sizes
+        ds = tiny_dataset()
+        cfg = Stage1Config(seed=8, **{**TINY, "batch_size": batch_size})
+        assert len(ds) % batch_size == 1
+        got, got_log = train_stage1(ds, cfg)
+        want, want_log, _ = serial_stage1(ds, cfg)
+        assert got_log == want_log
+        assert model_bytes(got) == model_bytes(want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_contrastive_divergence_after_banc_names_the_banc_step(self, monkeypatch):
+        # BANC's loss is not finite at step 2, in the loader, and the
+        # contrastive loss at step 3, in this process: step 2 is named
+        banc, contrastive = stage1._banc_batch, stage1._contrastive_batch
+        calls = {"banc": 0, "con": 0}
+
+        def bad_banc(*args):
+            calls["banc"] += 1  # counted in the loader, which runs every call
+            loss, grad = banc(*args)
+            return (math.inf if calls["banc"] == 3 else loss), grad
+
+        def bad_contrastive(*args):
+            calls["con"] += 1
+            loss, grad = contrastive(*args)
+            return (math.nan if calls["con"] == 4 else loss), grad
+
+        monkeypatch.setattr(stage1, "_banc_batch", bad_banc)
+        monkeypatch.setattr(stage1, "_contrastive_batch", bad_contrastive)
+        with pytest.raises(NumericError, match=r"stage 1 diverged: .* epoch 0, step 2$"):
+            train_stage1(tiny_dataset(), Stage1Config(seed=9, **TINY))
+        assert calls == {"banc": 0, "con": 4}  # this process ran no BANC
+
+    def test_killed_loader_raises_naming_it(self, monkeypatch):
+        start, pids = jsonl.Forks.start, []
+
+        def recorded(forks, label, fn):
+            pids.append(start(forks, label, fn))
+            return pids[-1]
+
+        step, steps = stage1.stage1_batch_gradients, []
+
+        def killing(*args):
+            steps.append(1)
+            if len(steps) == 3:
+                os.kill(pids[0], signal.SIGKILL)
+            return step(*args)
+
+        monkeypatch.setattr(jsonl.Forks, "start", recorded)
+        monkeypatch.setattr(stage1, "stage1_batch_gradients", killing)
+        with pytest.raises(OSError, match="stage 1 loader"):
+            train_stage1(tiny_dataset(), Stage1Config(seed=10, **TINY))
+
+    def test_head_past_two_blas_threads_trains_without_hanging(self):
+        # a head product of 64 x 512 x 20 multiply-adds runs on two BLAS
+        # threads, in a loader forked after this process's own two-thread
+        # products woke OpenBLAS's helper thread
+        assert 64 * 512 * 20 >= BLAS_TWO_THREADS
+        script = textwrap.dedent("""
+            import numpy as np
+            from noisytail.datagen import LongTailSpec, MixtureSpec, synth_dataset
+            from noisytail.numerics import make_rng
+            from noisytail.stage1 import Stage1Config, train_stage1
+            a = np.ones((400, 400))
+            a @ a
+            ds = synth_dataset(LongTailSpec(20, 64, 1.0), MixtureSpec(feature_dim=16),
+                               make_rng(0))
+            cfg = Stage1Config(repr_dim=512, batch_size=64, epochs=3, queue_capacity=128)
+            model, log = train_stage1(ds, cfg)
+            assert len(log) == 3 and np.isfinite(model.classifier.weights[0]).all()
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestPersistence:

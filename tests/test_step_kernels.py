@@ -36,6 +36,7 @@ from noisytail.stage1 import (
     augment,
     augmented_rows,
     build_stage1_model,
+    head_batch_gradients,
     stage1_batch_gradients,
 )
 
@@ -167,6 +168,14 @@ def queue_states(rng):
 
 
 QUEUES = queue_states(make_rng(100))
+
+
+def whole_step(model, XS, Y, Q, cfg, out=(None, None, None)):
+    """The step's two parts, composed as `train_stage1` runs them, in the
+    form of the reference: (the three nets' gradients, losses, keys)."""
+    grads, con, keys, V = stage1_batch_gradients(model, XS, Q, cfg, out[:2])
+    head_grads, losses = head_batch_gradients(model.classifier, V, Y, con, cfg, out[2])
+    return grads + head_grads, losses, keys
 
 
 def assert_grads_equal(got, want):
@@ -380,8 +389,7 @@ class TestStage1Step:
             X = rng.normal(size=(b, 16))
             Y = np.eye(20)[rng.integers(0, 20, size=b)]
             seed = int(rng.integers(1 << 31))
-            got = stage1_batch_gradients(model, augmented_rows(X, cfg, make_rng(seed)),
-                                         Y, Q, cfg)
+            got = whole_step(model, augmented_rows(X, cfg, make_rng(seed)), Y, Q, cfg)
             want = ref_stage1_batch_gradients(model, X, Y, Q, cfg, make_rng(seed))
             assert_grads_equal(got[0], want[0])
             assert got[1] == want[1]
@@ -389,20 +397,23 @@ class TestStage1Step:
 
     @pytest.mark.parametrize("b", [1, 2, 17, 41, 56, 64])
     def test_gradients_into_the_flat_buffer(self, b):
-        """With `out`, the step writes the gradients it returns into the
-        views of `flatten_params`: the bits of the allocating form."""
+        """With `out`, each part of the step writes the gradients it
+        returns into the views of `flatten_params`, the head's into a
+        shared buffer of its own, as `train_stage1` lays them out: the bits
+        of the allocating form."""
         cfg = Stage1Config()
         rng = make_rng(14)
         model = build_stage1_model(16, 20, cfg, rng)
         XS = augmented_rows(rng.normal(size=(b, 16)), cfg, rng)
         Y = np.eye(20)[rng.integers(0, 20, size=b)]
-        want = stage1_batch_gradients(model, XS, Y, QUEUES["wrapped"], cfg)
-        _, grads, views = flatten_params(model.encoder, model.projection,
-                                         model.classifier)
-        got = stage1_batch_gradients(model, XS, Y, QUEUES["wrapped"], cfg, views)
+        want = whole_step(model, XS, Y, QUEUES["wrapped"], cfg)
+        _, grads, views = flatten_params(model.encoder, model.projection)
+        _, head_grads, head_views = flatten_params(model.classifier, shared=True)
+        got = whole_step(model, XS, Y, QUEUES["wrapped"], cfg, (*views, *head_views))
         assert_grads_equal(got[0], want[0])
         assert got[1] == want[1]
-        assert np.array_equal(grads, np.concatenate([g.ravel() for g in want[0]]))
+        assert np.array_equal(np.concatenate((grads, head_grads)),
+                              np.concatenate([g.ravel() for g in want[0]]))
 
     def test_c_zero(self):
         cfg = Stage1Config(c=0.0)
@@ -410,8 +421,8 @@ class TestStage1Step:
         model = build_stage1_model(16, 20, cfg, rng)
         X = rng.normal(size=(64, 16))
         Y = np.eye(20)[rng.integers(0, 20, size=64)]
-        got = stage1_batch_gradients(model, augmented_rows(X, cfg, make_rng(1)), Y,
-                                     QUEUES["wrapped"], cfg)
+        got = whole_step(model, augmented_rows(X, cfg, make_rng(1)), Y,
+                         QUEUES["wrapped"], cfg)
         want = ref_stage1_batch_gradients(model, X, Y, QUEUES["wrapped"], cfg,
                                           make_rng(1))
         assert_grads_equal(got[0], want[0])
@@ -506,7 +517,7 @@ class TestInputsUnchanged:
                                          model.classifier) for p in part.params()]
         XS = augmented_rows(X, cfg, make_rng(1))
         before = copy.deepcopy((X, XS, Y, Q))
-        stage1_batch_gradients(model, XS, Y, Q, cfg)
+        whole_step(model, XS, Y, Q, cfg)
         assert_unchanged(before, (X, XS, Y, Q))
         assert_unchanged(weights, [p for part in (model.encoder, model.projection,
                                                   model.classifier)
