@@ -60,7 +60,6 @@ class Stage2Config:
     momentum: float = 0.9
     weight_decay: float = 5e-4
     seed: int = 0
-    fusion: str = "prob_mean"  # or "logit_mean", for ablation
 
     def __post_init__(self):
         for name, bad, want in (
@@ -69,9 +68,7 @@ class Stage2Config:
                 ("batch_size", self.batch_size < 1, ">= 1"),
                 ("lr", self.lr <= 0, "positive"),
                 ("momentum", not 0.0 <= self.momentum < 1.0, "in [0, 1)"),
-                ("weight_decay", self.weight_decay < 0, ">= 0"),
-                ("fusion", self.fusion not in ("prob_mean", "logit_mean"),
-                 "'prob_mean' or 'logit_mean'")):
+                ("weight_decay", self.weight_decay < 0, ">= 0")):
             if bad:
                 raise InvalidSpecError(f"{name} must be {want}, got {getattr(self, name)!r}")
 
@@ -173,16 +170,12 @@ def _expert_logits(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
     return logits.reshape(len(logits), 3, -1)
 
 
-def ensemble_predict_batch(model: EnsembleModel, X: np.ndarray, fusion: str = "prob_mean"
+def ensemble_predict_batch(model: EnsembleModel, X: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Fused class probabilities for a feature matrix, and the (m, 3, K)
-    expert logits.  Raw logits only: the count shifts are training-time
-    reweightings."""
+    """Fused class probabilities for a feature matrix, the mean of the
+    three experts' softmax outputs, and the (m, 3, K) expert logits.  Raw
+    logits only: the count shifts are training-time reweightings."""
     logits = _expert_logits(model, X)
-    if fusion == "logit_mean":
-        return softmax_rows(logits.mean(axis=1)), logits
-    if fusion != "prob_mean":
-        raise InvalidSpecError(f"unknown fusion rule {fusion!r}")
     return softmax_rows(logits).mean(axis=1), logits
 
 
@@ -207,7 +200,6 @@ class EvalReport:
     subgroup_counts: dict            # subgroup -> test sample count
     confusion: np.ndarray            # ensemble counts[true, predicted]
     thresholds: SubgroupThresholds
-    fusion: str
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "confusion": self.confusion.tolist()}
@@ -224,8 +216,7 @@ def masked_mean(values: np.ndarray, mask: np.ndarray) -> Optional[float]:
 
 
 def evaluate(model: EnsembleModel, test_ds: Dataset, train_counts: ClassStats,
-             thresholds: SubgroupThresholds,
-             fusion: str = "prob_mean") -> EvalReport:
+             thresholds: SubgroupThresholds) -> EvalReport:
     """Accuracy report over a clean test split.
 
     Subgroup membership (many/medium/few) is decided by *training-set*
@@ -244,7 +235,7 @@ def evaluate(model: EnsembleModel, test_ds: Dataset, train_counts: ClassStats,
 
     class_group = class_subgroups(train_counts.counts, thresholds)
     masks = {g: class_group[labels] == g for g in SUBGROUPS}
-    probs, logits = ensemble_predict_batch(model, test_ds.X, fusion)
+    probs, logits = ensemble_predict_batch(model, test_ds.X)
     fused_pred = np.argmax(probs, axis=1)
     # rows: ensemble, e1, e2, e3
     correct = (np.vstack([fused_pred, logits.argmax(axis=2).T]) == labels).astype(float)
@@ -259,7 +250,6 @@ def evaluate(model: EnsembleModel, test_ds: Dataset, train_counts: ClassStats,
         subgroup_counts={g: int(m.sum()) for g, m in masks.items()},
         confusion=np.bincount(labels * k + fused_pred, minlength=k * k).reshape(k, k),
         thresholds=thresholds,
-        fusion=fusion,
     )
 
 

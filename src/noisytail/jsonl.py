@@ -380,10 +380,11 @@ def read_checkpoint(path, kind: str):
 
 
 def mlp_state(net: Mlp) -> dict:
-    """JSON-serializable snapshot: layer dims plus flat weight/bias arrays."""
+    """JSON-serializable snapshot: layer dims plus flat weight/bias arrays,
+    and the hidden layers' activation, always "tanh"."""
     return {
         "layer_dims": list(net.layer_dims),
-        "activation": net.activation,
+        "activation": "tanh",
         "weights": [w.ravel().tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }
@@ -392,7 +393,10 @@ def mlp_state(net: Mlp) -> dict:
 def mlp_from_state(state: dict) -> Mlp:
     """The net of an `mlp_state` snapshot.  The dims must be JSON integers,
     and each weight and bias array must pass `check_numbers` at the size
-    the dims give it, else InvalidInputError."""
+    the dims give it, and the activation, if named, must be "tanh", else
+    InvalidInputError."""
+    if state.get("activation", "tanh") != "tanh":
+        raise InvalidInputError(f"activation must be 'tanh', got {state['activation']!r}")
     dims = state["layer_dims"]
     if type(dims) is not list or not {int}.issuperset(map(type, dims)):
         raise InvalidInputError("layer_dims must be an array of integers")
@@ -403,7 +407,7 @@ def mlp_from_state(state: dict) -> Mlp:
         check_numbers(b, f"layer {l} biases", fan_out)
         weights.append(np.array(w, dtype=np.float64).reshape(fan_out, fan_in))
         biases.append(np.array(b, dtype=np.float64))
-    return Mlp(dims, weights, biases, state.get("activation", "tanh"))
+    return Mlp(dims, weights, biases)
 
 
 def check_rows(bad: np.ndarray, linenos, message) -> None:

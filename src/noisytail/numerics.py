@@ -115,40 +115,25 @@ def relative_error(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _tanh_derivative(a: np.ndarray) -> np.ndarray:
+    """tanh' through the post-activation a = tanh(z): 1 - a^2, one new
+    array, never a itself."""
     d = a * a
     return np.subtract(1.0, d, out=d)
 
 
-def _logistic_derivative(a: np.ndarray) -> np.ndarray:
-    d = 1.0 - a
-    d *= a
-    return d
-
-
-_ACTIVATIONS = {
-    # value (free to overwrite its argument) and derivative expressed
-    # through the post-activation a (one new array, never a itself)
-    "tanh": (lambda z: np.tanh(z, out=z), _tanh_derivative),
-    "logistic": (lambda z: 1.0 / (1.0 + np.exp(-z)), _logistic_derivative),
-}
-
-
 @dataclass
 class Mlp:
-    """Fully connected net: affine + smooth activation per hidden layer,
-    final layer affine.  weights[l] has shape (dims[l+1], dims[l])."""
+    """Fully connected net: affine + tanh per hidden layer, final layer
+    affine.  weights[l] has shape (dims[l+1], dims[l])."""
 
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = "tanh"
 
     def __post_init__(self):
         dims = list(self.layer_dims)
         if len(dims) < 2 or any(d <= 0 for d in dims):
             raise InvalidInputError(f"bad layer dims {dims}")
-        if self.activation not in _ACTIVATIONS:
-            raise InvalidInputError(f"unknown activation {self.activation!r}")
         if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
             raise InvalidInputError("parameter count does not match layer dims")
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -174,22 +159,16 @@ class Mlp:
 
     def copy(self) -> "Mlp":
         return Mlp(list(self.layer_dims), [w.copy() for w in self.weights],
-                   [b.copy() for b in self.biases], self.activation)
+                   [b.copy() for b in self.biases])
 
 
-def init_mlp(layer_dims: list[int], rng: np.random.Generator,
-             activation: str = "tanh", weight_scale: float = 1.0) -> Mlp:
-    """Random init: N(0, (weight_scale/sqrt(fan_in))^2) weights, zero biases.
-
-    weight_scale < 1 keeps first-layer preactivations out of the saturated
-    region when inputs have above-unit variance.
-    """
+def init_mlp(layer_dims: list[int], rng: np.random.Generator) -> Mlp:
+    """Random init: N(0, 1/fan_in) weights, zero biases."""
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        weights.append(rng.normal(0.0, weight_scale / math.sqrt(fan_in),
-                                  size=(fan_out, fan_in)))
+        weights.append(rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return Mlp(list(layer_dims), weights, biases, activation)
+    return Mlp(list(layer_dims), weights, biases)
 
 
 def _net_input(net: Mlp, X: np.ndarray) -> np.ndarray:
@@ -207,10 +186,9 @@ def forward_batch(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]
     per-layer inputs).
 
     X is (N, in_dim); the cache stores each layer's input matrix plus, for
-    hidden layers, the post-activation needed by the derivative.
+    hidden layers, the tanh output its derivative is computed from.
     """
     X = _net_input(net, X)
-    act, _ = _ACTIVATIONS[net.activation]
     cache = [X]
     a = X
     last = len(net.weights) - 1
@@ -218,7 +196,7 @@ def forward_batch(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]
         # bias and tanh in place: one (N, width) array per layer, not three
         z = a @ w.T
         z += b
-        a = z if l == last else act(z)
+        a = z if l == last else np.tanh(z, out=z)
         cache.append(a)
     return a, cache
 
@@ -298,15 +276,14 @@ def backward_batch(net: Mlp, cache: list[np.ndarray], upstream: np.ndarray,
     (`flatten_params`), or new ones.  Also returns the gradient with
     respect to the input matrix, or None with `input_grad=False`, which
     skips its matrix product.  Neither the cache nor `upstream` is written:
-    each layer's delta is a new array, scaled by the activation derivative
-    in place.
+    each layer's delta is a new array, scaled by tanh's derivative in
+    place.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (cache[0].shape[0], net.out_dim):
         raise InvalidInputError(
             f"upstream shape {upstream.shape} incompatible with output dim {net.out_dim}"
         )
-    _, dact = _ACTIVATIONS[net.activation]
     grads = [np.empty_like(p) for p in net.params()] if out is None else out
     delta = upstream
     for l in range(len(net.weights) - 1, -1, -1):
@@ -314,7 +291,7 @@ def backward_batch(net: Mlp, cache: list[np.ndarray], upstream: np.ndarray,
         delta.sum(axis=0, out=grads[2 * l + 1])
         if l > 0:
             delta = delta @ net.weights[l]
-            delta *= dact(cache[l])
+            delta *= _tanh_derivative(cache[l])
     return grads, delta @ net.weights[0] if input_grad else None
 
 
@@ -492,20 +469,21 @@ def _loaded_batches(stage: str, rng: np.random.Generator, epochs: int, n: int,
     slot, and gives the slot back, one byte on a second pipe, when the
     next batch is asked for: the step has returned by then, and its
     forward cache, which holds views of the slot, is gone.  The child
-    waits for that byte before it refills the slot and, with a `follow`
-    (a `_Trainer` of a `Follower`), first runs `follow` on it.  At the end
-    the child sends back the rng's `bit_generator.state` and the log of
-    `follow` as JSON, and the parent sets the state, so `rng` ends as if
-    the draws had been made here.
+    takes every slot back: it waits for that byte before it refills the
+    slot and, after its last fill, for each of the last slots; with a
+    `follow` (a `_Trainer` of a `Follower`) it first runs `follow` on each
+    slot it takes back.  At the end the child sends back the rng's
+    `bit_generator.state` and the log of `follow` as JSON, and the parent
+    sets the state, so `rng` ends as if the draws had been made here.
 
     A child that dies ends the byte pipe, and `Forks.wait` raises OSError
     naming the stage's loader; an exception here, or closing the
     generator early, kills and reaps the child.  A NumericError of
     `follow` is data: the child sends its message back and exits, and the
     parent raises it.  A NumericError thrown in at step k gives slot k
-    back, closes the ring and waits, so the follower's divergence at an
-    earlier step, or at k, is the one raised.  `batch` must take no lock
-    (see `Forks`).
+    back, closes the ring and reads the child's result, so a follower's
+    divergence at an earlier step, or at k, is the one raised, else the
+    error thrown in.  `batch` must take no lock (see `Forks`).
     """
     from .jsonl import Forks  # jsonl imports this module
 
@@ -560,9 +538,8 @@ def _loaded_batches(stage: str, rng: np.random.Generator, epochs: int, n: int,
                         view[...] = array
                     os.write(filled_w, b"\0")
                     k += 1
-            if follow:
-                for j in range(max(0, k - RING_SLOTS), k):
-                    take(j)
+            for j in range(max(0, k - RING_SLOTS), k):
+                take(j)
         except NumericError as e:
             return json.dumps({"diverged": str(e)})
         except EOFError:  # the steps stopped early, and raise their own error
@@ -605,15 +582,12 @@ def _loaded_batches(stage: str, rng: np.random.Generator, epochs: int, n: int,
             try:
                 yield views(k)
             except NumericError:
-                if follow is None:
-                    raise
                 give_back()
-                os.close(freed_w)  # the loader follows the steps up to k and ends
+                os.close(freed_w)  # the loader takes the slots up to k and ends
                 freed_w = -1
                 result()  # raises the follower's divergence, if it met one first
                 raise
-            # the child still needs the slot, to follow or to refill
-            if (follow or k + RING_SLOTS < len(rows)) and not give_back():
+            if not give_back():
                 raise ended(k + 1)
         out = result()
         rng.bit_generator.state = out["state"]

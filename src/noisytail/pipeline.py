@@ -263,10 +263,10 @@ class Workspace:
         `producer` command writes."""
         if name in self.memo:
             return self.memo[name]
-        path = self.out_dir / name
-        if not path.exists():
+        if self.out_dir is None or not (path := self.out_dir / name).exists():
+            where = "" if self.out_dir is None else f" in {self.out_dir}"
             raise InvalidInputError(
-                f"missing {name} in {self.out_dir}; run the `{producer}` command first")
+                f"missing {name}{where}; run the `{producer}` command first")
         return load(path)
 
     def dataset(self, name: str, cfg: PipelineConfig) -> Dataset:
@@ -483,10 +483,9 @@ def run_evaluate(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -
     s1_model = _stage1_model(ws)
     ckpt_name = _variant_name(STAGE2_CKPT, no_relabel)
     producer = "stage2 --no-relabel" if no_relabel else "stage2"
-    model, s2_cfg = ws.get(ckpt_name, producer, lambda p: ensemble.load_stage2_checkpoint(
+    model, _ = ws.get(ckpt_name, producer, lambda p: ensemble.load_stage2_checkpoint(
         p, s1_model.encoder, train.num_classes))
-    report = ensemble.evaluate(model, test, train_counts_for_eval(train),
-                               cfg.thresholds, fusion=s2_cfg.fusion)
+    report = ensemble.evaluate(model, test, train_counts_for_eval(train), cfg.thresholds)
     label = "w/o re-label" if no_relabel else "refurbished"
     doc = {"variant": label, **report.to_json_dict()}
     json_name = _variant_name(EVAL_JSON, no_relabel)
@@ -588,14 +587,13 @@ def run_in_memory(cfg: PipelineConfig, no_relabel: bool = False) -> PipelineResu
 
 def train_ce_baseline(train: Dataset, cfg: Stage1Config, seed: int):
     """Supervised end-to-end baseline: the same encoder architecture and
-    initial weight scale as stage 1 plus a linear head, trained with plain
+    initialization as stage 1 plus a linear head, trained with plain
     cross-entropy on observed labels.  A non-finite loss raises
     NumericError naming the epoch and step."""
     rng = make_rng(seed)
     k = train.num_classes
-    encoder = init_mlp([train.feature_dim, cfg.encoder_hidden, cfg.repr_dim],
-                       rng, cfg.activation, cfg.init_scale)
-    head = init_mlp([cfg.repr_dim, k], rng, cfg.activation, cfg.init_scale)
+    encoder = init_mlp([train.feature_dim, cfg.encoder_hidden, cfg.repr_dim], rng)
+    head = init_mlp([cfg.repr_dim, k], rng)
     params, grads, (g_encoder, g_head) = flatten_params(encoder, head)
     onehot = np.eye(k)  # row k is class k's label
 

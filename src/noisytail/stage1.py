@@ -27,7 +27,6 @@ from . import jsonl
 from .datagen import MAX_EPOCHS, MAX_ROWS, MAX_WIDTH, Dataset
 from .errors import InvalidInputError, InvalidSpecError
 from .numerics import (
-    _ACTIVATIONS,
     Follower,
     Mlp,
     as_vec,
@@ -71,9 +70,6 @@ class Stage1Config:
     aug_noise_stddev: float = 0.1
     aug_dropout_prob: float = 0.1
     seed: int = 0
-    include_positive: bool = False  # InfoNCE-style denominator, for ablation
-    activation: str = "tanh"
-    init_scale: float = 1.0
 
     def __post_init__(self):
         width = f"in [1, {MAX_WIDTH}]"
@@ -96,10 +92,7 @@ class Stage1Config:
                 ("momentum", not 0.0 <= self.momentum < 1.0, "in [0, 1)"),
                 ("weight_decay", self.weight_decay < 0, ">= 0"),
                 ("aug_noise_stddev", self.aug_noise_stddev < 0, ">= 0"),
-                ("aug_dropout_prob", not 0.0 <= self.aug_dropout_prob <= 1.0, "in [0, 1]"),
-                ("init_scale", self.init_scale <= 0, "positive"),
-                ("activation", self.activation not in _ACTIVATIONS,
-                 f"one of {sorted(_ACTIVATIONS)}")):
+                ("aug_dropout_prob", not 0.0 <= self.aug_dropout_prob <= 1.0, "in [0, 1]")):
             if bad:
                 raise InvalidSpecError(f"{name} must be {want}, got {getattr(self, name)!r}")
 
@@ -220,15 +213,13 @@ def _check_onehot(y: np.ndarray, k: int) -> np.ndarray:
 
 
 def contrastive_loss(zq: np.ndarray, zk: np.ndarray, negatives,
-                     tau: float, include_positive: bool = False
-                     ) -> tuple[float, np.ndarray, np.ndarray]:
+                     tau: float) -> tuple[float, np.ndarray, np.ndarray]:
     """Queue-based contrastive loss for one anchor.
 
-    loss = -(zq.zk)/tau + logsumexp_j((zq.z_j)/tau) over the negative set
-    (optionally also the positive).  zq is treated as a constant
-    (stop-gradient); returns (loss, grad wrt zk, grads wrt negatives).
-    Because the positive is excluded from the denominator by default, the
-    loss is not bounded below by zero.
+    loss = -(zq.zk)/tau + logsumexp_j((zq.z_j)/tau) over the negatives
+    only.  zq is treated as a constant (stop-gradient); returns (loss,
+    grad wrt zk, grads wrt negatives).  Because the positive is not in the
+    denominator, the loss is not bounded below by zero.
     """
     if tau <= 0:
         raise InvalidSpecError("tau must be positive")
@@ -244,21 +235,14 @@ def contrastive_loss(zq: np.ndarray, zk: np.ndarray, negatives,
 
     s_pos = float(zq @ zk) / tau
     s_neg = (negs @ zq) / tau
-    den = np.concatenate(([s_pos], s_neg)) if include_positive else s_neg
-    m = den.max()
-    e = np.exp(den - m)
+    m = s_neg.max()
+    e = np.exp(s_neg - m)
     lse = m + np.log(e.sum())
     loss = -s_pos + lse
 
     p = e / e.sum()
-    if include_positive:
-        grad_zk = (-1.0 + p[0]) * zq / tau
-        p_neg = p[1:]
-    else:
-        grad_zk = -zq / tau
-        p_neg = p
-    grad_negs = p_neg[:, None] * zq[None, :] / tau
-    return float(loss), grad_zk, grad_negs
+    grad_negs = p[:, None] * zq[None, :] / tau
+    return float(loss), -zq / tau, grad_negs
 
 
 def sce_loss(probs: np.ndarray, onehot: np.ndarray,
@@ -311,12 +295,13 @@ def _banc_batch(logits: np.ndarray, Y: np.ndarray, c: float
 
 
 def _contrastive_batch(Zq: np.ndarray, Zk: np.ndarray,
-                       queue_mat: Optional[np.ndarray], tau: float,
-                       include_positive: bool) -> tuple[float, np.ndarray]:
+                       queue_mat: Optional[np.ndarray], tau: float
+                       ) -> tuple[float, np.ndarray]:
     """Mean contrastive loss over a batch of anchor/key pairs.
 
     Negatives for anchor i are the other in-batch keys plus the queue
-    snapshot.  Returns the mean loss and the gradient of that mean with
+    snapshot; its own key, the positive, is masked out of the
+    denominator.  Returns the mean loss and the gradient of that mean with
     respect to the key embeddings (queue entries are constants, and the
     query side is a constant by stop-gradient).
     """
@@ -334,8 +319,7 @@ def _contrastive_batch(Zq: np.ndarray, Zk: np.ndarray,
         np.matmul(Zq, queue_mat.T, out=den[:, b:])
     den /= tau
     pos = den.diagonal().copy()
-    if not include_positive:
-        np.fill_diagonal(den, -np.inf)
+    np.fill_diagonal(den, -np.inf)
 
     m = den.max(axis=1, keepdims=True)
     den -= m
@@ -397,8 +381,7 @@ def stage1_batch_gradients(model: Stage1Model, XS: np.ndarray,
     Zq, Zk = unit[:b], unit[b:]
 
     # key branch: receives the contrastive gradient
-    con_loss, g_Zk = _contrastive_batch(Zq, Zk, queue_mat, cfg.tau,
-                                        cfg.include_positive)
+    con_loss, g_Zk = _contrastive_batch(Zq, Zk, queue_mat, cfg.tau)
     g_Zk *= 1.0 - cfg.alpha
     g_zk_raw = _normalize_backward(norms[b:], Zk, g_Zk)
     proj_grads, g_vk = backward_batch(
@@ -433,12 +416,9 @@ def head_batch_gradients(classifier: Mlp, V: np.ndarray, Y: np.ndarray, con: flo
 
 def build_stage1_model(feature_dim: int, num_classes: int, cfg: Stage1Config,
                        rng: np.random.Generator) -> Stage1Model:
-    encoder = init_mlp([feature_dim, cfg.encoder_hidden, cfg.repr_dim], rng,
-                       cfg.activation, cfg.init_scale)
-    projection = init_mlp([cfg.repr_dim, cfg.proj_hidden, cfg.embed_dim], rng,
-                          cfg.activation, cfg.init_scale)
-    classifier = init_mlp([cfg.repr_dim, num_classes], rng, cfg.activation,
-                          cfg.init_scale)
+    encoder = init_mlp([feature_dim, cfg.encoder_hidden, cfg.repr_dim], rng)
+    projection = init_mlp([cfg.repr_dim, cfg.proj_hidden, cfg.embed_dim], rng)
+    classifier = init_mlp([cfg.repr_dim, num_classes], rng)
     return Stage1Model(encoder, projection, classifier)
 
 

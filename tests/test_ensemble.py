@@ -369,16 +369,6 @@ class TestEnsemblePredict:
                                    atol=1e-12)
         assert np.argmax(probs[0]) == 1
 
-    def test_logit_mean_fusion(self):
-        d = 2
-        model = EnsembleModel(self._identity_backbone(d),
-                              head_with_fixed_probs(
-                                  [[0.6, 0.4], [0.6, 0.4], [0.2, 0.8]], d))
-        probs, _ = ensemble_predict_batch(model, np.zeros((1, d)), fusion="logit_mean")
-        mean_logits = np.mean([np.log([0.6, 0.4]), np.log([0.6, 0.4]),
-                               np.log([0.2, 0.8])], axis=0)
-        np.testing.assert_allclose(probs[0], softmax_rows(mean_logits), atol=1e-12)
-
     def test_dim_mismatch(self):
         model = EnsembleModel(self._identity_backbone(3),
                               head_with_fixed_probs([[0.5, 0.5]] * 3, 3))

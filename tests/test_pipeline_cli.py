@@ -15,8 +15,8 @@ import pytest
 
 from noisytail import datagen, ensemble, jsonl, pipeline, refurbish, stage1
 from noisytail.cli import main
-from noisytail.errors import InvalidSpecError, NumericError
-from noisytail.numerics import FORWARD_ROWS, init_mlp, make_rng
+from noisytail.errors import InvalidInputError, InvalidSpecError, NumericError
+from noisytail.numerics import FORWARD_ROWS, make_rng
 from noisytail.pipeline import (
     SweepSpec,
     config_from_dict,
@@ -622,6 +622,23 @@ class TestCliPipeline:
             err = capsys.readouterr().err
             assert pipeline.STAGE1_CKPT in err and "`stage1`" in err
 
+    @pytest.mark.parametrize("run", [pipeline.run_stage1, pipeline.run_stage2,
+                                     pipeline.run_evaluate],
+                             ids=lambda run: run.__name__)
+    def test_workspace_without_directory_names_producer(self, run):
+        """A workspace with no directory has only its memo to read from:
+        the first input it does not hold names the command that makes it."""
+        cfg = config_from_dict(TINY_CONFIG)
+        with pytest.raises(InvalidInputError, match=r"^missing train\.jsonl; "
+                           r"run the `simulate` command first$"):
+            run(cfg, pipeline.Workspace())
+        ws = pipeline.Workspace()
+        pipeline.run_simulate(cfg, ws)
+        if run is not pipeline.run_stage1:
+            with pytest.raises(InvalidInputError, match=r"^missing stage1_checkpoint\.json; "
+                               r"run the `stage1` command first$"):
+                run(cfg, ws)
+
     def test_in_memory_matches_cli_metrics(self, tmp_path):
         """`run_in_memory(cfg).stages` holds exactly the metrics of the
         CLI's manifests, command by command, in both variants; only the
@@ -905,8 +922,9 @@ class TestCliErrors:
         ({"refurbish": {"sigma": "0.2"}}, "refurbish.sigma"),
         ({"stage2": {"lr": math.inf}}, "stage2.lr"),
         ({"mixture": {"within_class_stddev": math.nan}}, "mixture.within_class_stddev"),
+        # a removed option: refused as an unknown key, whatever its value
         ({"stage1": {"include_positive": 1}}, "stage1.include_positive"),
-        ({"stage2": {"fusion": 3}}, "stage2.fusion"),
+        ({"noise": {"kind": 3}}, "noise.kind"),
         ({"noise": {"kind": "symmetric", "rate": 0.4, "flip_map": [[0, 1]]}},
          "flip_map"),
         ({"noise": {"kind": "asymmetric", "rate": 0.4, "flip_map": [[0, 1.5]]}},
@@ -936,14 +954,20 @@ class TestCliErrors:
         assert f"config section {name!r} must be an object" in err
         assert "Traceback" not in err
 
-    def test_unknown_activation_exits_2_at_load(self, tmp_path, capsys):
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"stage1": {"activation": "relu"}}))
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "activation" in err and "'relu'" in err
-        assert not out.exists()
+    def test_removed_options_exit_2_at_load(self, tmp_path, capsys):
+        """The options that became constants are unknown keys, even at the
+        value they are now fixed to."""
+        for section, key, value in (("stage1", "include_positive", False),
+                                    ("stage1", "activation", "tanh"),
+                                    ("stage1", "init_scale", 1.0),
+                                    ("stage2", "fusion", "prob_mean")):
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps({section: {key: value}}))
+            out = tmp_path / "o"
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"unknown config keys: ['{section}.{key}']" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("section", ["stage1", "stage2"])
     def test_batch_larger_than_train_split_exits_2_at_load(self, tmp_path, capsys,
@@ -1124,6 +1148,52 @@ def pipeline_out(tmp_path_factory):
     out = root / "out"
     assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
     return cfg_path, out
+
+
+class TestCheckpointsBeforeTheConstants:
+    """Checkpoints written while the contrastive denominator, the
+    activation, the init scale and the fusion rule were options: each exits
+    2 naming the file, and they must be written again."""
+
+    @pytest.mark.parametrize("command, name, key, value", [
+        ("stage2", "stage1_checkpoint.json", "include_positive", False),
+        ("stage2", "stage1_checkpoint.json", "activation", "tanh"),
+        ("stage2", "stage1_checkpoint.json", "init_scale", 1.0),
+        ("evaluate", "stage2_checkpoint.json", "fusion", "prob_mean"),
+    ], ids=lambda v: v if isinstance(v, str) and "." not in v else None)
+    def test_removed_config_key_exits_2_naming_it(self, tmp_path, capsys, pipeline_out,
+                                                 command, name, key, value):
+        cfg_path, src = pipeline_out
+        out = tmp_path / "ws"
+        out.mkdir()
+        for path in src.iterdir():
+            (out / path.name).write_bytes(path.read_bytes())
+        state = json.loads((out / name).read_text())
+        state["config"][key] = value
+        (out / name).write_text(json.dumps(state))
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and f"config.{key}" in err
+
+    @pytest.mark.parametrize("command, name, net", [
+        ("stage2", "stage1_checkpoint.json", "encoder"),
+        ("stage2", "stage1_checkpoint.json", "classifier"),
+        ("evaluate", "stage2_checkpoint.json", "head"),
+    ], ids=lambda v: v if v in ("encoder", "classifier", "head") else None)
+    def test_logistic_net_exits_2_naming_it(self, tmp_path, capsys, pipeline_out,
+                                            command, name, net):
+        cfg_path, src = pipeline_out
+        out = tmp_path / "ws"
+        out.mkdir()
+        for path in src.iterdir():
+            (out / path.name).write_bytes(path.read_bytes())
+        state = json.loads((out / name).read_text())
+        assert state[net]["activation"] == "tanh"
+        state[net]["activation"] = "logistic"
+        (out / name).write_text(json.dumps(state))
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "'logistic'" in err
 
 
 class TestMalformedCheckpoints:
@@ -1395,25 +1465,6 @@ class TestBaseline:
         s1 = dataclasses.replace(cfg.stage1, epochs=30)
         acc = pipeline.ce_baseline_accuracy(train, test, s1, seed=5)
         assert acc > 0.9
-
-    def test_ce_baseline_draws_weights_at_init_scale(self):
-        """The baseline initialises at `init_scale`, as stage 1 does."""
-        cfg = config_from_dict(TINY_CONFIG)
-        rng = make_rng(stage_seed(cfg.seed, "simulate"))
-        train, _ = datagen.synth_split(cfg.longtail, cfg.mixture, rng,
-                                       cfg.test_per_class)
-        s1 = dataclasses.replace(cfg.stage1, epochs=0, init_scale=0.5)
-        encoder, head = pipeline.train_ce_baseline(train, s1, seed=5)
-        rng = make_rng(5)
-        want = [init_mlp([train.feature_dim, s1.encoder_hidden, s1.repr_dim], rng,
-                         s1.activation, 0.5),
-                init_mlp([s1.repr_dim, train.num_classes], rng, s1.activation, 0.5)]
-        for got, ref in zip((encoder, head), want):
-            for a, b in zip(got.params(), ref.params()):
-                assert np.array_equal(a, b)
-        unscaled, _ = pipeline.train_ce_baseline(
-            train, dataclasses.replace(s1, init_scale=1.0), seed=5)
-        assert np.array_equal(encoder.weights[0], 0.5 * unscaled.weights[0])
 
     def test_ce_baseline_divergence_raises_naming_step(self):
         cfg = config_from_dict(TINY_CONFIG)

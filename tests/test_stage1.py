@@ -206,8 +206,7 @@ class TestContrastiveLoss:
         with pytest.raises(InvalidInputError):
             contrastive_loss(zq, zq, np.empty((0, 2)), tau=0.2)
 
-    @pytest.mark.parametrize("include_positive", [False, True])
-    def test_gradients_match_finite_differences(self, include_positive):
+    def test_gradients_match_finite_differences(self):
         rng = make_rng(8)
         worst = 0.0
         for _ in range(100):
@@ -217,30 +216,18 @@ class TestContrastiveLoss:
             zk = l2_normalize(rng.normal(size=d))
             negs = l2_normalize(rng.normal(size=(m, d)))
             tau = float(rng.uniform(0.1, 2.0))
-            _, g_zk, g_negs = contrastive_loss(zq, zk, negs, tau, include_positive)
+            _, g_zk, g_negs = contrastive_loss(zq, zk, negs, tau)
 
-            num_zk = finite_diff_grad(
-                lambda v: contrastive_loss(zq, v, negs, tau, include_positive)[0], zk)
+            num_zk = finite_diff_grad(lambda v: contrastive_loss(zq, v, negs, tau)[0], zk)
             for a, b in zip(g_zk, num_zk):
                 worst = max(worst, relative_error(a, b))
 
             flat = negs.ravel()
             num_negs = finite_diff_grad(
-                lambda v: contrastive_loss(zq, zk, v.reshape(m, d), tau,
-                                           include_positive)[0], flat)
+                lambda v: contrastive_loss(zq, zk, v.reshape(m, d), tau)[0], flat)
             for a, b in zip(g_negs.ravel(), num_negs):
                 worst = max(worst, relative_error(a, b))
         assert worst < 1e-4, f"max relative error {worst}"
-
-    def test_include_positive_nonnegative(self):
-        # standard InfoNCE form is bounded below by 0
-        rng = make_rng(3)
-        for _ in range(20):
-            zq = l2_normalize(rng.normal(size=4))
-            zk = l2_normalize(rng.normal(size=4))
-            negs = l2_normalize(rng.normal(size=(3, 4)))
-            loss, _, _ = contrastive_loss(zq, zk, negs, 0.2, include_positive=True)
-            assert loss >= 0.0
 
 
 class TestSceLoss:
@@ -342,24 +329,21 @@ class TestBatchedKernelsMatchReferences:
             np.testing.assert_allclose(grad, np.stack([r[1] for r in refs]) / b,
                                        rtol=0, atol=self.TOL)
 
-    @pytest.mark.parametrize("queue_rows", [0, 5])
-    @pytest.mark.parametrize("include_positive", [False, True])
-    def test_contrastive_batch_is_mean_of_contrastive_loss(self, include_positive,
-                                                          queue_rows):
-        rng = make_rng(31 + 2 * queue_rows + include_positive)
+    @pytest.mark.parametrize("queue_rows", [0, 1, 5])
+    def test_contrastive_batch_is_mean_of_contrastive_loss(self, queue_rows):
+        rng = make_rng(31 + 2 * queue_rows)
         for _ in range(100):
             b, d = int(rng.integers(2, 9)), int(rng.integers(2, 9))
             Zq = l2_normalize(rng.normal(size=(b, d)))
             Zk = l2_normalize(rng.normal(size=(b, d)))
             queue = l2_normalize(rng.normal(size=(queue_rows, d))) if queue_rows else None
             tau = float(rng.uniform(0.1, 2.0))
-            loss, g_Zk = stage1._contrastive_batch(Zq, Zk, queue, tau, include_positive)
+            loss, g_Zk = stage1._contrastive_batch(Zq, Zk, queue, tau)
             losses, g_ref = [], np.zeros_like(Zk)
             for i in range(b):
                 others = [j for j in range(b) if j != i]
                 negs = Zk[others] if queue is None else np.concatenate((Zk[others], queue))
-                l_i, g_zk, g_negs = contrastive_loss(Zq[i], Zk[i], negs, tau,
-                                                     include_positive)
+                l_i, g_zk, g_negs = contrastive_loss(Zq[i], Zk[i], negs, tau)
                 losses.append(l_i)
                 g_ref[i] += g_zk
                 g_ref[others] += g_negs[:b - 1]  # the queue rows are constants
@@ -547,8 +531,7 @@ class TestStopGradientAndIsolation:
 
         def con():
             Zk = l2_normalize(forward(model.encoder, X_k, model.projection))
-            return stage1._contrastive_batch(Zq, Zk, queue, cfg.tau,
-                                             cfg.include_positive)[0]
+            return stage1._contrastive_batch(Zq, Zk, queue, cfg.tau)[0]
 
         def banc():
             return stage1._banc_batch(forward(model.classifier, V), Y, cfg.c)[0]

@@ -18,7 +18,6 @@ import pytest
 from noisytail import stage1
 from noisytail.ensemble import expert_shifts
 from noisytail.numerics import (
-    _ACTIVATIONS,
     SgdMomentum,
     backward_batch,
     flatten_params,
@@ -62,7 +61,7 @@ def ref_banc_batch(logits, Y, c):
     return float(losses.mean()), grad
 
 
-def ref_contrastive_batch(Zq, Zk, queue_mat, tau, include_positive):
+def ref_contrastive_batch(Zq, Zk, queue_mat, tau):
     b = Zq.shape[0]
     n_queue = 0 if queue_mat is None else queue_mat.shape[0]
     S = (Zq @ Zk.T) / tau
@@ -71,8 +70,7 @@ def ref_contrastive_batch(Zq, Zk, queue_mat, tau, include_positive):
     if n_queue:
         blocks.append((Zq @ queue_mat.T) / tau)
     den = np.concatenate(blocks, axis=1)
-    if not include_positive:
-        den[np.arange(b), np.arange(b)] = -np.inf
+    den[np.arange(b), np.arange(b)] = -np.inf
     m = den.max(axis=1, keepdims=True)
     e = np.exp(den - m)
     z = e.sum(axis=1)
@@ -91,18 +89,14 @@ def ref_normalize_backward(raw, unit, grad_unit):
     return (grad_unit - inner * unit) / norms
 
 
-_REF_DACT = {"tanh": lambda a: 1.0 - a * a, "logistic": lambda a: a * (1.0 - a)}
-
-
 def ref_backward_batch(net, cache, upstream, input_grad=True):
-    dact = _REF_DACT[net.activation]
     grads = [np.empty(0)] * (2 * len(net.weights))
     delta = upstream
     for l in range(len(net.weights) - 1, -1, -1):
         grads[2 * l] = delta.T @ cache[l]
         grads[2 * l + 1] = delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ net.weights[l]) * dact(cache[l])
+            delta = (delta @ net.weights[l]) * (1.0 - cache[l] * cache[l])
     return grads, delta @ net.weights[0] if input_grad else None
 
 
@@ -130,8 +124,7 @@ def ref_stage1_batch_gradients(model, X, Y, queue_mat, cfg, rng):
     Zq = ref_l2_normalize(z_raw[:b])
     zk_raw = z_raw[b:]
     Zk = ref_l2_normalize(zk_raw)
-    con_loss, g_Zk = ref_contrastive_batch(Zq, Zk, queue_mat, cfg.tau,
-                                           cfg.include_positive)
+    con_loss, g_Zk = ref_contrastive_batch(Zq, Zk, queue_mat, cfg.tau)
     g_zk_raw = ref_normalize_backward(zk_raw, Zk, (1.0 - cfg.alpha) * g_Zk)
     proj_grads, g_vk = ref_backward_batch(
         model.projection, [c[b:] for c in proj_cache], g_zk_raw)
@@ -220,8 +213,8 @@ class TestL2Normalize:
 
 class TestContrastiveBatch:
     @pytest.mark.parametrize("queue", list(QUEUES))
-    @pytest.mark.parametrize("include_positive", [False, True])
-    def test_every_batch_size(self, queue, include_positive):
+    @pytest.mark.parametrize("tau", [0.2, 0.07])
+    def test_every_batch_size(self, tau, queue):
         rng = make_rng(3)
         Q = QUEUES[queue]
         for b in range(1, 65):
@@ -230,16 +223,15 @@ class TestContrastiveBatch:
             stacked = unit_rows(rng, 2 * b)  # the step passes views of one matrix
             for Zq, Zk in ((stacked[:b], stacked[b:]),
                            (unit_rows(rng, b), unit_rows(rng, b))):
-                tau = 0.2
-                got = stage1._contrastive_batch(Zq, Zk, Q, tau, include_positive)
-                want = ref_contrastive_batch(Zq, Zk, Q, tau, include_positive)
+                got = stage1._contrastive_batch(Zq, Zk, Q, tau)
+                want = ref_contrastive_batch(Zq, Zk, Q, tau)
                 assert got[0] == want[0], (b, queue)
                 assert np.array_equal(got[1], want[1]), (b, queue)
 
     def test_no_negative_rejected(self):
         Z = unit_rows(make_rng(4), 1)
         with pytest.raises(stage1.InvalidInputError):
-            stage1._contrastive_batch(Z, Z, None, 0.2, False)
+            stage1._contrastive_batch(Z, Z, None, 0.2)
 
 
 class TestBancBatch:
@@ -278,16 +270,20 @@ class TestNormalizeBackward:
 
 
 class TestBackwardBatch:
-    @pytest.mark.parametrize("activation", ["tanh", "logistic"])
+    @pytest.mark.parametrize("into_views", [False, True])
     @pytest.mark.parametrize("dims", [[16, 64, 32], [32, 64, 32], [32, 20], [32, 60]])
-    def test_batch_sizes(self, activation, dims):
+    def test_batch_sizes(self, dims, into_views):
+        # with `into_views`, the gradients go into the views of one flat buffer
         rng = make_rng(7)
-        net = init_mlp(dims, rng, activation)
+        net = init_mlp(dims, rng)
+        views = flatten_params(net)[2][0] if into_views else None
         for b in (1, 2, 7, 41, 64, 184, 256):
             out, cache = forward_batch(net, rng.normal(size=(b, dims[0])))
             up = rng.normal(size=out.shape)
             for input_grad in (True, False):
-                got = backward_batch(net, cache, up, input_grad)
+                got = backward_batch(net, cache, up, input_grad, views)
+                if into_views:
+                    assert all(g is v for g, v in zip(got[0], views))
                 want = ref_backward_batch(net, cache, up, input_grad)
                 assert_grads_equal(got[0], want[0])
                 assert (got[1] is None) == (want[1] is None)
@@ -379,9 +375,9 @@ class TestStage1Step:
     composed of the references."""
 
     @pytest.mark.parametrize("queue", list(QUEUES))
-    @pytest.mark.parametrize("include_positive", [False, True])
-    def test_every_batch_size(self, queue, include_positive):
-        cfg = Stage1Config(include_positive=include_positive)
+    @pytest.mark.parametrize("tau", [0.2, 0.07])
+    def test_every_batch_size(self, tau, queue):
+        cfg = Stage1Config(tau=tau)
         rng = make_rng(12)
         model = build_stage1_model(16, 20, cfg, rng)
         Q = QUEUES[queue]
@@ -438,11 +434,10 @@ class TestInputsUnchanged:
         rng = make_rng(20)
         stacked = unit_rows(rng, 2 * 16)
         Zq, Zk = stacked[:16], stacked[16:]
-        for include_positive in (False, True):
-            args = (Zq, Zk, QUEUES["wrapped"])
-            before = copy.deepcopy(args)
-            stage1._contrastive_batch(*args, 0.2, include_positive)
-            assert_unchanged(before, args)
+        args = (Zq, Zk, QUEUES["wrapped"])
+        before = copy.deepcopy(args)
+        stage1._contrastive_batch(*args, 0.2)
+        assert_unchanged(before, args)
 
     @pytest.mark.parametrize("c", [0.0, 6.0])
     def test_banc(self, c):
@@ -468,15 +463,15 @@ class TestInputsUnchanged:
         l2_normalize(v)
         assert_unchanged(before, v)
 
-    @pytest.mark.parametrize("activation", sorted(_ACTIVATIONS))
-    def test_backward_batch(self, activation):
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_backward_batch(self, input_grad):
         rng = make_rng(24)
-        net = init_mlp([16, 64, 32], rng, activation)
+        net = init_mlp([16, 64, 32], rng)
         out, cache = forward_batch(net, rng.normal(size=(16, 16)))
         up = rng.normal(size=out.shape)
         weights = [p.copy() for p in net.params()]
         before = copy.deepcopy((cache, up))
-        backward_batch(net, cache, up)
+        backward_batch(net, cache, up, input_grad)
         assert_unchanged(before, (cache, up))
         assert_unchanged(weights, net.params())
 
