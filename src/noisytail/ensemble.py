@@ -59,7 +59,6 @@ class Stage2Config:
     lr: float = 0.02
     momentum: float = 0.9
     weight_decay: float = 5e-4
-    seed: int = 0
 
     def __post_init__(self):
         for name, bad, want in (
@@ -120,9 +119,10 @@ def expert_shifts(counts: ClassStats) -> np.ndarray:
 
 
 def train_stage2(ds: Dataset, soft_labels: np.ndarray,
-                 stage1_model: Stage1Model, cfg: Stage2Config
+                 stage1_model: Stage1Model, cfg: Stage2Config, seed: int
                  ) -> tuple[EnsembleModel, list[dict]]:
-    """Train the three experts jointly over the frozen stage-1 encoder.
+    """Train the three experts jointly over the frozen stage-1 encoder, every
+    draw from one generator seeded with `seed`.
 
     `soft_labels` is the (N, K) soft-label matrix in dataset order.  Soft
     class counts are computed once before training (floored at
@@ -136,7 +136,7 @@ def train_stage2(ds: Dataset, soft_labels: np.ndarray,
     Y = np.asarray(soft_labels, dtype=np.float64)
     if Y.shape != (n, k):
         raise InvalidInputError(f"soft labels {Y.shape} != (dataset size, K) = ({n}, {k})")
-    rng = make_rng(cfg.seed)
+    rng = make_rng(seed)
     backbone = stage1_model.encoder.copy()
     model = EnsembleModel(backbone, init_mlp([backbone.out_dim, 3 * k], rng))
     params, grads, (g_head,) = flatten_params(model.head)
@@ -288,22 +288,22 @@ def save_stage2_checkpoint(model: EnsembleModel, cfg: Stage2Config,
     })
 
 
-def load_stage2_checkpoint(path, backbone: Mlp, num_classes: int
-                           ) -> tuple[EnsembleModel, Stage2Config]:
+def load_stage2_checkpoint(path, backbone: Mlp, num_classes: int) -> EnsembleModel:
     """Rebuild the ensemble of a `num_classes`-class run from its checkpoint
     plus the referenced backbone.
 
     `EnsembleModel` checks the stored head's shape, and its outputs must
     be 3 x num_classes.  The stored hash must match the supplied
-    backbone's weights.
+    backbone's weights.  The stored `config` is checked, not returned: a
+    key that is not a `Stage2Config` field is refused.
     """
     with jsonl.read_checkpoint(path, "stage2") as state:
         stored_hash = state["backbone_hash"]
         model = EnsembleModel(backbone.copy(), jsonl.mlp_from_state(state["head"]))
         check_classes(model, num_classes)
-        cfg = jsonl.build(Stage2Config, state["config"], "config.")
+        jsonl.build(Stage2Config, state["config"], "config.")
     if backbone_hash(backbone) != stored_hash:
         raise InvalidInputError(
             "backbone weights do not match the checkpoint's backbone_hash; "
             f"expected the encoder from {state.get('stage1_checkpoint')!r}")
-    return model, cfg
+    return model

@@ -370,7 +370,7 @@ def flatten_params(*nets: Mlp, shared: bool = False
 
 @dataclass
 class SgdMomentum:
-    """In-place SGD over one parameter buffer: v = mu*v + (g + wd*p);
+    """In-place SGD over one parameter buffer, from v = 0: v = mu*v + (g + wd*p);
     p -= lr*v.  The update is elementwise, so over a trainer's flat buffer
     it has the bits of the same update run array by array.
 
@@ -382,14 +382,13 @@ class SgdMomentum:
     lr: float
     momentum: float = 0.9
     weight_decay: float = 0.0
-    velocity: Optional[np.ndarray] = None
+    velocity: np.ndarray = field(init=False)
     _scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lr <= 0:
             raise InvalidInputError("lr must be positive")
-        if self.velocity is None:
-            self.velocity = np.zeros_like(self.params)
+        self.velocity = np.zeros_like(self.params)
         self._scratch = np.empty_like(self.params)
 
     def step(self, grads: np.ndarray) -> None:

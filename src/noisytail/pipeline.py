@@ -4,12 +4,12 @@ simulate -> stage1 -> stage2 -> evaluate chain, which the CLI and
 step refurbishes the labels (`run_refurbish`), except in the no-relabel
 ablation.
 
-Every command is reproducible from (config, seed) alone; per-stage seeds
-are derived by hashing the global seed with the stage name, and each
-command writes a JSON manifest recording the config hash, the seed, the
-SHA-256 and write time of each of its artifacts, and the process's peak
-memory when the stage finished.  Every artifact is saved, by the saver of
-the module that owns its format, in a forked writer of its own.
+Every command is reproducible from (config, seed) alone: each trainer
+takes its seed from `stage_seed`.  Each command writes a JSON manifest
+recording the config hash, the seeds, the SHA-256 and write time of each
+of its artifacts, and the process's peak memory when the stage finished.
+Every artifact is saved, by the saver of the module that owns its
+format, in a forked writer of its own.
 
 No file holds stage 1's predictions or the soft labels: the stage-1
 checkpoint and `train.jsonl` determine both, and `stage2` recomputes them,
@@ -181,12 +181,6 @@ def stage_seed(global_seed: int, stage: str) -> int:
     """Derived per-stage seed: hash of (global seed, stage name)."""
     digest = hashlib.sha256(f"{global_seed}:{stage}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def _seeded(cfg: PipelineConfig, stage: str):
-    """The config section of `stage` ("stage1" or "stage2") under its
-    derived seed, which replaces the `seed` a config file may give it."""
-    return dataclasses.replace(getattr(cfg, stage), seed=stage_seed(cfg.seed, stage))
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +364,10 @@ def _accuracy(prefix: str, predicted: np.ndarray, train: Dataset) -> dict:
 def run_stage1(cfg: PipelineConfig, ws: Workspace) -> dict:
     t0 = time.perf_counter()
     train = ws.dataset(TRAIN_FILE, cfg)
-    s1_cfg = _seeded(cfg, "stage1")
-    model, log = stage1.train_stage1(train, s1_cfg)
+    model, log = stage1.train_stage1(train, cfg.stage1, stage_seed(cfg.seed, "stage1"))
     preds = ws.memo[PREDICTIONS] = stage1.predict_all(model, train)
-    ws.write(STAGE1_CKPT, model, lambda p: stage1.save_stage1_checkpoint(model, s1_cfg, p))
+    ws.write(STAGE1_CKPT, model,
+             lambda p: stage1.save_stage1_checkpoint(model, cfg.stage1, p))
     ws.write(STAGE1_LOG, log, lambda p: jsonl.write_json(p, log))
     metrics = {"final_losses": log[-1] if log else None,
                **_accuracy("train_accuracy", preds.predicted, train)}
@@ -382,7 +376,7 @@ def run_stage1(cfg: PipelineConfig, ws: Workspace) -> dict:
 
 
 def _stage1_model(ws: Workspace) -> stage1.Stage1Model:
-    return ws.get(STAGE1_CKPT, "stage1", lambda p: stage1.load_stage1_checkpoint(p)[0])
+    return ws.get(STAGE1_CKPT, "stage1", stage1.load_stage1_checkpoint)
 
 
 def run_refurbish(cfg: PipelineConfig, ws: Workspace, train: Dataset,
@@ -457,12 +451,12 @@ def run_stage2(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -> 
         softs = np.eye(train.num_classes)[train.observed]
     else:
         softs, metrics["refurbish"] = run_refurbish(cfg, ws, train, s1_model)
-    s2_cfg = _seeded(cfg, "stage2")
-    model, log = ensemble.train_stage2(train, softs, s1_model, s2_cfg)
+    model, log = ensemble.train_stage2(train, softs, s1_model, cfg.stage2,
+                                       stage_seed(cfg.seed, "stage2"))
     ckpt_name = _variant_name(STAGE2_CKPT, no_relabel)
     log_name = _variant_name(STAGE2_LOG, no_relabel)
-    ws.write(ckpt_name, (model, s2_cfg), lambda p: ensemble.save_stage2_checkpoint(
-        model, s2_cfg, STAGE1_CKPT, p))
+    ws.write(ckpt_name, model, lambda p: ensemble.save_stage2_checkpoint(
+        model, cfg.stage2, STAGE1_CKPT, p))
     ws.write(log_name, log, lambda p: jsonl.write_json(p, log))
     metrics["final_losses"] = log[-1] if log else None
     ws.finish("stage2_norelabel" if no_relabel else "stage2", cfg, t0, metrics)
@@ -483,7 +477,7 @@ def run_evaluate(cfg: PipelineConfig, ws: Workspace, no_relabel: bool = False) -
     s1_model = _stage1_model(ws)
     ckpt_name = _variant_name(STAGE2_CKPT, no_relabel)
     producer = "stage2 --no-relabel" if no_relabel else "stage2"
-    model, _ = ws.get(ckpt_name, producer, lambda p: ensemble.load_stage2_checkpoint(
+    model = ws.get(ckpt_name, producer, lambda p: ensemble.load_stage2_checkpoint(
         p, s1_model.encoder, train.num_classes))
     report = ensemble.evaluate(model, test, train_counts_for_eval(train), cfg.thresholds)
     label = "w/o re-label" if no_relabel else "refurbished"
@@ -577,7 +571,7 @@ def run_in_memory(cfg: PipelineConfig, no_relabel: bool = False) -> PipelineResu
                **_accuracy("stage1_accuracy", preds.predicted, train)}
     return PipelineResult(train, ws.memo[TEST_FILE], ws.memo[STAGE1_CKPT], preds,
                           ws.memo[STAGE1_LOG],
-                          ws.memo[_variant_name(STAGE2_CKPT, no_relabel)][0], report,
+                          ws.memo[_variant_name(STAGE2_CKPT, no_relabel)], report,
                           metrics, ws.metrics)
 
 
@@ -655,20 +649,21 @@ def _with_sweep_value(cfg: PipelineConfig, param: str, value: float
 def run_sweep(cfg: PipelineConfig, sweep: SweepSpec, out_dir: Path) -> list[dict]:
     """One full pipeline run per grid value.
 
-    Each grid point runs under a seed derived from its own config hash, so
-    points are independent yet reproducible.  Returns rows sorted by value.
+    Each grid point runs under a seed derived from its own config hash,
+    `out_dir` left out, so points are independent yet reproducible wherever
+    the files go.  Returns rows sorted by value.
     """
     t0 = time.perf_counter()
     # every grid point's config is checked before the directory is made
-    points = [(value, _with_sweep_value(cfg, sweep.parameter, value))
+    base = dataclasses.replace(cfg, out_dir=None)
+    points = [(value, _with_sweep_value(base, sweep.parameter, value))
               for value in sweep.grid]
     with Workspace(out_dir) as ws:
         rows = []
         for value, cfg_v in points:
             seed_v = int.from_bytes(
                 hashlib.sha256(config_hash(cfg_v).encode()).digest()[:8], "little")
-            cfg_v = dataclasses.replace(cfg_v, seed=seed_v)
-            result = run_in_memory(cfg_v)
+            result = run_in_memory(dataclasses.replace(cfg_v, seed=seed_v))
             rows.append({"value": float(value),
                          "accuracy": result.report.overall_accuracy, **result.stages})
         rows.sort(key=lambda r: r["value"])

@@ -69,7 +69,6 @@ class Stage1Config:
     weight_decay: float = 5e-4
     aug_noise_stddev: float = 0.1
     aug_dropout_prob: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         width = f"in [1, {MAX_WIDTH}]"
@@ -430,8 +429,10 @@ def predict_all(model: Stage1Model, ds: Dataset) -> Predictions:
     return Predictions(predict_batch(model, ds.X))
 
 
-def train_stage1(ds: Dataset, cfg: Stage1Config) -> tuple[Stage1Model, list[dict]]:
-    """Joint contrastive + classifier training over the noisy dataset.
+def train_stage1(ds: Dataset, cfg: Stage1Config, seed: int
+                 ) -> tuple[Stage1Model, list[dict]]:
+    """Joint contrastive + classifier training over the noisy dataset, every
+    draw from one generator seeded with `seed`.
 
     Per batch: two augmented views are formed (`augmented_rows`, drawn
     ahead by the loader of `sgd_epochs`); the query side is evaluated
@@ -449,7 +450,7 @@ def train_stage1(ds: Dataset, cfg: Stage1Config) -> tuple[Stage1Model, list[dict
     n = len(ds)
     if n < 2:
         raise InvalidSpecError("training requires at least 2 samples")
-    rng = make_rng(cfg.seed)
+    rng = make_rng(seed)
     model = build_stage1_model(ds.feature_dim, ds.num_classes, cfg, rng)
     params, grads, views = flatten_params(model.encoder, model.projection)
     head_params, head_grads, (head_views,) = flatten_params(model.classifier, shared=True)
@@ -496,14 +497,16 @@ def save_stage1_checkpoint(model: Stage1Model, cfg: Stage1Config, path) -> str:
     })
 
 
-def load_stage1_checkpoint(path) -> tuple[Stage1Model, Stage1Config]:
+def load_stage1_checkpoint(path) -> Stage1Model:
+    """The model of a stage-1 checkpoint.  Its `config` is checked, not
+    returned: a key that is not a `Stage1Config` field is refused."""
     with jsonl.read_checkpoint(path, "stage1") as state:
-        model = Stage1Model(
+        jsonl.build(Stage1Config, state["config"], "config.")
+        return Stage1Model(
             encoder=jsonl.mlp_from_state(state["encoder"]),
             projection=jsonl.mlp_from_state(state["projection"]),
             classifier=jsonl.mlp_from_state(state["classifier"]),
         )
-        return model, jsonl.build(Stage1Config, state["config"], "config.")
 
 
 def save_predictions(ids: np.ndarray, preds: Predictions, path) -> str:

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -241,8 +242,8 @@ class TestTrainStage2:
     def test_epochs_zero_heads_at_init(self):
         ds, softs = tiny_train_setup()
         s1 = tiny_stage1_model()
-        cfg = Stage2Config(epochs=0, batch_size=16, seed=5)
-        model, log = train_stage2(ds, softs, s1, cfg)
+        cfg = Stage2Config(epochs=0, batch_size=16)
+        model, log = train_stage2(ds, softs, s1, cfg, 5)
         # one 3K draw is the same RNG stream as three K draws, one per expert
         ref_rng = make_rng(5)
         refs = [init_mlp([s1.encoder.out_dim, ds.num_classes], ref_rng) for _ in range(3)]
@@ -255,8 +256,8 @@ class TestTrainStage2:
         ds, softs = tiny_train_setup()
         s1 = tiny_stage1_model()
         before = [p.copy() for p in s1.encoder.params()]
-        cfg = Stage2Config(epochs=4, batch_size=16, seed=6)
-        model, _ = train_stage2(ds, softs, s1, cfg)
+        cfg = Stage2Config(epochs=4, batch_size=16)
+        model, _ = train_stage2(ds, softs, s1, cfg, 6)
         for a, b in zip(model.backbone.params(), before):
             assert np.max(np.abs(a - b)) == 0.0
         # and the source model is untouched too
@@ -266,9 +267,9 @@ class TestTrainStage2:
     def test_deterministic(self):
         ds, softs = tiny_train_setup()
         s1 = tiny_stage1_model()
-        cfg = Stage2Config(epochs=3, batch_size=16, seed=7)
-        m1, l1 = train_stage2(ds, softs, s1, cfg)
-        m2, l2 = train_stage2(ds, softs, s1, cfg)
+        cfg = Stage2Config(epochs=3, batch_size=16)
+        m1, l1 = train_stage2(ds, softs, s1, cfg, 7)
+        m2, l2 = train_stage2(ds, softs, s1, cfg, 7)
         assert l1 == l2
         for a, b in zip(m1.head.params(), m2.head.params()):
             np.testing.assert_array_equal(a, b)
@@ -277,15 +278,15 @@ class TestTrainStage2:
         ds, softs = tiny_train_setup()
         s1 = tiny_stage1_model()
         with pytest.raises(InvalidInputError):
-            train_stage2(ds, softs[:-1], s1, Stage2Config(epochs=1, batch_size=16))
+            train_stage2(ds, softs[:-1], s1, Stage2Config(epochs=1, batch_size=16), 0)
 
     def test_fused_head_trains_the_per_expert_weights(self):
         ds, softs = tiny_train_setup()
         s1 = tiny_stage1_model()
-        cfg = Stage2Config(epochs=5, batch_size=16, seed=8)
+        cfg = Stage2Config(epochs=5, batch_size=16)
         assert len(ds) % cfg.batch_size, "the final batch must be ragged"
-        model, log = train_stage2(ds, softs, s1, cfg)
-        experts, ref_log = reference_train_stage2(ds, softs, s1, cfg)
+        model, log = train_stage2(ds, softs, s1, cfg, 8)
+        experts, ref_log = reference_train_stage2(ds, softs, s1, cfg, 8)
         np.testing.assert_allclose(model.head.weights[0],
                                    np.concatenate([e.weights[0] for e in experts]),
                                    rtol=1e-12)
@@ -302,13 +303,13 @@ class TestTrainStage2:
         ds, softs = tiny_train_setup()
         s1 = tiny_stage1_model()
         with pytest.raises(InvalidSpecError):
-            train_stage2(ds, softs, s1, Stage2Config(epochs=1, batch_size=10_000))
+            train_stage2(ds, softs, s1, Stage2Config(epochs=1, batch_size=10_000), 0)
 
 
-def reference_train_stage2(ds, softs, s1, cfg):
+def reference_train_stage2(ds, softs, s1, cfg, seed):
     """Stage 2 as three separate heads: per step, three forward passes, three
     shifted soft-CE losses and three backward passes."""
-    rng = make_rng(cfg.seed)
+    rng = make_rng(seed)
     experts = [init_mlp([s1.encoder.out_dim, ds.num_classes], rng) for _ in range(3)]
     log_n = np.log(np.maximum(soft_class_counts(softs).counts, COUNT_FLOOR))
     V, _ = forward_batch(s1.encoder, ds.X)
@@ -488,20 +489,20 @@ class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         ds, softs = tiny_train_setup()
         s1 = tiny_stage1_model()
-        cfg = Stage2Config(epochs=2, batch_size=16, seed=9)
-        model, _ = train_stage2(ds, softs, s1, cfg)
+        cfg = Stage2Config(epochs=2, batch_size=16)
+        model, _ = train_stage2(ds, softs, s1, cfg, 9)
         path = tmp_path / "stage2.json"
         save_stage2_checkpoint(model, cfg, "stage1_checkpoint.json", path)
-        back, back_cfg = load_stage2_checkpoint(path, model.backbone, ds.num_classes)
-        assert back_cfg == cfg
+        back = load_stage2_checkpoint(path, model.backbone, ds.num_classes)
+        assert json.loads(path.read_text())["config"] == asdict(cfg)
         for a, b in zip(model.head.params(), back.head.params()):
             np.testing.assert_array_equal(a, b)
 
     def test_file_stores_the_head_as_one_layer(self, tmp_path):
         ds, softs = tiny_train_setup()
         s1 = tiny_stage1_model()
-        cfg = Stage2Config(epochs=1, batch_size=16, seed=9)
-        model, _ = train_stage2(ds, softs, s1, cfg)
+        cfg = Stage2Config(epochs=1, batch_size=16)
+        model, _ = train_stage2(ds, softs, s1, cfg, 9)
         path = tmp_path / "stage2.json"
         save_stage2_checkpoint(model, cfg, "stage1_checkpoint.json", path)
         state = json.loads(path.read_text())
@@ -527,8 +528,8 @@ class TestCheckpoint:
     def test_head_layout_rejected(self, tmp_path, corrupt):
         ds, softs = tiny_train_setup()
         s1 = tiny_stage1_model()
-        cfg = Stage2Config(epochs=1, batch_size=16, seed=9)
-        model, _ = train_stage2(ds, softs, s1, cfg)
+        cfg = Stage2Config(epochs=1, batch_size=16)
+        model, _ = train_stage2(ds, softs, s1, cfg, 9)
         path = tmp_path / "stage2.json"
         save_stage2_checkpoint(model, cfg, "stage1_checkpoint.json", path)
         state = json.loads(path.read_text())
@@ -541,8 +542,8 @@ class TestCheckpoint:
         # 3 more rows: a whole 3K' head, but K' is not the run's K
         ds, softs = tiny_train_setup()
         s1 = tiny_stage1_model()
-        cfg = Stage2Config(epochs=1, batch_size=16, seed=9)
-        model, _ = train_stage2(ds, softs, s1, cfg)
+        cfg = Stage2Config(epochs=1, batch_size=16)
+        model, _ = train_stage2(ds, softs, s1, cfg, 9)
         path = tmp_path / "stage2.json"
         save_stage2_checkpoint(model, cfg, "stage1_checkpoint.json", path)
         load_stage2_checkpoint(path, model.backbone, ds.num_classes)
@@ -552,8 +553,8 @@ class TestCheckpoint:
     def test_backbone_hash_mismatch(self, tmp_path):
         ds, softs = tiny_train_setup()
         s1 = tiny_stage1_model()
-        cfg = Stage2Config(epochs=1, batch_size=16, seed=9)
-        model, _ = train_stage2(ds, softs, s1, cfg)
+        cfg = Stage2Config(epochs=1, batch_size=16)
+        model, _ = train_stage2(ds, softs, s1, cfg, 9)
         path = tmp_path / "stage2.json"
         save_stage2_checkpoint(model, cfg, "stage1_checkpoint.json", path)
         wrong = model.backbone.copy()
@@ -620,5 +621,5 @@ class TestInferenceMemory:
         model, ds = self.model_and_data()
         soft = np.eye(3)[ds.observed]
         cfg = Stage2Config(epochs=0, batch_size=16)
-        peak = self.traced_peak(lambda: train_stage2(ds, soft, model, cfg))
+        peak = self.traced_peak(lambda: train_stage2(ds, soft, model, cfg, 0))
         assert peak < self.FULL_ACTIVATION / 2, peak

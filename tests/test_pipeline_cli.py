@@ -956,11 +956,14 @@ class TestCliErrors:
 
     def test_removed_options_exit_2_at_load(self, tmp_path, capsys):
         """The options that became constants are unknown keys, even at the
-        value they are now fixed to."""
+        value they are now fixed to, and so are the per-stage seeds, which
+        derive from the global one."""
         for section, key, value in (("stage1", "include_positive", False),
                                     ("stage1", "activation", "tanh"),
                                     ("stage1", "init_scale", 1.0),
-                                    ("stage2", "fusion", "prob_mean")):
+                                    ("stage2", "fusion", "prob_mean"),
+                                    ("stage1", "seed", 0),
+                                    ("stage2", "seed", 0)):
             cfg_path = tmp_path / "config.json"
             cfg_path.write_text(json.dumps({section: {key: value}}))
             out = tmp_path / "o"
@@ -1150,16 +1153,29 @@ def pipeline_out(tmp_path_factory):
     return cfg_path, out
 
 
+@pytest.mark.parametrize("stage", ["stage1", "stage2"])
+def test_checkpoint_config_is_the_manifests(pipeline_out, stage):
+    """Each checkpoint's `config` is the section its stage's manifest
+    records: the two files agree on what trained the weights."""
+    _, out = pipeline_out
+    state = json.loads((out / f"{stage}_checkpoint.json").read_text())
+    manifest = json.loads((out / f"manifest_{stage}.json").read_text())
+    assert state["config"] == manifest["config"][stage]
+
+
 class TestCheckpointsBeforeTheConstants:
     """Checkpoints written while the contrastive denominator, the
-    activation, the init scale and the fusion rule were options: each exits
-    2 naming the file, and they must be written again."""
+    activation, the init scale and the fusion rule were options, or while
+    each stage's config held a seed: each exits 2 naming the file, and they
+    must be written again."""
 
     @pytest.mark.parametrize("command, name, key, value", [
         ("stage2", "stage1_checkpoint.json", "include_positive", False),
         ("stage2", "stage1_checkpoint.json", "activation", "tanh"),
         ("stage2", "stage1_checkpoint.json", "init_scale", 1.0),
         ("evaluate", "stage2_checkpoint.json", "fusion", "prob_mean"),
+        ("stage2", "stage1_checkpoint.json", "seed", 0),
+        ("evaluate", "stage2_checkpoint.json", "seed", 0),
     ], ids=lambda v: v if isinstance(v, str) and "." not in v else None)
     def test_removed_config_key_exits_2_naming_it(self, tmp_path, capsys, pipeline_out,
                                                  command, name, key, value):
@@ -1262,7 +1278,7 @@ def recomputed_records(out, sigma=0.2) -> dict:
     train.jsonl and stage-1 checkpoint as the README's recipe does."""
     ds = datagen.load_dataset(out / pipeline.TRAIN_FILE,
                               TINY_CONFIG["longtail"]["num_classes"])
-    model = stage1.load_stage1_checkpoint(out / pipeline.STAGE1_CKPT)[0]
+    model = stage1.load_stage1_checkpoint(out / pipeline.STAGE1_CKPT)
     _, records = refurbish.refurbish_dataset(ds, stage1.predict_all(model, ds),
                                              refurbish.RefurbishConfig(sigma))
     return {r.id: r for r in records}
@@ -1379,6 +1395,19 @@ class TestSweep:
         assert {c: rows[0][c] for c in res.stages} == res.stages
         manifest = json.loads((out / "manifest_sweep_c.json").read_text())
         assert manifest["metrics"]["rows"] == rows
+
+    def test_out_dir_changes_no_result(self, tmp_path):
+        """A grid point's seed ignores `out_dir`: a config that says where
+        the files go writes the CSV of one that does not."""
+        csvs = []
+        for name, extra in (("plain", {}), ("placed", {"out_dir": str(tmp_path / "x")})):
+            (tmp_path / name).mkdir()
+            cfg_path = write_tiny_config(tmp_path / name, **extra)
+            out = tmp_path / name / "sweep"
+            assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                         "--param", "sigma", "--grid", "0.1,0.2"]) == 0
+            csvs.append((out / "sweep_sigma.csv").read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_alpha_grid_endpoints_cli(self, tmp_path):
         cfg_path = write_tiny_config(tmp_path)

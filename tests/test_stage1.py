@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import os
 import signal
@@ -7,6 +8,7 @@ import sys
 import textwrap
 import types
 from collections import deque
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -354,7 +356,7 @@ class TestBatchedKernelsMatchReferences:
 def step_setup(**overrides):
     """A tiny model, an 8-row batch with one-hot labels and a 10-row queue."""
     ds = tiny_dataset()
-    cfg = Stage1Config(seed=4, **{**TINY, **overrides})
+    cfg = Stage1Config(**{**TINY, **overrides})
     model = build_stage1_model(ds.feature_dim, ds.num_classes, cfg, make_rng(4))
     X = ds.X[:8]
     labels = ds.observed[:8]
@@ -455,8 +457,8 @@ class TestPredict:
 class TestTrainStage1:
     def test_epochs_zero_returns_init(self):
         ds = tiny_dataset()
-        cfg = Stage1Config(seed=3, **{**TINY, "epochs": 0})
-        model, log = train_stage1(ds, cfg)
+        cfg = Stage1Config(**{**TINY, "epochs": 0})
+        model, log = train_stage1(ds, cfg, 3)
         preds = predict_all(model, ds)
         ref = build_stage1_model(ds.feature_dim, ds.num_classes, cfg, make_rng(3))
         for a, b in zip(model.encoder.params(), ref.encoder.params()):
@@ -467,9 +469,9 @@ class TestTrainStage1:
 
     def test_deterministic_given_seed(self):
         ds = tiny_dataset()
-        cfg = Stage1Config(seed=5, **TINY)
-        m1, l1 = train_stage1(ds, cfg)
-        m2, l2 = train_stage1(ds, cfg)
+        cfg = Stage1Config(**TINY)
+        m1, l1 = train_stage1(ds, cfg, 5)
+        m2, l2 = train_stage1(ds, cfg, 5)
         assert l1 == l2
         for a, b in zip(m1.encoder.params(), m2.encoder.params()):
             np.testing.assert_array_equal(a, b)
@@ -479,10 +481,10 @@ class TestTrainStage1:
     def test_matches_deque_queue_bitwise(self, monkeypatch):
         # the batched queue must train exactly as the per-row deque queue did
         ds = tiny_dataset()
-        cfg = Stage1Config(seed=5, **TINY)
-        m1, l1 = train_stage1(ds, cfg)
+        cfg = Stage1Config(**TINY)
+        m1, l1 = train_stage1(ds, cfg, 5)
         monkeypatch.setattr(stage1, "FeatureQueue", DequeQueue)
-        m2, l2 = train_stage1(ds, cfg)
+        m2, l2 = train_stage1(ds, cfg, 5)
         assert l1 == l2
         for part in PARTS:
             for a, b in zip(getattr(m1, part).params(), getattr(m2, part).params()):
@@ -494,15 +496,15 @@ class TestTrainStage1:
         ds = tiny_dataset()
         cfg = Stage1Config(**{**TINY, "batch_size": len(ds) + 1})
         with pytest.raises(InvalidSpecError):
-            train_stage1(ds, cfg)
+            train_stage1(ds, cfg, 0)
 
     def test_beats_observed_labels_small_benchmark(self):
         # direction check at reduced scale: predictions vs true labels must
         # beat the observed-label agreement rate
         ds = tiny_dataset(seed=2, k=6, n1=80, ir=8.0, noise=0.4)
-        cfg = Stage1Config(seed=1, encoder_hidden=32, repr_dim=16, proj_hidden=32,
+        cfg = Stage1Config(encoder_hidden=32, repr_dim=16, proj_hidden=32,
                            embed_dim=16, queue_capacity=64, batch_size=32, epochs=25)
-        model, _ = train_stage1(ds, cfg)
+        model, _ = train_stage1(ds, cfg, 1)
         pred_cls = predict_all(model, ds).predicted
         true = ds.true
         observed_acc = (ds.observed == true).mean()
@@ -584,13 +586,13 @@ class TestStopGradientAndIsolation:
             assert np.all(a == 0.0)
 
 
-def serial_stage1(ds, cfg, queue=None):
+def serial_stage1(ds, cfg, seed, queue=None):
     """`train_stage1` run serially, with no loader: per step, the encoder
     and projection part and its update, then the head's part on the
     features of the stacked forward and its update, in two buffers as
     `train_stage1` lays them out.  The queue is a `FeatureQueue`, or, if
     given, a fixed snapshot.  Returns the model, the log and the rng."""
-    rng = make_rng(cfg.seed)
+    rng = make_rng(seed)
     model = build_stage1_model(ds.feature_dim, ds.num_classes, cfg, rng)
     params, grads, views = flatten_params(model.encoder, model.projection)
     head_params, head_grads, (head_views,) = flatten_params(model.classifier)
@@ -653,10 +655,10 @@ class TestHeadInTheLoader:
             n = 2 * b + 1
             labels = rng.integers(0, 20, size=n)
             ds = Dataset(np.arange(n), rng.normal(size=(n, 16)), labels, labels, 20)
-            cfg = types.SimpleNamespace(**{**vars(Stage1Config(seed=b)), "epochs": 2,
+            cfg = types.SimpleNamespace(**{**vars(Stage1Config()), "epochs": 2,
                                            "batch_size": b})
-            got, got_log = train_stage1(ds, cfg)
-            want, want_log, _ = serial_stage1(ds, cfg, queue)
+            got, got_log = train_stage1(ds, cfg, b)
+            want, want_log, _ = serial_stage1(ds, cfg, b, queue)
             assert got_log == want_log, b
             assert model_bytes(got) == model_bytes(want), b
 
@@ -664,10 +666,10 @@ class TestHeadInTheLoader:
     def test_train_stage1_equals_the_serial_chain(self, batch_size):
         # 91 samples: a last batch of one row at each of these sizes
         ds = tiny_dataset()
-        cfg = Stage1Config(seed=8, **{**TINY, "batch_size": batch_size})
+        cfg = Stage1Config(**{**TINY, "batch_size": batch_size})
         assert len(ds) % batch_size == 1
-        got, got_log = train_stage1(ds, cfg)
-        want, want_log, _ = serial_stage1(ds, cfg)
+        got, got_log = train_stage1(ds, cfg, 8)
+        want, want_log, _ = serial_stage1(ds, cfg, 8)
         assert got_log == want_log
         assert model_bytes(got) == model_bytes(want)
 
@@ -691,7 +693,7 @@ class TestHeadInTheLoader:
         monkeypatch.setattr(stage1, "_banc_batch", bad_banc)
         monkeypatch.setattr(stage1, "_contrastive_batch", bad_contrastive)
         with pytest.raises(NumericError, match=r"stage 1 diverged: .* epoch 0, step 2$"):
-            train_stage1(tiny_dataset(), Stage1Config(seed=9, **TINY))
+            train_stage1(tiny_dataset(), Stage1Config(**TINY), 9)
         assert calls == {"banc": 0, "con": 4}  # this process ran no BANC
 
     def test_killed_loader_raises_naming_it(self, monkeypatch):
@@ -712,7 +714,7 @@ class TestHeadInTheLoader:
         monkeypatch.setattr(jsonl.Forks, "start", recorded)
         monkeypatch.setattr(stage1, "stage1_batch_gradients", killing)
         with pytest.raises(OSError, match="stage 1 loader"):
-            train_stage1(tiny_dataset(), Stage1Config(seed=10, **TINY))
+            train_stage1(tiny_dataset(), Stage1Config(**TINY), 10)
 
     def test_head_past_two_blas_threads_trains_without_hanging(self):
         # a head product of 64 x 512 x 20 multiply-adds runs on two BLAS
@@ -729,7 +731,7 @@ class TestHeadInTheLoader:
             ds = synth_dataset(LongTailSpec(20, 64, 1.0), MixtureSpec(feature_dim=16),
                                make_rng(0))
             cfg = Stage1Config(repr_dim=512, batch_size=64, epochs=3, queue_capacity=128)
-            model, log = train_stage1(ds, cfg)
+            model, log = train_stage1(ds, cfg, 0)
             assert len(log) == 3 and np.isfinite(model.classifier.weights[0]).all()
         """)
         src = Path(__file__).resolve().parents[1] / "src"
@@ -745,13 +747,13 @@ class TestPersistence:
         """Weights round-trip exactly, so the checkpoint determines the
         predictions of the trained model bit for bit."""
         ds = tiny_dataset()
-        cfg = Stage1Config(seed=6, **TINY)
-        model, _ = train_stage1(ds, cfg)
+        cfg = Stage1Config(**TINY)
+        model, _ = train_stage1(ds, cfg, 6)
         preds = predict_all(model, ds)
         path = tmp_path / "ckpt.json"
         save_stage1_checkpoint(model, cfg, path)
-        back, back_cfg = load_stage1_checkpoint(path)
-        assert back_cfg == cfg
+        back = load_stage1_checkpoint(path)
+        assert json.loads(path.read_text())["config"] == asdict(cfg)
         for a, b in zip(model.encoder.params() + model.projection.params()
                         + model.classifier.params(),
                         back.encoder.params() + back.projection.params()
@@ -763,8 +765,8 @@ class TestPersistence:
 
     def test_predictions_roundtrip(self, tmp_path):
         ds = tiny_dataset()
-        cfg = Stage1Config(seed=7, **TINY)
-        model, _ = train_stage1(ds, cfg)
+        cfg = Stage1Config(**TINY)
+        model, _ = train_stage1(ds, cfg, 7)
         preds = predict_all(model, ds)
         path = tmp_path / "preds.jsonl"
         save_predictions(ds.ids, preds, path)
