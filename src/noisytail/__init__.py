@@ -37,10 +37,8 @@ from .errors import (
     ParseError,
 )
 from .numerics import (
-    GradCheckReport,
     Mlp,
     finite_diff_grad,
-    gradient_check,
     init_mlp,
     make_rng,
 )

@@ -102,9 +102,14 @@ class LongTailSpec:
 
 @dataclass
 class NoiseSpec:
+    """The one rule for a noise model.  An asymmetric flip map is a
+    non-empty list of [source, target] pairs, kept as lists of ints (the
+    form the config file writes), with no self-map and no repeated source;
+    `check_classes` checks its classes against K."""
+
     kind: str  # "symmetric" | "asymmetric"
     rate: float
-    flip_map: Optional[list[tuple[int, int]]] = None
+    flip_map: Optional[list[list[int]]] = None
 
     def __post_init__(self):
         if self.kind not in ("symmetric", "asymmetric"):
@@ -115,7 +120,7 @@ class NoiseSpec:
         if self.kind == "asymmetric":
             if not self.flip_map:
                 raise InvalidSpecError("flip_map must be non-empty for asymmetric noise")
-            self.flip_map = [(int(a), int(b)) for a, b in self.flip_map]
+            self.flip_map = [[int(a), int(b)] for a, b in self.flip_map]
             for src, dst in self.flip_map:
                 if src == dst:
                     raise InvalidSpecError(f"flip_map pair {src}->{dst} maps a class to itself")
@@ -124,6 +129,13 @@ class NoiseSpec:
                 raise InvalidSpecError("flip_map has duplicate source classes")
         elif self.flip_map is not None:
             raise InvalidSpecError("flip_map applies only to asymmetric noise")
+
+    def check_classes(self, k: int) -> None:
+        """Refuse a flip pair that names a class outside [0, k)."""
+        for src, dst in self.flip_map or ():
+            if not (0 <= src < k and 0 <= dst < k):
+                raise InvalidSpecError(
+                    f"flip_map pair {src}->{dst} names a class outside [0, {k})")
 
 
 @dataclass
@@ -214,10 +226,10 @@ def inject_symmetric(ds: Dataset, rate: float, rng: np.random.Generator
 
     Returns the corrupted dataset and a per-sample boolean mask of altered
     labels.  True labels are untouched, so the measured corruption rate
-    equals the requested one up to rounding of a single sample.
+    equals the requested one up to rounding of a single sample.  The rate
+    passes `NoiseSpec`'s rule.
     """
-    if not (0.0 <= rate < 1.0):
-        raise InvalidSpecError("symmetric noise rate must be in [0, 1)")
+    NoiseSpec("symmetric", rate)
     n = len(ds)
     n_noisy = _round_half_up(rate * n)
     mask = np.zeros(n, dtype=bool)
@@ -233,26 +245,18 @@ def inject_symmetric(ds: Dataset, rate: float, rng: np.random.Generator
     return dataclasses.replace(ds, observed=labels), mask
 
 
-def inject_asymmetric(ds: Dataset, rate: float, flip_map: list[tuple[int, int]],
+def inject_asymmetric(ds: Dataset, rate: float, flip_map: list[list[int]],
                       rng: np.random.Generator) -> tuple[Dataset, np.ndarray]:
-    """Directed label flipping: within each source class of the map, a
-    `rate` fraction (rounded) of its samples is relabeled to the mapped
-    target.  Classes outside the map are untouched."""
-    if not (0.0 <= rate < 1.0):
-        raise InvalidSpecError("asymmetric noise rate must be in [0, 1)")
-    if not flip_map:
-        raise InvalidSpecError("asymmetric noise requires a non-empty flip_map")
-    flips = {}
-    for src, dst in flip_map:
-        if not (0 <= src < ds.num_classes and 0 <= dst < ds.num_classes):
-            raise InvalidSpecError(f"flip pair {src}->{dst} references an unknown class")
-        if src == dst:
-            raise InvalidSpecError(f"flip pair {src}->{dst} maps a class to itself")
-        flips[int(src)] = int(dst)
-
+    """Directed label flipping: within each source class of the map, in map
+    order, a `rate` fraction (rounded) of its samples is relabeled to the
+    mapped target.  Classes outside the map are untouched.  The rate and
+    the map pass `NoiseSpec`'s rule, its classes checked against the
+    dataset's."""
+    noise = NoiseSpec("asymmetric", rate, flip_map)
+    noise.check_classes(ds.num_classes)
     mask = np.zeros(len(ds), dtype=bool)
     labels = ds.observed.copy()
-    for src, dst in flips.items():
+    for src, dst in noise.flip_map:
         idx = np.flatnonzero(ds.observed == src)
         n_flip = _round_half_up(rate * len(idx))
         if n_flip == 0:

@@ -266,7 +266,7 @@ FIELD_TYPES = {
     "bool": ("true or false", lambda v: type(v) is bool),
     "str": ("a string", lambda v: type(v) is str),
     "Optional[str]": ("a string or null", lambda v: v is None or type(v) is str),
-    "Optional[list[tuple[int, int]]]": (
+    "Optional[list[list[int]]]": (
         "a list of [source, target] class pairs",
         lambda v: v is None or type(v) is list and all(
             type(p) is list and len(p) == 2 and {int}.issuperset(map(type, p))

@@ -92,17 +92,17 @@ def softmax_ce(logits: np.ndarray, Y: np.ndarray, shifts: np.ndarray | float = 0
     return np.ascontiguousarray(losses.T).sum(axis=1) / m, q  # as np.mean rounds it
 
 
-def l2_norms(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """The L2 norms `l2_normalize` divides by, floored at 1e-12, with the
-    reduced axis kept.  The same operations as `np.linalg.norm`, without
-    its `conj` copy."""
-    n = np.sqrt(np.add.reduce(v * v, axis, keepdims=True))
+def l2_norms(v: np.ndarray) -> np.ndarray:
+    """The L2 norms `l2_normalize` divides by, over the last axis (a
+    matrix's rows), floored at 1e-12, with that axis kept.  The same
+    operations as `np.linalg.norm`, without its `conj` copy."""
+    n = np.sqrt(np.add.reduce(v * v, -1, keepdims=True))
     return np.maximum(n, 1e-12, out=n)
 
 
-def l2_normalize(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Scale to unit L2 norm (rows of a matrix when axis=-1 on 2-D input)."""
-    return v / l2_norms(v, axis)
+def l2_normalize(v: np.ndarray) -> np.ndarray:
+    """Scale to unit L2 norm over the last axis (the rows of a matrix)."""
+    return v / l2_norms(v)
 
 
 def relative_error(a: float, b: float) -> float:
@@ -296,7 +296,7 @@ def backward_batch(net: Mlp, cache: list[np.ndarray], upstream: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference oracle and gradient checking
+# Finite-difference oracle
 # ---------------------------------------------------------------------------
 
 def finite_diff_grad(f, x: Vec, eps: float = 1e-5) -> Vec:
@@ -315,26 +315,6 @@ def finite_diff_grad(f, x: Vec, eps: float = 1e-5) -> Vec:
             raise NumericError(f"non-finite function value near coordinate {i}")
         g[i] = (fp - fm) / (2.0 * eps)
     return g
-
-
-@dataclass
-class GradCheckReport:
-    max_relative_error: float
-    worst_coordinate: int
-    passed: bool
-
-
-def gradient_check(f, x: Vec, analytic_grad: Vec, eps: float = 1e-5,
-                   tol: float = 1e-4) -> GradCheckReport:
-    """Compare an analytic gradient against finite differences coordinate-wise."""
-    numeric = finite_diff_grad(f, x, eps)
-    analytic = as_vec(analytic_grad, "analytic_grad")
-    if analytic.size != numeric.size:
-        raise InvalidInputError("gradient length mismatch")
-    errs = [relative_error(a, n) for a, n in zip(analytic, numeric)]
-    worst = int(np.argmax(errs)) if errs else 0
-    worst_err = errs[worst] if errs else 0.0
-    return GradCheckReport(worst_err, worst, worst_err < tol)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,12 @@ def _variant_name(name: str, no_relabel: bool) -> str:
 
 @dataclass
 class PipelineConfig:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment.  Besides each
+    section's own rules, every config, however it is built (read from a
+    file, by `default_config` or by `dataclasses.replace`), passes the
+    rules that span sections: each batch fits the simulated training
+    split, the flip map's classes are those of `longtail.num_classes`, and
+    the simulated features hold at most `datagen.MAX_VALUES` values."""
 
     longtail: LongTailSpec
     mixture: MixtureSpec
@@ -86,6 +91,24 @@ class PipelineConfig:
         if not 1 <= self.test_per_class <= datagen.MAX_ROWS:
             raise InvalidSpecError(f"test_per_class must be in [1, {datagen.MAX_ROWS}], "
                                    f"got {self.test_per_class}")
+        n_train = sum(datagen.longtail_counts(self.longtail))
+        for name in ("stage1", "stage2"):
+            if getattr(self, name).batch_size > n_train:
+                raise InvalidSpecError(
+                    f"{name}.batch_size {getattr(self, name).batch_size} exceeds the "
+                    f"{n_train} training samples the longtail section simulates")
+        k = self.longtail.num_classes
+        try:
+            self.noise.check_classes(k)
+        except InvalidSpecError as e:
+            raise InvalidSpecError(f"noise.{e}, the classes of longtail.num_classes") from e
+        n_rows = n_train + self.test_per_class * k
+        if n_rows * self.mixture.feature_dim > datagen.MAX_VALUES:
+            raise InvalidSpecError(
+                f"the simulated features would hold {n_rows} rows x "
+                f"{self.mixture.feature_dim} = {n_rows * self.mixture.feature_dim} values, "
+                f"over {datagen.MAX_VALUES}: lower longtail.head_count, "
+                f"longtail.num_classes, test_per_class or mixture.feature_dim")
 
 
 def default_config(seed: int = 0) -> PipelineConfig:
@@ -128,13 +151,13 @@ _SECTION_TYPES = {name: t for name, t in get_type_hints(PipelineConfig).items()
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    d = asdict(cfg)
-    if d["noise"].get("flip_map") is not None:
-        d["noise"]["flip_map"] = [list(p) for p in d["noise"]["flip_map"]]
-    return d
+    return asdict(cfg)
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
+    """Parse a config: each section given overrides the default profile's
+    keys, and every value must fit its field's type.  `PipelineConfig`
+    checks the rules that span sections."""
     if not isinstance(data, dict):
         raise InvalidSpecError("config must be a JSON object")
     base = config_to_dict(default_config())
@@ -145,27 +168,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
             raise InvalidSpecError(f"config section {name!r} must be an object")
         sections[name] = jsonl.build(cls, {**base[name], **section}, f"{name}.")
     scalars = {k: v for k, v in {**base, **data}.items() if k not in sections}
-    cfg = jsonl.build(PipelineConfig, scalars, **sections)
-    n_train = sum(datagen.longtail_counts(cfg.longtail))
-    for name in ("stage1", "stage2"):
-        if getattr(cfg, name).batch_size > n_train:
-            raise InvalidSpecError(
-                f"{name}.batch_size {getattr(cfg, name).batch_size} exceeds the "
-                f"{n_train} training samples the longtail section simulates")
-    k = cfg.longtail.num_classes
-    for src, dst in cfg.noise.flip_map or ():
-        if not (0 <= src < k and 0 <= dst < k):
-            raise InvalidSpecError(
-                f"noise.flip_map pair {src}->{dst} names a class outside "
-                f"[0, {k}), the classes of longtail.num_classes")
-    n_rows = n_train + cfg.test_per_class * k
-    if n_rows * cfg.mixture.feature_dim > datagen.MAX_VALUES:
-        raise InvalidSpecError(
-            f"the simulated features would hold {n_rows} rows x "
-            f"{cfg.mixture.feature_dim} = {n_rows * cfg.mixture.feature_dim} values, "
-            f"over {datagen.MAX_VALUES}: lower longtail.head_count, "
-            f"longtail.num_classes, test_per_class or mixture.feature_dim")
-    return cfg
+    return jsonl.build(PipelineConfig, scalars, **sections)
 
 
 def load_config(path) -> PipelineConfig:
@@ -651,7 +654,8 @@ def run_sweep(cfg: PipelineConfig, sweep: SweepSpec, out_dir: Path) -> list[dict
 
     Each grid point runs under a seed derived from its own config hash,
     `out_dir` left out, so points are independent yet reproducible wherever
-    the files go.  Returns rows sorted by value.
+    the files go.  Returns rows sorted by value, each with the `seed` its
+    point ran under.
     """
     t0 = time.perf_counter()
     # every grid point's config is checked before the directory is made
@@ -664,7 +668,7 @@ def run_sweep(cfg: PipelineConfig, sweep: SweepSpec, out_dir: Path) -> list[dict
             seed_v = int.from_bytes(
                 hashlib.sha256(config_hash(cfg_v).encode()).digest()[:8], "little")
             result = run_in_memory(dataclasses.replace(cfg_v, seed=seed_v))
-            rows.append({"value": float(value),
+            rows.append({"value": float(value), "seed": seed_v,
                          "accuracy": result.report.overall_accuracy, **result.stages})
         rows.sort(key=lambda r: r["value"])
         text = f"{sweep.parameter},accuracy\n" + "".join(

@@ -244,16 +244,15 @@ def contrastive_loss(zq: np.ndarray, zk: np.ndarray, negatives,
     return float(loss), -zq / tau, grad_negs
 
 
-def sce_loss(probs: np.ndarray, onehot: np.ndarray,
-             log_zero: float = SCE_LOG_ZERO) -> tuple[float, np.ndarray]:
-    """Symmetric cross-entropy with log(0) clamped to `log_zero`.
+def sce_loss(probs: np.ndarray, onehot: np.ndarray) -> tuple[float, np.ndarray]:
+    """Symmetric cross-entropy with log(0) clamped to `SCE_LOG_ZERO`.
 
     Returns the loss and its gradient with respect to the underlying
     logits (probs being their softmax image).
     """
     p = _check_prob_vector(probs)
     y = _check_onehot(onehot, p.size)
-    log_y = np.where(y > 0, 0.0, log_zero)
+    log_y = np.where(y > 0, 0.0, SCE_LOG_ZERO)
     with np.errstate(divide="ignore"):
         ce = -float(np.log(p @ y))  # only the labeled entry enters the sum
     reverse = -float(np.sum(log_y * p))

@@ -196,6 +196,11 @@ class TestAsymmetricNoise:
         with pytest.raises(InvalidSpecError):
             inject_asymmetric(ds, 0.2, [(1, 1)], make_rng(0))
 
+    def test_duplicate_source_rejected(self):
+        # one source, two targets: refused, not flipped to the last target
+        with pytest.raises(InvalidSpecError, match="duplicate source"):
+            inject_asymmetric(self._dataset(), 0.4, [(0, 1), (0, 2)], make_rng(0))
+
 
 class TestNoiseSpecValidation:
     def test_asymmetric_requires_flip_map(self):

@@ -22,7 +22,6 @@ from noisytail.numerics import (
     forward,
     forward_batch,
     forward_rows,
-    gradient_check,
     init_mlp,
     make_rng,
     relative_error,
@@ -217,22 +216,6 @@ class TestFiniteDiff:
     def test_bad_eps(self):
         with pytest.raises(InvalidInputError):
             finite_diff_grad(lambda v: 0.0, np.ones(2), eps=0.0)
-
-
-class TestGradientCheck:
-    def test_passes_on_correct_gradient(self):
-        x = np.array([0.5, -0.25, 1.0])
-        report = gradient_check(lambda v: 0.5 * float(v @ v), x, x)
-        assert report.passed
-        assert report.max_relative_error < 1e-4
-
-    def test_fails_on_corrupted_gradient(self):
-        x = np.array([0.5, -0.25, 1.0])
-        bad = x.copy()
-        bad[1] += 0.5
-        report = gradient_check(lambda v: 0.5 * float(v @ v), x, bad)
-        assert not report.passed
-        assert report.worst_coordinate == 1
 
 
 class TestRng:

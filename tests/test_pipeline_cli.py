@@ -177,7 +177,7 @@ class TestConfig:
         data = {"noise": {"kind": "asymmetric", "rate": 0.2,
                           "flip_map": [[0, 1], [2, 3]]}}
         cfg = config_from_dict(data)
-        assert cfg.noise.flip_map == [(0, 1), (2, 3)]
+        assert cfg.noise.flip_map == [[0, 1], [2, 3]]
         back = config_from_dict(config_to_dict(cfg))
         assert back == cfg
 
@@ -209,6 +209,31 @@ class TestConfig:
         data["test_per_class"] = n + 1
         with pytest.raises(InvalidSpecError, match=f"over {datagen.MAX_VALUES}"):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("sections, data", [
+        (lambda c: {"stage1": dataclasses.replace(c.stage1, batch_size=100000)},
+         {"stage1": {"batch_size": 100000}}),
+        (lambda c: {"stage2": dataclasses.replace(c.stage2, batch_size=100000)},
+         {"stage2": {"batch_size": 100000}}),
+        (lambda c: {"noise": datagen.NoiseSpec("asymmetric", 0.4, [(0, 25)])},
+         {"noise": {"kind": "asymmetric", "rate": 0.4, "flip_map": [[0, 25]]}}),
+        (lambda c: {"longtail": datagen.LongTailSpec(10000, 100000, 1.0)},
+         {"longtail": {"num_classes": 10000, "head_count": 100000,
+                       "imbalance_ratio": 1.0}}),
+    ], ids=["stage1-batch", "stage2-batch", "flip-map-class", "feature-values"])
+    def test_cross_section_rules_hold_for_every_config(self, monkeypatch,
+                                                       sections, data):
+        """A config built in code is refused as its file is, with the same
+        message, before anything is simulated."""
+        def reached(*args):
+            raise AssertionError("a config that breaks a rule got to simulate")
+        monkeypatch.setattr(datagen, "synth_split", reached)
+        with pytest.raises(InvalidSpecError) as from_file:
+            config_from_dict(data)
+        cfg = default_config()
+        with pytest.raises(InvalidSpecError) as in_code:
+            run_in_memory(dataclasses.replace(cfg, **sections(cfg)))
+        assert str(in_code.value) == str(from_file.value)
 
     def test_readme_example_is_the_default_profile(self):
         readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
@@ -806,12 +831,16 @@ class TestCliErrors:
                                                  where, value):
         # refused while the config loads: nothing is simulated, and
         # `longtail_counts` never loops over an oversized longtail section
+        section, _, field = where.rpartition(".")
+
         def reached(*args):
             raise AssertionError(f"{where} = {value} got past config loading")
         monkeypatch.setattr(datagen, "synth_split", reached)
-        if where.startswith("longtail."):
-            monkeypatch.setattr(datagen, "longtail_counts", reached)
-        section, _, field = where.rpartition(".")
+        if section == "longtail":
+            # the default profile's section, which loading builds, may pass
+            counts = datagen.longtail_counts
+            monkeypatch.setattr(datagen, "longtail_counts", lambda spec: (
+                reached() if getattr(spec, field) == value else counts(spec)))
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({section: {field: value}} if section
                                        else {field: value}))
@@ -1395,6 +1424,21 @@ class TestSweep:
         assert {c: rows[0][c] for c in res.stages} == res.stages
         manifest = json.loads((out / "manifest_sweep_c.json").read_text())
         assert manifest["metrics"]["rows"] == rows
+
+    def test_manifest_row_reruns_alone(self, tmp_path):
+        """One grid point rerun from the manifest alone, its config and the
+        row's value and seed, gives the row's accuracy."""
+        out = tmp_path / "sweep"
+        pipeline.run_sweep(config_from_dict(TINY_CONFIG),
+                           SweepSpec("sigma", [0.1, 0.3]), out)
+        manifest = json.loads((out / "manifest_sweep_sigma.json").read_text())
+        row = manifest["metrics"]["rows"][1]
+        cfg = config_from_dict(manifest["config"])
+        res = run_in_memory(dataclasses.replace(
+            cfg, seed=row["seed"],
+            refurbish=dataclasses.replace(cfg.refurbish, sigma=row["value"])))
+        assert res.report.overall_accuracy == row["accuracy"]
+        assert row["seed"] != manifest["seed"]
 
     def test_out_dir_changes_no_result(self, tmp_path):
         """A grid point's seed ignores `out_dir`: a config that says where

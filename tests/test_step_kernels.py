@@ -199,7 +199,9 @@ class TestL2Normalize:
     def test_equals_linalg_norm_form(self, shape, axis):
         v = make_rng(1).normal(size=shape) * 3
         v[0] = 0.0  # a zero row or column meets the 1e-12 floor
-        assert np.array_equal(l2_normalize(v, axis), ref_l2_normalize(v, axis))
+        # l2_normalize works over the last axis: move `axis` there and back
+        unit = np.moveaxis(l2_normalize(np.moveaxis(v, axis, -1)), -1, axis)
+        assert np.array_equal(unit, ref_l2_normalize(v, axis))
 
     def test_stacked_rows_equal_separate(self):
         # one call over [query; key] rows equals one call per half
